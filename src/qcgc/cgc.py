@@ -1,9 +1,9 @@
 """Clebsch-Gordan coefficients of the q-deformed angular momentum algebra.
 
-Five independent closed forms (double-checked against each other and
-against the matrix-level oracle in :mod:`qcgc.repsu`), the symmetry
-relations stored as data, special-value fast paths and two three-term
-recurrences.
+Eight closed forms (double-checked against each other and against the
+matrix-level oracle in :mod:`qcgc.repsu`), ten special-value fast paths
+and the symmetry relations are all stored as data rows read by one
+evaluator; two three-term recurrences complete the module.
 
 Conventions: the stretched coefficient <j1 j1, j2 j2|j1+j2 j1+j2> is 1,
 all coefficients are real, and structural zeros (selection-rule
@@ -12,13 +12,17 @@ failures) are returned as exact 0 without touching any arithmetic.
 
 from __future__ import annotations
 
+import ast
+import functools
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
 
 from .halfint import HalfInt, halfint, halfint_range
-from .qcore import QDomainError, q_binomial, q_factorial, q_pochhammer, qnum
+from .qcore import QDomainError, q_factorial, qnum
 from .qhyper import HyperSeriesSpec, _sum_with_guard, eval_terminating
 
 
@@ -83,387 +87,372 @@ def admissible_keys(j1, j2, j_cap=None):
     return keys
 
 
-def _fact(x, ctx):
-    return q_factorial(halfint(x).as_int(), ctx)
-
-
-def _phase(x):
-    return (-1) ** halfint(x).as_int()
-
-
 def _fr(x):
     return halfint(x).as_fraction()
 
 
 # ---------------------------------------------------------------------------
-# single-sum closed forms
+# forms in the labels
 # ---------------------------------------------------------------------------
 
-def cgc_sum(key, ctx):
-    """Finite-sum closed form (index running down from the stretched end)."""
-    if not selection_rules(key):
-        return ctx.to_mpf(0)
-    j1, m1, j2, m2, j, m = key.labels()
-    with ctx.work():
-        pre = qnum(2 * j + 1, ctx) * (
-            _fact(j1 + j2 + j + 1, ctx) * _fact(j + j1 - j2, ctx)
-            * _fact(j1 + j2 - j, ctx) * _fact(j + m, ctx) * _fact(j2 - m2, ctx)
-        ) / (
-            _fact(j + j2 - j1, ctx) * _fact(j - m, ctx) * _fact(j1 + m1, ctx)
-            * _fact(j1 - m1, ctx) * _fact(j2 + m2, ctx)
-        )
-        expo = (_fr(j1) * _fr(m2) - _fr(j2) * _fr(m1)
-                - Fraction(1, 2) * _fr(j1 + j2 - j) * _fr(j1 + j2 + j + 1))
-        total = mpf(0)
-        rmax = min((j2 - m2).as_int(), (j1 + j2 - j).as_int())
-        for r in range(rmax + 1):
-            term = (_phase(j1 + j2 - j) * (-1) ** r
-                    * _fact(j1 + j2 - m - r, ctx) * _fact(2 * j2 - r, ctx)
-                    * ctx.qpow(_fr(j1 + m1) * r)
-                    / (q_factorial(r, ctx) * _fact(j + j1 + j2 + 1 - r, ctx)
-                       * _fact(j2 - m2 - r, ctx) * _fact(j1 + j2 - j - r, ctx)))
-            total += term
-        return mp.sqrt(pre) * ctx.qpow(expo) * total
+_VARIABLES = ("j1", "m1", "j2", "m2", "j", "m", "r")
 
 
-def cgc_sum_alt(key, ctx):
-    """Pre-substitution form of the finite sum (same value as cgc_sum)."""
-    if not selection_rules(key):
-        return ctx.to_mpf(0)
-    j1, m1, j2, m2, j, m = key.labels()
-    with ctx.work():
-        pre = qnum(2 * j + 1, ctx) * (
-            _fact(j1 + j2 + j + 1, ctx) * _fact(j + j1 - j2, ctx)
-            * _fact(j1 + j2 - j, ctx) * _fact(j + m, ctx) * _fact(j2 - m2, ctx)
-        ) / (
-            _fact(j + j2 - j1, ctx) * _fact(j - m, ctx) * _fact(j1 + m1, ctx)
-            * _fact(j1 - m1, ctx) * _fact(j2 + m2, ctx)
-        )
-        expo = (_fr(m) * _fr(j1) - _fr(m1) * _fr(j)
-                - Fraction(1, 2) * _fr(j2 + j - j1 + 1) * _fr(j1 + j2 - j))
-        rmin = max(0, (j1 - j + m2).as_int())
-        rmax = (j1 + j2 - j).as_int()
-        total = mpf(0)
-        for r in range(rmin, rmax + 1):
-            term = ((-1) ** r * _fact(j - m + r, ctx) * _fact(j + j2 - j1 + r, ctx)
-                    * ctx.qpow(-_fr(j1 + m1) * r)
-                    / (q_factorial(r, ctx) * _fact(2 * j + 1 + r, ctx)
-                       * _fact(j - j1 - m2 + r, ctx) * _fact(j1 + j2 - j - r, ctx)))
-            total += term
-        return mp.sqrt(pre) * ctx.qpow(expo) * total
+def _twice(key):
+    return tuple(x.twice for x in key.labels())
 
 
-def cgc_racah(key, ctx):
-    """Racah-type single sum, symmetric in all factorial arguments.
+def _poly(node):
+    """{monomial: coefficient} of an expression; a monomial is a sorted
+    tuple of variable indices (the labels, then r)."""
+    if isinstance(node, ast.Constant):
+        return {(): node.value}
+    if isinstance(node, ast.Name):
+        return {(_VARIABLES.index(node.id),): 1}
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return {mono: -c for mono, c in _poly(node.operand).items()}
+    if isinstance(node, ast.BinOp):
+        left, right = _poly(node.left), _poly(node.right)
+        out = {}
+        if isinstance(node.op, (ast.Add, ast.Sub)):
+            sign = 1 if isinstance(node.op, ast.Add) else -1
+            out.update(left)
+            for mono, c in right.items():
+                out[mono] = out.get(mono, 0) + sign * c
+            return out
+        if isinstance(node.op, ast.Mult):
+            for ma, ca in left.items():
+                for mb, cb in right.items():
+                    mono = tuple(sorted(ma + mb))
+                    out[mono] = out.get(mono, 0) + ca * cb
+            return out
+        if isinstance(node.op, ast.Div) and set(right) == {()}:
+            return {mono: Fraction(c, right[()]) for mono, c in left.items()}
+    raise ValueError(f"unsupported form {ast.unparse(node)!r}")
 
-    This is the default production formula; the summation bounds come
-    from factorial-argument nonnegativity.
+
+class _Form:
+    """A polynomial of degree <= 2 in the six labels, plus a multiple of r.
+
+    Parsed once from text such as ``"j1*m2 - (j1+j2-j)*(j1+j2+j+1)/2"``,
+    where a digit before a letter multiplies (``"2j+1"``).  It is read on
+    the doubled labels (``HalfInt.twice``), with integer arithmetic only;
+    the coefficient of r is kept apart in ``r``.
     """
-    if not selection_rules(key):
-        return ctx.to_mpf(0)
-    j1, m1, j2, m2, j, m = key.labels()
-    with ctx.work():
-        # sign of the quadratic exponent fixed by matching the other
-        # closed forms and the matrix-level oracles
-        expo = (_fr(j1) * _fr(m2) - _fr(j2) * _fr(m1)
-                + Fraction(1, 2) * _fr(j1 + j2 - j) * _fr(j1 + j2 + j + 1))
-        pre = (_fact(j1 + m1, ctx) * _fact(j1 - m1, ctx) * _fact(j2 + m2, ctx)
-               * _fact(j2 - m2, ctx) * _fact(j + m, ctx) * _fact(j - m, ctx)
-               * _fact(j1 + j2 - j, ctx) * _fact(j + j1 - j2, ctx)
-               * _fact(j + j2 - j1, ctx) / _fact(j1 + j2 + j + 1, ctx))
-        rmin = max(0, (j2 - j - m1).as_int(), (j1 + m2 - j).as_int())
-        rmax = min((j1 + j2 - j).as_int(), (j2 + m2).as_int(), (j1 - m1).as_int())
-        total = mpf(0)
-        for r in range(rmin, rmax + 1):
-            total += ((-1) ** r * ctx.qpow(-_fr(j1 + j2 + j + 1) * r)
-                      / (q_factorial(r, ctx) * _fact(j1 + j2 - j - r, ctx)
-                         * _fact(j2 + m2 - r, ctx) * _fact(j1 - m1 - r, ctx)
-                         * _fact(j - j2 + m1 + r, ctx) * _fact(j - j1 - m2 + r, ctx)))
-        return ctx.qpow(expo) * mp.sqrt(qnum(2 * j + 1, ctx)) * mp.sqrt(pre) * total
+
+    __slots__ = ("text", "terms", "den", "r")
+
+    def __init__(self, text):
+        expr = re.sub(r"(\d)([a-z(])", r"\1*\2", text)
+        poly = _poly(ast.parse(expr, mode="eval").body)
+        self.text = text
+        self.r = int(poly.pop((_VARIABLES.index("r"),), 0))
+        # a label enters as twice/2, so over the common denominator 4 * lcm
+        # a monomial of degree d carries 2^(2-d)
+        lcm = math.lcm(*(Fraction(c).denominator for c in poly.values()))
+        terms = {mono: int(c * lcm) << (2 - len(mono))
+                 for mono, c in poly.items() if c}
+        g = math.gcd(4 * lcm, *terms.values())
+        self.den = 4 * lcm // g
+        self.terms = tuple((n // g, mono) for mono, n in terms.items())
+
+    def _numerator(self, t):
+        total = 0
+        for n, mono in self.terms:
+            for i in mono:
+                n *= t[i]
+            total += n
+        return total
+
+    def value(self, t):
+        """The exact value at the doubled labels t (at r = 0)."""
+        return Fraction(self._numerator(t), self.den)
+
+    def integer(self, t):
+        n, rest = divmod(self._numerator(t), self.den)
+        if rest:
+            raise QDomainError(f"{self.text} is not an integer here")
+        return n
 
 
-def cgc_racah_binomial(key, ctx):
-    """Racah sum rewritten through q-binomial coefficients."""
-    if not selection_rules(key):
-        return ctx.to_mpf(0)
-    j1, m1, j2, m2, j, m = key.labels()
-    with ctx.work():
-        expo = (_fr(j1) * _fr(m2) - _fr(j2) * _fr(m1)
-                + Fraction(1, 2) * _fr(j1 + j2 - j) * _fr(j1 + j2 + j + 1))
-        n = (j1 + j2 - j).as_int()
-        pre = (q_binomial((2 * j1).as_int(), n, ctx)
-               * q_binomial((2 * j2).as_int(), n, ctx)
-               / (q_binomial((j1 + j2 + j + 1).as_int(), n, ctx)
-                  * q_binomial((2 * j1).as_int(), (j1 - m1).as_int(), ctx)
-                  * q_binomial((2 * j2).as_int(), (j2 - m2).as_int(), ctx)
-                  * q_binomial((2 * j).as_int(), (j - m).as_int(), ctx)))
-        total = mpf(0)
-        for r in range(n + 1):
-            total += ((-1) ** r * q_binomial(n, r, ctx)
-                      * q_binomial((j + j1 - j2).as_int(), (j1 - m1).as_int() - r, ctx)
-                      * q_binomial((j + j2 - j1).as_int(), (j2 + m2).as_int() - r, ctx)
-                      * ctx.qpow(-_fr(j1 + j2 + j + 1) * r))
-        return ctx.qpow(expo) * mp.sqrt(pre) * total
+_form = functools.cache(_Form)
+
+
+def _factors(text):
+    """Numerator and denominator lists of (form, is_factorial) pairs.
+
+    The text is a ratio of brackets [x] and q-factorials [x]! such as
+    ``"[2j+1] [j+m]! / [j-m]!"``, every argument a form in the labels.
+    """
+    num, _, den = text.partition("/")
+    return tuple(tuple((_form(arg), bang == "!") for arg, bang
+                       in re.findall(r"\[([^\]]*)\](!?)", side))
+                 for side in (num, den))
+
+
+def _product(factors, t, ctx):
+    value = mpf(1)
+    for form, factorial in factors:
+        n = form.integer(t)
+        value *= q_factorial(n, ctx) if factorial else qnum(HalfInt(n), ctx)
+    return value
 
 
 # ---------------------------------------------------------------------------
-# 3F2 representations
+# closed forms and special values, stored as data
 # ---------------------------------------------------------------------------
 
-def cgc_3f2_spec(key):
-    """The terminating 3F2 instance behind the hypergeometric representation."""
-    j1, m1, j2, m2, j, m = key.labels()
-    return HyperSeriesSpec(
-        numerator=(j - j1 - j2, m2 - j2, -j - j1 - j2 - 1),
-        denominator=(m - j1 - j2, -2 * j2),
-        arg_exponent=j1 + m1,
-        arg_sign=1,
-    )
+class FactorialSum:
+    """sum_r (-1)^r q^(power*r) prod [a_i + s_i r]!^(+-1), s_i = +-1.
 
-
-def _gamma_coefficient(key, ctx):
-    j1, m1, j2, m2, j, m = key.labels()
-    expo = (_fr(j1) * _fr(m2) - _fr(j2) * _fr(m1)
-            - Fraction(1, 2) * _fr(j1 + j2 - j) * _fr(j1 + j2 + j + 1))
-    num = _fact(2 * j2, ctx) * _fact(j1 + j2 - m, ctx)
-    rad = (qnum(2 * j + 1, ctx) * _fact(j + m, ctx) * _fact(j + j1 - j2, ctx)
-           / (_fact(j1 + j2 + j + 1, ctx) * _fact(j + j2 - j1, ctx)
-              * _fact(j1 + j2 - j, ctx) * _fact(j1 + m1, ctx) * _fact(j1 - m1, ctx)
-              * _fact(j2 + m2, ctx) * _fact(j2 - m2, ctx) * _fact(j - m, ctx)))
-    return ctx.qpow(expo) * num * mp.sqrt(rad)
-
-
-def cgc_3f2(key, ctx):
-    """Hypergeometric representation: prefactor times a terminating 3F2."""
-    if not selection_rules(key):
-        return ctx.to_mpf(0)
-    j1 = key.j1
-    j2 = key.j2
-    j = key.j
-    with ctx.work():
-        return (_phase(j1 + j2 - j) * _gamma_coefficient(key, ctx)
-                * eval_terminating(cgc_3f2_spec(key), ctx))
-
-
-def _merged_3f2_sum(num_params, den_offsets, arg_exponent, ctx):
-    """sum_k prod (a|q)_k q^(e k) / ([k]! prod [d+k]!) with 1/[neg]! := 0.
-
-    This is the analytic continuation of prod 1/[d]! times the 3F2 with
-    denominator parameters d+1; it stays finite when some d is a negative
-    integer (where the naive prefactor-times-series split breaks down).
+    r runs over the integers at which every denominator argument is >= 0,
+    which is the continuation 1/[negative]! := 0; a q-binomial and a
+    Pochhammer (-n|q)_k = (-1)^k [n]!/[n-k]! both fit this shape.  Guarded
+    sums go through the precision-boosting kernel, the others are summed
+    once at working precision.
     """
-    cutoffs = [-halfint(a).as_int() for a in num_params
-               if halfint(a).is_integer and halfint(a) <= 0]
-    kmax = min(cutoffs)
 
-    def one_pass(c):
-        total = mpf(0)
-        peak = mpf(1)
-        for k in range(kmax + 1):
-            if any((halfint(d) + k) < 0 for d in den_offsets):
-                continue
-            term = c.qpow(arg_exponent * k) / q_factorial(k, c)
-            for a in num_params:
-                term *= q_pochhammer(halfint(a), k, c)
-            for d in den_offsets:
-                term /= _fact(halfint(d) + k, c)
-            total += term
-            peak = max(peak, abs(term))
-        return total, peak
+    def __init__(self, power, factors, guarded=False):
+        self.power = _form(power)
+        self.num, self.den = _factors(factors)
+        self.guarded = guarded
 
-    return _sum_with_guard(one_pass, ctx)
+    def value(self, t, outside, ctx):
+        """The outside factors times the sum at the doubled labels t.
 
+        The outside factors scale every summand, so that the guard
+        measures the cancellation against summands of their true size.
+        """
+        e = self.power.integer(t)
+        num = [(form.integer(t), form.r) for form, _ in self.num]
+        den = [(form.integer(t), form.r) for form, _ in self.den]
+        lo = max(-a for a, s in den if s > 0)
+        hi = min(a for a, s in den if s < 0)
 
-def cgc_3f2_rw1(key, ctx):
-    """First rewritten 3F2 representation (argument q^(j1+j2+j+1)).
+        def terms(c):
+            scale = _product(outside, t, c)
+            for r in range(lo, hi + 1):
+                top = scale
+                bottom = mpf(1)
+                for a, s in num:
+                    top *= q_factorial(a + s * r, c)
+                for a, s in den:
+                    bottom *= q_factorial(a + s * r, c)
+                top *= c.q ** (e * r)
+                yield top / bottom if r % 2 == 0 else -top / bottom
 
-    Where the printed split into prefactor and series is well posed it is
-    used literally; on the boundary keys where a prefactor factorial has
-    a negative argument, the limit form with merged factorial
-    denominators is evaluated instead.
-    """
-    if not selection_rules(key):
-        return ctx.to_mpf(0)
-    j1, m1, j2, m2, j, m = key.labels()
-    with ctx.work():
-        rad = (qnum(2 * j + 1, ctx) * _fact(j1 - m1, ctx) * _fact(j2 + m2, ctx)
-               * _fact(j - m, ctx) * _fact(j + m, ctx) * _fact(j + j1 - j2, ctx)
-               * _fact(j + j2 - j1, ctx)
-               / (_fact(j1 + m1, ctx) * _fact(j2 - m2, ctx)
-                  * _fact(j1 + j2 + j + 1, ctx) * _fact(j1 + j2 - j, ctx)))
-        expo = (_fr(j1) * _fr(m2) - _fr(j2) * _fr(m1)
-                - Fraction(1, 2) * _fr(j1 + j2 - j) * _fr(j1 + j2 + j + 1))
-        coeff = _phase(j1 + j2 - j) * mp.sqrt(rad) * ctx.qpow(expo)
-        d1 = j - j2 - m1
-        d2 = j - j1 + m2
-        num_params = (j - j1 - j2, m2 - j2, -m1 - j1)
-        if d1 >= 0 and d2 >= 0:
-            spec = HyperSeriesSpec(numerator=num_params,
-                                   denominator=(d1 + 1, d2 + 1),
-                                   arg_exponent=j1 + j2 + j + 1, arg_sign=1)
-            series = eval_terminating(spec, ctx)
-            return coeff / (_fact(d1, ctx) * _fact(d2, ctx)) * series
-        return coeff * _merged_3f2_sum(num_params, (d1, d2),
-                                       _fr(j1 + j2 + j + 1), ctx)
+        if self.guarded:
+            return _sum_with_guard(terms, ctx)
+        return sum(terms(ctx), mpf(0))
 
 
-def cgc_3f2_rw2(key, ctx):
-    """Second rewritten 3F2 representation (argument q^-(j1+j2+j+1))."""
-    if not selection_rules(key):
-        return ctx.to_mpf(0)
-    j1, m1, j2, m2, j, m = key.labels()
-    with ctx.work():
-        rad = (qnum(2 * j + 1, ctx) * _fact(j1 + m1, ctx) * _fact(j2 - m2, ctx)
-               * _fact(j - m, ctx) * _fact(j + m, ctx) * _fact(j + j1 - j2, ctx)
-               * _fact(j + j2 - j1, ctx)
-               / (_fact(j1 - m1, ctx) * _fact(j2 + m2, ctx)
-                  * _fact(j1 + j2 + j + 1, ctx) * _fact(j1 + j2 - j, ctx)))
-        expo = (_fr(j1) * _fr(m2) - _fr(j2) * _fr(m1)
-                + Fraction(1, 2) * _fr(j1 + j2 - j) * _fr(j1 + j2 + j + 1))
-        coeff = mp.sqrt(rad) * ctx.qpow(expo)
-        d1 = j - j2 + m1
-        d2 = j - j1 - m2
-        num_params = (j - j1 - j2, m1 - j1, -m2 - j2)
-        if d1 >= 0 and d2 >= 0:
-            spec = HyperSeriesSpec(numerator=num_params,
-                                   denominator=(d1 + 1, d2 + 1),
-                                   arg_exponent=j1 + j2 + j + 1, arg_sign=-1)
-            series = eval_terminating(spec, ctx)
-            return coeff / (_fact(d1, ctx) * _fact(d2, ctx)) * series
-        return coeff * _merged_3f2_sum(num_params, (d1, d2),
-                                       -_fr(j1 + j2 + j + 1), ctx)
+class HyperSeries:
+    """A terminating 3F2 at argument q^arg_exponent, parameters as forms."""
 
+    def __init__(self, numerator, denominator, arg_exponent):
+        self.numerator = tuple(_form(f) for f in numerator)
+        self.denominator = tuple(_form(f) for f in denominator)
+        self.arg_exponent = _form(arg_exponent)
 
-def cgc_3f2_long_equiv(key, ctx):
-    """Alternative 3F2 representation obtained through the j <-> j2 exchange."""
-    if not selection_rules(key):
-        return ctx.to_mpf(0)
-    j1, m1, j2, m2, j, m = key.labels()
-    with ctx.work():
-        expo = (_fr(j1) * _fr(m) + _fr(j) * _fr(m1) + _fr(m1)
-                - Fraction(1, 2) * _fr(j1 + j - j2) * _fr(j1 + j2 + j + 1))
-        head = (_fact(2 * j, ctx) * _fact(j1 + j - m2, ctx)
-                / mp.sqrt(_fact(j1 + m1, ctx) * _fact(j1 - m1, ctx)
-                          * _fact(j + m, ctx) * _fact(j2 - m2, ctx)
-                          * _fact(j - m, ctx)))
-        rad = (qnum(2 * j + 1, ctx) * _fact(j2 + m2, ctx) * _fact(j1 + j2 - j, ctx)
-               / (_fact(j1 + j2 + j + 1, ctx) * _fact(j + j2 - j1, ctx)
-                  * _fact(j1 + j - j2, ctx)))
+    def value(self, t, outside, ctx):
+        """The outside factors times the series at the doubled labels t."""
         spec = HyperSeriesSpec(
-            numerator=(j2 - j1 - j, m - j, -j - j1 - j2 - 1),
-            denominator=(m2 - j1 - j, -2 * j),
-            arg_exponent=j1 - m1,
-            arg_sign=1,
-        )
-        return (_phase(j1 - m1) * ctx.qpow(expo) * head * mp.sqrt(rad)
-                * eval_terminating(spec, ctx))
+            numerator=tuple(f.value(t) for f in self.numerator),
+            denominator=tuple(f.value(t) for f in self.denominator),
+            arg_exponent=self.arg_exponent.value(t))
+        return _product(outside, t, ctx) * eval_terminating(spec, ctx)
+
+
+class ClosedForm:
+    """One closed form or special value as a row of label forms.
+
+    The value is (-1)^phase q^power sqrt(root) times the optional
+    factor(key, ctx) and the series (a FactorialSum or a HyperSeries,
+    which also takes the outside factors).  Special values carry in
+    ``match`` the forms that vanish on their pattern; ``classical(key,
+    ctx)`` replaces the whole row at q = 1 when given.
+    """
+
+    def __init__(self, power, root, phase="0", outside="", series=None,
+                 match=(), factor=None, classical=None):
+        self.power = _form(power)
+        self.root = _factors(root)
+        self.phase = _form(phase)
+        self.outside = _factors(outside)[0]
+        self.series = series
+        self.match = tuple(_form(f) for f in match)
+        self.factor = factor
+        self.classical = classical
+
+    def value(self, key, ctx):
+        if self.classical is not None and ctx.is_classical:
+            return self.classical(key, ctx)
+        t = _twice(key)
+        num, den = self.root
+        with ctx.work():
+            value = ctx.qpow(self.power.value(t)) * mp.sqrt(
+                _product(num, t, ctx) / _product(den, t, ctx))
+            if self.phase.integer(t) % 2:
+                value = -value
+            if self.factor is not None:
+                value *= self.factor(key, ctx)
+            if self.series is not None:
+                value *= self.series.value(t, self.outside, ctx)
+            return value
+
+
+_QUADRATIC_MINUS = "j1*m2 - j2*m1 - (j1+j2-j)*(j1+j2+j+1)/2"
+_QUADRATIC_PLUS = "j1*m2 - j2*m1 + (j1+j2-j)*(j1+j2+j+1)/2"
+_RACAH_TERMS = ("/ [r]! [j1+j2-j-r]! [j2+m2-r]! [j1-m1-r]! [j-j2+m1+r]! "
+                "[j-j1-m2+r]!")
+
+CLOSED_FORMS = {
+    # finite sum, index running down from the stretched end
+    "sum": ClosedForm(
+        phase="j1+j2-j", power=_QUADRATIC_MINUS,
+        root=("[2j+1] [j1+j2+j+1]! [j+j1-j2]! [j1+j2-j]! [j+m]! [j2-m2]! "
+              "/ [j+j2-j1]! [j-m]! [j1+m1]! [j1-m1]! [j2+m2]!"),
+        series=FactorialSum(
+            "j1+m1", ("[j1+j2-m-r]! [2j2-r]! / [r]! [j+j1+j2+1-r]! "
+                      "[j2-m2-r]! [j1+j2-j-r]!"))),
+    # pre-substitution form of the same sum
+    "sum_alt": ClosedForm(
+        power="m*j1 - m1*j - (j2+j-j1+1)*(j1+j2-j)/2",
+        root=("[2j+1] [j1+j2+j+1]! [j+j1-j2]! [j1+j2-j]! [j+m]! [j2-m2]! "
+              "/ [j+j2-j1]! [j-m]! [j1+m1]! [j1-m1]! [j2+m2]!"),
+        series=FactorialSum(
+            "-(j1+m1)", ("[j-m+r]! [j+j2-j1+r]! / [r]! [2j+1+r]! "
+                         "[j-j1-m2+r]! [j1+j2-j-r]!"))),
+    # the hypergeometric representation: prefactor times a terminating 3F2
+    "3f2": ClosedForm(
+        phase="j1+j2-j", power=_QUADRATIC_MINUS,
+        root=("[2j+1] [j+m]! [j+j1-j2]! / [j1+j2+j+1]! [j+j2-j1]! "
+              "[j1+j2-j]! [j1+m1]! [j1-m1]! [j2+m2]! [j2-m2]! [j-m]!"),
+        outside="[2j2]! [j1+j2-m]!",
+        series=HyperSeries(("j-j1-j2", "m2-j2", "-j-j1-j2-1"),
+                           ("m-j1-j2", "-2j2"), "j1+m1")),
+    # first rewritten 3F2 (argument q^(j1+j2+j+1)); its nonpositive integer
+    # numerator parameters become factorials, and the merged denominators
+    # keep the boundary keys finite, where the printed split into
+    # prefactor and series has a factorial of a negative argument
+    "3f2_rw1": ClosedForm(
+        phase="j1+j2-j", power=_QUADRATIC_MINUS,
+        root=("[2j+1] [j1-m1]! [j2+m2]! [j-m]! [j+m]! [j+j1-j2]! [j+j2-j1]! "
+              "/ [j1+m1]! [j2-m2]! [j1+j2+j+1]! [j1+j2-j]!"),
+        outside="[j1+j2-j]! [j2-m2]! [j1+m1]!",
+        series=FactorialSum(
+            "j1+j2+j+1", ("/ [r]! [j1+j2-j-r]! [j2-m2-r]! [j1+m1-r]! "
+                          "[j-j2-m1+r]! [j-j1+m2+r]!"), guarded=True)),
+    # second rewritten 3F2 (argument q^-(j1+j2+j+1))
+    "3f2_rw2": ClosedForm(
+        power=_QUADRATIC_PLUS,
+        root=("[2j+1] [j1+m1]! [j2-m2]! [j-m]! [j+m]! [j+j1-j2]! [j+j2-j1]! "
+              "/ [j1-m1]! [j2+m2]! [j1+j2+j+1]! [j1+j2-j]!"),
+        outside="[j1+j2-j]! [j1-m1]! [j2+m2]!",
+        series=FactorialSum("-(j1+j2+j+1)", _RACAH_TERMS, guarded=True)),
+    # alternative 3F2 representation through the j <-> j2 exchange
+    "3f2_long_equiv": ClosedForm(
+        phase="j1-m1",
+        power="j1*m + j*m1 + m1 - (j1+j-j2)*(j1+j2+j+1)/2",
+        root=("[2j+1] [j2+m2]! [j1+j2-j]! / [j1+j2+j+1]! [j+j2-j1]! "
+              "[j1+j-j2]! [j1+m1]! [j1-m1]! [j+m]! [j2-m2]! [j-m]!"),
+        outside="[2j]! [j1+j-m2]!",
+        series=HyperSeries(("j2-j1-j", "m-j", "-j-j1-j2-1"),
+                           ("m2-j1-j", "-2j"), "j1-m1")),
+    # Racah-type single sum, symmetric in all factorial arguments: the
+    # default production formula; the sign of the quadratic exponent is
+    # fixed by matching the other closed forms and the matrix oracles
+    "racah": ClosedForm(
+        power=_QUADRATIC_PLUS,
+        root=("[2j+1] [j1+m1]! [j1-m1]! [j2+m2]! [j2-m2]! [j+m]! [j-m]! "
+              "[j1+j2-j]! [j+j1-j2]! [j+j2-j1]! / [j1+j2+j+1]!"),
+        series=FactorialSum("-(j1+j2+j+1)", _RACAH_TERMS)),
+    # the Racah sum through q-binomials, written out as factorials
+    "racah_binomial": ClosedForm(
+        power=_QUADRATIC_PLUS,
+        root=("[2j+1]! [j1+m1]! [j1-m1]! [j2+m2]! [j2-m2]! [j+m]! [j-m]! "
+              "/ [2j]! [j1+j2-j]! [j+j1-j2]! [j+j2-j1]! [j1+j2+j+1]!"),
+        outside="[j1+j2-j]! [j+j1-j2]! [j+j2-j1]!",
+        series=FactorialSum("-(j1+j2+j+1)", _RACAH_TERMS)),
+}
+
+
+def _closed_form(name):
+    row = CLOSED_FORMS[name]
+
+    def evaluate(key, ctx):
+        if not selection_rules(key):
+            return ctx.to_mpf(0)
+        return row.value(key, ctx)
+
+    evaluate.__name__ = evaluate.__qualname__ = f"cgc_{name}"
+    evaluate.__doc__ = f"The coefficient through the {name!r} closed form."
+    return evaluate
+
+
+cgc_sum = _closed_form("sum")
+cgc_sum_alt = _closed_form("sum_alt")
+cgc_3f2 = _closed_form("3f2")
+cgc_3f2_rw1 = _closed_form("3f2_rw1")
+cgc_3f2_rw2 = _closed_form("3f2_rw2")
+cgc_3f2_long_equiv = _closed_form("3f2_long_equiv")
+cgc_racah = _closed_form("racah")
+cgc_racah_binomial = _closed_form("racah_binomial")
 
 
 # ---------------------------------------------------------------------------
 # symmetry relations, stored as data
 # ---------------------------------------------------------------------------
 
-_LABELS = ("j1", "m1", "j2", "m2", "j", "m")
-
-
-@dataclass(frozen=True)
 class SymmetryRelation:
     """A linear label substitution with its prefactor descriptor.
 
     The descriptor equation is
     CGC_q(key) = (-1)^phase * q^power * sqrt([2a+1]/[2b+1]) * CGC_q'(key')
-    with q' = 1/q iff q_flip; phase, power and the norm-ratio labels a, b
-    are linear forms in the six original labels.
+    with q' = 1/q iff q_flip; the six mapped labels (key_map), phase,
+    power and the norm-ratio labels a, b are linear forms in the six
+    original labels.
     """
 
-    name: str
-    key_map: tuple          # six linear forms
-    q_flip: bool
-    phase_form: tuple = ()
-    power_form: tuple = ()
-    norm_num: tuple = None  # linear form a of sqrt([2a+1]/..)
-    norm_den: tuple = None
-
-
-def _form(*terms):
-    """Linear form as ((coeff, label), ...); coeff is a Fraction-compatible."""
-    return tuple((Fraction(c), lab) for c, lab in terms)
-
-
-def _eval_form(form, values):
-    return sum((c * values[lab] for c, lab in form), Fraction(0))
+    def __init__(self, name, key_map, q_flip, phase_form="0", power_form="0",
+                 norm_num=None, norm_den=None):
+        self.name = name
+        self.key_map = tuple(_form(f) for f in key_map)
+        self.q_flip = q_flip
+        self.phase_form = _form(phase_form)
+        self.power_form = _form(power_form)
+        self.norm = None if norm_num is None else (_form(norm_num),
+                                                   _form(norm_den))
 
 
 SYMMETRIES = {
     "swap12": SymmetryRelation(
-        name="swap12",
-        key_map=(_form((1, "j2")), _form((1, "m2")), _form((1, "j1")),
-                 _form((1, "m1")), _form((1, "j")), _form((1, "m"))),
-        q_flip=True,
-        phase_form=_form((1, "j1"), (1, "j2"), (-1, "j")),
-    ),
+        name="swap12", key_map=("j2", "m2", "j1", "m1", "j", "m"),
+        q_flip=True, phase_form="j1+j2-j"),
     "negate_m": SymmetryRelation(
-        name="negate_m",
-        key_map=(_form((1, "j2")), _form((-1, "m2")), _form((1, "j1")),
-                 _form((-1, "m1")), _form((1, "j")), _form((-1, "m"))),
-        q_flip=False,
-    ),
+        name="negate_m", key_map=("j2", "-m2", "j1", "-m1", "j", "-m"),
+        q_flip=False),
     "j_j1": SymmetryRelation(
-        name="j_j1",
-        key_map=(_form((1, "j")), _form((-1, "m")), _form((1, "j2")),
-                 _form((1, "m2")), _form((1, "j1")), _form((-1, "m1"))),
-        q_flip=True,
-        phase_form=_form((1, "j2"), (1, "m2")),
-        power_form=_form((-1, "m2")),
-        norm_num=_form((1, "j")),
-        norm_den=_form((1, "j1")),
-    ),
+        name="j_j1", key_map=("j", "-m", "j2", "m2", "j1", "-m1"),
+        q_flip=True, phase_form="j2+m2", power_form="-m2",
+        norm_num="j", norm_den="j1"),
     "j_j1_composed": SymmetryRelation(
-        name="j_j1_composed",
-        key_map=(_form((1, "j2")), _form((-1, "m2")), _form((1, "j")),
-                 _form((1, "m")), _form((1, "j1")), _form((1, "m1"))),
-        q_flip=True,
-        phase_form=_form((1, "j2"), (1, "m2")),
-        power_form=_form((-1, "m2")),
-        norm_num=_form((1, "j")),
-        norm_den=_form((1, "j1")),
-    ),
+        name="j_j1_composed", key_map=("j2", "-m2", "j", "m", "j1", "m1"),
+        q_flip=True, phase_form="j2+m2", power_form="-m2",
+        norm_num="j", norm_den="j1"),
     "j_j2": SymmetryRelation(
-        name="j_j2",
-        key_map=(_form((1, "j")), _form((1, "m")), _form((1, "j1")),
-                 _form((-1, "m1")), _form((1, "j2")), _form((1, "m2"))),
-        q_flip=True,
-        phase_form=_form((1, "j1"), (-1, "m1")),
-        power_form=_form((1, "m1")),
-        norm_num=_form((1, "j")),
-        norm_den=_form((1, "j2")),
-    ),
+        name="j_j2", key_map=("j", "m", "j1", "-m1", "j2", "m2"),
+        q_flip=True, phase_form="j1-m1", power_form="m1",
+        norm_num="j", norm_den="j2"),
     "rose_jj2": SymmetryRelation(
-        name="rose_jj2",
-        key_map=(_form((1, "j1")), _form((1, "m1")), _form((1, "j")),
-                 _form((-1, "m")), _form((1, "j2")), _form((-1, "m2"))),
-        q_flip=True,
-        phase_form=_form((1, "j1"), (-1, "m1")),
-        power_form=_form((1, "m1")),
-        norm_num=_form((1, "j")),
-        norm_den=_form((1, "j2")),
-    ),
+        name="rose_jj2", key_map=("j1", "m1", "j", "-m", "j2", "-m2"),
+        q_flip=True, phase_form="j1-m1", power_form="m1",
+        norm_num="j", norm_den="j2"),
     "regge": SymmetryRelation(
         name="regge",
-        key_map=(
-            _form((Fraction(1, 2), "j1"), (Fraction(1, 2), "j2"),
-                  (Fraction(1, 2), "m1"), (Fraction(1, 2), "m2")),
-            _form((Fraction(1, 2), "j1"), (Fraction(-1, 2), "j2"),
-                  (Fraction(1, 2), "m1"), (Fraction(-1, 2), "m2")),
-            _form((Fraction(1, 2), "j1"), (Fraction(1, 2), "j2"),
-                  (Fraction(-1, 2), "m1"), (Fraction(-1, 2), "m2")),
-            _form((Fraction(1, 2), "j1"), (Fraction(-1, 2), "j2"),
-                  (Fraction(-1, 2), "m1"), (Fraction(1, 2), "m2")),
-            _form((1, "j")),
-            _form((1, "j1"), (-1, "j2")),
-        ),
-        q_flip=False,
-    ),
+        key_map=("(j1+j2+m1+m2)/2", "(j1-j2+m1-m2)/2", "(j1+j2-m1-m2)/2",
+                 "(j1-j2-m1+m2)/2", "j", "j1-j2"),
+        q_flip=False),
 }
 
 
@@ -490,21 +479,19 @@ def apply_symmetry(key, relation):
     """Descriptor such that CGC_q(key) = prefactor * CGC_q'(mapped key)."""
     if isinstance(relation, str):
         relation = SYMMETRIES[relation]
-    values = {lab: _fr(v) for lab, v in zip(_LABELS, key.labels())}
-    mapped = [HalfInt(_eval_form(f, values)) for f in relation.key_map]
-    new_key = CgcKey(*mapped)
-    phase = _eval_form(relation.phase_form, values)
+    t = _twice(key)
+    new_key = CgcKey(*(HalfInt(f.value(t)) for f in relation.key_map))
+    phase = relation.phase_form.value(t)
     if phase.denominator != 1:
         raise QDomainError(f"non-integer phase for {relation.name} on {key}")
     norm_pair = None
-    if relation.norm_num is not None:
-        norm_pair = (HalfInt(_eval_form(relation.norm_num, values)),
-                     HalfInt(_eval_form(relation.norm_den, values)))
+    if relation.norm is not None:
+        norm_pair = tuple(HalfInt(f.value(t)) for f in relation.norm)
     return SymmetryDescriptor(
         key=new_key,
         q_flip=relation.q_flip,
         phase=int(phase) % 2,
-        q_power=_eval_form(relation.power_form, values),
+        q_power=relation.power_form.value(t),
         norm_pair=norm_pair,
     )
 
@@ -513,171 +500,90 @@ def apply_symmetry(key, relation):
 # special values
 # ---------------------------------------------------------------------------
 
+def _stretched_minus_one_bracket(key, ctx):
+    # rederived from the two-term 3F2; the first factor reads [2j1+2j2],
+    # not the difference of the spins
+    j1, m1, j2, m2, j, m = key.labels()
+    return (qnum(2 * j1 + 2 * j2, ctx) * qnum(j2 - m2, ctx)
+            * ctx.qpow(_fr(j1 + m1))
+            - qnum(2 * j2, ctx) * qnum(j1 + j2 - m, ctx))
+
+
+# in priority order: the first row whose pattern matches is used
+SPECIAL_VALUES = {
+    "j0": ClosedForm(
+        match=("j",), phase="j1-m1", power="m1", root="/ [2j1+1]"),
+    "stretched": ClosedForm(
+        match=("j1+j2-j",), power="j1*m2 - j2*m1",
+        root=("[2j1]! [2j2]! [j1+j2+m]! [j1+j2-m]! / [2j1+2j2]! [j1+m1]! "
+              "[j1-m1]! [j2+m2]! [j2-m2]!")),
+    "stretched_minus_one": ClosedForm(
+        match=("j1+j2-j-1",), power="j1*m2 - j2*m1 - j1 - j2",
+        root=("[2j1+2j2-1] [2j1-1]! [2j2-1]! [j1+j2+m-1]! [j1+j2-m-1]! "
+              "/ [2j1+2j2]! [j1+m1]! [j1-m1]! [j2+m2]! [j2-m2]!"),
+        factor=_stretched_minus_one_bracket),
+    # j = j1 - j2 implies j1 >= j2 on an admissible key
+    "antistretched": ClosedForm(
+        match=("j1-j2-j",), phase="j2+m2", power="-j1*m2 - j2*m1 - m2",
+        root=("[2j1-2j2+1]! [2j2]! [j1+m1]! [j1-m1]! / [2j1+1]! "
+              "[j1-j2-m]! [j1-j2+m]! [j2+m2]! [j2-m2]!")),
+    "m_eq_j": ClosedForm(
+        match=("j-m",), phase="j1-m1",
+        power="(j1+j2-j)*(j+j2-j1+1)/2 - (j+1)*(j1-m1)",
+        root=("[2j+1]! [j1+m1]! [j2+m2]! [j1+j2-j]! / [j1-j2+j]! "
+              "[j2-j1+j]! [j1+j2+j+1]! [j1-m1]! [j2-m2]!")),
+    "m2_eq_j2": ClosedForm(
+        match=("j2-m2",), phase="j1+j2-j",
+        power="j2*(j1-m1) - (j1+j2-j)*(j1+j2+j+1)/2",
+        root=("[2j+1] [j+j1-j2]! [j+m]! [j1-m1]! [2j2]! / [j1+j2+j+1]! "
+              "[j1+j2-j]! [j+j2-j1]! [j-m]! [j1+m1]!")),
+    "m1_eq_j1": ClosedForm(
+        match=("j1-m1",),
+        power="-j1*(j2-m2) + (j1+j2-j)*(j1+j2+j+1)/2",
+        root=("[2j+1] [j+j2-j1]! [j+m]! [j2-m2]! [2j1]! / [j1+j2+j+1]! "
+              "[j1+j2-j]! [j+j1-j2]! [j-m]! [j2+m2]!")),
+    # the quadratic exponent enters with the minus sign here (the
+    # plus-sign variant fails against the 3F2 form and the oracles)
+    "m1_eq_minus_j1": ClosedForm(
+        match=("j1+m1",), phase="j1+j2-j",
+        power="j1*(j2+m2) - (j1+j2-j)*(j1+j2+j+1)/2",
+        root=("[2j+1] [2j1]! [j2+m2]! [j-m]! [j+j2-j1]! / [j1+j2+j+1]! "
+              "[j+j1-j2]! [j1+j2-j]! [j+m]! [j2-m2]!")),
+    # the quadratic exponent enters with the plus sign here (mirror of
+    # the m1 = -j1 case)
+    "m2_eq_minus_j2": ClosedForm(
+        match=("j2+m2",),
+        power="-j2*(j1+m1) + (j1+j2-j)*(j1+j2+j+1)/2",
+        root=("[2j+1] [2j2]! [j1+m1]! [j-m]! [j+j1-j2]! / [j1+j2+j+1]! "
+              "[j+j2-j1]! [j1+j2-j]! [j+m]! [j1-m1]!")),
+    # [j]!/([j-j2]![j-j1]!) 3F2(j-j1-j2, -j1, -j2; j-j1+1, j-j2+1 | ..)
+    # with merged denominators, finite when j < max(j1, j2)
+    "all_m_zero": ClosedForm(
+        match=("m1", "m2"), phase="j1+j2-j",
+        power="-(j1+j2-j)*(j1+j2+j+1)/2",
+        root=("[2j+1] [j+j1-j2]! [j+j2-j1]! / [j1+j2+j+1]! [j1+j2-j]!"),
+        outside="[j]! [j1+j2-j]! [j1]! [j2]!",
+        series=FactorialSum(
+            "j1+j2+j+1", ("/ [r]! [j1+j2-j-r]! [j1-r]! [j2-r]! [j-j1+r]! "
+                          "[j-j2+r]!"), guarded=True),
+        classical=lambda key, ctx: classical_parity_zero_value(
+            key.j1, key.j2, key.j, ctx)),
+}
+
+
 def special_value(key, ctx):
     """Closed-form fast path when the key matches a special pattern.
 
-    Returns None when no pattern applies.  Pattern priority: j=0,
-    stretched, stretched-minus-one, antistretched, then the edge-m
-    patterns, then m1=m2=m=0.
+    Returns None when no pattern applies; the patterns are tried in the
+    order of SPECIAL_VALUES.
     """
     if not selection_rules(key):
         return None
-    j1, m1, j2, m2, j, m = key.labels()
-    if j == 0:
-        return _sv_j0(key, ctx)
-    if j == j1 + j2:
-        return _sv_stretched(key, ctx)
-    if j == j1 + j2 - 1:
-        return _sv_stretched_minus_one(key, ctx)
-    if j == j1 - j2 and j1 >= j2:
-        return _sv_antistretched(key, ctx)
-    if m == j:
-        return _sv_m_eq_j(key, ctx)
-    if m2 == j2:
-        return _sv_m2_eq_j2(key, ctx)
-    if m1 == j1:
-        return _sv_m1_eq_j1(key, ctx)
-    if m1 == -j1:
-        return _sv_m1_eq_minus_j1(key, ctx)
-    if m2 == -j2:
-        return _sv_m2_eq_minus_j2(key, ctx)
-    if m1 == 0 and m2 == 0 and m == 0:
-        return _sv_all_m_zero(key, ctx)
+    t = _twice(key)
+    for row in SPECIAL_VALUES.values():
+        if all(form.value(t) == 0 for form in row.match):
+            return row.value(key, ctx)
     return None
-
-
-def _sv_j0(key, ctx):
-    j1, m1 = key.j1, key.m1
-    with ctx.work():
-        return (_phase(j1 - m1) * ctx.qpow(_fr(m1))
-                / mp.sqrt(qnum(2 * j1 + 1, ctx)))
-
-
-def _sv_stretched(key, ctx):
-    j1, m1, j2, m2, j, m = key.labels()
-    with ctx.work():
-        rad = (_fact(2 * j1, ctx) * _fact(2 * j2, ctx)
-               * _fact(j1 + j2 + m, ctx) * _fact(j1 + j2 - m, ctx)
-               / (_fact(2 * j1 + 2 * j2, ctx) * _fact(j1 + m1, ctx)
-                  * _fact(j1 - m1, ctx) * _fact(j2 + m2, ctx)
-                  * _fact(j2 - m2, ctx)))
-        return ctx.qpow(_fr(j1) * _fr(m2) - _fr(j2) * _fr(m1)) * mp.sqrt(rad)
-
-
-def _sv_stretched_minus_one(key, ctx):
-    j1, m1, j2, m2, j, m = key.labels()
-    with ctx.work():
-        # first bracket factor rederived from the two-term 3F2; it reads
-        # [2j1+2j2], not the difference of the spins
-        bracket = (qnum(2 * j1 + 2 * j2, ctx) * qnum(j2 - m2, ctx)
-                   * ctx.qpow(_fr(j1 + m1))
-                   - qnum(2 * j2, ctx) * qnum(j1 + j2 - m, ctx))
-        rad = (qnum(2 * j1 + 2 * j2 - 1, ctx) * _fact(2 * j1 - 1, ctx)
-               * _fact(2 * j2 - 1, ctx) * _fact(j1 + j2 + m - 1, ctx)
-               * _fact(j1 + j2 - m - 1, ctx)
-               / (_fact(2 * j1 + 2 * j2, ctx) * _fact(j1 + m1, ctx)
-                  * _fact(j1 - m1, ctx) * _fact(j2 + m2, ctx)
-                  * _fact(j2 - m2, ctx)))
-        expo = _fr(j1) * _fr(m2) - _fr(j2) * _fr(m1) - _fr(j1 + j2)
-        return ctx.qpow(expo) * bracket * mp.sqrt(rad)
-
-
-def _sv_antistretched(key, ctx):
-    j1, m1, j2, m2, j, m = key.labels()
-    with ctx.work():
-        expo = -_fr(j1) * _fr(m2) - _fr(j2) * _fr(m1) - _fr(m2)
-        rad = (_fact(2 * j1 - 2 * j2 + 1, ctx) * _fact(2 * j2, ctx)
-               * _fact(j1 + m1, ctx) * _fact(j1 - m1, ctx)
-               / (_fact(2 * j1 + 1, ctx) * _fact(j1 - j2 - m, ctx)
-                  * _fact(j1 - j2 + m, ctx) * _fact(j2 + m2, ctx)
-                  * _fact(j2 - m2, ctx)))
-        return _phase(j2 + m2) * ctx.qpow(expo) * mp.sqrt(rad)
-
-
-def _sv_m_eq_j(key, ctx):
-    j1, m1, j2, m2, j, m = key.labels()
-    with ctx.work():
-        expo = (Fraction(1, 2) * _fr(j1 + j2 - j) * _fr(j + j2 - j1 + 1)
-                - _fr(j + 1) * _fr(j1 - m1))
-        rad = (_fact(2 * j + 1, ctx) * _fact(j1 + m1, ctx) * _fact(j2 + m2, ctx)
-               * _fact(j1 + j2 - j, ctx)
-               / (_fact(j1 - j2 + j, ctx) * _fact(j2 - j1 + j, ctx)
-                  * _fact(j1 + j2 + j + 1, ctx) * _fact(j1 - m1, ctx)
-                  * _fact(j2 - m2, ctx)))
-        return _phase(j1 - m1) * ctx.qpow(expo) * mp.sqrt(rad)
-
-
-def _sv_m2_eq_j2(key, ctx):
-    j1, m1, j2, m2, j, m = key.labels()
-    with ctx.work():
-        expo = (_fr(j2) * _fr(j1 - m1)
-                - Fraction(1, 2) * _fr(j1 + j2 - j) * _fr(j1 + j2 + j + 1))
-        rad = (qnum(2 * j + 1, ctx) * _fact(j + j1 - j2, ctx) * _fact(j + m, ctx)
-               * _fact(j1 - m1, ctx) * _fact(2 * j2, ctx)
-               / (_fact(j1 + j2 + j + 1, ctx) * _fact(j1 + j2 - j, ctx)
-                  * _fact(j + j2 - j1, ctx) * _fact(j - m, ctx)
-                  * _fact(j1 + m1, ctx)))
-        return _phase(key.j1 + key.j2 - key.j) * ctx.qpow(expo) * mp.sqrt(rad)
-
-
-def _sv_m1_eq_j1(key, ctx):
-    j1, m1, j2, m2, j, m = key.labels()
-    with ctx.work():
-        expo = (-_fr(j1) * _fr(j2 - m2)
-                + Fraction(1, 2) * _fr(j1 + j2 - j) * _fr(j1 + j2 + j + 1))
-        rad = (qnum(2 * j + 1, ctx) * _fact(j + j2 - j1, ctx) * _fact(j + m, ctx)
-               * _fact(j2 - m2, ctx) * _fact(2 * j1, ctx)
-               / (_fact(j1 + j2 + j + 1, ctx) * _fact(j1 + j2 - j, ctx)
-                  * _fact(j + j1 - j2, ctx) * _fact(j - m, ctx)
-                  * _fact(j2 + m2, ctx)))
-        return ctx.qpow(expo) * mp.sqrt(rad)
-
-
-def _sv_m1_eq_minus_j1(key, ctx):
-    j1, m1, j2, m2, j, m = key.labels()
-    with ctx.work():
-        # the quadratic exponent enters with the minus sign here (the
-        # plus-sign variant fails against the 3F2 form and the oracles)
-        expo = (_fr(j1) * _fr(j2 + m2)
-                - Fraction(1, 2) * _fr(j1 + j2 - j) * _fr(j1 + j2 + j + 1))
-        rad = (qnum(2 * j + 1, ctx) * _fact(2 * j1, ctx) * _fact(j2 + m2, ctx)
-               * _fact(j - m, ctx) * _fact(j + j2 - j1, ctx)
-               / (_fact(j1 + j2 + j + 1, ctx) * _fact(j + j1 - j2, ctx)
-                  * _fact(j1 + j2 - j, ctx) * _fact(j + m, ctx)
-                  * _fact(j2 - m2, ctx)))
-        return _phase(j1 + j2 - j) * ctx.qpow(expo) * mp.sqrt(rad)
-
-
-def _sv_m2_eq_minus_j2(key, ctx):
-    j1, m1, j2, m2, j, m = key.labels()
-    with ctx.work():
-        # the quadratic exponent enters with the plus sign here (mirror of
-        # the m1 = -j1 case)
-        expo = (-_fr(j2) * _fr(j1 + m1)
-                + Fraction(1, 2) * _fr(j1 + j2 - j) * _fr(j1 + j2 + j + 1))
-        rad = (qnum(2 * j + 1, ctx) * _fact(2 * j2, ctx) * _fact(j1 + m1, ctx)
-               * _fact(j - m, ctx) * _fact(j + j1 - j2, ctx)
-               / (_fact(j1 + j2 + j + 1, ctx) * _fact(j + j2 - j1, ctx)
-                  * _fact(j1 + j2 - j, ctx) * _fact(j + m, ctx)
-                  * _fact(j1 - m1, ctx)))
-        return ctx.qpow(expo) * mp.sqrt(rad)
-
-
-def _sv_all_m_zero(key, ctx):
-    j1, j2, j = key.j1, key.j2, key.j
-    if ctx.is_classical:
-        return classical_parity_zero_value(j1, j2, j, ctx)
-    with ctx.work():
-        rad = (qnum(2 * j + 1, ctx) * _fact(j + j1 - j2, ctx)
-               * _fact(j + j2 - j1, ctx)
-               / (_fact(j1 + j2 + j + 1, ctx) * _fact(j1 + j2 - j, ctx)))
-        expo = -Fraction(1, 2) * _fr(j1 + j2 - j) * _fr(j1 + j2 + j + 1)
-        # merged-denominator form of [j]!/([j-j2]![j-j1]!) 3F2(..; j-j1+1,
-        # j-j2+1 | ..): stays finite when j < max(j1, j2)
-        series = _merged_3f2_sum((j - j1 - j2, -j1, -j2), (j - j1, j - j2),
-                                 _fr(j1 + j2 + j + 1), ctx)
-        return (mp.sqrt(rad) * ctx.qpow(expo) * _phase(j1 + j2 - j)
-                * _fact(j, ctx) * series)
 
 
 def classical_parity_zero_value(j1, j2, j, ctx):
@@ -701,8 +607,10 @@ def classical_parity_zero_value(j1, j2, j, ctx):
 # recurrence relations
 # ---------------------------------------------------------------------------
 
-def _value_or_zero(key, ctx, evaluator):
-    return evaluator(key, ctx) if selection_rules(key) else ctx.to_mpf(0)
+def _relative_residual(terms, values):
+    """|sum(terms)| over the largest term or value, 0 when all vanish."""
+    scale = max(abs(x) for x in (*terms, *values))
+    return abs(sum(terms)) / scale if scale else mpf(0)
 
 
 def recurrence_j_residual(key, ctx, evaluator=cgc_racah):
@@ -764,16 +672,12 @@ def recurrence_j_residual(key, ctx, evaluator=cgc_racah):
             d_coef -= (ctx.qpow(_fr(2 * j2 - j - m - 1))
                        * qnum(j - m, ctx) * qnum(j + j1 - j2, ctx)
                        * qnum(j + j1 + j2 + 1, ctx) / qnum(2 * j, ctx))
-        c_dn = _value_or_zero(key_dn, ctx, evaluator)
-        c_up = _value_or_zero(key_up, ctx, evaluator)
-        c_md = _value_or_zero(key, ctx, evaluator)
+        c_dn = evaluator(key_dn, ctx)
+        c_up = evaluator(key_up, ctx)
+        c_md = evaluator(key, ctx)
         terms = [a_coef * c_dn, b_coef * c_up,
                  (d_coef - x_val) * c_md]
-        scale = max(max(abs(t) for t in terms),
-                    abs(c_dn), abs(c_up), abs(c_md))
-        if scale == 0:
-            return mpf(0)
-        return abs(sum(terms)) / scale
+        return _relative_residual(terms, (c_dn, c_up, c_md))
 
 
 def recurrence_m_residual(key, ctx, evaluator=cgc_racah):
@@ -804,15 +708,11 @@ def recurrence_m_residual(key, ctx, evaluator=cgc_racah):
                - qnum(m + HalfInt("1/2"), ctx) ** 2)
         d_coef = (ctx.qpow(_fr(m)) * x1 + ctx.qpow(-_fr(m)) * x2
                   - ctx.qpow(_fr(m1 - m2)) * eig)
-        c_a = _value_or_zero(CgcKey(j1, m1 + 1, j2, m2 - 1, j, m), ctx, evaluator)
-        c_b = _value_or_zero(CgcKey(j1, m1 - 1, j2, m2 + 1, j, m), ctx, evaluator)
-        c_d = _value_or_zero(key, ctx, evaluator)
+        c_a = evaluator(CgcKey(j1, m1 + 1, j2, m2 - 1, j, m), ctx)
+        c_b = evaluator(CgcKey(j1, m1 - 1, j2, m2 + 1, j, m), ctx)
+        c_d = evaluator(key, ctx)
         terms = [a_coef * c_a, b_coef * c_b, d_coef * c_d]
-        scale = max(max(abs(t) for t in terms),
-                    abs(c_a), abs(c_b), abs(c_d))
-        if scale == 0:
-            return mpf(0)
-        return abs(sum(terms)) / scale
+        return _relative_residual(terms, (c_a, c_b, c_d))
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,8 @@ def _emit_json(payload, stream):
 # cgc
 # ---------------------------------------------------------------------------
 
-def cmd_cgc(args, stream=sys.stdout):
+def cmd_cgc(args, stream=None):
+    stream = stream or sys.stdout
     config = RunConfig(q=args.q, precision=args.precision)
     ctx = _context(config)
     key = CgcKey(halfint(args.j1), halfint(args.m1), halfint(args.j2),
@@ -113,7 +114,8 @@ def _table_checksums(rows, ctx):
             for (m1, m2), s in sorted(sums.items())]
 
 
-def cmd_table(args, stream=sys.stdout):
+def cmd_table(args, stream=None):
+    stream = stream or sys.stdout
     config = RunConfig(q=args.q, precision=args.precision, format=args.format,
                        extra={"j1": args.j1, "j2": args.j2, "cap": args.cap})
     j1, j2 = halfint(args.j1), halfint(args.j2)
@@ -141,7 +143,8 @@ def cmd_table(args, stream=sys.stdout):
 # verify
 # ---------------------------------------------------------------------------
 
-def cmd_verify(args, stream=sys.stdout):
+def cmd_verify(args, stream=None):
+    stream = stream or sys.stdout
     names = args.suite if args.suite else None
     config = RunConfig(q=args.q, precision=args.precision, format="json",
                        tolerance=args.tolerance,
@@ -181,7 +184,8 @@ def cmd_verify(args, stream=sys.stdout):
 # hahn
 # ---------------------------------------------------------------------------
 
-def cmd_hahn(args, stream=sys.stdout):
+def cmd_hahn(args, stream=None):
+    stream = stream or sys.stdout
     config = RunConfig(q=args.q, precision=args.precision, format=args.format,
                        extra={"n": args.n, "N": args.N,
                               "alpha": args.alpha, "beta": args.beta})
@@ -219,7 +223,8 @@ def cmd_hahn(args, stream=sys.stdout):
 # limit
 # ---------------------------------------------------------------------------
 
-def cmd_limit(args, stream=sys.stdout):
+def cmd_limit(args, stream=None):
+    stream = stream or sys.stdout
     config = RunConfig(q="1", precision=args.precision, format="json")
     ctx_one = QContext(q=1, precision=args.precision)
     key = CgcKey(halfint(args.j1), halfint(args.m1), halfint(args.j2),

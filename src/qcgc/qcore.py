@@ -42,7 +42,7 @@ class QContext:
         # keep the exact constructor argument so derived contexts
         # (reciprocal base, boosted precision) can re-evaluate q without
         # inheriting rounding from this context
-        self._q_arg = q if isinstance(q, (str, int, Fraction, HalfInt)) else q
+        self._q_arg = q
         self._invert = bool(invert)
         with mp.workdps(self.dps):
             self.q = _as_mpf(q)

@@ -29,7 +29,7 @@ from .qcore import (
     qnum,
 )
 from .qhyper import _sum_with_guard
-from .cgc import CgcKey, selection_failure
+from .cgc import selection_failure
 
 
 @dataclass(frozen=True)
@@ -100,61 +100,43 @@ def hahn_eval(params, s, ctx, form="A"):
     same polynomial, in the normalization the norms, recurrence data and
     coupling connection are anchored to.
     """
-    n, N = params.n, params.N
-    a, b = params.alpha, params.beta
+    return _hahn_series(params.n, params.N, params.alpha, params.beta, s,
+                        ctx, form)
+
+
+def _hahn_series(n, N, a, b, s, ctx, form):
+    """hahn_eval on unchecked (n, N, alpha, beta), so n = N is reachable.
+
+    The forms differ in two Pochhammers, the summand's q-power and kmax."""
     s = halfint(s)
-    abn1 = a + b + n + 1
-    if form == "A":
-        kmax = n
-        if s.is_integer and 0 <= s.as_int() < n:
-            kmax = s.as_int()
+    af, bf = a.as_fraction(), b.as_fraction()
+    with ctx.work():
+        if form == "A":
+            second, lower = -s, HalfInt(1 - N)
+            expo = (s - N - a).as_fraction()
+            kmax = s.as_int() if s.is_integer and 0 <= s.as_int() < n else n
+            pref = (ctx.qpow(Fraction(n, 2) * (af + bf + Fraction(n + 1, 2)))
+                    * q_binomial(N - 1, n, ctx))
+        elif form == "B":
+            second, lower = s + b + 1, N + a + b + 1
+            expo = s.as_fraction() - N + 1
+            kmax = n
+            pref = (ctx.qpow(-Fraction(n * (n - 1), 4)
+                             - Fraction(n, 2) * (n + af + bf + 2))
+                    * q_pochhammer(lower, n, ctx) / q_factorial(n, ctx))
+        else:
+            raise QDomainError(f"unknown representation {form!r}")
 
-        def one_pass(c):
-            total = mpf(0)
-            peak = mpf(1)
+        def terms(c):
             for k in range(kmax + 1):
-                term = (q_pochhammer(HalfInt(-n), k, c)
-                        * q_pochhammer(-s, k, c)
-                        * q_pochhammer(abn1, k, c)
-                        * q_pochhammer(b + 1 + k, n - k, c)
-                        * c.qpow(k * (s - N - a).as_fraction())
-                        / (q_factorial(k, c)
-                           * q_pochhammer(HalfInt(1 - N), k, c)))
-                total += term
-                peak = max(peak, abs(term))
-            return total, peak
+                yield (q_pochhammer(HalfInt(-n), k, c)
+                       * q_pochhammer(second, k, c)
+                       * q_pochhammer(a + b + n + 1, k, c)
+                       * q_pochhammer(b + 1 + k, n - k, c)
+                       * c.qpow(k * expo)
+                       / (q_factorial(k, c) * q_pochhammer(lower, k, c)))
 
-        with ctx.work():
-            exp = Fraction(n, 2) * (a.as_fraction() + b.as_fraction()
-                                    + Fraction(n + 1, 2))
-            pref = _phase(n) * ctx.qpow(exp) * q_binomial(N - 1, n, ctx)
-            return pref * _sum_with_guard(one_pass, ctx)
-    if form == "B":
-
-        def one_pass(c):
-            total = mpf(0)
-            peak = mpf(1)
-            for k in range(n + 1):
-                term = (q_pochhammer(HalfInt(-n), k, c)
-                        * q_pochhammer(s + b + 1, k, c)
-                        * q_pochhammer(abn1, k, c)
-                        * q_pochhammer(b + 1 + k, n - k, c)
-                        * c.qpow(k * (s.as_fraction() - N + 1))
-                        / (q_factorial(k, c)
-                           * q_pochhammer(N + a + b + 1, k, c)))
-                total += term
-                peak = max(peak, abs(term))
-            return total, peak
-
-        with ctx.work():
-            exp = (-Fraction(n * (n - 1), 4)
-                   - Fraction(n, 2) * (n + a.as_fraction()
-                                       + b.as_fraction() + 2))
-            pref = (_phase(n) * ctx.qpow(exp)
-                    * q_pochhammer(N + a + b + 1, n, ctx)
-                    / q_factorial(n, ctx))
-            return pref * _sum_with_guard(one_pass, ctx)
-    raise QDomainError(f"unknown representation {form!r}")
+        return _phase(n) * pref * _sum_with_guard(terms, ctx)
 
 
 def hahn_weight(params, s, ctx):
@@ -300,16 +282,12 @@ def _monic_like_next(params, s, ctx):
     Representation A's binomial prefactor vanishes at n = N, so the
     recurrence at the top degree n = N-1 is closed through form B.
     """
-    up = HahnParams.__new__(HahnParams)
-    object.__setattr__(up, "n", params.n + 1)
-    object.__setattr__(up, "N", params.N)
-    object.__setattr__(up, "alpha", params.alpha)
-    object.__setattr__(up, "beta", params.beta)
     n1 = params.n + 1
     with ctx.work():
         exp = Fraction(n1, 2) * (n1 + params.alpha.as_fraction()
                                  + params.beta.as_fraction() + 2)
-        return ctx.qpow(exp) * hahn_eval(up, s, ctx, form="B")
+        return ctx.qpow(exp) * _hahn_series(n1, params.N, params.alpha,
+                                            params.beta, s, ctx, "B")
 
 
 def hahn_lambda(params, ctx):

@@ -89,37 +89,38 @@ def eval_terminating(spec, ctx):
             raise SeriesIllPosed(
                 f"denominator parameter {b} vanishes at term {-b.as_int() + 1}")
 
-    def one_pass(c):
+    def terms(c):
         z = c.qpow(spec.signed_exponent().as_fraction())
-        total = mpf(1)
         term = mpf(1)
-        peak = mpf(1)
+        yield term
         for k in range(n_eff):
             for a in spec.numerator:
                 term *= qnum(a + k, c)
             for b in spec.denominator:
                 term /= qnum(b + k, c)
             term *= z / qnum(HalfInt(k + 1), c)
-            total += term
-            peak = max(peak, abs(term))
-        return total, peak
+            yield term
 
-    return _sum_with_guard(one_pass, ctx)
+    return _sum_with_guard(terms, ctx)
 
 
-def _sum_with_guard(one_pass, ctx):
-    """Run a (total, peak-term) summation, boosting precision on cancellation.
+def _sum_with_guard(terms, ctx):
+    """Sum the summands ``terms(c)``, boosting precision on cancellation.
 
-    The pass is repeated in a genuinely higher-precision context (same
-    deformation parameter) with enough extra digits that the returned
-    total is accurate to the requested working precision even when the
-    terms cancel; a total that stays exactly zero relative to the peak
-    is resolved down to the context's absolute floor.
+    The summands are generated again in a genuinely higher-precision
+    context (same deformation parameter) with enough extra digits that
+    the returned total is accurate to the requested working precision
+    even when they cancel against their peak magnitude (at least 1); a
+    total that stays exactly zero is resolved to the absolute floor.
     """
     c = ctx
     for _ in range(4):
         with c.work():
-            total, peak = one_pass(c)
+            total = mpf(0)
+            peak = mpf(1)
+            for term in terms(c):
+                total += term
+                peak = max(peak, abs(term))
             if total == 0:
                 lost = ctx.precision
             else:
@@ -255,8 +256,6 @@ def closed_sum_vandermonde(n, b, c, sign, ctx):
 def _check_vandermonde_domain(n, b, c):
     if n < 0:
         raise QDomainError("vandermonde: n must be nonnegative")
-    if b.is_integer and b <= 0 and n >= -b.as_int() + 1:
-        pass  # series terminates earlier through b; harmless
     if c.is_integer and c <= 0 and n > -c.as_int():
         raise QDomainError("vandermonde: n < |c| required for negative integer c")
 

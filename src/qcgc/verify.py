@@ -76,6 +76,18 @@ def _spin_pool(cap):
     return halfint_range(0, halfint(cap))
 
 
+def _sweep(contexts, j_cap):
+    """(ctx, key) for every admissible key with both spins up to j_cap,
+    per context, at that context's working precision."""
+    pool = _spin_pool(j_cap)
+    for ctx in contexts:
+        with ctx.work():
+            for j1 in pool:
+                for j2 in pool:
+                    for key in admissible_keys(j1, j2):
+                        yield ctx, key
+
+
 # ---------------------------------------------------------------------------
 # series identities
 # ---------------------------------------------------------------------------
@@ -347,15 +359,8 @@ def cgc_formula_suite(precision=50, qs=("0.3", "0.5", "0.9"), j_cap=3,
                       tolerance=1e-35):
     """Pairwise agreement of every closed form on the full key sweep."""
     worst = mpf(0)
-    pool = _spin_pool(j_cap)
-    for q in qs:
-        ctx = _ctx(q, precision)
-        with ctx.work():
-            for j1 in pool:
-                for j2 in pool:
-                    for key in admissible_keys(j1, j2):
-                        result = compute(key, ctx, mode="crosscheck")
-                        worst = max(worst, result.deviation)
+    for ctx, key in _sweep([_ctx(q, precision) for q in qs], j_cap):
+        worst = max(worst, compute(key, ctx, mode="crosscheck").deviation)
     return [CheckResult("cross_formula_agreement", worst, tolerance)]
 
 
@@ -364,19 +369,11 @@ def cgc_oracle_suite(precision=50, qs=("0.5", "0.9"), j_cap="3/2",
     """cgc_racah against both matrix-level constructions."""
     worst_proj = mpf(0)
     worst_low = mpf(0)
-    pool = _spin_pool(j_cap)
-    for q in qs:
-        ctx = _ctx(q, precision)
-        with ctx.work():
-            for j1 in pool:
-                for j2 in pool:
-                    keys = admissible_keys(j1, j2)
-                    for key in keys:
-                        ref = cgc_racah(key, ctx)
-                        worst_proj = max(worst_proj, abs(
-                            ref - repsu.oracle_cgc(key, ctx)))
-                        worst_low = max(worst_low, abs(
-                            ref - repsu.oracle_cgc_lowering(key, ctx)))
+    for ctx, key in _sweep([_ctx(q, precision) for q in qs], j_cap):
+        ref = cgc_racah(key, ctx)
+        worst_proj = max(worst_proj, abs(ref - repsu.oracle_cgc(key, ctx)))
+        worst_low = max(worst_low,
+                        abs(ref - repsu.oracle_cgc_lowering(key, ctx)))
     return [CheckResult("projector_oracle", worst_proj, tolerance),
             CheckResult("lowering_oracle", worst_low, tolerance)]
 
@@ -459,19 +456,10 @@ def special_value_suite(precision=50, qs=("0.5", "0.9"), j_cap=3,
                         dixon_cap=4, tolerance=1e-35):
     """Every special-value fast path against the general formula."""
     worst = mpf(0)
-    matched = 0
-    pool = _spin_pool(j_cap)
-    for q in qs:
-        ctx = _ctx(q, precision)
-        with ctx.work():
-            for j1 in pool:
-                for j2 in pool:
-                    for key in admissible_keys(j1, j2):
-                        sv = special_value(key, ctx)
-                        if sv is None:
-                            continue
-                        matched += 1
-                        worst = max(worst, abs(sv - cgc_racah(key, ctx)))
+    for ctx, key in _sweep([_ctx(q, precision) for q in qs], j_cap):
+        sv = special_value(key, ctx)
+        if sv is not None:
+            worst = max(worst, abs(sv - cgc_racah(key, ctx)))
     checks = [CheckResult("special_value_patterns", worst, tolerance)]
 
     ctx1 = _ctx(1, precision)
@@ -493,18 +481,10 @@ def recurrence_suite(precision=50, qs=("0.5", "0.7"), j_cap=2,
     """Both three-term recurrences over all interior keys."""
     worst_j = mpf(0)
     worst_m = mpf(0)
-    pool = _spin_pool(j_cap)
-    for q in qs:
-        ctx = _ctx(q, precision)
-        with ctx.work():
-            for j1 in pool:
-                for j2 in pool:
-                    for key in admissible_keys(j1, j2):
-                        if key.j != 0:
-                            worst_j = max(worst_j,
-                                          recurrence_j_residual(key, ctx))
-                        worst_m = max(worst_m,
-                                      recurrence_m_residual(key, ctx))
+    for ctx, key in _sweep([_ctx(q, precision) for q in qs], j_cap):
+        if key.j != 0:
+            worst_j = max(worst_j, recurrence_j_residual(key, ctx))
+        worst_m = max(worst_m, recurrence_m_residual(key, ctx))
     return [CheckResult("recurrence_j", worst_j, tolerance),
             CheckResult("recurrence_m", worst_m, tolerance)]
 
@@ -560,17 +540,10 @@ def connection_suite(precision=50, qs=("0.5", "0.9"), j_cap=2,
                      tolerance=1e-30):
     """Both coupling-to-polynomial routes against the closed form."""
     worst = mpf(0)
-    pool = _spin_pool(j_cap)
-    for q in qs:
-        ctx = _ctx(q, precision)
-        with ctx.work():
-            for j1 in pool:
-                for j2 in pool:
-                    for key in admissible_keys(j1, j2):
-                        ref = cgc_racah(key, ctx)
-                        for route in ("J2", "J1"):
-                            value = cgc_from_hahn(key, ctx, route=route)
-                            worst = max(worst, abs(value - ref))
+    for ctx, key in _sweep([_ctx(q, precision) for q in qs], j_cap):
+        ref = cgc_racah(key, ctx)
+        for route in ("J2", "J1"):
+            worst = max(worst, abs(cgc_from_hahn(key, ctx, route=route) - ref))
     return [CheckResult("hahn_connection_routes", worst, tolerance)]
 
 
@@ -591,14 +564,9 @@ def classical_limit_suite(precision=50, j_cap="3/2", cgc_tolerance=1e-5,
                                            - ctx_near.to_mpf(x)))
             x += Fraction(1, 2)
     worst_cgc = mpf(0)
-    pool = _spin_pool(j_cap)
-    with ctx_near.work():
-        for j1 in pool:
-            for j2 in pool:
-                for key in admissible_keys(j1, j2):
-                    near = cgc_racah(key, ctx_near)
-                    classical = cgc_racah(key, ctx_one)
-                    worst_cgc = max(worst_cgc, abs(near - classical))
+    for _, key in _sweep([ctx_near], j_cap):
+        worst_cgc = max(worst_cgc, abs(cgc_racah(key, ctx_near)
+                                       - cgc_racah(key, ctx_one)))
     return [CheckResult("classical_limit_cgc", worst_cgc, cgc_tolerance),
             CheckResult("classical_limit_qnum", worst_num, qnum_tolerance)]
 

@@ -82,6 +82,16 @@ def test_crosscheck_deviation_is_tight():
     assert result.deviation < CTX.tol
 
 
+@pytest.mark.parametrize("q", ["1", "1.25", "2"])
+def test_crosscheck_agrees_at_q_at_least_one(q):
+    ctx = QContext(q=q, precision=50)
+    keys = [key for j1 in halfint_range(0, 2) for j2 in halfint_range(0, 2)
+            for key in admissible_keys(j1, j2)]
+    assert len(keys) == 195
+    for key in keys:
+        assert compute(key, ctx, mode="crosscheck").deviation < ctx.tol
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(QDomainError):
         compute(CgcKey(1, 0, 1, 0, 2, 0), CTX, mode="bogus")

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import csv
 import io
 import json
@@ -69,6 +70,15 @@ def test_table_unitarity_checksums():
     assert len(payload["checksums"]) == 4
     for entry in payload["checksums"]:
         assert abs(mpf(entry["sum_sq"]) - 1) < mpf("1e-25")
+
+
+def test_main_writes_to_the_current_stdout():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["table", "--j1", "1/2", "--j2", "1/2"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+    assert len(rows) == 6
 
 
 def test_table_cap_enforced():
