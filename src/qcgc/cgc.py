@@ -207,15 +207,12 @@ class FactorialSum:
 
     r runs over the integers at which every denominator argument is >= 0,
     which is the continuation 1/[negative]! := 0; a q-binomial and a
-    Pochhammer (-n|q)_k = (-1)^k [n]!/[n-k]! both fit this shape.  Guarded
-    sums go through the precision-boosting kernel, the others are summed
-    once at working precision.
+    Pochhammer (-n|q)_k = (-1)^k [n]!/[n-k]! both fit this shape.
     """
 
-    def __init__(self, power, factors, guarded=False):
+    def __init__(self, power, factors):
         self.power = _form(power)
         self.num, self.den = _factors(factors)
-        self.guarded = guarded
 
     def value(self, t, outside, ctx):
         """The outside factors times the sum at the doubled labels t.
@@ -231,19 +228,19 @@ class FactorialSum:
 
         def terms(c):
             scale = _product(outside, t, c)
+            step = c.q ** e
+            qpower = c.q ** (e * lo)
             for r in range(lo, hi + 1):
-                top = scale
+                top = scale * qpower
                 bottom = mpf(1)
                 for a, s in num:
                     top *= q_factorial(a + s * r, c)
                 for a, s in den:
                     bottom *= q_factorial(a + s * r, c)
-                top *= c.q ** (e * r)
                 yield top / bottom if r % 2 == 0 else -top / bottom
+                qpower *= step
 
-        if self.guarded:
-            return _sum_with_guard(terms, ctx)
-        return sum(terms(ctx), mpf(0))
+        return _sum_with_guard(terms, ctx)
 
 
 class HyperSeries:
@@ -342,14 +339,14 @@ CLOSED_FORMS = {
         outside="[j1+j2-j]! [j2-m2]! [j1+m1]!",
         series=FactorialSum(
             "j1+j2+j+1", ("/ [r]! [j1+j2-j-r]! [j2-m2-r]! [j1+m1-r]! "
-                          "[j-j2-m1+r]! [j-j1+m2+r]!"), guarded=True)),
+                          "[j-j2-m1+r]! [j-j1+m2+r]!"))),
     # second rewritten 3F2 (argument q^-(j1+j2+j+1))
     "3f2_rw2": ClosedForm(
         power=_QUADRATIC_PLUS,
         root=("[2j+1] [j1+m1]! [j2-m2]! [j-m]! [j+m]! [j+j1-j2]! [j+j2-j1]! "
               "/ [j1-m1]! [j2+m2]! [j1+j2+j+1]! [j1+j2-j]!"),
         outside="[j1+j2-j]! [j1-m1]! [j2+m2]!",
-        series=FactorialSum("-(j1+j2+j+1)", _RACAH_TERMS, guarded=True)),
+        series=FactorialSum("-(j1+j2+j+1)", _RACAH_TERMS)),
     # alternative 3F2 representation through the j <-> j2 exchange
     "3f2_long_equiv": ClosedForm(
         phase="j1-m1",
@@ -504,9 +501,9 @@ def _stretched_minus_one_bracket(key, ctx):
     # rederived from the two-term 3F2; the first factor reads [2j1+2j2],
     # not the difference of the spins
     j1, m1, j2, m2, j, m = key.labels()
-    return (qnum(2 * j1 + 2 * j2, ctx) * qnum(j2 - m2, ctx)
-            * ctx.qpow(_fr(j1 + m1))
-            - qnum(2 * j2, ctx) * qnum(j1 + j2 - m, ctx))
+    return _sum_with_guard(lambda c: (
+        qnum(2 * j1 + 2 * j2, c) * qnum(j2 - m2, c) * c.qpow(_fr(j1 + m1)),
+        -qnum(2 * j2, c) * qnum(j1 + j2 - m, c)), ctx)
 
 
 # in priority order: the first row whose pattern matches is used
@@ -565,7 +562,7 @@ SPECIAL_VALUES = {
         outside="[j]! [j1+j2-j]! [j1]! [j2]!",
         series=FactorialSum(
             "j1+j2+j+1", ("/ [r]! [j1+j2-j-r]! [j1-r]! [j2-r]! [j-j1+r]! "
-                          "[j-j2+r]!"), guarded=True),
+                          "[j-j2+r]!")),
         classical=lambda key, ctx: classical_parity_zero_value(
             key.j1, key.j2, key.j, ctx)),
 }

@@ -7,6 +7,7 @@ reals, so the q <-> 1/q flips and the pattern matching behind the two
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -14,7 +15,7 @@ from itertools import permutations
 from mpmath import mp, mpf
 
 from .halfint import HalfInt, halfint
-from .qcore import QDomainError, q_factorial, q_pochhammer, qnum
+from .qcore import GUARD_DIGITS, QDomainError, q_factorial, q_pochhammer, qnum
 
 
 class SeriesIllPosed(ValueError):
@@ -65,96 +66,77 @@ class BasicSeriesSpec:
         object.__setattr__(self, "numerator", tuple(halfint(a) for a in self.numerator))
         object.__setattr__(self, "denominator", tuple(halfint(b) for b in self.denominator))
 
-    def termination_order(self):
-        cutoffs = [-a.as_int() for a in self.numerator if a.is_integer and a <= 0]
-        if not cutoffs:
-            raise QDomainError("basic series is not terminating")
-        return min(cutoffs)
+    termination_order = HyperSeriesSpec.termination_order
 
 
-def eval_terminating(spec, ctx):
-    """Evaluate a terminating symmetric q-hypergeometric series.
+def _series_terms(spec, z, bracket):
+    """Terms of a terminating series: t_0 = 1, and t_(k+1) is t_k times
+    z / bracket(k+1) times prod bracket(a+k) / prod bracket(b+k).
 
     The live range is fixed a priori by the numerator cutoffs; a
-    denominator Pochhammer vanishing inside that range is an error.
-    Alternating sums can cancel many digits, so the summation tracks the
-    peak term magnitude and re-runs at boosted working precision until
-    the result carries the full context accuracy.
+    denominator vanishing inside it raises on the first term.
     """
     n_eff = spec.termination_order()
-    if n_eff == 0:
-        return ctx.to_mpf(1)
     for b in spec.denominator:
         if b.is_integer and b <= 0 and -b.as_int() < n_eff:
             raise SeriesIllPosed(
                 f"denominator parameter {b} vanishes at term {-b.as_int() + 1}")
-
-    def terms(c):
-        z = c.qpow(spec.signed_exponent().as_fraction())
-        term = mpf(1)
+    term = mpf(1)
+    yield term
+    for k in range(n_eff):
+        for a in spec.numerator:
+            term *= bracket(a + k)
+        for b in spec.denominator:
+            term /= bracket(b + k)
+        term *= z / bracket(HalfInt(k + 1))
         yield term
-        for k in range(n_eff):
-            for a in spec.numerator:
-                term *= qnum(a + k, c)
-            for b in spec.denominator:
-                term /= qnum(b + k, c)
-            term *= z / qnum(HalfInt(k + 1), c)
-            yield term
-
-    return _sum_with_guard(terms, ctx)
 
 
-def _sum_with_guard(terms, ctx):
-    """Sum the summands ``terms(c)``, boosting precision on cancellation.
-
-    The summands are generated again in a genuinely higher-precision
-    context (same deformation parameter) with enough extra digits that
-    the returned total is accurate to the requested working precision
-    even when they cancel against their peak magnitude (at least 1); a
-    total that stays exactly zero is resolved to the absolute floor.
-    """
-    c = ctx
-    for _ in range(4):
-        with c.work():
-            total = mpf(0)
-            peak = mpf(1)
-            for term in terms(c):
-                total += term
-                peak = max(peak, abs(term))
-            if total == 0:
-                lost = ctx.precision
-            else:
-                lost = max(0, int(mp.ceil(mp.log10(peak / abs(total)))))
-            if c.dps >= ctx.dps + lost:
-                return total
-        c = ctx.with_precision(ctx.precision + lost + 5)
-    return total
+def eval_terminating(spec, ctx):
+    """Evaluate a terminating symmetric q-hypergeometric series."""
+    exponent = spec.signed_exponent().as_fraction()
+    return _sum_with_guard(lambda c: _series_terms(
+        spec, c.qpow(exponent), lambda x: qnum(x, c)), ctx)
 
 
 def eval_basic(spec, ctx):
     """Evaluate a terminating basic series with (a;q)_k coefficients."""
-    n_eff = spec.termination_order()
-    if n_eff == 0:
-        return ctx.to_mpf(1)
-    with ctx.work():
-        z = ctx.to_mpf(spec.z)
-        q = ctx.q
-        for b in spec.denominator:
-            if b.is_integer and b <= 0 and -b.as_int() < n_eff:
-                raise SeriesIllPosed(
-                    f"denominator parameter q^{b} yields a vanishing factor "
-                    f"at term {-b.as_int() + 1}")
-        total = mpf(1)
-        term = mpf(1)
-        for k in range(n_eff):
-            qk = q ** k
-            for a in spec.numerator:
-                term *= 1 - ctx.qpow(a.as_fraction()) * qk
-            for b in spec.denominator:
-                term /= 1 - ctx.qpow(b.as_fraction()) * qk
-            term *= z / (1 - q ** (k + 1))
-            total += term
-        return total
+    return _sum_with_guard(lambda c: _series_terms(
+        spec, c.to_mpf(spec.z), lambda x: 1 - c.qpow(x.as_fraction())), ctx)
+
+
+def _sum_with_guard(terms, ctx):
+    """Sum the summands ``terms(c)`` to ``ctx.precision`` digits.
+
+    The total is accurate relative to itself, or else to the absolute
+    floor 10^-precision of the largest summand, in two passes at most.
+    The guard digits of ``ctx.dps`` absorb a loss of up to GUARD_DIGITS
+    between the largest summand and the total.  A larger loss, counted
+    up to ``ctx.precision`` digits, reruns the summands once at that many
+    more digits rounded up to a multiple of GUARD_DIGITS, in a context
+    with the same deformation parameter that ``ctx`` keeps for later.
+    """
+    c = ctx
+    while True:
+        with c.work():
+            total = mpf(0)
+            peak = mpf(0)
+            for term in terms(c):
+                total += term
+                peak = max(peak, abs(term))
+        if total:
+            lost = min(ctx.precision, math.ceil(
+                (mp.mag(peak) - mp.mag(total)) * math.log10(2)))
+        else:
+            lost = ctx.precision if peak else 0
+        if lost <= c.dps - ctx.precision:
+            return total
+        if c is not ctx:  # the boost leaves GUARD_DIGITS to spare
+            raise ArithmeticError(f"sum lost {lost} digits after a boost "
+                                  f"to {c.precision}")
+        precision = ctx.precision + math.ceil(lost / GUARD_DIGITS) * GUARD_DIGITS
+        c = ctx._memo(("boost", precision),
+                      lambda: ctx.with_precision(precision))
 
 
 @dataclass(frozen=True)

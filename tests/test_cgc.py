@@ -1,6 +1,8 @@
 """Unit tests for the Clebsch-Gordan closed forms and their structure."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,43 @@ def test_crosscheck_agrees_at_q_at_least_one(q):
     assert len(keys) == 195
     for key in keys:
         assert compute(key, ctx, mode="crosscheck").deviation < ctx.tol
+
+
+def test_crosscheck_forms_agree_to_tolerance_at_small_q():
+    # the plain finite sums cancel hardest here among the spins <= 3
+    ctx = QContext(q="0.3", precision=50)
+    result = compute(CgcKey(3, 2, 3, -3, 1, -1), ctx, mode="crosscheck")
+    assert result.deviation <= ctx.tol
+
+
+def _exact_classical(j1, m1, j2, m2, j, m):
+    """Sign and square of the q = 1 coefficient: the Racah sum in Fractions."""
+    f = math.factorial
+    total = sum(Fraction((-1) ** k, f(k) * f(j1 + j2 - j - k) * f(j1 - m1 - k)
+                         * f(j2 + m2 - k) * f(j - j2 + m1 + k)
+                         * f(j - j1 - m2 + k))
+                for k in range(max(0, j2 - j - m1, j1 + m2 - j),
+                               min(j1 + j2 - j, j1 - m1, j2 + m2) + 1))
+    square = Fraction((2 * j + 1) * f(j1 + j2 - j) * f(j1 - j2 + j)
+                      * f(j2 - j1 + j) * f(j1 + m1) * f(j1 - m1) * f(j2 + m2)
+                      * f(j2 - m2) * f(j + m) * f(j - m),
+                      f(j1 + j2 + j + 1)) * total ** 2
+    return (total > 0) - (total < 0), square
+
+
+def test_racah_keeps_precision_at_large_spin():
+    ctx = QContext(q=1, precision=30)
+    for labels in ((120, 0, 120, 0, 120, 0), (100, 0, 110, 0, 60, 0),
+                   (90, 0, 120, 0, 150, 0)):
+        sign, square = _exact_classical(*labels)
+        value = cgc_racah(CgcKey(*labels), ctx)
+        with mp.workdps(2 * ctx.precision):
+            exact = sign * mp.sqrt(mpf(square.numerator) / square.denominator)
+            assert abs(value - exact) <= mpf(10) ** -ctx.precision * abs(exact)
+    # j1 + j2 + j odd: a parity zero
+    assert _exact_classical(120, 0, 119, 0, 200, 0)[1] == 0
+    value = cgc_racah(CgcKey(120, 0, 119, 0, 200, 0), ctx)
+    assert abs(value) < mpf(10) ** -ctx.precision
 
 
 def test_unknown_mode_rejected():

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
-from qcgc import HalfInt, QContext, QDomainError, eval_basic, eval_terminating
+from qcgc import CgcKey, HalfInt, QContext, QDomainError, eval_basic, eval_terminating
+from qcgc.cgc import cgc_3f2_rw1, cgc_racah
 from qcgc.qhyper import (
     HyperSeriesSpec,
     SeriesIllPosed,
+    _sum_with_guard,
     closed_sum_dixon,
     closed_sum_negative,
     closed_sum_positive,
@@ -178,3 +180,49 @@ def test_connection_identity_instance():
         lhs = eval_basic(basic, ctx)
         rhs = eval_terminating(f_spec, ctx_sqrt)
         assert ctx.close(lhs, rhs)
+
+
+def _count_boosts(monkeypatch):
+    """Record the precision of every boosted context built from now on."""
+    boosts = []
+    build = QContext.with_precision
+
+    def counting(self, precision):
+        boosts.append(precision)
+        return build(self, precision)
+
+    monkeypatch.setattr(QContext, "with_precision", counting)
+    return boosts
+
+
+def test_small_summands_do_not_boost(monkeypatch):
+    # a one-term sum whose summand is below 1 cancels nothing
+    ctx = QContext(q="0.9", precision=50)
+    boosts = _count_boosts(monkeypatch)
+    key = CgcKey("1/2", "1/2", "1/2", "-1/2", 0, 0)
+    value = cgc_3f2_rw1(key, ctx)
+    assert boosts == []
+    assert ctx.close(value, cgc_racah(key, ctx))
+
+
+def test_zero_sum_converges_in_one_boost(monkeypatch):
+    # (-1|q)_2 = [-1][0] = 0, so the series vanishes in exact arithmetic
+    ctx = QContext(q="0.7", precision=50)
+    boosts = _count_boosts(monkeypatch)
+    spec = vandermonde_spec(2, 2, 1, 1)
+    value = eval_terminating(spec, ctx)
+    assert len(boosts) <= 1
+    assert closed_sum_vandermonde(2, 2, 1, 1, ctx) == 0
+    assert abs(value) <= mpf(10) ** -(2 * ctx.precision)
+
+
+def test_sum_short_after_the_boost_raises():
+    # summands that cancel further at the boosted precision than the
+    # first pass measured: the kernel raises rather than return the total
+    ctx = QContext(q="0.5", precision=100)
+
+    def terms(c):
+        return mpf(1), -1 + (mpf(10) ** -25 if c is ctx else 0)
+
+    with pytest.raises(ArithmeticError):
+        _sum_with_guard(terms, ctx)
