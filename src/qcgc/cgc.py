@@ -19,8 +19,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpf
-
 from .halfint import HalfInt, halfint, halfint_range
 from .qcore import QDomainError, q_factorial, qnum
 from .qhyper import HyperSeriesSpec, _sum_with_guard, eval_terminating
@@ -191,7 +189,7 @@ def _factors(text):
 
 
 def _product(factors, t, ctx):
-    value = mpf(1)
+    value = ctx.to_mpf(1)
     for form, factorial in factors:
         n = form.integer(t)
         value *= q_factorial(n, ctx) if factorial else qnum(HalfInt(n), ctx)
@@ -232,7 +230,7 @@ class FactorialSum:
             qpower = c.q ** (e * lo)
             for r in range(lo, hi + 1):
                 top = scale * qpower
-                bottom = mpf(1)
+                bottom = 1
                 for a, s in num:
                     top *= q_factorial(a + s * r, c)
                 for a, s in den:
@@ -286,16 +284,15 @@ class ClosedForm:
             return self.classical(key, ctx)
         t = _twice(key)
         num, den = self.root
-        with ctx.work():
-            value = ctx.qpow(self.power.value(t)) * mp.sqrt(
-                _product(num, t, ctx) / _product(den, t, ctx))
-            if self.phase.integer(t) % 2:
-                value = -value
-            if self.factor is not None:
-                value *= self.factor(key, ctx)
-            if self.series is not None:
-                value *= self.series.value(t, self.outside, ctx)
-            return value
+        value = ctx.qpow(self.power.value(t)) * ctx.mp.sqrt(
+            _product(num, t, ctx) / _product(den, t, ctx))
+        if self.phase.integer(t) % 2:
+            value = -value
+        if self.factor is not None:
+            value *= self.factor(key, ctx)
+        if self.series is not None:
+            value *= self.series.value(t, self.outside, ctx)
+        return value
 
 
 _QUADRATIC_MINUS = "j1*m2 - j2*m1 - (j1+j2-j)*(j1+j2+j+1)/2"
@@ -464,12 +461,11 @@ class SymmetryDescriptor:
     norm_pair: tuple  # (a, b) for sqrt([2a+1]/[2b+1]) or None
 
     def prefactor(self, ctx):
-        with ctx.work():
-            v = (-1) ** self.phase * ctx.qpow(self.q_power)
-            if self.norm_pair is not None:
-                a, b = self.norm_pair
-                v *= mp.sqrt(qnum(2 * a + 1, ctx) / qnum(2 * b + 1, ctx))
-            return v
+        v = (-1) ** self.phase * ctx.qpow(self.q_power)
+        if self.norm_pair is not None:
+            a, b = self.norm_pair
+            v *= ctx.mp.sqrt(qnum(2 * a + 1, ctx) / qnum(2 * b + 1, ctx))
+        return v
 
 
 def apply_symmetry(key, relation):
@@ -587,17 +583,15 @@ def classical_parity_zero_value(j1, j2, j, ctx):
     """Classical (q=1) value of <j1 0, j2 0|j 0> from the Dixon summation."""
     j1, j2, j = halfint(j1).as_int(), halfint(j2).as_int(), halfint(j).as_int()
     total = j1 + j2 + j
-    with ctx.work():
-        if total % 2 == 1:
-            return mpf(0)
-        k = total // 2
-        head = ((-1) ** (k - j) * mp.factorial(k)
-                / (mp.factorial(k - j1) * mp.factorial(k - j2)
-                   * mp.factorial(k - j)))
-        rad = ((2 * j + 1) * mp.factorial(2 * k - 2 * j1)
-               * mp.factorial(2 * k - 2 * j2) * mp.factorial(2 * k - 2 * j)
-               / mp.factorial(2 * k + 1))
-        return head * mp.sqrt(rad)
+    if total % 2 == 1:
+        return ctx.to_mpf(0)
+    k = total // 2
+    fact = ctx.mp.factorial
+    head = ((-1) ** (k - j) * fact(k)
+            / (fact(k - j1) * fact(k - j2) * fact(k - j)))
+    rad = ((2 * j + 1) * fact(2 * k - 2 * j1) * fact(2 * k - 2 * j2)
+           * fact(2 * k - 2 * j) / fact(2 * k + 1))
+    return head * ctx.mp.sqrt(rad)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +601,7 @@ def classical_parity_zero_value(j1, j2, j, ctx):
 def _relative_residual(terms, values):
     """|sum(terms)| over the largest term or value, 0 when all vanish."""
     scale = max(abs(x) for x in (*terms, *values))
-    return abs(sum(terms)) / scale if scale else mpf(0)
+    return abs(sum(terms)) / scale if scale else scale
 
 
 def recurrence_j_residual(key, ctx, evaluator=cgc_racah):
@@ -634,47 +628,46 @@ def recurrence_j_residual(key, ctx, evaluator=cgc_racah):
     j1, m1, j2, m2, j, m = key.labels()
     if j == 0:
         raise QDomainError("three-term recurrence in j is singular at j=0")
-    with ctx.work():
-        key_dn = CgcKey(j1, m1, j2, m2, j - 1, m)
-        key_up = CgcKey(j1, m1, j2, m2, j + 1, m)
-        half = Fraction(1, 2)
-        # lattice value x(s) at s = j2 - m2
-        x_val = ctx.qpow(_fr(j2 - m2 - 1)) * qnum(j2 - m2, ctx)
-        # norm ratio d_n^2 / d_{n-1}^2 expressed at level j (n = j - m)
-        def _norm_ratio(jj):
-            return (ctx.qpow(-_fr(jj - m))
-                    * qnum(jj - j1 + j2, ctx) * qnum(jj + j1 - j2, ctx)
-                    * qnum(jj + j1 + j2 + 1, ctx) * qnum(j1 + j2 - jj + 1, ctx)
-                    * qnum(2 * jj - 1, ctx)
-                    / (qnum(jj - m, ctx) * qnum(jj + m, ctx)
-                       * qnum(2 * jj + 1, ctx)))
-        b_coef = ctx.to_mpf(0)
-        if selection_rules(key_up):
-            alpha_n = (ctx.qpow(half * _fr(4 * j2 + j - 3 * m - 1))
-                       * qnum(j - m + 1, ctx) * qnum(j + m + 1, ctx)
-                       / (qnum(2 * j + 2, ctx) * qnum(2 * j + 1, ctx)))
-            b_coef = alpha_n * mp.sqrt(_norm_ratio(j + 1))
-        a_coef = ctx.to_mpf(0)
-        if j > m and selection_rules(key_dn):
-            gamma_n = (ctx.qpow(half * _fr(4 * j2 - j - m - 2))
-                       * qnum(j - j1 + j2, ctx) * qnum(j + j1 - j2, ctx)
-                       * qnum(j + j1 + j2 + 1, ctx) * qnum(j1 + j2 - j + 1, ctx)
-                       / (qnum(2 * j, ctx) * qnum(2 * j + 1, ctx)))
-            a_coef = gamma_n / mp.sqrt(_norm_ratio(j))
-        d_coef = (-ctx.qpow(-_fr(j + j1 - j2 + 2)) * qnum(j + j1 - j2 + 1, ctx)
-                  + ctx.qpow(_fr(2 * j2 - j - m - 2))
-                  * qnum(j - m + 1, ctx) * qnum(j + j1 - j2 + 1, ctx)
-                  * qnum(j + j1 + j2 + 2, ctx) / qnum(2 * j + 2, ctx))
-        if j > m:
-            d_coef -= (ctx.qpow(_fr(2 * j2 - j - m - 1))
-                       * qnum(j - m, ctx) * qnum(j + j1 - j2, ctx)
-                       * qnum(j + j1 + j2 + 1, ctx) / qnum(2 * j, ctx))
-        c_dn = evaluator(key_dn, ctx)
-        c_up = evaluator(key_up, ctx)
-        c_md = evaluator(key, ctx)
-        terms = [a_coef * c_dn, b_coef * c_up,
-                 (d_coef - x_val) * c_md]
-        return _relative_residual(terms, (c_dn, c_up, c_md))
+    key_dn = CgcKey(j1, m1, j2, m2, j - 1, m)
+    key_up = CgcKey(j1, m1, j2, m2, j + 1, m)
+    half = Fraction(1, 2)
+    # lattice value x(s) at s = j2 - m2
+    x_val = ctx.qpow(_fr(j2 - m2 - 1)) * qnum(j2 - m2, ctx)
+    # norm ratio d_n^2 / d_{n-1}^2 expressed at level j (n = j - m)
+    def _norm_ratio(jj):
+        return (ctx.qpow(-_fr(jj - m))
+                * qnum(jj - j1 + j2, ctx) * qnum(jj + j1 - j2, ctx)
+                * qnum(jj + j1 + j2 + 1, ctx) * qnum(j1 + j2 - jj + 1, ctx)
+                * qnum(2 * jj - 1, ctx)
+                / (qnum(jj - m, ctx) * qnum(jj + m, ctx)
+                   * qnum(2 * jj + 1, ctx)))
+    b_coef = ctx.to_mpf(0)
+    if selection_rules(key_up):
+        alpha_n = (ctx.qpow(half * _fr(4 * j2 + j - 3 * m - 1))
+                   * qnum(j - m + 1, ctx) * qnum(j + m + 1, ctx)
+                   / (qnum(2 * j + 2, ctx) * qnum(2 * j + 1, ctx)))
+        b_coef = alpha_n * ctx.mp.sqrt(_norm_ratio(j + 1))
+    a_coef = ctx.to_mpf(0)
+    if j > m and selection_rules(key_dn):
+        gamma_n = (ctx.qpow(half * _fr(4 * j2 - j - m - 2))
+                   * qnum(j - j1 + j2, ctx) * qnum(j + j1 - j2, ctx)
+                   * qnum(j + j1 + j2 + 1, ctx) * qnum(j1 + j2 - j + 1, ctx)
+                   / (qnum(2 * j, ctx) * qnum(2 * j + 1, ctx)))
+        a_coef = gamma_n / ctx.mp.sqrt(_norm_ratio(j))
+    d_coef = (-ctx.qpow(-_fr(j + j1 - j2 + 2)) * qnum(j + j1 - j2 + 1, ctx)
+              + ctx.qpow(_fr(2 * j2 - j - m - 2))
+              * qnum(j - m + 1, ctx) * qnum(j + j1 - j2 + 1, ctx)
+              * qnum(j + j1 + j2 + 2, ctx) / qnum(2 * j + 2, ctx))
+    if j > m:
+        d_coef -= (ctx.qpow(_fr(2 * j2 - j - m - 1))
+                   * qnum(j - m, ctx) * qnum(j + j1 - j2, ctx)
+                   * qnum(j + j1 + j2 + 1, ctx) / qnum(2 * j, ctx))
+    c_dn = evaluator(key_dn, ctx)
+    c_up = evaluator(key_up, ctx)
+    c_md = evaluator(key, ctx)
+    terms = [a_coef * c_dn, b_coef * c_up,
+             (d_coef - x_val) * c_md]
+    return _relative_residual(terms, (c_dn, c_up, c_md))
 
 
 def recurrence_m_residual(key, ctx, evaluator=cgc_racah):
@@ -692,24 +685,23 @@ def recurrence_m_residual(key, ctx, evaluator=cgc_racah):
     admissible key.
     """
     j1, m1, j2, m2, j, m = key.labels()
-    with ctx.work():
-        a_coef = ctx.qinv * mp.sqrt(
-            qnum(j1 + m1 + 1, ctx) * qnum(j1 - m1, ctx)
-            * qnum(j2 + m2, ctx) * qnum(j2 - m2 + 1, ctx))
-        b_coef = ctx.q * mp.sqrt(
-            qnum(j1 + m1, ctx) * qnum(j1 - m1 + 1, ctx)
-            * qnum(j2 + m2 + 1, ctx) * qnum(j2 - m2, ctx))
-        x1 = qnum(j1 - m1, ctx) * qnum(j1 + m1 + 1, ctx)
-        x2 = qnum(j2 - m2, ctx) * qnum(j2 + m2 + 1, ctx)
-        eig = (qnum(j + HalfInt("1/2"), ctx) ** 2
-               - qnum(m + HalfInt("1/2"), ctx) ** 2)
-        d_coef = (ctx.qpow(_fr(m)) * x1 + ctx.qpow(-_fr(m)) * x2
-                  - ctx.qpow(_fr(m1 - m2)) * eig)
-        c_a = evaluator(CgcKey(j1, m1 + 1, j2, m2 - 1, j, m), ctx)
-        c_b = evaluator(CgcKey(j1, m1 - 1, j2, m2 + 1, j, m), ctx)
-        c_d = evaluator(key, ctx)
-        terms = [a_coef * c_a, b_coef * c_b, d_coef * c_d]
-        return _relative_residual(terms, (c_a, c_b, c_d))
+    a_coef = ctx.qinv * ctx.mp.sqrt(
+        qnum(j1 + m1 + 1, ctx) * qnum(j1 - m1, ctx)
+        * qnum(j2 + m2, ctx) * qnum(j2 - m2 + 1, ctx))
+    b_coef = ctx.q * ctx.mp.sqrt(
+        qnum(j1 + m1, ctx) * qnum(j1 - m1 + 1, ctx)
+        * qnum(j2 + m2 + 1, ctx) * qnum(j2 - m2, ctx))
+    x1 = qnum(j1 - m1, ctx) * qnum(j1 + m1 + 1, ctx)
+    x2 = qnum(j2 - m2, ctx) * qnum(j2 + m2 + 1, ctx)
+    eig = (qnum(j + HalfInt("1/2"), ctx) ** 2
+           - qnum(m + HalfInt("1/2"), ctx) ** 2)
+    d_coef = (ctx.qpow(_fr(m)) * x1 + ctx.qpow(-_fr(m)) * x2
+              - ctx.qpow(_fr(m1 - m2)) * eig)
+    c_a = evaluator(CgcKey(j1, m1 + 1, j2, m2 - 1, j, m), ctx)
+    c_b = evaluator(CgcKey(j1, m1 - 1, j2, m2 + 1, j, m), ctx)
+    c_d = evaluator(key, ctx)
+    terms = [a_coef * c_a, b_coef * c_b, d_coef * c_d]
+    return _relative_residual(terms, (c_a, c_b, c_d))
 
 
 # ---------------------------------------------------------------------------
@@ -753,12 +745,11 @@ def compute(key, ctx, mode="default"):
                         precision=ctx.precision)
     if mode != "crosscheck":
         raise QDomainError(f"unknown mode {mode!r}")
-    with ctx.work():
-        values = {name: fn(key, ctx) for name, fn in ALL_FORMULAS.items()}
-        sv = special_value(key, ctx)
-        if sv is not None:
-            values["special"] = sv
-        vals = list(values.values())
-        deviation = max(abs(a - b) for a in vals for b in vals)
-        return CgcValue(value=values["racah"], formula="racah",
-                        precision=ctx.precision, deviation=deviation)
+    values = {name: fn(key, ctx) for name, fn in ALL_FORMULAS.items()}
+    sv = special_value(key, ctx)
+    if sv is not None:
+        values["special"] = sv
+    vals = list(values.values())
+    deviation = max(abs(a - b) for a in vals for b in vals)
+    return CgcValue(value=values["racah"], formula="racah",
+                    precision=ctx.precision, deviation=deviation)

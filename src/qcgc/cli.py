@@ -73,13 +73,12 @@ def cmd_cgc(args, stream=None):
     key = CgcKey(halfint(args.j1), halfint(args.m1), halfint(args.j2),
                  halfint(args.m2), halfint(args.j), halfint(args.m))
     mode = "crosscheck" if args.verify else "default"
-    with ctx.work():
-        result = compute(key, ctx, mode=mode)
-        line = f"{key} = {_fmt(result.value, config)}  [{result.formula}]"
-        if result.reason is not None:
-            line += f"  ({result.reason})"
-        if result.deviation is not None:
-            line += f"  max cross-formula deviation {_fmt(result.deviation, config)}"
+    result = compute(key, ctx, mode=mode)
+    line = f"{key} = {_fmt(result.value, config)}  [{result.formula}]"
+    if result.reason is not None:
+        line += f"  ({result.reason})"
+    if result.deviation is not None:
+        line += f"  max cross-formula deviation {_fmt(result.deviation, config)}"
     stream.write(line + "\n")
     return 0
 
@@ -90,26 +89,24 @@ def cmd_cgc(args, stream=None):
 
 def _table_rows(j1, j2, ctx, config):
     rows = []
-    with ctx.work():
-        for key in admissible_keys(j1, j2):
-            value = cgc_racah(key, ctx)
-            rows.append({
-                "j1": str(key.j1), "m1": str(key.m1),
-                "j2": str(key.j2), "m2": str(key.m2),
-                "j": str(key.j), "m": str(key.m),
-                "value": _fmt(value, config),
-            })
+    for key in admissible_keys(j1, j2):
+        value = cgc_racah(key, ctx)
+        rows.append({
+            "j1": str(key.j1), "m1": str(key.m1),
+            "j2": str(key.j2), "m2": str(key.m2),
+            "j": str(key.j), "m": str(key.m),
+            "value": _fmt(value, config),
+        })
     return rows
 
 
 def _table_checksums(rows, ctx):
     """Per product state (m1, m2): sum over j of value^2; unitarity gives 1."""
     sums = {}
-    with ctx.work():
-        for row in rows:
-            label = (row["m1"], row["m2"])
-            v = mp.mpf(row["value"])
-            sums[label] = sums.get(label, mp.mpf(0)) + v * v
+    for row in rows:
+        label = (row["m1"], row["m2"])
+        v = ctx.to_mpf(row["value"])
+        sums[label] = sums.get(label, 0) + v * v
     return [{"m1": m1, "m2": m2, "sum_sq": mp.nstr(s, 30)}
             for (m1, m2), s in sorted(sums.items())]
 
@@ -194,15 +191,14 @@ def cmd_hahn(args, stream=None):
                         halfint(args.beta))
     s_values = [args.s] if args.s is not None else list(range(params.N))
     rows = []
-    with ctx.work():
-        for s in s_values:
-            rows.append({
-                "s": str(s),
-                "x": _fmt(lattice_x(s, ctx), config),
-                "weight": _fmt(hahn_weight(params, s, ctx), config),
-                "value": _fmt(hahn_eval(params, s, ctx), config),
-            })
-        norm = _fmt(hahn_norm_sq(params, ctx), config)
+    for s in s_values:
+        rows.append({
+            "s": str(s),
+            "x": _fmt(lattice_x(s, ctx), config),
+            "weight": _fmt(hahn_weight(params, s, ctx), config),
+            "value": _fmt(hahn_eval(params, s, ctx), config),
+        })
+    norm = _fmt(hahn_norm_sq(params, ctx), config)
     if args.format == "csv":
         writer = csv.DictWriter(stream, fieldnames=["s", "x", "weight",
                                                     "value"])
@@ -229,15 +225,13 @@ def cmd_limit(args, stream=None):
     ctx_one = QContext(q=1, precision=args.precision)
     key = CgcKey(halfint(args.j1), halfint(args.m1), halfint(args.j2),
                  halfint(args.m2), halfint(args.j), halfint(args.m))
-    with ctx_one.work():
-        target = cgc_racah(key, ctx_one)
+    target = cgc_racah(key, ctx_one)
     cgc_rows = []
     for k in range(2, 7):
         q = "0." + "9" * k
         ctx = QContext(q=q, precision=args.precision)
-        with ctx.work():
-            value = cgc_racah(key, ctx)
-            dev = abs(value - target)
+        value = cgc_racah(key, ctx)
+        dev = abs(value - target)
         cgc_rows.append({"k": k, "q": q, "value": mp.nstr(value, 20),
                          "deviation": mp.nstr(dev, 6)})
     qnum_rows = []
@@ -246,8 +240,7 @@ def cmd_limit(args, stream=None):
         devs = []
         for k in range(2, 7):
             ctx = QContext(q="0." + "9" * k, precision=args.precision)
-            with ctx.work():
-                devs.append(mp.nstr(abs(qnum(xv, ctx) - ctx.to_mpf(xv)), 6))
+            devs.append(mp.nstr(abs(qnum(xv, ctx) - ctx.to_mpf(xv)), 6))
         qnum_rows.append({"x": x, "deviations": devs})
     _emit_json({
         "schema_version": SCHEMA_VERSION,

@@ -2,8 +2,9 @@
 
 Everything is built on the symmetric quantum number
 ``[x] = (q^x - q^-x)/(q - q^-1)``, which is invariant under q <-> 1/q.
-A :class:`QContext` carries the deformation parameter, the working
-precision and memo tables for factorials and Pochhammer symbols.
+A :class:`QContext` carries the deformation parameter, its own mpmath
+context at the working precision and memo tables for factorials and
+Pochhammer symbols.
 
 The symmetric q-Gamma function is related to a classical q-Gamma at base
 q^2: requiring Gamma_tilde(n+1) = [n]! forces that base (the symmetric
@@ -15,7 +16,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from mpmath import mp, mpf
+import mpmath
 
 from .halfint import HalfInt
 
@@ -33,9 +34,13 @@ class QDomainError(ValueError):
 class QContext:
     """Deformation parameter, working precision and memo tables.
 
-    Immutable after construction except for the caches, which are only
-    ever filled with values that are bit-identical to recomputation
-    (guarded by a lock for concurrent use).
+    Each context owns an mpmath context, ``mp``, at ``precision`` plus
+    GUARD_DIGITS digits, and every real it makes belongs to it, so the
+    precision travels with the numbers instead of living in mpmath's
+    global state.  Contexts at different precisions are therefore safe
+    to use from different threads.  Immutable after construction except
+    for the caches, which are only ever filled with values that are
+    bit-identical to recomputation (guarded by a lock for concurrent use).
     """
 
     def __init__(self, q="0.5", precision=50, invert=False):
@@ -43,29 +48,30 @@ class QContext:
             raise QDomainError("precision must be at least 30 significant digits")
         self.precision = int(precision)
         self.dps = self.precision + GUARD_DIGITS
+        self.mp = mpmath.MPContext()
+        self.mp.dps = self.dps
         # keep the exact constructor argument so derived contexts
         # (reciprocal base, boosted precision) can re-evaluate q without
         # inheriting rounding from this context
         self._q_arg = q
         self._invert = bool(invert)
-        with mp.workdps(self.dps):
-            self.q = _as_mpf(q)
-            if not self.q > 0:
-                raise QDomainError("q must be positive")
-            if self._invert:
-                self.q = 1 / self.q
-            self.qinv = 1 / self.q
+        self.q = self.to_mpf(q)
+        if not self.q > 0:
+            raise QDomainError("q must be positive")
+        if self._invert:
+            self.q = 1 / self.q
+        self.qinv = 1 / self.q
         self.is_classical = self.q == 1
         # relative tolerance with an absolute floor, leaving guard digits
         # for cancellation in alternating sums
-        with mp.workdps(self.dps):
-            self.tol = mpf(10) ** -(self.precision - 10)
+        self.tol = self.to_mpf(10) ** -(self.precision - 10)
         self._cache = {}
         self._lock = threading.Lock()
 
     def work(self):
-        """Context manager setting the working precision of this context."""
-        return mp.workdps(self.dps)
+        """Set mpmath's global precision to this context's, for a caller's
+        own code on module-level mpmath reals; qcgc itself never needs it."""
+        return mpmath.mp.workdps(self.dps)
 
     def reciprocal(self):
         """A context with q -> 1/q at identical precision."""
@@ -78,24 +84,25 @@ class QContext:
                         invert=self._invert)
 
     def to_mpf(self, x):
-        """Coerce HalfInt, Fraction, int, str or float to mpf at full precision."""
-        with self.work():
-            if isinstance(x, HalfInt):
-                return mpf(x.twice) / 2
-            if isinstance(x, Fraction):
-                return mpf(x.numerator) / x.denominator
-            return _as_mpf(x)
+        """HalfInt, Fraction, int, str, float or any mpmath real as a real
+        of this context; a float goes through its decimal string."""
+        mpf = self.mp.mpf
+        if isinstance(x, HalfInt):
+            return mpf(x.twice) / 2
+        if isinstance(x, Fraction):
+            return mpf(x.numerator) / x.denominator
+        if isinstance(x, (int, str)) or hasattr(x, "_mpf_"):
+            return mpf(x)
+        return mpf(str(x))
 
     def qpow(self, e):
         """q raised to an exact half-integer/rational exponent."""
-        with self.work():
-            return self.q ** self.to_mpf(e)
+        return self.q ** self.to_mpf(e)
 
     def close(self, a, b, scale=1):
         """True if a and b agree to the context tolerance (relative, with floor)."""
-        with self.work():
-            bound = self.tol * max(abs(mpf(scale)), abs(a), abs(b), 1)
-            return abs(a - b) <= bound
+        a, b = self.to_mpf(a), self.to_mpf(b)
+        return abs(a - b) <= self.tol * max(abs(scale), abs(a), abs(b), 1)
 
     def _memo(self, key, compute):
         try:
@@ -106,27 +113,13 @@ class QContext:
                 return self._cache.setdefault(key, value)
 
 
-def _as_mpf(x):
-    if isinstance(x, mpf):
-        return x
-    if isinstance(x, (int, str)):
-        return mpf(x)
-    if isinstance(x, HalfInt):
-        return mpf(x.twice) / 2
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    return mpf(str(x))
-
-
 def qnum(x, ctx):
     """Symmetric quantum number [x] = (q^x - q^-x)/(q - q^-1)."""
-    with ctx.work():
-        xv = ctx.to_mpf(x)
-        if ctx.is_classical:
-            return xv
-        if isinstance(x, HalfInt):
-            return ctx._memo(("num", x.twice), lambda: _qnum_raw(xv, ctx))
-        return _qnum_raw(xv, ctx)
+    if ctx.is_classical:
+        return ctx.to_mpf(x)
+    if isinstance(x, HalfInt):
+        return ctx._memo(("num", x.twice), lambda: _qnum_raw(ctx.to_mpf(x), ctx))
+    return _qnum_raw(ctx.to_mpf(x), ctx)
 
 
 def _qnum_raw(xv, ctx):
@@ -144,11 +137,10 @@ def q_factorial(n, ctx):
 def _q_factorial_raw(n, ctx):
     # [k]! = [k-1]! [k], filling the table upward so that a cold [n]!
     # costs no recursion depth
-    with ctx.work():
-        value = mpf(1)
-        for k in range(1, n):
-            value = ctx._memo(("fact", k), lambda: value * qnum(HalfInt(k), ctx))
-        return value * qnum(HalfInt(n), ctx) if n else value
+    value = ctx.to_mpf(1)
+    for k in range(1, n):
+        value = ctx._memo(("fact", k), lambda: value * qnum(HalfInt(k), ctx))
+    return value * qnum(HalfInt(n), ctx) if n else value
 
 
 def q_pochhammer(a, n, ctx):
@@ -162,11 +154,10 @@ def q_pochhammer(a, n, ctx):
 
 
 def _q_pochhammer_raw(a, n, ctx):
-    with ctx.work():
-        value = mpf(1)
-        for m in range(n):
-            value *= qnum(a + m if isinstance(a, HalfInt) else ctx.to_mpf(a) + m, ctx)
-        return value
+    value = ctx.to_mpf(1)
+    for m in range(n):
+        value *= qnum(a + m if isinstance(a, HalfInt) else ctx.to_mpf(a) + m, ctx)
+    return value
 
 
 def q_binomial(n, k, ctx):
@@ -174,8 +165,7 @@ def q_binomial(n, k, ctx):
     n, k = _as_index(n), _as_index(k)
     if k < 0 or k > n:
         return ctx.to_mpf(0)
-    with ctx.work():
-        return q_factorial(n, ctx) / (q_factorial(k, ctx) * q_factorial(n - k, ctx))
+    return q_factorial(n, ctx) / (q_factorial(k, ctx) * q_factorial(n - k, ctx))
 
 
 def q_gamma_classical(s, ctx):
@@ -185,23 +175,22 @@ def q_gamma_classical(s, ctx):
     multiplicative tail deviates from 1 by less than 10^-(precision+5);
     base > 1 is routed through the reciprocal base.
     """
-    with ctx.work():
-        sv = ctx.to_mpf(s)
-        if sv <= 0 and sv == mp.floor(sv):
-            raise QDomainError(f"q-Gamma pole at s={s}")
-        if ctx.is_classical:
-            return mp.gamma(sv)
-        base = ctx.q ** 2
-        return _gamma_base(sv, base, ctx)
+    sv = ctx.to_mpf(s)
+    if sv <= 0 and sv == ctx.mp.floor(sv):
+        raise QDomainError(f"q-Gamma pole at s={s}")
+    if ctx.is_classical:
+        return ctx.mp.gamma(sv)
+    base = ctx.q ** 2
+    return _gamma_base(sv, base, ctx)
 
 
 def _gamma_base(sv, base, ctx):
     if base > 1:
         rb = 1 / base
         return base ** ((sv - 1) * (sv - 2) / 2) * _gamma_base(sv, rb, ctx)
-    cutoff = mpf(10) ** -(ctx.precision + 5)
-    num = mpf(1)
-    den = mpf(1)
+    cutoff = ctx.to_mpf(10) ** -(ctx.precision + 5)
+    num = 1
+    den = 1
     k = 0
     while True:
         f_num = 1 - base ** (k + 1)
@@ -216,17 +205,16 @@ def _gamma_base(sv, base, ctx):
 
 def q_gamma_tilde(s, ctx):
     """Symmetric q-Gamma: Gamma_tilde(n+1) = [n]! for integer n >= 0."""
-    with ctx.work():
-        sv = ctx.to_mpf(s)
-        if sv <= 0 and sv == mp.floor(sv):
-            raise QDomainError(f"q-Gamma pole at s={s}")
-        if ctx.is_classical:
-            return mp.gamma(sv)
-        if sv == mp.floor(sv):
-            # factorial shortcut for positive integer arguments
-            return q_factorial(int(sv) - 1, ctx)
-        base = ctx.q ** 2
-        return base ** (-(sv - 1) * (sv - 2) / 4) * _gamma_base(sv, base, ctx)
+    sv = ctx.to_mpf(s)
+    if sv <= 0 and sv == ctx.mp.floor(sv):
+        raise QDomainError(f"q-Gamma pole at s={s}")
+    if ctx.is_classical:
+        return ctx.mp.gamma(sv)
+    if sv == ctx.mp.floor(sv):
+        # factorial shortcut for positive integer arguments
+        return q_factorial(int(sv) - 1, ctx)
+    base = ctx.q ** 2
+    return base ** (-(sv - 1) * (sv - 2) / 4) * _gamma_base(sv, base, ctx)
 
 
 def _as_index(n):

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpf
-
 from .halfint import HalfInt, halfint
 from .qcore import (
     QDomainError,
@@ -63,11 +61,10 @@ class LatticePoint:
 
 def lattice_x(s, ctx):
     """Lattice value x(s) = (q^(2s)-1)/(q^2-1); reduces to s at q=1."""
-    with ctx.work():
-        sv = halfint(s)
-        if ctx.is_classical:
-            return ctx.to_mpf(sv)
-        return (ctx.qpow(2 * sv.as_fraction()) - 1) / (ctx.q ** 2 - 1)
+    sv = halfint(s)
+    if ctx.is_classical:
+        return ctx.to_mpf(sv)
+    return (ctx.qpow(2 * sv.as_fraction()) - 1) / (ctx.q ** 2 - 1)
 
 
 def lattice_point(s, ctx):
@@ -76,10 +73,9 @@ def lattice_point(s, ctx):
 
 def delta_x_half(s, ctx):
     """Forward step through the midpoint: x(s+1/2) - x(s-1/2)."""
-    with ctx.work():
-        h = Fraction(1, 2)
-        sv = halfint(s).as_fraction()
-        return lattice_x(sv + h, ctx) - lattice_x(sv - h, ctx)
+    h = Fraction(1, 2)
+    sv = halfint(s).as_fraction()
+    return lattice_x(sv + h, ctx) - lattice_x(sv - h, ctx)
 
 
 def _phase(n):
@@ -110,33 +106,32 @@ def _hahn_series(n, N, a, b, s, ctx, form):
     The forms differ in two Pochhammers, the summand's q-power and kmax."""
     s = halfint(s)
     af, bf = a.as_fraction(), b.as_fraction()
-    with ctx.work():
-        if form == "A":
-            second, lower = -s, HalfInt(1 - N)
-            expo = (s - N - a).as_fraction()
-            kmax = s.as_int() if s.is_integer and 0 <= s.as_int() < n else n
-            pref = (ctx.qpow(Fraction(n, 2) * (af + bf + Fraction(n + 1, 2)))
-                    * q_binomial(N - 1, n, ctx))
-        elif form == "B":
-            second, lower = s + b + 1, N + a + b + 1
-            expo = s.as_fraction() - N + 1
-            kmax = n
-            pref = (ctx.qpow(-Fraction(n * (n - 1), 4)
-                             - Fraction(n, 2) * (n + af + bf + 2))
-                    * q_pochhammer(lower, n, ctx) / q_factorial(n, ctx))
-        else:
-            raise QDomainError(f"unknown representation {form!r}")
+    if form == "A":
+        second, lower = -s, HalfInt(1 - N)
+        expo = (s - N - a).as_fraction()
+        kmax = s.as_int() if s.is_integer and 0 <= s.as_int() < n else n
+        pref = (ctx.qpow(Fraction(n, 2) * (af + bf + Fraction(n + 1, 2)))
+                * q_binomial(N - 1, n, ctx))
+    elif form == "B":
+        second, lower = s + b + 1, N + a + b + 1
+        expo = s.as_fraction() - N + 1
+        kmax = n
+        pref = (ctx.qpow(-Fraction(n * (n - 1), 4)
+                         - Fraction(n, 2) * (n + af + bf + 2))
+                * q_pochhammer(lower, n, ctx) / q_factorial(n, ctx))
+    else:
+        raise QDomainError(f"unknown representation {form!r}")
 
-        def terms(c):
-            for k in range(kmax + 1):
-                yield (q_pochhammer(HalfInt(-n), k, c)
-                       * q_pochhammer(second, k, c)
-                       * q_pochhammer(a + b + n + 1, k, c)
-                       * q_pochhammer(b + 1 + k, n - k, c)
-                       * c.qpow(k * expo)
-                       / (q_factorial(k, c) * q_pochhammer(lower, k, c)))
+    def terms(c):
+        for k in range(kmax + 1):
+            yield (q_pochhammer(HalfInt(-n), k, c)
+                   * q_pochhammer(second, k, c)
+                   * q_pochhammer(a + b + n + 1, k, c)
+                   * q_pochhammer(b + 1 + k, n - k, c)
+                   * c.qpow(k * expo)
+                   / (q_factorial(k, c) * q_pochhammer(lower, k, c)))
 
-        return _phase(n) * pref * _sum_with_guard(terms, ctx)
+    return _phase(n) * pref * _sum_with_guard(terms, ctx)
 
 
 def hahn_weight(params, s, ctx):
@@ -151,13 +146,12 @@ def hahn_weight(params, s, ctx):
     """
     a, b, N = params.alpha, params.beta, params.N
     s = halfint(s)
-    with ctx.work():
-        exp = (a.as_fraction() + b.as_fraction()) * s.as_fraction()
-        return (ctx.qpow(exp)
-                * q_gamma_tilde(s + b + 1, ctx)
-                * q_gamma_tilde(N + a - s, ctx)
-                / (q_gamma_tilde(s + 1, ctx)
-                   * q_gamma_tilde(HalfInt(N) - s, ctx)))
+    exp = (a.as_fraction() + b.as_fraction()) * s.as_fraction()
+    return (ctx.qpow(exp)
+            * q_gamma_tilde(s + b + 1, ctx)
+            * q_gamma_tilde(N + a - s, ctx)
+            / (q_gamma_tilde(s + 1, ctx)
+               * q_gamma_tilde(HalfInt(N) - s, ctx)))
 
 
 def hahn_norm_sq(params, ctx):
@@ -171,15 +165,14 @@ def hahn_norm_sq(params, ctx):
     """
     n, N = params.n, params.N
     a, b = params.alpha.as_fraction(), params.beta.as_fraction()
-    with ctx.work():
-        exp = (N - 1) * (b + 1) - 1 - Fraction(n * (n + 1), 2)
-        num = (q_gamma_tilde(halfint(n + a + 1), ctx)
-               * q_gamma_tilde(halfint(n + b + 1), ctx)
-               * q_gamma_tilde(halfint(n + a + b + N + 1), ctx))
-        den = (q_factorial(n, ctx) * q_factorial(N - n - 1, ctx)
-               * q_gamma_tilde(halfint(n + a + b + 1), ctx)
-               * qnum(halfint(2 * n + a + b + 1), ctx))
-        return ctx.qpow(exp) * num / den
+    exp = (N - 1) * (b + 1) - 1 - Fraction(n * (n + 1), 2)
+    num = (q_gamma_tilde(halfint(n + a + 1), ctx)
+           * q_gamma_tilde(halfint(n + b + 1), ctx)
+           * q_gamma_tilde(halfint(n + a + b + N + 1), ctx))
+    den = (q_factorial(n, ctx) * q_factorial(N - n - 1, ctx)
+           * q_gamma_tilde(halfint(n + a + b + 1), ctx)
+           * qnum(halfint(2 * n + a + b + 1), ctx))
+    return ctx.qpow(exp) * num / den
 
 
 def gram_entry(params_n, params_m, ctx):
@@ -187,14 +180,9 @@ def gram_entry(params_n, params_m, ctx):
     if (params_n.N, params_n.alpha, params_n.beta) != \
             (params_m.N, params_m.alpha, params_m.beta):
         raise QDomainError("gram_entry requires a shared family")
-    with ctx.work():
-        total = mpf(0)
-        for s in range(params_n.N):
-            total += (hahn_eval(params_n, s, ctx)
-                      * hahn_eval(params_m, s, ctx)
-                      * hahn_weight(params_n, s, ctx)
-                      * delta_x_half(s, ctx))
-        return total
+    return sum(hahn_eval(params_n, s, ctx) * hahn_eval(params_m, s, ctx)
+               * hahn_weight(params_n, s, ctx) * delta_x_half(s, ctx)
+               for s in range(params_n.N))
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +198,11 @@ def ttrr_alpha(params, ctx):
     """
     n, N = params.n, params.N
     a, b = params.alpha, params.beta
-    with ctx.work():
-        exp = Fraction(2 * N + n - 3, 2) + (a.as_fraction()
-                                            - b.as_fraction()) / 2
-        return (ctx.qpow(exp) * qnum(n + 1, ctx) * qnum(n + a + b + 1, ctx)
-                / (qnum(2 * n + a + b + 2, ctx)
-                   * qnum(2 * n + a + b + 1, ctx)))
+    exp = Fraction(2 * N + n - 3, 2) + (a.as_fraction()
+                                        - b.as_fraction()) / 2
+    return (ctx.qpow(exp) * qnum(n + 1, ctx) * qnum(n + a + b + 1, ctx)
+            / (qnum(2 * n + a + b + 2, ctx)
+               * qnum(2 * n + a + b + 1, ctx)))
 
 
 def ttrr_gamma(params, ctx):
@@ -227,14 +214,13 @@ def ttrr_gamma(params, ctx):
     """
     n, N = params.n, params.N
     a, b = params.alpha, params.beta
-    with ctx.work():
-        exp = Fraction(2 * N - n - 4, 2) + (a.as_fraction()
-                                            - b.as_fraction()) / 2
-        return (ctx.qpow(exp)
-                * qnum(n + a, ctx) * qnum(n + b, ctx)
-                * qnum(n + a + b + N, ctx) * qnum(HalfInt(N) - n, ctx)
-                / (qnum(2 * n + a + b, ctx)
-                   * qnum(2 * n + a + b + 1, ctx)))
+    exp = Fraction(2 * N - n - 4, 2) + (a.as_fraction()
+                                        - b.as_fraction()) / 2
+    return (ctx.qpow(exp)
+            * qnum(n + a, ctx) * qnum(n + b, ctx)
+            * qnum(n + a + b + N, ctx) * qnum(HalfInt(N) - n, ctx)
+            / (qnum(2 * n + a + b, ctx)
+               * qnum(2 * n + a + b + 1, ctx)))
 
 
 def ttrr_beta(params, ctx):
@@ -248,32 +234,30 @@ def ttrr_beta(params, ctx):
     n, N = params.n, params.N
     a, b = params.alpha, params.beta
     bf = b.as_fraction()
-    with ctx.work():
-        total = (-ctx.qpow(-bf - n - 2) * qnum(b + n + 1, ctx)
-                 + ctx.qpow(N - bf - n - 3) * qnum(n + 1, ctx)
-                 * qnum(b + n + 1, ctx) * qnum(N + a + b + n + 1, ctx)
-                 / qnum(a + b + 2 * n + 2, ctx))
-        if n > 0:
-            total -= (ctx.qpow(N - bf - n - 2) * qnum(HalfInt(n), ctx)
-                      * qnum(b + n, ctx) * qnum(N + a + b + n, ctx)
-                      / qnum(a + b + 2 * n, ctx))
-        return total
+    total = (-ctx.qpow(-bf - n - 2) * qnum(b + n + 1, ctx)
+             + ctx.qpow(N - bf - n - 3) * qnum(n + 1, ctx)
+             * qnum(b + n + 1, ctx) * qnum(N + a + b + n + 1, ctx)
+             / qnum(a + b + 2 * n + 2, ctx))
+    if n > 0:
+        total -= (ctx.qpow(N - bf - n - 2) * qnum(HalfInt(n), ctx)
+                  * qnum(b + n, ctx) * qnum(N + a + b + n, ctx)
+                  / qnum(a + b + 2 * n, ctx))
+    return total
 
 
 def hahn_ttrr_residual(params, s, ctx):
     """Relative residual of x(s) h_n = alpha_n h_{n+1} + beta_n h_n + gamma_n h_{n-1}."""
     n = params.n
-    with ctx.work():
-        h_n = hahn_eval(params, s, ctx)
-        h_up = (hahn_eval(params.shifted(1), s, ctx)
-                if n + 1 <= params.N - 1 else _monic_like_next(params, s, ctx))
-        h_dn = hahn_eval(params.shifted(-1), s, ctx) if n >= 1 else mpf(0)
-        lhs = lattice_x(s, ctx) * h_n
-        terms = [ttrr_alpha(params, ctx) * h_up,
-                 ttrr_beta(params, ctx) * h_n,
-                 ttrr_gamma(params, ctx) * h_dn if n >= 1 else mpf(0)]
-        scale = max(abs(lhs), max(abs(t) for t in terms), mpf(1))
-        return abs(lhs - sum(terms)) / scale
+    h_n = hahn_eval(params, s, ctx)
+    h_up = (hahn_eval(params.shifted(1), s, ctx)
+            if n + 1 <= params.N - 1 else _monic_like_next(params, s, ctx))
+    h_dn = hahn_eval(params.shifted(-1), s, ctx) if n >= 1 else 0
+    lhs = lattice_x(s, ctx) * h_n
+    terms = [ttrr_alpha(params, ctx) * h_up,
+             ttrr_beta(params, ctx) * h_n,
+             ttrr_gamma(params, ctx) * h_dn if n >= 1 else 0]
+    scale = max(abs(lhs), max(abs(t) for t in terms), 1)
+    return abs(lhs - sum(terms)) / scale
 
 
 def _monic_like_next(params, s, ctx):
@@ -283,20 +267,18 @@ def _monic_like_next(params, s, ctx):
     recurrence at the top degree n = N-1 is closed through form B.
     """
     n1 = params.n + 1
-    with ctx.work():
-        exp = Fraction(n1, 2) * (n1 + params.alpha.as_fraction()
-                                 + params.beta.as_fraction() + 2)
-        return ctx.qpow(exp) * _hahn_series(n1, params.N, params.alpha,
-                                            params.beta, s, ctx, "B")
+    exp = Fraction(n1, 2) * (n1 + params.alpha.as_fraction()
+                             + params.beta.as_fraction() + 2)
+    return ctx.qpow(exp) * _hahn_series(n1, params.N, params.alpha,
+                                        params.beta, s, ctx, "B")
 
 
 def hahn_lambda(params, ctx):
     """Difference-equation eigenvalue lambda_n."""
     n, N = params.n, params.N
     a, b = params.alpha, params.beta
-    with ctx.work():
-        exp = Fraction(1, 2) * (b.as_fraction() + 2 - N)
-        return ctx.qpow(exp) * qnum(HalfInt(n), ctx) * qnum(n + a + b + 1, ctx)
+    exp = Fraction(1, 2) * (b.as_fraction() + 2 - N)
+    return ctx.qpow(exp) * qnum(HalfInt(n), ctx) * qnum(n + a + b + 1, ctx)
 
 
 def hahn_sigma(params, s, ctx):
@@ -312,11 +294,10 @@ def hahn_sigma(params, s, ctx):
     N = params.N
     a, b = params.alpha, params.beta
     s = halfint(s)
-    with ctx.work():
-        exp = (2 * s.as_fraction()
-               + Fraction(1, 2) * (N - b.as_fraction()) - 3)
-        return (ctx.qpow(exp) * qnum(s, ctx)
-                * qnum(N + a - s, ctx))
+    exp = (2 * s.as_fraction()
+           + Fraction(1, 2) * (N - b.as_fraction()) - 3)
+    return (ctx.qpow(exp) * qnum(s, ctx)
+            * qnum(N + a - s, ctx))
 
 
 def hahn_sigma_tau(params, s, ctx):
@@ -330,29 +311,27 @@ def hahn_sigma_tau(params, s, ctx):
     N = params.N
     a, b = params.alpha, params.beta
     s = halfint(s)
-    with ctx.work():
-        exp = (2 * s.as_fraction() + a.as_fraction()
-               + Fraction(1, 2) * (b.as_fraction() + N) - 3)
-        return (ctx.qpow(exp) * qnum(s + b + 1, ctx)
-                * qnum(N - 1 - s, ctx))
+    exp = (2 * s.as_fraction() + a.as_fraction()
+           + Fraction(1, 2) * (b.as_fraction() + N) - 3)
+    return (ctx.qpow(exp) * qnum(s + b + 1, ctx)
+            * qnum(N - 1 - s, ctx))
 
 
 def hahn_difference_residual(params, s, ctx):
     """Relative residual of the second-order difference equation in s."""
     s = int(s)
-    with ctx.work():
-        dxm = delta_x_half(s, ctx)
-        nab = lattice_x(s, ctx) - lattice_x(s - 1, ctx)
-        xi = hahn_sigma_tau(params, s, ctx) / (dxm * nab)
-        zeta = hahn_sigma(params, s, ctx) / (dxm * nab)
-        lam = hahn_lambda(params, ctx)
-        y_md = hahn_eval(params, s, ctx)
-        y_up = hahn_eval(params, s + 1, ctx) if s + 1 <= params.N - 1 else mpf(0)
-        y_dn = hahn_eval(params, s - 1, ctx) if s - 1 >= 0 else mpf(0)
-        terms = [xi * y_up, (lam - zeta - xi) * y_md, zeta * y_dn]
-        scale = max(max(abs(t) for t in terms),
-                    abs(y_up), abs(y_md), abs(y_dn), mpf(1))
-        return abs(sum(terms)) / scale
+    dxm = delta_x_half(s, ctx)
+    nab = lattice_x(s, ctx) - lattice_x(s - 1, ctx)
+    xi = hahn_sigma_tau(params, s, ctx) / (dxm * nab)
+    zeta = hahn_sigma(params, s, ctx) / (dxm * nab)
+    lam = hahn_lambda(params, ctx)
+    y_md = hahn_eval(params, s, ctx)
+    y_up = hahn_eval(params, s + 1, ctx) if s + 1 <= params.N - 1 else 0
+    y_dn = hahn_eval(params, s - 1, ctx) if s - 1 >= 0 else 0
+    terms = [xi * y_up, (lam - zeta - xi) * y_md, zeta * y_dn]
+    scale = max(max(abs(t) for t in terms),
+                abs(y_up), abs(y_md), abs(y_dn), 1)
+    return abs(sum(terms)) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +378,7 @@ def cgc_from_hahn(key, ctx, route="J2"):
     base = ctx if route == "J2" else ctx.reciprocal()
     params = HahnParams(n=halfint(n).as_int(), N=halfint(cap_n).as_int(),
                         alpha=alpha, beta=beta)
-    with base.work():
-        norm = mp.sqrt(hahn_weight(params, s, base)
-                       * delta_x_half(s, base)
-                       / hahn_norm_sq(params, base))
-        value = sign * norm * hahn_eval(params, s, base)
-    with ctx.work():
-        return ctx.to_mpf(value)
+    norm = base.mp.sqrt(hahn_weight(params, s, base) * delta_x_half(s, base)
+                        / hahn_norm_sq(params, base))
+    value = sign * norm * hahn_eval(params, s, base)
+    return ctx.to_mpf(value)

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
-from mpmath import mp, mpf
-
 from .halfint import HalfInt, halfint
 from .qcore import GUARD_DIGITS, QDomainError, q_factorial, q_pochhammer, qnum
 
@@ -69,9 +67,10 @@ class BasicSeriesSpec:
     termination_order = HyperSeriesSpec.termination_order
 
 
-def _series_terms(spec, z, bracket):
-    """Terms of a terminating series: t_0 = 1, and t_(k+1) is t_k times
-    z / bracket(k+1) times prod bracket(a+k) / prod bracket(b+k).
+def _series_terms(spec, c, z, bracket):
+    """Terms, as reals of ``c``, of a terminating series: t_0 = 1, and
+    t_(k+1) is t_k times z / bracket(k+1) times prod bracket(a+k) /
+    prod bracket(b+k).
 
     The live range is fixed a priori by the numerator cutoffs; a
     denominator vanishing inside it raises on the first term.
@@ -81,7 +80,7 @@ def _series_terms(spec, z, bracket):
         if b.is_integer and b <= 0 and -b.as_int() < n_eff:
             raise SeriesIllPosed(
                 f"denominator parameter {b} vanishes at term {-b.as_int() + 1}")
-    term = mpf(1)
+    term = c.to_mpf(1)
     yield term
     for k in range(n_eff):
         for a in spec.numerator:
@@ -96,17 +95,21 @@ def eval_terminating(spec, ctx):
     """Evaluate a terminating symmetric q-hypergeometric series."""
     exponent = spec.signed_exponent().as_fraction()
     return _sum_with_guard(lambda c: _series_terms(
-        spec, c.qpow(exponent), lambda x: qnum(x, c)), ctx)
+        spec, c, c.qpow(exponent), lambda x: qnum(x, c)), ctx)
 
 
 def eval_basic(spec, ctx):
     """Evaluate a terminating basic series with (a;q)_k coefficients."""
     return _sum_with_guard(lambda c: _series_terms(
-        spec, c.to_mpf(spec.z), lambda x: 1 - c.qpow(x.as_fraction())), ctx)
+        spec, c, c.to_mpf(spec.z), lambda x: 1 - c.qpow(x.as_fraction())), ctx)
 
 
 def _sum_with_guard(terms, ctx):
     """Sum the summands ``terms(c)`` to ``ctx.precision`` digits.
+
+    ``terms(c)`` builds its summands as reals of ``c`` (``c.to_mpf`` and
+    the q-primitives called with ``c``); the kernel never touches
+    mpmath's global precision.
 
     The total is accurate relative to itself, or else to the absolute
     floor 10^-precision of the largest summand, in two passes at most.
@@ -118,15 +121,13 @@ def _sum_with_guard(terms, ctx):
     """
     c = ctx
     while True:
-        with c.work():
-            total = mpf(0)
-            peak = mpf(0)
-            for term in terms(c):
-                total += term
-                peak = max(peak, abs(term))
+        total = peak = c.to_mpf(0)
+        for term in terms(c):
+            total += term
+            peak = max(peak, abs(term))
         if total:
             lost = min(ctx.precision, math.ceil(
-                (mp.mag(peak) - mp.mag(total)) * math.log10(2)))
+                (c.mp.mag(peak) - c.mp.mag(total)) * math.log10(2)))
         else:
             lost = ctx.precision if peak else 0
         if lost <= c.dps - ctx.precision:
@@ -148,13 +149,12 @@ class Prefactor:
     poch_den: tuple = field(default_factory=tuple)
 
     def value(self, ctx):
-        with ctx.work():
-            v = ctx.qpow(self.q_exponent)
-            for a, n in self.poch_num:
-                v *= q_pochhammer(a, n, ctx)
-            for a, n in self.poch_den:
-                v /= q_pochhammer(a, n, ctx)
-            return v
+        v = ctx.qpow(self.q_exponent)
+        for a, n in self.poch_num:
+            v *= q_pochhammer(a, n, ctx)
+        for a, n in self.poch_den:
+            v /= q_pochhammer(a, n, ctx)
+        return v
 
 
 def _match_321_pattern(spec):
@@ -230,9 +230,8 @@ def closed_sum_vandermonde(n, b, c, sign, ctx):
     """q-Vandermonde closed form (c-b|q)_n/(c|q)_n * q^(pm*n*b)."""
     b, c = halfint(b), halfint(c)
     _check_vandermonde_domain(n, b, c)
-    with ctx.work():
-        return (q_pochhammer(c - b, n, ctx) / q_pochhammer(c, n, ctx)
-                * ctx.qpow(Fraction(sign * n) * b.as_fraction()))
+    return (q_pochhammer(c - b, n, ctx) / q_pochhammer(c, n, ctx)
+            * ctx.qpow(Fraction(sign * n) * b.as_fraction()))
 
 
 def _check_vandermonde_domain(n, b, c):
@@ -251,10 +250,9 @@ def closed_sum_positive(n, b, c, sign, ctx):
     n, b, c = int(n), int(b), int(c)
     if not (n >= 0 and b > 0 and c > b and n < min(b, c)):
         raise QDomainError("closed_sum_positive requires n,b,c in Z+, n<min(b,c), c>b")
-    with ctx.work():
-        value = (q_factorial(c - b - 1 + n, ctx) * q_factorial(c - 1, ctx)
-                 / (q_factorial(c - b - 1, ctx) * q_factorial(c - 1 + n, ctx)))
-        return value * ctx.qpow(sign * b * n)
+    value = (q_factorial(c - b - 1 + n, ctx) * q_factorial(c - 1, ctx)
+             / (q_factorial(c - b - 1, ctx) * q_factorial(c - 1 + n, ctx)))
+    return value * ctx.qpow(sign * b * n)
 
 
 def closed_sum_negative(n, b, c, sign, ctx):
@@ -262,10 +260,9 @@ def closed_sum_negative(n, b, c, sign, ctx):
     n, b, c = int(n), int(b), int(c)
     if not (n >= 0 and c > 0 and b > c and n < min(b, c)):
         raise QDomainError("closed_sum_negative requires b>c>0 and n<min(b,c)")
-    with ctx.work():
-        value = ((-1) ** n * q_factorial(c - n, ctx) * q_factorial(b + n - c - 1, ctx)
-                 / (q_factorial(c, ctx) * q_factorial(b - c - 1, ctx)))
-        return value * ctx.qpow(sign * b * n)
+    value = ((-1) ** n * q_factorial(c - n, ctx) * q_factorial(b + n - c - 1, ctx)
+             / (q_factorial(c, ctx) * q_factorial(b - c - 1, ctx)))
+    return value * ctx.qpow(sign * b * n)
 
 
 def negative_spec(n, b, c, sign):
@@ -295,11 +292,10 @@ def closed_sum_dixon(n, b, c, ctx):
     if n < 0:
         raise QDomainError("dixon: n must be nonnegative")
     b, c = halfint(b), halfint(c)
-    with ctx.work():
-        return (ctx.qpow(n) * q_factorial(2 * n, ctx)
-                * q_pochhammer(b + c + n, n, ctx)
-                / (q_factorial(n, ctx) * q_pochhammer(b + n, n, ctx)
-                   * q_pochhammer(c + n, n, ctx)))
+    return (ctx.qpow(n) * q_factorial(2 * n, ctx)
+            * q_pochhammer(b + c + n, n, ctx)
+            / (q_factorial(n, ctx) * q_pochhammer(b + n, n, ctx)
+               * q_pochhammer(c + n, n, ctx)))
 
 
 def connection_pair(num_exps, den_exps, z_exp, ctx):

@@ -15,7 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .cgc import CgcKey, selection_rules
 from .halfint import HalfInt, halfint, halfint_range
@@ -56,13 +55,15 @@ class TensorBasis:
 
 
 def mat_zeros(rows, cols=None):
-    return np.full((rows, cols if cols is not None else rows), mpf(0), dtype=object)
+    # exact Python 0 and 1 fills: an mpmath real of another context on the
+    # left of a product or sum would round the result to its precision
+    return np.full((rows, cols if cols is not None else rows), 0, dtype=object)
 
 
 def mat_eye(n):
     out = mat_zeros(n)
     for i in range(n):
-        out[i, i] = mpf(1)
+        out[i, i] = 1
     return out
 
 
@@ -72,7 +73,7 @@ def mat_dagger(a):
 
 
 def mat_max_abs(a):
-    return max((abs(x) for x in np.asarray(a).flat), default=mpf(0))
+    return max((abs(x) for x in np.asarray(a).flat), default=0)
 
 
 def mat_power(a, r):
@@ -105,45 +106,42 @@ def _diag_qpow(basis, coeff, ctx):
 def irrep_operators(j, ctx):
     """Matrices (j0, jp, jm) of the spin-j irreducible representation."""
     basis = IrrepBasis(j)
-    with ctx.work():
-        j0 = mat_zeros(basis.dim)
-        jp = mat_zeros(basis.dim)
-        jm = mat_zeros(basis.dim)
-        for i, m in enumerate(basis.states):
-            j0[i, i] = ctx.to_mpf(m)
-            if m < basis.j:
-                amp = mp.sqrt(qnum(basis.j - m, ctx) * qnum(basis.j + m + 1, ctx))
-                jp[basis.index(m + 1), i] = amp
-            if m > -basis.j:
-                amp = mp.sqrt(qnum(basis.j + m, ctx) * qnum(basis.j - m + 1, ctx))
-                jm[basis.index(m - 1), i] = amp
-        return j0, jp, jm
+    j0 = mat_zeros(basis.dim)
+    jp = mat_zeros(basis.dim)
+    jm = mat_zeros(basis.dim)
+    for i, m in enumerate(basis.states):
+        j0[i, i] = ctx.to_mpf(m)
+        if m < basis.j:
+            amp = ctx.mp.sqrt(qnum(basis.j - m, ctx) * qnum(basis.j + m + 1, ctx))
+            jp[basis.index(m + 1), i] = amp
+        if m > -basis.j:
+            amp = ctx.mp.sqrt(qnum(basis.j + m, ctx) * qnum(basis.j - m + 1, ctx))
+            jm[basis.index(m - 1), i] = amp
+    return j0, jp, jm
 
 
 def casimir_matrix(jm, basis, ctx):
     """C = J- J+ + [J0 + 1/2]^2; equals [j+1/2]^2 on the spin-j irrep."""
-    with ctx.work():
-        jp = mat_dagger(jm)
-        half = Fraction(1, 2)
-        shift = _diag_qnum(basis, lambda m: m.as_fraction() + half, ctx)
-        return jm @ jp + shift @ shift
+    jp = mat_dagger(jm)
+    half = Fraction(1, 2)
+    shift = _diag_qnum(basis, lambda m: m.as_fraction() + half, ctx)
+    return jm @ jp + shift @ shift
 
 
 def closed_power_lowering(j, r, ctx):
     """Matrix of J-^r from the closed-form matrix elements."""
     basis = IrrepBasis(j)
-    with ctx.work():
-        out = mat_zeros(basis.dim)
-        for i, m in enumerate(basis.states):
-            if m - r < -basis.j:
-                continue
-            amp = mp.sqrt(
-                q_factorial((basis.j + m).as_int(), ctx)
-                * q_factorial((basis.j - m).as_int() + r, ctx)
-                / (q_factorial((basis.j - m).as_int(), ctx)
-                   * q_factorial((basis.j + m).as_int() - r, ctx)))
-            out[basis.index(m - r), i] = amp
-        return out
+    out = mat_zeros(basis.dim)
+    for i, m in enumerate(basis.states):
+        if m - r < -basis.j:
+            continue
+        amp = ctx.mp.sqrt(
+            q_factorial((basis.j + m).as_int(), ctx)
+            * q_factorial((basis.j - m).as_int() + r, ctx)
+            / (q_factorial((basis.j - m).as_int(), ctx)
+               * q_factorial((basis.j + m).as_int() - r, ctx)))
+        out[basis.index(m - r), i] = amp
+    return out
 
 
 def closed_power_raising(j, r, ctx):
@@ -153,11 +151,10 @@ def closed_power_raising(j, r, ctx):
 
 def operator_power_check(j, r, ctx):
     """Max deviation between matrix powers of J+- and their closed forms."""
-    with ctx.work():
-        _, jp, jm = irrep_operators(j, ctx)
-        dev_m = mat_max_abs(mat_power(jm, r) - closed_power_lowering(j, r, ctx))
-        dev_p = mat_max_abs(mat_power(jp, r) - closed_power_raising(j, r, ctx))
-        return max(dev_m, dev_p)
+    _, jp, jm = irrep_operators(j, ctx)
+    dev_m = mat_max_abs(mat_power(jm, r) - closed_power_lowering(j, r, ctx))
+    dev_p = mat_max_abs(mat_power(jp, r) - closed_power_raising(j, r, ctx))
+    return max(dev_m, dev_p)
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +164,11 @@ def operator_power_check(j, r, ctx):
 def scalar_identity_residual(r, a, ctx):
     """Residual of [r][a-(r+1)] + [a] = [r+1][a-r] and its sign mirror."""
     r, a = halfint(r), halfint(a)
-    with ctx.work():
-        lhs1 = qnum(r, ctx) * qnum(a - r - 1, ctx) + qnum(a, ctx)
-        rhs1 = qnum(r + 1, ctx) * qnum(a - r, ctx)
-        lhs2 = qnum(r, ctx) * qnum(a + r + 1, ctx) + qnum(a, ctx)
-        rhs2 = qnum(r + 1, ctx) * qnum(a + r, ctx)
-        return max(abs(lhs1 - rhs1), abs(lhs2 - rhs2))
+    lhs1 = qnum(r, ctx) * qnum(a - r - 1, ctx) + qnum(a, ctx)
+    rhs1 = qnum(r + 1, ctx) * qnum(a - r, ctx)
+    lhs2 = qnum(r, ctx) * qnum(a + r + 1, ctx) + qnum(a, ctx)
+    rhs2 = qnum(r + 1, ctx) * qnum(a + r, ctx)
+    return max(abs(lhs1 - rhs1), abs(lhs2 - rhs2))
 
 
 def lemma1_suite(j, ctx, r_max=3):
@@ -185,36 +181,35 @@ def lemma1_suite(j, ctx, r_max=3):
       [A+-, A-+^r] = +- A-+^(r-1) [r][2B -+ (r-1)]
     """
     basis = IrrepBasis(j)
-    with ctx.work():
-        b, jp, jm = irrep_operators(j, ctx)
-        eye = mat_eye(basis.dim)
-        worst = mpf(0)
-        for sign, a_op, a_other in ((1, jp, jm), (-1, jm, jp)):
-            for r in range(1, r_max + 1):
-                a_pow = mat_power(a_op, r)
-                lhs = mat_power(b, r) @ a_op
-                rhs = a_op @ mat_power(b + sign * eye, r)
-                worst = max(worst, mat_max_abs(lhs - rhs))
-                for nu, eta in ((Fraction(1), Fraction(0)),
-                                (Fraction(2), Fraction(1)),
-                                (Fraction(1, 2), Fraction(-1))):
-                    left = _diag_qnum(basis, lambda m: nu * m.as_fraction() + eta,
-                                      ctx) @ a_pow
-                    right = a_pow @ _diag_qnum(
-                        basis, lambda m: nu * m.as_fraction() + eta + nu * sign * r,
-                        ctx)
-                    worst = max(worst, mat_max_abs(left - right))
-                lhs = commutator(b, a_pow)
-                rhs = sign * r * a_pow
-                worst = max(worst, mat_max_abs(lhs - rhs))
-                other_pow = mat_power(a_other, r)
-                lhs = commutator(a_op, other_pow)
-                rhs = (sign * mat_power(a_other, r - 1) @ (qnum(HalfInt(r), ctx)
-                       * _diag_qnum(basis,
-                                    lambda m: 2 * m.as_fraction()
-                                    - Fraction(sign) * (r - 1), ctx)))
-                worst = max(worst, mat_max_abs(lhs - rhs))
-        return worst
+    b, jp, jm = irrep_operators(j, ctx)
+    eye = mat_eye(basis.dim)
+    worst = 0
+    for sign, a_op, a_other in ((1, jp, jm), (-1, jm, jp)):
+        for r in range(1, r_max + 1):
+            a_pow = mat_power(a_op, r)
+            lhs = mat_power(b, r) @ a_op
+            rhs = a_op @ mat_power(b + sign * eye, r)
+            worst = max(worst, mat_max_abs(lhs - rhs))
+            for nu, eta in ((Fraction(1), Fraction(0)),
+                            (Fraction(2), Fraction(1)),
+                            (Fraction(1, 2), Fraction(-1))):
+                left = _diag_qnum(basis, lambda m: nu * m.as_fraction() + eta,
+                                  ctx) @ a_pow
+                right = a_pow @ _diag_qnum(
+                    basis, lambda m: nu * m.as_fraction() + eta + nu * sign * r,
+                    ctx)
+                worst = max(worst, mat_max_abs(left - right))
+            lhs = commutator(b, a_pow)
+            rhs = sign * r * a_pow
+            worst = max(worst, mat_max_abs(lhs - rhs))
+            other_pow = mat_power(a_other, r)
+            lhs = commutator(a_op, other_pow)
+            rhs = (sign * mat_power(a_other, r - 1)
+                   @ (_diag_qnum(basis, lambda m: 2 * m.as_fraction()
+                                 - Fraction(sign) * (r - 1), ctx)
+                      * qnum(HalfInt(r), ctx)))
+            worst = max(worst, mat_max_abs(lhs - rhs))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +223,16 @@ def coproduct_operators(j1, j2, ctx):
     Delta(J+-) = J+- x q^J0 + q^-J0 x J+-.
     """
     basis = TensorBasis(j1, j2)
-    with ctx.work():
-        j0_1, jp_1, jm_1 = irrep_operators(basis.j1, ctx)
-        j0_2, jp_2, jm_2 = irrep_operators(basis.j2, ctx)
-        e1 = mat_eye(basis.b1.dim)
-        e2 = mat_eye(basis.b2.dim)
-        qp_2 = _diag_qpow(basis.b2, 1, ctx)
-        qm_1 = _diag_qpow(basis.b1, -1, ctx)
-        j0 = np.kron(j0_1, e2) + np.kron(e1, j0_2)
-        jp = np.kron(jp_1, qp_2) + np.kron(qm_1, jp_2)
-        jm = np.kron(jm_1, qp_2) + np.kron(qm_1, jm_2)
-        return j0, jp, jm
+    j0_1, jp_1, jm_1 = irrep_operators(basis.j1, ctx)
+    j0_2, jp_2, jm_2 = irrep_operators(basis.j2, ctx)
+    e1 = mat_eye(basis.b1.dim)
+    e2 = mat_eye(basis.b2.dim)
+    qp_2 = _diag_qpow(basis.b2, 1, ctx)
+    qm_1 = _diag_qpow(basis.b1, -1, ctx)
+    j0 = np.kron(j0_1, e2) + np.kron(e1, j0_2)
+    jp = np.kron(jp_1, qp_2) + np.kron(qm_1, jp_2)
+    jm = np.kron(jm_1, qp_2) + np.kron(qm_1, jm_2)
+    return j0, jp, jm
 
 
 def coproduct_power_binomial(j1, j2, r, ctx, sign=-1):
@@ -247,19 +241,18 @@ def coproduct_power_binomial(j1, j2, r, ctx, sign=-1):
     Delta(J+-)^r = sum_l [r]!/([l]![r-l]!) J+-^l q^(-(r-l)J0) x J+-^(r-l) q^(l J0).
     """
     basis = TensorBasis(j1, j2)
-    with ctx.work():
-        ops1 = irrep_operators(basis.j1, ctx)
-        ops2 = irrep_operators(basis.j2, ctx)
-        a1 = ops1[2] if sign < 0 else ops1[1]
-        a2 = ops2[2] if sign < 0 else ops2[1]
-        total = mat_zeros(basis.dim)
-        for l in range(r + 1):
-            coeff = (q_factorial(r, ctx)
-                     / (q_factorial(l, ctx) * q_factorial(r - l, ctx)))
-            left = mat_power(a1, l) @ _diag_qpow(basis.b1, -(r - l), ctx)
-            right = mat_power(a2, r - l) @ _diag_qpow(basis.b2, l, ctx)
-            total = total + coeff * np.kron(left, right)
-        return total
+    ops1 = irrep_operators(basis.j1, ctx)
+    ops2 = irrep_operators(basis.j2, ctx)
+    a1 = ops1[2] if sign < 0 else ops1[1]
+    a2 = ops2[2] if sign < 0 else ops2[1]
+    total = mat_zeros(basis.dim)
+    for l in range(r + 1):
+        coeff = (q_factorial(r, ctx)
+                 / (q_factorial(l, ctx) * q_factorial(r - l, ctx)))
+        left = mat_power(a1, l) @ _diag_qpow(basis.b1, -(r - l), ctx)
+        right = mat_power(a2, r - l) @ _diag_qpow(basis.b2, l, ctx)
+        total = total + np.kron(left, right) * coeff
+    return total
 
 
 def projector_extremal(j, basis, ctx):
@@ -269,24 +262,23 @@ def projector_extremal(j, basis, ctx):
     operators; the sum terminates when J+^r vanishes on the tensor space.
     """
     j = halfint(j)
-    with ctx.work():
-        _, jp, jm = coproduct_operators(basis.j1, basis.j2, ctx)
-        top = q_factorial((2 * j).as_int() + 1, ctx)
-        total = mat_zeros(basis.dim)
-        jp_pow = mat_eye(basis.dim)
-        jm_pow = mat_eye(basis.dim)
-        r = 0
-        while True:
-            coeff = ((-1) ** r * top
-                     / (q_factorial(r, ctx)
-                        * q_factorial((2 * j).as_int() + r + 1, ctx)))
-            total = total + coeff * (jm_pow @ jp_pow)
-            r += 1
-            jp_pow = jp @ jp_pow
-            if mat_max_abs(jp_pow) == 0:
-                break
-            jm_pow = jm_pow @ jm
-        return total
+    _, jp, jm = coproduct_operators(basis.j1, basis.j2, ctx)
+    top = q_factorial((2 * j).as_int() + 1, ctx)
+    total = mat_zeros(basis.dim)
+    jp_pow = mat_eye(basis.dim)
+    jm_pow = mat_eye(basis.dim)
+    r = 0
+    while True:
+        coeff = ((-1) ** r * top
+                 / (q_factorial(r, ctx)
+                    * q_factorial((2 * j).as_int() + r + 1, ctx)))
+        total = total + (jm_pow @ jp_pow) * coeff
+        r += 1
+        jp_pow = jp @ jp_pow
+        if mat_max_abs(jp_pow) == 0:
+            break
+        jm_pow = jm_pow @ jm
+    return total
 
 
 def projector_general(j, m, mprime, basis, ctx):
@@ -296,28 +288,26 @@ def projector_general(j, m, mprime, basis, ctx):
     (P^j_{m m'})^dagger = P^j_{m' m}.
     """
     j, m, mprime = halfint(j), halfint(m), halfint(mprime)
-    with ctx.work():
-        _, jp, jm = coproduct_operators(basis.j1, basis.j2, ctx)
-        p_top = projector_extremal(j, basis, ctx)
-        left = mp.sqrt(q_factorial((j + m).as_int(), ctx)
+    _, jp, jm = coproduct_operators(basis.j1, basis.j2, ctx)
+    p_top = projector_extremal(j, basis, ctx)
+    left = ctx.mp.sqrt(q_factorial((j + m).as_int(), ctx)
                        / (q_factorial((2 * j).as_int(), ctx)
                           * q_factorial((j - m).as_int(), ctx)))
-        right = mp.sqrt(q_factorial((j + mprime).as_int(), ctx)
+    right = ctx.mp.sqrt(q_factorial((j + mprime).as_int(), ctx)
                         / (q_factorial((2 * j).as_int(), ctx)
                            * q_factorial((j - mprime).as_int(), ctx)))
-        return (left * right
-                * (mat_power(jm, (j - m).as_int()) @ p_top
-                   @ mat_power(jp, (j - mprime).as_int())))
+    return (mat_power(jm, (j - m).as_int()) @ p_top
+            @ mat_power(jp, (j - mprime).as_int())) * (left * right)
 
 
 # ---------------------------------------------------------------------------
 # matrix-level oracles for the Clebsch-Gordan coefficients
 # ---------------------------------------------------------------------------
 
-def _seed_vector(basis, j, ctx):
-    """Unit basis vector |j1 j1>|j2 j-j1>, the reference seed for spin j."""
-    v = np.full(basis.dim, mpf(0), dtype=object)
-    v[basis.index(basis.j1, j - basis.j1)] = mpf(1)
+def _unit_vector(basis, m1, m2):
+    """Product basis vector |j1 m1>|j2 m2>."""
+    v = np.full(basis.dim, 0, dtype=object)
+    v[basis.index(m1, m2)] = 1
     return v
 
 
@@ -331,13 +321,12 @@ def oracle_cgc(key, ctx):
     if not selection_rules(key):
         return ctx.to_mpf(0)
     basis = TensorBasis(key.j1, key.j2)
-    with ctx.work():
-        v = _seed_vector(basis, key.j, ctx)
-        p_top = projector_extremal(key.j, basis, ctx)
-        norm_sq = v @ (p_top @ v)
-        p_mj = projector_general(key.j, key.m, key.j, basis, ctx)
-        coupled = (p_mj @ v) / mp.sqrt(norm_sq)
-        return coupled[basis.index(key.m1, key.m2)]
+    v = _unit_vector(basis, basis.j1, key.j - basis.j1)
+    p_top = projector_extremal(key.j, basis, ctx)
+    norm_sq = v @ (p_top @ v)
+    p_mj = projector_general(key.j, key.m, key.j, basis, ctx)
+    coupled = (p_mj @ v) / ctx.mp.sqrt(norm_sq)
+    return coupled[basis.index(key.m1, key.m2)]
 
 
 def coupled_states(j1, j2, ctx):
@@ -350,33 +339,31 @@ def coupled_states(j1, j2, ctx):
     operator.  Returns {(j, m): vector}.
     """
     basis = TensorBasis(j1, j2)
-    with ctx.work():
-        _, _, jm = coproduct_operators(basis.j1, basis.j2, ctx)
-        states = {}
-        j_top = basis.j1 + basis.j2
-        for j in reversed(halfint_range(abs(basis.j1 - basis.j2), j_top)):
-            higher = [states[(jh, j)] for jh in halfint_range(j + 1, j_top)]
-            best = None
-            best_norm = mpf(0)
-            for m1 in halfint_range(max(-basis.j1, j - basis.j2),
-                                    min(basis.j1, j + basis.j2)):
-                w = np.full(basis.dim, mpf(0), dtype=object)
-                w[basis.index(m1, j - m1)] = mpf(1)
-                for h in higher:
-                    w = w - (h @ w) * h
-                norm = mp.sqrt(w @ w)
-                if norm > best_norm:
-                    best, best_norm = w, norm
-            top = best / best_norm
-            if top[basis.index(basis.j1, j - basis.j1)] < 0:
-                top = -top
-            states[(j, j)] = top
-            vec = top
-            for m in reversed(halfint_range(-j + 1, j)):
-                amp = mp.sqrt(qnum(j + m, ctx) * qnum(j - m + 1, ctx))
-                vec = (jm @ vec) / amp
-                states[(j, m - 1)] = vec
-        return states
+    _, _, jm = coproduct_operators(basis.j1, basis.j2, ctx)
+    states = {}
+    j_top = basis.j1 + basis.j2
+    for j in reversed(halfint_range(abs(basis.j1 - basis.j2), j_top)):
+        higher = [states[(jh, j)] for jh in halfint_range(j + 1, j_top)]
+        best = None
+        best_norm = 0
+        for m1 in halfint_range(max(-basis.j1, j - basis.j2),
+                                min(basis.j1, j + basis.j2)):
+            w = _unit_vector(basis, m1, j - m1)
+            for h in higher:
+                w = w - h * (h @ w)
+            norm = ctx.mp.sqrt(w @ w)
+            if norm > best_norm:
+                best, best_norm = w, norm
+        top = best / best_norm
+        if top[basis.index(basis.j1, j - basis.j1)] < 0:
+            top = -top
+        states[(j, j)] = top
+        vec = top
+        for m in reversed(halfint_range(-j + 1, j)):
+            amp = ctx.mp.sqrt(qnum(j + m, ctx) * qnum(j - m + 1, ctx))
+            vec = (jm @ vec) / amp
+            states[(j, m - 1)] = vec
+    return states
 
 
 def oracle_cgc_lowering(key, ctx):
@@ -384,6 +371,5 @@ def oracle_cgc_lowering(key, ctx):
     if not selection_rules(key):
         return ctx.to_mpf(0)
     basis = TensorBasis(key.j1, key.j2)
-    with ctx.work():
-        states = coupled_states(key.j1, key.j2, ctx)
-        return states[(key.j, key.m)][basis.index(key.m1, key.m2)]
+    states = coupled_states(key.j1, key.j2, ctx)
+    return states[(key.j, key.m)][basis.index(key.m1, key.m2)]

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .halfint import HalfInt, halfint, halfint_range
 from .qcore import QContext, qnum
@@ -78,14 +78,13 @@ def _spin_pool(cap):
 
 def _sweep(contexts, j_cap):
     """(ctx, key) for every admissible key with both spins up to j_cap,
-    per context, at that context's working precision."""
+    per context."""
     pool = _spin_pool(j_cap)
     for ctx in contexts:
-        with ctx.work():
-            for j1 in pool:
-                for j2 in pool:
-                    for key in admissible_keys(j1, j2):
-                        yield ctx, key
+        for j1 in pool:
+            for j2 in pool:
+                for key in admissible_keys(j1, j2):
+                    yield ctx, key
 
 
 # ---------------------------------------------------------------------------
@@ -97,47 +96,45 @@ def qhyper_suite(precision=50, samples=200, seed=20240901, tolerance=1e-35):
     rng = random.Random(seed)
     checks = []
 
-    worst = mpf(0)
+    worst = 0
     for q in ("0.3", "0.5", "0.7", "0.9"):
         ctx = _ctx(q, precision)
-        with ctx.work():
-            for sign in (1, -1):
-                for n in range(0, 7):
-                    for b in range(1, 13):
-                        for c in range(1, 13):
-                            series = eval_terminating(
-                                vandermonde_spec(n, b, c, sign), ctx)
-                            closed = closed_sum_vandermonde(n, b, c, sign, ctx)
-                            scale = max(abs(series), mpf(1))
-                            worst = max(worst, abs(series - closed) / scale)
-                            if c > b and n < min(b, c):
-                                pos = closed_sum_positive(n, b, c, sign, ctx)
-                                worst = max(worst,
-                                            abs(series - pos) / scale)
-                            if b > c and n < min(b, c):
-                                neg_series = eval_terminating(
-                                    negative_spec(n, b, c, sign), ctx)
-                                neg = closed_sum_negative(n, b, c, sign, ctx)
-                                nscale = max(abs(neg_series), mpf(1))
-                                worst = max(worst,
-                                            abs(neg_series - neg) / nscale)
+        for sign in (1, -1):
+            for n in range(0, 7):
+                for b in range(1, 13):
+                    for c in range(1, 13):
+                        series = eval_terminating(
+                            vandermonde_spec(n, b, c, sign), ctx)
+                        closed = closed_sum_vandermonde(n, b, c, sign, ctx)
+                        scale = max(abs(series), 1)
+                        worst = max(worst, abs(series - closed) / scale)
+                        if c > b and n < min(b, c):
+                            pos = closed_sum_positive(n, b, c, sign, ctx)
+                            worst = max(worst,
+                                        abs(series - pos) / scale)
+                        if b > c and n < min(b, c):
+                            neg_series = eval_terminating(
+                                negative_spec(n, b, c, sign), ctx)
+                            neg = closed_sum_negative(n, b, c, sign, ctx)
+                            nscale = max(abs(neg_series), 1)
+                            worst = max(worst,
+                                        abs(neg_series - neg) / nscale)
     checks.append(CheckResult("vandermonde_summations", worst, tolerance))
 
-    worst = mpf(0)
+    worst = 0
     dixon_grid = ([HalfInt(Fraction(t, 2)) for t in range(1, 13)]
                   + [HalfInt(t) for t in range(7, 13)])
     for q in ("0.3", "0.5", "0.7", "0.9"):
         ctx = _ctx(q, precision)
-        with ctx.work():
-            for n in range(0, 7):
-                for b in dixon_grid:
-                    for c in dixon_grid:
-                        series = eval_terminating(dixon_spec(n, b, c), ctx)
-                        closed = closed_sum_dixon(n, b, c, ctx)
-                        worst = max(worst, abs(series - closed))
+        for n in range(0, 7):
+            for b in dixon_grid:
+                for c in dixon_grid:
+                    series = eval_terminating(dixon_spec(n, b, c), ctx)
+                    closed = closed_sum_dixon(n, b, c, ctx)
+                    worst = max(worst, abs(series - closed))
     checks.append(CheckResult("dixon_summation", worst, tolerance))
 
-    worst = mpf(0)
+    worst = 0
     count = 0
     while count < samples:
         q = rng.choice(("0.3", "0.5", "0.7", "0.9"))
@@ -150,23 +147,22 @@ def qhyper_suite(precision=50, samples=200, seed=20240901, tolerance=1e-35):
             arg_exponent=a + b - n - d - e + 1,
             arg_sign=rng.choice((1, -1)))
         try:
-            with ctx.work():
-                base = eval_terminating(spec, ctx)
-                scale = max(abs(base), mpf(1))
-                for transform in (transform_142, transform_141):
-                    new, pre = transform(spec)
-                    rewritten = pre.value(ctx) * eval_terminating(new, ctx)
-                    worst = max(worst, abs(base - rewritten) / scale)
-                flipped = eval_terminating(spec.reciprocal(),
-                                           ctx.reciprocal())
-                worst = max(worst, abs(base - flipped) / scale)
+            base = eval_terminating(spec, ctx)
+            scale = max(abs(base), 1)
+            for transform in (transform_142, transform_141):
+                new, pre = transform(spec)
+                rewritten = pre.value(ctx) * eval_terminating(new, ctx)
+                worst = max(worst, abs(base - rewritten) / scale)
+            flipped = eval_terminating(spec.reciprocal(),
+                                       ctx.reciprocal())
+            worst = max(worst, abs(base - flipped) / scale)
         except SeriesIllPosed:
             continue
         count += 1
     checks.append(CheckResult("transform_rewrites", worst, tolerance))
 
     # the base change q -> sqrt(q) is exact for these decimal squares
-    worst = mpf(0)
+    worst = 0
     for q, sq in (("0.25", "0.5"), ("0.49", "0.7"), ("0.81", "0.9")):
         ctx = _ctx(q, precision)
         ctx_sqrt = _ctx(sq, precision)
@@ -176,20 +172,18 @@ def qhyper_suite(precision=50, samples=200, seed=20240901, tolerance=1e-35):
             den = (HalfInt(rng.randint(1, 8)),)
             z_exp = HalfInt(rng.randint(0, 6))
             basic, f_spec = connection_pair(num, den, z_exp, ctx)
-            with ctx.work():
-                lhs = eval_basic(basic, ctx)
-                rhs = eval_terminating(f_spec, ctx_sqrt)
-                worst = max(worst, abs(lhs - rhs))
+            lhs = eval_basic(basic, ctx)
+            rhs = eval_terminating(f_spec, ctx_sqrt)
+            worst = max(worst, abs(lhs - rhs))
     checks.append(CheckResult("basic_series_connection", worst, tolerance))
 
-    worst = mpf(0)
+    worst = 0
     for q in ("0.5", "0.7"):
         ctx = _ctx(q, precision)
-        with ctx.work():
-            for _ in range(50):
-                r = rng.randint(0, 8)
-                a = HalfInt(Fraction(rng.randint(-16, 16), 2))
-                worst = max(worst, repsu.scalar_identity_residual(r, a, ctx))
+        for _ in range(50):
+            r = rng.randint(0, 8)
+            a = HalfInt(Fraction(rng.randint(-16, 16), 2))
+            worst = max(worst, repsu.scalar_identity_residual(r, a, ctx))
     checks.append(CheckResult("ladder_scalar_identity", worst, tolerance))
     return checks
 
@@ -201,36 +195,35 @@ def qhyper_suite(precision=50, samples=200, seed=20240901, tolerance=1e-35):
 def _tensor_lemma_residual(j1, j2, ctx, r_max=3):
     """Ladder-reordering identities on a tensor-product representation."""
     basis = repsu.TensorBasis(j1, j2)
-    with ctx.work():
-        j0, jp, jm = repsu.coproduct_operators(j1, j2, ctx)
-        worst = mpf(0)
+    j0, jp, jm = repsu.coproduct_operators(j1, j2, ctx)
+    worst = 0
 
-        def diag_qnum(form):
-            out = repsu.mat_zeros(basis.dim)
-            for i, (m1, m2) in enumerate(basis.states):
-                out[i, i] = qnum(form((m1 + m2).as_fraction()), ctx)
-            return out
+    def diag_qnum(form):
+        out = repsu.mat_zeros(basis.dim)
+        for i, (m1, m2) in enumerate(basis.states):
+            out[i, i] = qnum(form((m1 + m2).as_fraction()), ctx)
+        return out
 
-        for sign, a_op, a_other in ((1, jp, jm), (-1, jm, jp)):
-            for r in range(1, r_max + 1):
-                a_pow = repsu.mat_power(a_op, r)
-                worst = max(worst, repsu.mat_max_abs(
-                    repsu.commutator(j0, a_pow) - sign * r * a_pow))
-                lhs = diag_qnum(lambda m: 2 * m) @ a_pow
-                rhs = a_pow @ diag_qnum(lambda m: 2 * m + 2 * sign * r)
-                worst = max(worst, repsu.mat_max_abs(lhs - rhs))
-                lhs = repsu.commutator(a_op, repsu.mat_power(a_other, r))
-                rhs = (sign * repsu.mat_power(a_other, r - 1)
-                       @ (qnum(HalfInt(r), ctx)
-                          * diag_qnum(lambda m, _r=r, _s=sign:
-                                      2 * m - Fraction(_s) * (_r - 1))))
-                worst = max(worst, repsu.mat_max_abs(lhs - rhs))
-        return worst
+    for sign, a_op, a_other in ((1, jp, jm), (-1, jm, jp)):
+        for r in range(1, r_max + 1):
+            a_pow = repsu.mat_power(a_op, r)
+            worst = max(worst, repsu.mat_max_abs(
+                repsu.commutator(j0, a_pow) - sign * r * a_pow))
+            lhs = diag_qnum(lambda m: 2 * m) @ a_pow
+            rhs = a_pow @ diag_qnum(lambda m: 2 * m + 2 * sign * r)
+            worst = max(worst, repsu.mat_max_abs(lhs - rhs))
+            lhs = repsu.commutator(a_op, repsu.mat_power(a_other, r))
+            rhs = (sign * repsu.mat_power(a_other, r - 1)
+                   @ (diag_qnum(lambda m, _r=r, _s=sign:
+                                2 * m - Fraction(_s) * (_r - 1))
+                      * qnum(HalfInt(r), ctx)))
+            worst = max(worst, repsu.mat_max_abs(lhs - rhs))
+    return worst
 
 
 def _weight_cols_max(mat, basis, m):
     """Largest entry over the columns of total weight m1 + m2 = m."""
-    worst = mpf(0)
+    worst = 0
     for c, (m1, m2) in enumerate(basis.states):
         if m1 + m2 == m:
             for r in range(basis.dim):
@@ -244,108 +237,106 @@ def repsu_suite(precision=50, qs=("0.5", "0.7"), j_cap="3/2",
     checks = []
     j_cap = halfint(j_cap)
 
-    worst_comm = mpf(0)
-    worst_pow = mpf(0)
-    worst_lemma = mpf(0)
-    worst_cas = mpf(0)
+    worst_comm = 0
+    worst_pow = 0
+    worst_lemma = 0
+    worst_cas = 0
     for q in qs:
         ctx = _ctx(q, precision)
-        with ctx.work():
-            for j in _spin_pool(j_cap):
-                basis = repsu.IrrepBasis(j)
-                j0, jp, jm = repsu.irrep_operators(j, ctx)
-                worst_comm = max(worst_comm, repsu.mat_max_abs(
-                    repsu.commutator(j0, jp) - jp))
-                worst_comm = max(worst_comm, repsu.mat_max_abs(
-                    repsu.commutator(j0, jm) + jm))
-                two_j0 = repsu.mat_zeros(basis.dim)
-                for i, m in enumerate(basis.states):
-                    two_j0[i, i] = qnum(2 * m, ctx)
-                worst_comm = max(worst_comm, repsu.mat_max_abs(
-                    repsu.commutator(jp, jm) - two_j0))
-                cas = repsu.casimir_matrix(jm, basis, ctx)
-                eig = qnum(j + HalfInt("1/2"), ctx) ** 2
+        for j in _spin_pool(j_cap):
+            basis = repsu.IrrepBasis(j)
+            j0, jp, jm = repsu.irrep_operators(j, ctx)
+            worst_comm = max(worst_comm, repsu.mat_max_abs(
+                repsu.commutator(j0, jp) - jp))
+            worst_comm = max(worst_comm, repsu.mat_max_abs(
+                repsu.commutator(j0, jm) + jm))
+            two_j0 = repsu.mat_zeros(basis.dim)
+            for i, m in enumerate(basis.states):
+                two_j0[i, i] = qnum(2 * m, ctx)
+            worst_comm = max(worst_comm, repsu.mat_max_abs(
+                repsu.commutator(jp, jm) - two_j0))
+            cas = repsu.casimir_matrix(jm, basis, ctx)
+            eig = qnum(j + HalfInt("1/2"), ctx) ** 2
+            worst_cas = max(worst_cas, repsu.mat_max_abs(
+                cas - repsu.mat_eye(basis.dim) * eig))
+            for op in (j0, jp, jm):
                 worst_cas = max(worst_cas, repsu.mat_max_abs(
-                    cas - eig * repsu.mat_eye(basis.dim)))
-                for op in (j0, jp, jm):
-                    worst_cas = max(worst_cas, repsu.mat_max_abs(
-                        repsu.commutator(cas, op)))
-                for r in range((2 * j).as_int() + 2):
-                    worst_pow = max(worst_pow,
-                                    repsu.operator_power_check(j, r, ctx))
-                if j > 0:
-                    worst_lemma = max(worst_lemma,
-                                      repsu.lemma1_suite(j, ctx))
-            worst_lemma = max(worst_lemma, _tensor_lemma_residual(
-                HalfInt("1/2"), HalfInt(1), ctx))
-            worst_lemma = max(worst_lemma, _tensor_lemma_residual(
-                HalfInt(1), j_cap, ctx))
+                    repsu.commutator(cas, op)))
+            for r in range((2 * j).as_int() + 2):
+                worst_pow = max(worst_pow,
+                                repsu.operator_power_check(j, r, ctx))
+            if j > 0:
+                worst_lemma = max(worst_lemma,
+                                  repsu.lemma1_suite(j, ctx))
+        worst_lemma = max(worst_lemma, _tensor_lemma_residual(
+            HalfInt("1/2"), HalfInt(1), ctx))
+        worst_lemma = max(worst_lemma, _tensor_lemma_residual(
+            HalfInt(1), j_cap, ctx))
     checks.append(CheckResult("irrep_commutators", worst_comm, tolerance))
     checks.append(CheckResult("casimir", worst_cas, tolerance))
     checks.append(CheckResult("ladder_power_closed_forms", worst_pow,
                               tolerance))
     checks.append(CheckResult("lemma_identities", worst_lemma, tolerance))
 
-    worst_cop = mpf(0)
-    worst_proj = mpf(0)
+    worst_cop = 0
+    worst_proj = 0
     for q in qs:
         ctx = _ctx(q, precision)
-        with ctx.work():
-            pairs = ((HalfInt("1/2"), HalfInt("1/2")),
-                     (HalfInt("1/2"), HalfInt(1)), (HalfInt(1), HalfInt(1)))
-            for j1, j2 in pairs:
-                basis = repsu.TensorBasis(j1, j2)
-                j0, jp, jm = repsu.coproduct_operators(j1, j2, ctx)
-                worst_cop = max(worst_cop, repsu.mat_max_abs(
-                    repsu.commutator(j0, jp) - jp))
-                two_j0 = repsu.mat_zeros(basis.dim)
-                for i, (m1, m2) in enumerate(basis.states):
-                    two_j0[i, i] = qnum(2 * (m1 + m2), ctx)
-                worst_cop = max(worst_cop, repsu.mat_max_abs(
-                    repsu.commutator(jp, jm) - two_j0))
-                for r in range(4):
-                    for sign, op in ((1, jp), (-1, jm)):
-                        expanded = repsu.coproduct_power_binomial(
-                            j1, j2, r, ctx, sign=sign)
-                        worst_cop = max(worst_cop, repsu.mat_max_abs(
-                            repsu.mat_power(op, r) - expanded))
-                # the projector operators act block-by-block in the total
-                # weight, so idempotence, completeness and the composition
-                # law are checked on the columns of the relevant weight
-                complete = {}
-                projectors = {}
-                for j in halfint_range(abs(j1 - j2), j1 + j2):
-                    p_top = repsu.projector_extremal(j, basis, ctx)
-                    worst_proj = max(worst_proj, _weight_cols_max(
-                        p_top @ p_top - p_top, basis, j))
-                    worst_proj = max(worst_proj, repsu.mat_max_abs(
-                        repsu.mat_dagger(p_top) - p_top))
-                    for m in halfint_range(-j, j):
-                        projectors[(j, m)] = repsu.projector_general(
-                            j, m, m, basis, ctx)
-                        if m in complete:
-                            complete[m] = complete[m] + projectors[(j, m)]
-                        else:
-                            complete[m] = projectors[(j, m)]
-                eye = repsu.mat_eye(basis.dim)
-                for m, total in complete.items():
-                    worst_proj = max(worst_proj, _weight_cols_max(
-                        total - eye, basis, m))
-                j_lo = abs(j1 - j2)
-                j_hi = j1 + j2
-                if j_hi > j_lo:
-                    m = j_lo
-                    cross = projectors[(j_lo, m)] @ projectors[(j_hi, m)]
-                    worst_proj = max(worst_proj, _weight_cols_max(
-                        cross, basis, m))
-                    p_ab = repsu.projector_general(j_hi, j_hi - 1, m,
-                                                   basis, ctx)
-                    p_ba = repsu.projector_general(j_hi, m, j_hi - 1,
-                                                   basis, ctx)
-                    worst_proj = max(worst_proj, repsu.mat_max_abs(
-                        repsu.mat_dagger(p_ab) - p_ba))
-                    worst_proj = max(worst_proj, _weight_cols_max(
-                        p_ab @ projectors[(j_hi, m)] - p_ab, basis, m))
+        pairs = ((HalfInt("1/2"), HalfInt("1/2")),
+                 (HalfInt("1/2"), HalfInt(1)), (HalfInt(1), HalfInt(1)))
+        for j1, j2 in pairs:
+            basis = repsu.TensorBasis(j1, j2)
+            j0, jp, jm = repsu.coproduct_operators(j1, j2, ctx)
+            worst_cop = max(worst_cop, repsu.mat_max_abs(
+                repsu.commutator(j0, jp) - jp))
+            two_j0 = repsu.mat_zeros(basis.dim)
+            for i, (m1, m2) in enumerate(basis.states):
+                two_j0[i, i] = qnum(2 * (m1 + m2), ctx)
+            worst_cop = max(worst_cop, repsu.mat_max_abs(
+                repsu.commutator(jp, jm) - two_j0))
+            for r in range(4):
+                for sign, op in ((1, jp), (-1, jm)):
+                    expanded = repsu.coproduct_power_binomial(
+                        j1, j2, r, ctx, sign=sign)
+                    worst_cop = max(worst_cop, repsu.mat_max_abs(
+                        repsu.mat_power(op, r) - expanded))
+            # the projector operators act block-by-block in the total
+            # weight, so idempotence, completeness and the composition
+            # law are checked on the columns of the relevant weight
+            complete = {}
+            projectors = {}
+            for j in halfint_range(abs(j1 - j2), j1 + j2):
+                p_top = repsu.projector_extremal(j, basis, ctx)
+                worst_proj = max(worst_proj, _weight_cols_max(
+                    p_top @ p_top - p_top, basis, j))
+                worst_proj = max(worst_proj, repsu.mat_max_abs(
+                    repsu.mat_dagger(p_top) - p_top))
+                for m in halfint_range(-j, j):
+                    projectors[(j, m)] = repsu.projector_general(
+                        j, m, m, basis, ctx)
+                    if m in complete:
+                        complete[m] = complete[m] + projectors[(j, m)]
+                    else:
+                        complete[m] = projectors[(j, m)]
+            eye = repsu.mat_eye(basis.dim)
+            for m, total in complete.items():
+                worst_proj = max(worst_proj, _weight_cols_max(
+                    total - eye, basis, m))
+            j_lo = abs(j1 - j2)
+            j_hi = j1 + j2
+            if j_hi > j_lo:
+                m = j_lo
+                cross = projectors[(j_lo, m)] @ projectors[(j_hi, m)]
+                worst_proj = max(worst_proj, _weight_cols_max(
+                    cross, basis, m))
+                p_ab = repsu.projector_general(j_hi, j_hi - 1, m,
+                                               basis, ctx)
+                p_ba = repsu.projector_general(j_hi, m, j_hi - 1,
+                                               basis, ctx)
+                worst_proj = max(worst_proj, repsu.mat_max_abs(
+                    repsu.mat_dagger(p_ab) - p_ba))
+                worst_proj = max(worst_proj, _weight_cols_max(
+                    p_ab @ projectors[(j_hi, m)] - p_ab, basis, m))
     checks.append(CheckResult("coproduct_algebra", worst_cop, tolerance))
     checks.append(CheckResult("projector_laws", worst_proj, tolerance))
     return checks
@@ -358,7 +349,7 @@ def repsu_suite(precision=50, qs=("0.5", "0.7"), j_cap="3/2",
 def cgc_formula_suite(precision=50, qs=("0.3", "0.5", "0.9"), j_cap=3,
                       tolerance=1e-35):
     """Pairwise agreement of every closed form on the full key sweep."""
-    worst = mpf(0)
+    worst = 0
     for ctx, key in _sweep([_ctx(q, precision) for q in qs], j_cap):
         worst = max(worst, compute(key, ctx, mode="crosscheck").deviation)
     return [CheckResult("cross_formula_agreement", worst, tolerance)]
@@ -367,8 +358,8 @@ def cgc_formula_suite(precision=50, qs=("0.3", "0.5", "0.9"), j_cap=3,
 def cgc_oracle_suite(precision=50, qs=("0.5", "0.9"), j_cap="3/2",
                      tolerance=1e-30):
     """cgc_racah against both matrix-level constructions."""
-    worst_proj = mpf(0)
-    worst_low = mpf(0)
+    worst_proj = 0
+    worst_low = 0
     for ctx, key in _sweep([_ctx(q, precision) for q in qs], j_cap):
         ref = cgc_racah(key, ctx)
         worst_proj = max(worst_proj, abs(ref - repsu.oracle_cgc(key, ctx)))
@@ -380,37 +371,36 @@ def cgc_oracle_suite(precision=50, qs=("0.5", "0.9"), j_cap="3/2",
 
 def unitarity_suite(precision=50, qs=("0.5",), j_cap=3, tolerance=1e-35):
     """Row and column orthonormality of the per-weight coupling blocks."""
-    worst = mpf(0)
+    worst = 0
     pool = _spin_pool(j_cap)
     for q in qs:
         ctx = _ctx(q, precision)
-        with ctx.work():
-            for j1 in pool:
-                for j2 in pool:
-                    for m in halfint_range(-(j1 + j2), j1 + j2):
-                        m1s = [m1 for m1 in halfint_range(-j1, j1)
-                               if abs(m - m1) <= j2]
-                        js = [j for j in halfint_range(abs(j1 - j2), j1 + j2)
-                              if abs(m) <= j]
-                        if not m1s:
-                            continue
-                        block = [[cgc_racah(
-                            CgcKey(j1, m1, j2, m - m1, j, m), ctx)
-                            for j in js] for m1 in m1s]
-                        for a in range(len(js)):
-                            for b in range(len(js)):
-                                acc = mpf(0)
-                                for i in range(len(m1s)):
-                                    acc += block[i][a] * block[i][b]
-                                target = 1 if a == b else 0
-                                worst = max(worst, abs(acc - target))
-                        for i in range(len(m1s)):
-                            for k in range(len(m1s)):
-                                acc = mpf(0)
-                                for a in range(len(js)):
-                                    acc += block[i][a] * block[k][a]
-                                target = 1 if i == k else 0
-                                worst = max(worst, abs(acc - target))
+        for j1 in pool:
+            for j2 in pool:
+                for m in halfint_range(-(j1 + j2), j1 + j2):
+                    m1s = [m1 for m1 in halfint_range(-j1, j1)
+                           if abs(m - m1) <= j2]
+                    js = [j for j in halfint_range(abs(j1 - j2), j1 + j2)
+                          if abs(m) <= j]
+                    if not m1s:
+                        continue
+                    block = [[cgc_racah(
+                        CgcKey(j1, m1, j2, m - m1, j, m), ctx)
+                        for j in js] for m1 in m1s]
+                    for a in range(len(js)):
+                        for b in range(len(js)):
+                            acc = 0
+                            for i in range(len(m1s)):
+                                acc += block[i][a] * block[i][b]
+                            target = 1 if a == b else 0
+                            worst = max(worst, abs(acc - target))
+                    for i in range(len(m1s)):
+                        for k in range(len(m1s)):
+                            acc = 0
+                            for a in range(len(js)):
+                                acc += block[i][a] * block[k][a]
+                            target = 1 if i == k else 0
+                            worst = max(worst, abs(acc - target))
     return [CheckResult("unitarity_blocks", worst, tolerance)]
 
 
@@ -438,16 +428,15 @@ def symmetry_suite(precision=50, q="0.5", j_cap=3, samples=100,
     ctx_flip = ctx.reciprocal()
     checks = []
     for name in SYMMETRIES:
-        worst = mpf(0)
-        with ctx.work():
-            for _ in range(samples):
-                key = _random_admissible_key(rng, j_cap)
-                descriptor = apply_symmetry(key, name)
-                other = ctx_flip if descriptor.q_flip else ctx
-                lhs = cgc_racah(key, ctx)
-                rhs = (descriptor.prefactor(ctx)
-                       * cgc_racah(descriptor.key, other))
-                worst = max(worst, abs(lhs - rhs))
+        worst = 0
+        for _ in range(samples):
+            key = _random_admissible_key(rng, j_cap)
+            descriptor = apply_symmetry(key, name)
+            other = ctx_flip if descriptor.q_flip else ctx
+            lhs = cgc_racah(key, ctx)
+            rhs = (descriptor.prefactor(ctx)
+                   * cgc_racah(descriptor.key, other))
+            worst = max(worst, abs(lhs - rhs))
         checks.append(CheckResult(f"symmetry_{name}", worst, tolerance))
     return checks
 
@@ -455,7 +444,7 @@ def symmetry_suite(precision=50, q="0.5", j_cap=3, samples=100,
 def special_value_suite(precision=50, qs=("0.5", "0.9"), j_cap=3,
                         dixon_cap=4, tolerance=1e-35):
     """Every special-value fast path against the general formula."""
-    worst = mpf(0)
+    worst = 0
     for ctx, key in _sweep([_ctx(q, precision) for q in qs], j_cap):
         sv = special_value(key, ctx)
         if sv is not None:
@@ -463,15 +452,14 @@ def special_value_suite(precision=50, qs=("0.5", "0.9"), j_cap=3,
     checks = [CheckResult("special_value_patterns", worst, tolerance)]
 
     ctx1 = _ctx(1, precision)
-    worst = mpf(0)
-    with ctx1.work():
-        for tj1 in range(0, dixon_cap + 1):
-            for tj2 in range(0, dixon_cap + 1):
-                j1, j2 = HalfInt(tj1), HalfInt(tj2)
-                for j in halfint_range(abs(j1 - j2), j1 + j2):
-                    key = CgcKey(j1, 0, j2, 0, j, 0)
-                    closed = classical_parity_zero_value(j1, j2, j, ctx1)
-                    worst = max(worst, abs(closed - cgc_racah(key, ctx1)))
+    worst = 0
+    for tj1 in range(0, dixon_cap + 1):
+        for tj2 in range(0, dixon_cap + 1):
+            j1, j2 = HalfInt(tj1), HalfInt(tj2)
+            for j in halfint_range(abs(j1 - j2), j1 + j2):
+                key = CgcKey(j1, 0, j2, 0, j, 0)
+                closed = classical_parity_zero_value(j1, j2, j, ctx1)
+                worst = max(worst, abs(closed - cgc_racah(key, ctx1)))
     checks.append(CheckResult("dixon_classical_m0", worst, tolerance))
     return checks
 
@@ -479,8 +467,8 @@ def special_value_suite(precision=50, qs=("0.5", "0.9"), j_cap=3,
 def recurrence_suite(precision=50, qs=("0.5", "0.7"), j_cap=2,
                      tolerance=1e-30):
     """Both three-term recurrences over all interior keys."""
-    worst_j = mpf(0)
-    worst_m = mpf(0)
+    worst_j = 0
+    worst_m = 0
     for ctx, key in _sweep([_ctx(q, precision) for q in qs], j_cap):
         if key.j != 0:
             worst_j = max(worst_j, recurrence_j_residual(key, ctx))
@@ -499,37 +487,36 @@ HAHN_FAMILIES = ((4, 1, 1), (5, 1, 2), (6, "1/2", "3/2"))
 def hahn_suite(precision=50, qs=("0.5", "0.9"), families=HAHN_FAMILIES,
                tolerance=1e-30):
     """Orthogonality, norms, both forms, recurrence and difference data."""
-    worst_gram = mpf(0)
-    worst_forms = mpf(0)
-    worst_ttrr = mpf(0)
-    worst_diff = mpf(0)
+    worst_gram = 0
+    worst_forms = 0
+    worst_ttrr = 0
+    worst_diff = 0
     for q in qs:
         ctx = _ctx(q, precision)
-        with ctx.work():
-            for (cap_n, alpha, beta) in families:
-                norms = [hahn_norm_sq(HahnParams(n, cap_n, alpha, beta), ctx)
-                         for n in range(cap_n)]
-                for n in range(cap_n):
-                    params = HahnParams(n, cap_n, alpha, beta)
-                    for m in range(n, cap_n):
-                        entry = gram_entry(
-                            params, HahnParams(m, cap_n, alpha, beta), ctx)
-                        if m == n:
-                            worst_gram = max(worst_gram,
-                                             abs(entry / norms[n] - 1))
-                        else:
-                            scale = mp.sqrt(norms[n] * norms[m])
-                            worst_gram = max(worst_gram, abs(entry) / scale)
-                    for s in range(cap_n):
-                        va = hahn_eval(params, s, ctx, form="A")
-                        vb = hahn_eval(params, s, ctx, form="B")
-                        scale = max(abs(va), abs(vb), mpf(1))
-                        worst_forms = max(worst_forms, abs(va - vb) / scale)
-                        worst_ttrr = max(worst_ttrr,
-                                         hahn_ttrr_residual(params, s, ctx))
-                        worst_diff = max(
-                            worst_diff,
-                            hahn_difference_residual(params, s, ctx))
+        for (cap_n, alpha, beta) in families:
+            norms = [hahn_norm_sq(HahnParams(n, cap_n, alpha, beta), ctx)
+                     for n in range(cap_n)]
+            for n in range(cap_n):
+                params = HahnParams(n, cap_n, alpha, beta)
+                for m in range(n, cap_n):
+                    entry = gram_entry(
+                        params, HahnParams(m, cap_n, alpha, beta), ctx)
+                    if m == n:
+                        worst_gram = max(worst_gram,
+                                         abs(entry / norms[n] - 1))
+                    else:
+                        scale = ctx.mp.sqrt(norms[n] * norms[m])
+                        worst_gram = max(worst_gram, abs(entry) / scale)
+                for s in range(cap_n):
+                    va = hahn_eval(params, s, ctx, form="A")
+                    vb = hahn_eval(params, s, ctx, form="B")
+                    scale = max(abs(va), abs(vb), 1)
+                    worst_forms = max(worst_forms, abs(va - vb) / scale)
+                    worst_ttrr = max(worst_ttrr,
+                                     hahn_ttrr_residual(params, s, ctx))
+                    worst_diff = max(
+                        worst_diff,
+                        hahn_difference_residual(params, s, ctx))
     return [CheckResult("hahn_gram", worst_gram, tolerance),
             CheckResult("hahn_forms_agree", worst_forms, tolerance),
             CheckResult("hahn_ttrr", worst_ttrr, tolerance),
@@ -539,7 +526,7 @@ def hahn_suite(precision=50, qs=("0.5", "0.9"), families=HAHN_FAMILIES,
 def connection_suite(precision=50, qs=("0.5", "0.9"), j_cap=2,
                      tolerance=1e-30):
     """Both coupling-to-polynomial routes against the closed form."""
-    worst = mpf(0)
+    worst = 0
     for ctx, key in _sweep([_ctx(q, precision) for q in qs], j_cap):
         ref = cgc_racah(key, ctx)
         for route in ("J2", "J1"):
@@ -556,14 +543,13 @@ def classical_limit_suite(precision=50, j_cap="3/2", cgc_tolerance=1e-5,
     """Values at q = 1 - 1e-6 against the q = 1 branch."""
     ctx_near = _ctx("0.999999", precision)
     ctx_one = _ctx(1, precision)
-    worst_num = mpf(0)
-    with ctx_near.work():
-        x = Fraction(-5)
-        while x <= 5:
-            worst_num = max(worst_num, abs(qnum(HalfInt(x), ctx_near)
-                                           - ctx_near.to_mpf(x)))
-            x += Fraction(1, 2)
-    worst_cgc = mpf(0)
+    worst_num = 0
+    x = Fraction(-5)
+    while x <= 5:
+        worst_num = max(worst_num, abs(qnum(HalfInt(x), ctx_near)
+                                       - ctx_near.to_mpf(x)))
+        x += Fraction(1, 2)
+    worst_cgc = 0
     for _, key in _sweep([ctx_near], j_cap):
         worst_cgc = max(worst_cgc, abs(cgc_racah(key, ctx_near)
                                        - cgc_racah(key, ctx_one)))

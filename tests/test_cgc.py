@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -129,6 +131,31 @@ def test_racah_keeps_precision_at_large_spin():
     assert _exact_classical(120, 0, 119, 0, 200, 0)[1] == 0
     value = cgc_racah(CgcKey(120, 0, 119, 0, 200, 0), ctx)
     assert abs(value) < mpf(10) ** -ctx.precision
+
+
+def test_contexts_at_different_precisions_agree_across_threads():
+    # each context carries its own precision, so two threads at 40 and 300
+    # digits return exactly what each returns on its own
+    keys = admissible_keys(3, 3)
+
+    def run(precision):
+        ctx = QContext(q="0.7", precision=precision)
+        return [cgc_racah(key, ctx) for key in keys]
+
+    alone = {p: run(p) for p in (40, 300)}
+    threaded = {}
+    threads = [threading.Thread(target=lambda p=p: threaded.update({p: run(p)}))
+               for p in (40, 300)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == alone
 
 
 def test_unknown_mode_rejected():

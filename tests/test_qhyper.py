@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from qcgc import CgcKey, HalfInt, QContext, QDomainError, eval_basic, eval_terminating
 from qcgc.cgc import cgc_3f2_rw1, cgc_racah
@@ -222,7 +222,22 @@ def test_sum_short_after_the_boost_raises():
     ctx = QContext(q="0.5", precision=100)
 
     def terms(c):
-        return mpf(1), -1 + (mpf(10) ** -25 if c is ctx else 0)
+        return c.to_mpf(1), -1 + (c.to_mpf(10) ** -25 if c is ctx else 0)
 
     with pytest.raises(ArithmeticError):
         _sum_with_guard(terms, ctx)
+
+
+def test_kernel_leaves_global_precision_alone():
+    # the summands are built in the context the kernel hands them, so the
+    # global mpmath precision stays whatever the caller set
+    ctx = QContext(q="0.5", precision=50)
+    seen = []
+
+    def terms(c):
+        seen.append(mp.dps)
+        yield c.to_mpf(1)
+
+    with mp.workdps(15):
+        assert _sum_with_guard(terms, ctx) == 1
+    assert seen == [15]
