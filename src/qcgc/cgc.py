@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .halfint import HalfInt, halfint, halfint_range
-from .qcore import QDomainError, q_factorial, qnum
+from .qcore import (QDomainError, _renormalise, _signed_entry, factorial_pairs,
+                    qnum, qnum_pairs)
 from .qhyper import HyperSeriesSpec, _sum_with_guard, eval_terminating
 
 
@@ -189,11 +190,17 @@ def _factors(text):
 
 
 def _product(factors, t, ctx):
-    value = ctx.to_mpf(1)
+    """The product of the factors at the doubled labels t, as a pair."""
+    man, exp = 1, 0
     for form, factorial in factors:
         n = form.integer(t)
-        value *= q_factorial(n, ctx) if factorial else qnum(HalfInt(n), ctx)
-    return value
+        if factorial:
+            m, e = factorial_pairs(n, ctx)[0][n]
+        else:
+            m, e = _signed_entry(qnum_pairs(abs(2 * n), ctx)[0], 2 * n)
+        man *= m
+        exp += e
+    return man, exp
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +230,27 @@ class FactorialSum:
         den = [(form.integer(t), form.r) for form, _ in self.den]
         lo = max(-a for a, s in den if s > 0)
         hi = min(a for a, s in den if s < 0)
+        ends = [a + s * r for a, s in num + den for r in (lo, hi)]
+        if lo <= hi and min(ends) < 0:
+            raise QDomainError(f"q_factorial: negative argument {min(ends)}")
 
         def terms(c):
-            scale = _product(outside, t, c)
-            step = c.q ** e
-            qpower = c.q ** (e * lo)
+            width = c.width
+            fact, inverse = factorial_pairs(max(ends), c)
+            factors = ([(fact, a, s) for a, s in num]
+                       + [(inverse, a, s) for a, s in den])
+            step_man, step_exp = c.to_pair(c.q ** e)
+            man, exp = c.to_pair(c.mp.mpf(_product(outside, t, c)) * c.q ** (e * lo))
             for r in range(lo, hi + 1):
-                top = scale * qpower
-                bottom = 1
-                for a, s in num:
-                    top *= q_factorial(a + s * r, c)
-                for a, s in den:
-                    bottom *= q_factorial(a + s * r, c)
-                yield top / bottom if r % 2 == 0 else -top / bottom
-                qpower *= step
+                m, x = man, exp
+                for table, a, s in factors:  # _renormalise, inlined in the hot loop
+                    f, y = table[a + s * r]
+                    m *= f
+                    shift = m.bit_length() - width
+                    m >>= shift
+                    x += y + shift
+                yield (m if r % 2 == 0 else -m), x
+                man, exp = _renormalise(man * step_man, exp + step_exp, width)
 
         return _sum_with_guard(terms, ctx)
 
@@ -255,7 +269,7 @@ class HyperSeries:
             numerator=tuple(f.value(t) for f in self.numerator),
             denominator=tuple(f.value(t) for f in self.denominator),
             arg_exponent=self.arg_exponent.value(t))
-        return _product(outside, t, ctx) * eval_terminating(spec, ctx)
+        return ctx.mp.mpf(_product(outside, t, ctx)) * eval_terminating(spec, ctx)
 
 
 class ClosedForm:
@@ -285,7 +299,7 @@ class ClosedForm:
         t = _twice(key)
         num, den = self.root
         value = ctx.qpow(self.power.value(t)) * ctx.mp.sqrt(
-            _product(num, t, ctx) / _product(den, t, ctx))
+            ctx.mp.mpf(_product(num, t, ctx)) / ctx.mp.mpf(_product(den, t, ctx)))
         if self.phase.integer(t) % 2:
             value = -value
         if self.factor is not None:

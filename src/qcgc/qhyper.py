@@ -13,7 +13,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from .halfint import HalfInt, halfint
-from .qcore import GUARD_DIGITS, QDomainError, q_factorial, q_pochhammer, qnum
+from .qcore import (GUARD_DIGITS, QDomainError, _inverse_pair, _renormalise,
+                    _signed_entry, q_factorial, q_pochhammer, qnum_pairs)
 
 
 class SeriesIllPosed(ValueError):
@@ -67,49 +68,77 @@ class BasicSeriesSpec:
     termination_order = HyperSeriesSpec.termination_order
 
 
-def _series_terms(spec, c, z, bracket):
-    """Terms, as reals of ``c``, of a terminating series: t_0 = 1, and
-    t_(k+1) is t_k times z / bracket(k+1) times prod bracket(a+k) /
-    prod bracket(b+k).
+def _series_terms(spec, c, z, bracket, inverse):
+    """Terms, as ``c.width``-bit (man, exp) pairs, of a terminating series:
+    t_0 = 1, and t_(k+1) is t_k times z / [k+1] times prod [a+k] /
+    prod [b+k], renormalised after each step.
 
-    The live range is fixed a priori by the numerator cutoffs; a
-    denominator vanishing inside it raises on the first term.
+    z is a pair, and ``bracket(2x)`` and ``inverse(2x)`` give the pairs
+    of the bracket [x] and of 1/[x].  The live range is fixed a priori by
+    the numerator cutoffs; a denominator vanishing inside it raises on
+    the first term.
     """
     n_eff = spec.termination_order()
     for b in spec.denominator:
         if b.is_integer and b <= 0 and -b.as_int() < n_eff:
             raise SeriesIllPosed(
                 f"denominator parameter {b} vanishes at term {-b.as_int() + 1}")
-    term = c.to_mpf(1)
-    yield term
+    width = c.width
+    man, exp = 1 << (width - 1), 1 - width
+    yield man, exp
+    num = [a.twice for a in spec.numerator]
+    den = [b.twice for b in spec.denominator]
     for k in range(n_eff):
-        for a in spec.numerator:
-            term *= bracket(a + k)
-        for b in spec.denominator:
-            term /= bracket(b + k)
-        term *= z / bracket(HalfInt(k + 1))
-        yield term
+        factors = [z, inverse(2 * k + 2)]
+        factors += [bracket(a + 2 * k) for a in num]
+        factors += [inverse(b + 2 * k) for b in den]
+        for m, e in factors:
+            man *= m
+            exp += e
+        man, exp = _renormalise(man, exp, width)
+        yield man, exp
 
 
 def eval_terminating(spec, ctx):
     """Evaluate a terminating symmetric q-hypergeometric series."""
     exponent = spec.signed_exponent().as_fraction()
-    return _sum_with_guard(lambda c: _series_terms(
-        spec, c, c.qpow(exponent), lambda x: qnum(x, c)), ctx)
+    reach = 2 * spec.termination_order() + max(
+        abs(a.twice) for a in spec.numerator + spec.denominator)
+
+    def terms(c):
+        values, inverses = qnum_pairs(reach, c)
+        return _series_terms(spec, c, c.to_pair(c.qpow(exponent)),
+                             lambda t: _signed_entry(values, t),
+                             lambda t: _signed_entry(inverses, t))
+
+    return _sum_with_guard(terms, ctx)
 
 
 def eval_basic(spec, ctx):
     """Evaluate a terminating basic series with (a;q)_k coefficients."""
-    return _sum_with_guard(lambda c: _series_terms(
-        spec, c, c.to_mpf(spec.z), lambda x: 1 - c.qpow(x.as_fraction())), ctx)
+    def terms(c):
+        def bracket(t):
+            return c.to_pair(1 - c.qpow(Fraction(t, 2)))
+
+        return _series_terms(spec, c, c.to_pair(spec.z), bracket,
+                             lambda t: _inverse_pair(bracket(t), c.width))
+
+    return _sum_with_guard(terms, ctx)
 
 
 def _sum_with_guard(terms, ctx):
     """Sum the summands ``terms(c)`` to ``ctx.precision`` digits.
 
-    ``terms(c)`` builds its summands as reals of ``c`` (``c.to_mpf`` and
-    the q-primitives called with ``c``); the kernel never touches
-    mpmath's global precision.
+    A summand is a (man, exp) pair of Python ints with value man * 2^exp,
+    or a real of ``c`` (converted once, by ``c.to_pair``); the kernel
+    never touches mpmath's global precision.  Pairs carry ``c.width`` =
+    ``c.mp.prec`` + EXTRA_BITS bits, and a summand built by a chain of
+    products (a running q-power, a series term from the one before it)
+    is renormalised to that width after each step, or a mantissa near a
+    power of two loses a bit per step.  The summands are added into one
+    integer in units of 2^(peak - width), peak the top bit of the largest
+    summand (the bits of a summand below that unit are dropped), and the
+    total is rounded once into ``c``.
 
     The total is accurate relative to itself, or else to the absolute
     floor 10^-precision of the largest summand, in two passes at most.
@@ -121,17 +150,21 @@ def _sum_with_guard(terms, ctx):
     """
     c = ctx
     while True:
-        total = peak = c.to_mpf(0)
-        for term in terms(c):
-            total += term
-            peak = max(peak, abs(term))
-        if total:
-            lost = min(ctx.precision, math.ceil(
-                (c.mp.mag(peak) - c.mp.mag(total)) * math.log10(2)))
-        else:
-            lost = ctx.precision if peak else 0
+        pairs = [term if type(term) is tuple else c.to_pair(term)
+                 for term in terms(c)]
+        tops = [e + m.bit_length() for m, e in pairs if m]
+        total = base = lost = 0
+        if tops:
+            peak = max(tops)
+            base = peak - c.width
+            for m, e in pairs:
+                total += m << (e - base) if e >= base else m >> (base - e)
+            lost = ctx.precision
+            if total:
+                lost = min(lost, math.ceil(
+                    (peak - base - total.bit_length()) * math.log10(2)))
         if lost <= c.dps - ctx.precision:
-            return total
+            return c.mp.mpf((total, base))
         if c is not ctx:  # the boost leaves GUARD_DIGITS to spare
             raise ArithmeticError(f"sum lost {lost} digits after a boost "
                                   f"to {c.precision}")

@@ -136,9 +136,9 @@ def qhyper_suite(precision=50, samples=200, seed=20240901, tolerance=1e-35):
 
     worst = 0
     count = 0
+    contexts = {q: _ctx(q, precision) for q in ("0.3", "0.5", "0.7", "0.9")}
     while count < samples:
-        q = rng.choice(("0.3", "0.5", "0.7", "0.9"))
-        ctx = _ctx(q, precision)
+        ctx = contexts[rng.choice(tuple(contexts))]
         n = rng.randint(0, 5)
         others = [HalfInt(Fraction(rng.randint(1, 16), 2)) for _ in range(4)]
         a, b, d, e = others

@@ -158,6 +158,48 @@ def test_contexts_at_different_precisions_agree_across_threads():
     assert threaded == alone
 
 
+def test_one_context_shared_across_threads():
+    # the context's memo and integer tables grow while two threads read
+    # them; each thread must still see exactly the single-threaded values
+    keys = admissible_keys(3, 3) + [
+        CgcKey(60, 3, 65, -2, 70, 1), CgcKey("121/2", "1/2", 64, 0, "115/2", "1/2"),
+        CgcKey("235/2", "3/2", "217/2", "-1/2", 119, 1), CgcKey(90, 0, 80, 0, 150, 0)]
+    alone = QContext(q="0.7", precision=50)
+    expected = [cgc_racah(key, alone) for key in keys]
+    shared = QContext(q="0.7", precision=50)
+    threaded = {}
+
+    def run(name, order):
+        threaded[name] = {i: cgc_racah(keys[i], shared) for i in order}
+
+    forward = range(len(keys))
+    threads = [threading.Thread(target=run, args=("forward", forward)),
+               threading.Thread(target=run, args=("backward", forward[::-1]))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(threaded) == 2
+    for values in threaded.values():
+        assert [values[i] for i in forward] == expected
+
+
+@pytest.mark.parametrize("q", ["0.99", "0.9", "1.25"])
+def test_racah_keeps_precision_of_long_q_power_chains(q):
+    # q^-346 and its successors are built one multiply at a time; a chain
+    # that is not renormalised after each step loses a bit per step
+    key = CgcKey("235/2", "3/2", "217/2", "-1/2", 119, 1)
+    value = cgc_racah(key, QContext(q=q, precision=50))
+    reference = cgc_racah(key, QContext(q=q, precision=120))
+    assert abs(value - reference) <= mpf("1e-55") * abs(reference)
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(QDomainError):
         compute(CgcKey(1, 0, 1, 0, 2, 0), CTX, mode="bogus")

@@ -145,6 +145,11 @@ def test_reciprocal_context_round_trip():
         assert back.q == CTX.q
 
 
+def test_reciprocal_context_is_kept_on_its_parent():
+    ctx = QContext(q="0.7", precision=50)
+    assert ctx.reciprocal() is ctx.reciprocal()
+
+
 def test_with_precision_keeps_exact_base():
     boosted = CTX.with_precision(90)
     with boosted.work():
