@@ -20,14 +20,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .halfint import HalfInt, halfint, halfint_range
-from .qcore import (QDomainError, _renormalise, _signed_entry, factorial_pairs,
-                    qnum, qnum_pairs)
+from .qcore import (QDomainError, _qpow_pair, _renormalise, _signed_entry,
+                    factorial_pairs, qnum, qnum_pairs)
 from .qhyper import HyperSeriesSpec, _sum_with_guard, eval_terminating
 
 
 @dataclass(frozen=True)
 class CgcKey:
-    """The sextuple (j1, m1, j2, m2, j, m) addressing one coefficient."""
+    """The sextuple (j1, m1, j2, m2, j, m) addressing one coefficient.
+
+    ``twice`` holds the six labels doubled, as plain ints.
+    """
 
     j1: HalfInt
     m1: HalfInt
@@ -39,6 +42,7 @@ class CgcKey:
     def __post_init__(self):
         for name in ("j1", "m1", "j2", "m2", "j", "m"):
             object.__setattr__(self, name, halfint(getattr(self, name)))
+        object.__setattr__(self, "twice", tuple(x.twice for x in self.labels()))
 
     def labels(self):
         return (self.j1, self.m1, self.j2, self.m2, self.j, self.m)
@@ -50,7 +54,7 @@ class CgcKey:
 
 def selection_failure(key):
     """Reason the key fails the selection rules, or None if it passes."""
-    j1, m1, j2, m2, j, m = key.labels()
+    j1, m1, j2, m2, j, m = key.twice
     if j1 < 0 or j2 < 0 or j < 0:
         return "selection: negative spin"
     if m != m1 + m2:
@@ -59,9 +63,9 @@ def selection_failure(key):
         return "selection: |m| > j"
     if j < abs(j1 - j2) or j > j1 + j2:
         return "selection: triangle rule"
-    if not (j1 + j2 + j).is_integer:
+    if (j1 + j2 + j) % 2:
         return "selection: j1+j2+j not integral"
-    if not ((j1 - m1).is_integer and (j2 - m2).is_integer and (j - m).is_integer):
+    if (j1 - m1) % 2 or (j2 - m2) % 2 or (j - m) % 2:
         return "selection: j-m not integral"
     return None
 
@@ -91,14 +95,10 @@ def _fr(x):
 
 
 # ---------------------------------------------------------------------------
-# forms in the labels
+# forms in the labels, compiled to functions of the doubled labels
 # ---------------------------------------------------------------------------
 
 _VARIABLES = ("j1", "m1", "j2", "m2", "j", "m", "r")
-
-
-def _twice(key):
-    return tuple(x.twice for x in key.labels())
 
 
 def _poly(node):
@@ -130,76 +130,116 @@ def _poly(node):
     raise ValueError(f"unsupported form {ast.unparse(node)!r}")
 
 
-class _Form:
-    """A polynomial of degree <= 2 in the six labels, plus a multiple of r.
+@functools.cache
+def _parse(text):
+    """A form such as ``"j1*m2 - (j1+j2-j)*(j1+j2+j+1)/2"``, where a digit
+    before a letter multiplies (``"2j+1"``), as (numerator, den, r).
 
-    Parsed once from text such as ``"j1*m2 - (j1+j2-j)*(j1+j2+j+1)/2"``,
-    where a digit before a letter multiplies (``"2j+1"``).  It is read on
-    the doubled labels (``HalfInt.twice``), with integer arithmetic only;
-    the coefficient of r is kept apart in ``r``.
+    At the doubled labels (``HalfInt.twice``, bound to the label names)
+    the form's value is numerator / den, numerator the source of an
+    integer polynomial; r is the coefficient of the summation index r,
+    which the numerator leaves out.
     """
-
-    __slots__ = ("text", "terms", "den", "r")
-
-    def __init__(self, text):
-        expr = re.sub(r"(\d)([a-z(])", r"\1*\2", text)
-        poly = _poly(ast.parse(expr, mode="eval").body)
-        self.text = text
-        self.r = int(poly.pop((_VARIABLES.index("r"),), 0))
-        # a label enters as twice/2, so over the common denominator 4 * lcm
-        # a monomial of degree d carries 2^(2-d)
-        lcm = math.lcm(*(Fraction(c).denominator for c in poly.values()))
-        terms = {mono: int(c * lcm) << (2 - len(mono))
-                 for mono, c in poly.items() if c}
-        g = math.gcd(4 * lcm, *terms.values())
-        self.den = 4 * lcm // g
-        self.terms = tuple((n // g, mono) for mono, n in terms.items())
-
-    def _numerator(self, t):
-        total = 0
-        for n, mono in self.terms:
-            for i in mono:
-                n *= t[i]
-            total += n
-        return total
-
-    def value(self, t):
-        """The exact value at the doubled labels t (at r = 0)."""
-        return Fraction(self._numerator(t), self.den)
-
-    def integer(self, t):
-        n, rest = divmod(self._numerator(t), self.den)
-        if rest:
-            raise QDomainError(f"{self.text} is not an integer here")
-        return n
+    expr = re.sub(r"(\d)([a-z(])", r"\1*\2", text)
+    poly = _poly(ast.parse(expr, mode="eval").body)
+    r = int(poly.pop((_VARIABLES.index("r"),), 0))
+    # a label enters as twice/2, so over the common denominator 4 * lcm
+    # a monomial of degree d carries 2^(2-d)
+    lcm = math.lcm(*(Fraction(c).denominator for c in poly.values()))
+    terms = {mono: int(c * lcm) << (2 - len(mono))
+             for mono, c in poly.items() if c}
+    g = math.gcd(4 * lcm, *terms.values())
+    monomials = []
+    for mono, n in terms.items():
+        factors = [_VARIABLES[i] for i in mono]
+        if abs(n // g) != 1 or not factors:
+            factors.insert(0, str(abs(n // g)))
+        monomials.append(("- " if n < 0 else "+ ") + "*".join(factors))
+    return " ".join(monomials).removeprefix("+ ") or "0", 4 * lcm // g, r
 
 
-_form = functools.cache(_Form)
+def _compile(shape):
+    """One function of the six doubled labels that returns ``shape`` with
+    its leaves evaluated.
+
+    ``shape`` nests lists (returned as tuples), ints (returned as they
+    are) and leaves (kind, form): kind "int" is the form's value, "twice"
+    twice its value and "fraction" its value as a Fraction.  An "int" or
+    "twice" leaf that is not an integer raises QDomainError; on a key
+    that passes the selection rules every such leaf of the rows below is
+    one.  Rows compile their forms on first use, not at import.
+    """
+    lines, masks = [], {}
+
+    def emit(node):
+        if isinstance(node, list):
+            return "(" + "".join(emit(x) + ", " for x in node) + ")"
+        if isinstance(node, int):
+            return repr(node)
+        kind, text = node
+        numerator, den, _ = _parse(text)
+        if kind == "fraction":
+            return f"Fraction({numerator}, {den})"
+        if kind == "twice":
+            if den == 1:
+                return f"2 * ({numerator})"
+            den //= 2
+        if den == 1:
+            return f"({numerator})"
+        if den & (den - 1):
+            raise ValueError(f"{text!r} has a denominator other than a power of 2")
+        local = f"_{len(lines)}"
+        lines.append(f"    {local} = {numerator}")
+        masks.setdefault(den - 1, []).append(local)
+        return f"({local} >> {den.bit_length() - 1})"
+
+    result = emit(shape)
+    labels = ", ".join(_VARIABLES[:6])
+    checks = " or ".join(f"({' | '.join(names)}) & {mask}"
+                         for mask, names in masks.items())
+    if checks:
+        lines.append(f"    if {checks}:\n        raise QDomainError("
+                     f"f'a label form is not an integer at 2*labels = "
+                     f"{{({labels})}}')")
+    source = "\n".join([f"def labels({labels}):", *lines, f"    return {result}"])
+    namespace = {"Fraction": Fraction, "QDomainError": QDomainError}
+    exec(compile(source, "<label forms>", "exec"), namespace)
+    return namespace["labels"]
 
 
 def _factors(text):
-    """Numerator and denominator lists of (form, is_factorial) pairs.
-
-    The text is a ratio of brackets [x] and q-factorials [x]! such as
-    ``"[2j+1] [j+m]! / [j-m]!"``, every argument a form in the labels.
-    """
+    """The forms under the factorials and under the brackets on each side
+    of a ratio such as ``"[2j+1] [j+m]! / [j-m]!"``, as
+    ((numerator factorials, numerator brackets), (denominator factorials,
+    denominator brackets))."""
     num, _, den = text.partition("/")
-    return tuple(tuple((_form(arg), bang == "!") for arg, bang
-                       in re.findall(r"\[([^\]]*)\](!?)", side))
+    return tuple(tuple([arg for arg, bang in re.findall(r"\[([^\]]*)\](!?)", side)
+                        if bang == kind] for kind in ("!", ""))
                  for side in (num, den))
 
 
-def _product(factors, t, ctx):
-    """The product of the factors at the doubled labels t, as a pair."""
+def _ints(forms):
+    return [("int", form) for form in forms]
+
+
+def _product(factorials, brackets, c):
+    """The pair of prod [n]! times prod [n] over the given n (not
+    renormalised: the mantissa has up to ``c.width`` bits per factor)."""
     man, exp = 1, 0
-    for form, factorial in factors:
-        n = form.integer(t)
-        if factorial:
-            m, e = factorial_pairs(n, ctx)[0][n]
-        else:
-            m, e = _signed_entry(qnum_pairs(abs(2 * n), ctx)[0], 2 * n)
-        man *= m
-        exp += e
+    if factorials:
+        if min(factorials) < 0:
+            raise QDomainError(f"q_factorial: negative argument {min(factorials)}")
+        table = factorial_pairs(max(factorials), c)[0]
+        for n in factorials:
+            m, e = table[n]
+            man *= m
+            exp += e
+    if brackets:
+        table = qnum_pairs(2 * max(map(abs, brackets)), c)[0]
+        for n in brackets:
+            m, e = _signed_entry(table, 2 * n)
+            man *= m
+            exp += e
     return man, exp
 
 
@@ -216,39 +256,53 @@ class FactorialSum:
     """
 
     def __init__(self, power, factors):
-        self.power = _form(power)
-        self.num, self.den = _factors(factors)
+        self.power = power
+        (self.num, _), (self.den, _) = _factors(factors)
 
-    def value(self, t, outside, ctx):
-        """The outside factors times the sum at the doubled labels t.
+    def shape(self):
+        """The power, then the (a_i, s_i) of the numerator and denominator."""
+        return [("int", self.power),
+                *([[("int", a), _parse(a)[2]] for a in side]
+                  for side in (self.num, self.den))]
 
-        The outside factors scale every summand, so that the guard
-        measures the cancellation against summands of their true size.
+    def value(self, labels, prefactor, ctx):
+        """The prefactor times the sum, from the evaluated ``shape()``.
+
+        ``prefactor(halves)`` is the pair of the row's prefactor times
+        q^(halves/2), made in ctx; it scales every summand, so that the
+        guard measures the cancellation against summands of their true
+        size.  A boosted pass reuses it: an error common to every summand
+        is not amplified by their cancellation.
         """
-        e = self.power.integer(t)
-        num = [(form.integer(t), form.r) for form, _ in self.num]
-        den = [(form.integer(t), form.r) for form, _ in self.den]
+        e, num, den = labels
         lo = max(-a for a, s in den if s > 0)
         hi = min(a for a, s in den if s < 0)
+        if lo > hi:
+            return ctx.to_mpf(0)
         ends = [a + s * r for a, s in num + den for r in (lo, hi)]
-        if lo <= hi and min(ends) < 0:
+        if min(ends) < 0:
             raise QDomainError(f"q_factorial: negative argument {min(ends)}")
+        start = prefactor(2 * e * lo)
 
         def terms(c):
             width = c.width
             fact, inverse = factorial_pairs(max(ends), c)
             factors = ([(fact, a, s) for a, s in num]
                        + [(inverse, a, s) for a, s in den])
-            step_man, step_exp = c.to_pair(c.q ** e)
-            man, exp = c.to_pair(c.mp.mpf(_product(outside, t, c)) * c.q ** (e * lo))
+            step_man, step_exp = _qpow_pair(2 * e, c)
+            man, exp = start
             for r in range(lo, hi + 1):
-                m, x = man, exp
+                # the factorials first and the running power last, so that
+                # summands with the same factorials in another order, whose
+                # product is exact at q = 1 and small arguments, round alike
+                m, x = 1, 0
                 for table, a, s in factors:  # _renormalise, inlined in the hot loop
                     f, y = table[a + s * r]
                     m *= f
                     shift = m.bit_length() - width
                     m >>= shift
                     x += y + shift
+                m, x = _renormalise(m * man, x + exp, width)
                 yield (m if r % 2 == 0 else -m), x
                 man, exp = _renormalise(man * step_man, exp + step_exp, width)
 
@@ -259,54 +313,119 @@ class HyperSeries:
     """A terminating 3F2 at argument q^arg_exponent, parameters as forms."""
 
     def __init__(self, numerator, denominator, arg_exponent):
-        self.numerator = tuple(_form(f) for f in numerator)
-        self.denominator = tuple(_form(f) for f in denominator)
-        self.arg_exponent = _form(arg_exponent)
+        self.numerator = numerator
+        self.denominator = denominator
+        self.arg_exponent = arg_exponent
 
-    def value(self, t, outside, ctx):
-        """The outside factors times the series at the doubled labels t."""
+    def shape(self):
+        return [[("twice", f) for f in self.numerator],
+                [("twice", f) for f in self.denominator],
+                ("twice", self.arg_exponent)]
+
+    def value(self, labels, prefactor, ctx):
+        """The prefactor times the series, from the evaluated ``shape()``."""
+        numerator, denominator, arg = labels
         spec = HyperSeriesSpec(
-            numerator=tuple(f.value(t) for f in self.numerator),
-            denominator=tuple(f.value(t) for f in self.denominator),
-            arg_exponent=self.arg_exponent.value(t))
-        return ctx.mp.mpf(_product(outside, t, ctx)) * eval_terminating(spec, ctx)
+            numerator=tuple(HalfInt(twice=t) for t in numerator),
+            denominator=tuple(HalfInt(twice=t) for t in denominator),
+            arg_exponent=HalfInt(twice=arg))
+        return eval_terminating(spec, ctx, scale=prefactor())
+
+
+class BracketDifference:
+    """first q^power - second, first and second products of brackets and
+    factorials such as ``"[2j2] [j1+j2-m]"``."""
+
+    def __init__(self, first, power, second):
+        self.first = _factors(first)[0]
+        self.power = power
+        self.second = _factors(second)[0]
+
+    def shape(self):
+        return [[_ints(f) for f in self.first], ("twice", self.power),
+                [_ints(f) for f in self.second]]
+
+    def value(self, labels, prefactor, ctx):
+        """The prefactor times the difference, from the evaluated ``shape()``."""
+        first, power, second = labels
+        man, exp = prefactor()
+
+        def terms(c):
+            (am, ae), (bm, be) = _product(*first, c), _product(*second, c)
+            qm, qe = _qpow_pair(power, c)
+            return [(man * am * qm, exp + ae + qe), (-man * bm, exp + be)]
+
+        return _sum_with_guard(terms, ctx)
 
 
 class ClosedForm:
     """One closed form or special value as a row of label forms.
 
-    The value is (-1)^phase q^power sqrt(root) times the optional
-    factor(key, ctx) and the series (a FactorialSum or a HyperSeries,
-    which also takes the outside factors).  Special values carry in
-    ``match`` the forms that vanish on their pattern; ``classical(key,
-    ctx)`` replaces the whole row at q = 1 when given.
+    The value is (-1)^phase q^power sqrt(root) times the outside factors
+    and the series (a FactorialSum, HyperSeries or BracketDifference).
+    Special values carry in ``match`` the forms that vanish on their
+    pattern; ``classical(key, ctx)`` replaces the whole row at q = 1 when
+    given.
+
+    The row is evaluated in (man, exp) pairs of Python ints: its label
+    forms are compiled on first use into one function of the doubled
+    labels, the root is an integer square root of an integer ratio, the
+    q-power is a pair from the context's q^(+-1/2), and the prefactor
+    they make scales every summand of the series, so that the value is
+    rounded once.
     """
 
     def __init__(self, power, root, phase="0", outside="", series=None,
-                 match=(), factor=None, classical=None):
-        self.power = _form(power)
-        self.root = _factors(root)
-        self.phase = _form(phase)
-        self.outside = _factors(outside)[0]
+                 match=(), classical=None):
+        self.phase, self.power = phase, power
+        self.root, self.outside = _factors(root), _factors(outside)[0]
         self.series = series
-        self.match = tuple(_form(f) for f in match)
-        self.factor = factor
+        self.match = match
         self.classical = classical
+
+    @functools.cached_property
+    def _labels(self):
+        return _compile([
+            ("int", self.phase), ("twice", self.power),
+            *([_ints(f) for f in side] for side in (*self.root, self.outside)),
+            self.series.shape() if self.series else []])
+
+    @functools.cached_property
+    def _match(self):
+        # the match forms have denominator 2, so twice their value is an
+        # integer on any key
+        return _compile([("twice", f) for f in self.match])
+
+    def matches(self, key):
+        """True if every match form vanishes on the key."""
+        return not any(self._match(*key.twice))
 
     def value(self, key, ctx):
         if self.classical is not None and ctx.is_classical:
             return self.classical(key, ctx)
-        t = _twice(key)
-        num, den = self.root
-        value = ctx.qpow(self.power.value(t)) * ctx.mp.sqrt(
-            ctx.mp.mpf(_product(num, t, ctx)) / ctx.mp.mpf(_product(den, t, ctx)))
-        if self.phase.integer(t) % 2:
-            value = -value
-        if self.factor is not None:
-            value *= self.factor(key, ctx)
-        if self.series is not None:
-            value *= self.series.value(t, self.outside, ctx)
-        return value
+        labels = self._labels(*key.twice)
+        prefactor = functools.partial(_prefactor, labels, ctx)
+        if self.series is None:
+            return ctx.mp.mpf(prefactor())
+        return self.series.value(labels[-1], prefactor, ctx)
+
+
+def _prefactor(labels, c, halves=0):
+    """The ``c.width``-bit pair of (-1)^phase q^(power + halves/2)
+    sqrt(root) times the outside factors of a row's evaluated labels."""
+    phase, power, num, den, outside, _ = labels
+    width = c.width
+    nm, ne = _product(*num, c)
+    dm, de = _product(*den, c)
+    # the ratio to 2*width bits or one more, over an even power of two
+    shift = 2 * width + dm.bit_length() - nm.bit_length()
+    shift += (ne - de - shift) % 2
+    ratio = (nm << shift) // dm if shift >= 0 else nm // (dm << -shift)
+    qm, qe = _qpow_pair(power + halves, c)
+    om, oe = _product(*outside, c)
+    man, exp = _renormalise(math.isqrt(ratio) * qm * om,
+                            (ne - de - shift) // 2 + qe + oe, width)
+    return (-man if phase % 2 else man), exp
 
 
 _QUADRATIC_MINUS = "j1*m2 - j2*m1 - (j1+j2-j)*(j1+j2+j+1)/2"
@@ -425,12 +544,17 @@ class SymmetryRelation:
     def __init__(self, name, key_map, q_flip, phase_form="0", power_form="0",
                  norm_num=None, norm_den=None):
         self.name = name
-        self.key_map = tuple(_form(f) for f in key_map)
+        self.key_map = key_map
         self.q_flip = q_flip
-        self.phase_form = _form(phase_form)
-        self.power_form = _form(power_form)
-        self.norm = None if norm_num is None else (_form(norm_num),
-                                                   _form(norm_den))
+        self.phase_form = phase_form
+        self.power_form = power_form
+        self.norm = () if norm_num is None else (norm_num, norm_den)
+
+    @functools.cached_property
+    def _labels(self):
+        return _compile([
+            [("twice", f) for f in self.key_map], ("int", self.phase_form),
+            ("fraction", self.power_form), [("twice", f) for f in self.norm]])
 
 
 SYMMETRIES = {
@@ -486,35 +610,19 @@ def apply_symmetry(key, relation):
     """Descriptor such that CGC_q(key) = prefactor * CGC_q'(mapped key)."""
     if isinstance(relation, str):
         relation = SYMMETRIES[relation]
-    t = _twice(key)
-    new_key = CgcKey(*(HalfInt(f.value(t)) for f in relation.key_map))
-    phase = relation.phase_form.value(t)
-    if phase.denominator != 1:
-        raise QDomainError(f"non-integer phase for {relation.name} on {key}")
-    norm_pair = None
-    if relation.norm is not None:
-        norm_pair = tuple(HalfInt(f.value(t)) for f in relation.norm)
+    key_map, phase, q_power, norm = relation._labels(*key.twice)
     return SymmetryDescriptor(
-        key=new_key,
+        key=CgcKey(*(HalfInt(twice=t) for t in key_map)),
         q_flip=relation.q_flip,
-        phase=int(phase) % 2,
-        q_power=relation.power_form.value(t),
-        norm_pair=norm_pair,
+        phase=phase % 2,
+        q_power=q_power,
+        norm_pair=tuple(HalfInt(twice=t) for t in norm) or None,
     )
 
 
 # ---------------------------------------------------------------------------
 # special values
 # ---------------------------------------------------------------------------
-
-def _stretched_minus_one_bracket(key, ctx):
-    # rederived from the two-term 3F2; the first factor reads [2j1+2j2],
-    # not the difference of the spins
-    j1, m1, j2, m2, j, m = key.labels()
-    return _sum_with_guard(lambda c: (
-        qnum(2 * j1 + 2 * j2, c) * qnum(j2 - m2, c) * c.qpow(_fr(j1 + m1)),
-        -qnum(2 * j2, c) * qnum(j1 + j2 - m, c)), ctx)
-
 
 # in priority order: the first row whose pattern matches is used
 SPECIAL_VALUES = {
@@ -528,7 +636,10 @@ SPECIAL_VALUES = {
         match=("j1+j2-j-1",), power="j1*m2 - j2*m1 - j1 - j2",
         root=("[2j1+2j2-1] [2j1-1]! [2j2-1]! [j1+j2+m-1]! [j1+j2-m-1]! "
               "/ [2j1+2j2]! [j1+m1]! [j1-m1]! [j2+m2]! [j2-m2]!"),
-        factor=_stretched_minus_one_bracket),
+        # rederived from the two-term 3F2; the first factor reads
+        # [2j1+2j2], not the difference of the spins
+        series=BracketDifference("[2j1+2j2] [j2-m2]", "j1+m1",
+                                 "[2j2] [j1+j2-m]")),
     # j = j1 - j2 implies j1 >= j2 on an admissible key
     "antistretched": ClosedForm(
         match=("j1-j2-j",), phase="j2+m2", power="-j1*m2 - j2*m1 - m2",
@@ -586,9 +697,8 @@ def special_value(key, ctx):
     """
     if not selection_rules(key):
         return None
-    t = _twice(key)
     for row in SPECIAL_VALUES.values():
-        if all(form.value(t) == 0 for form in row.match):
+        if row.matches(key):
             return row.value(key, ctx)
     return None
 

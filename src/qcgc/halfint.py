@@ -7,11 +7,14 @@ ever touches floating point.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from functools import total_ordering
+
+# 1/2 modulo the modulus of Python's numeric hash, as Fraction.__hash__
+# uses it
+_HASH_HALF = pow(2, -1, sys.hash_info.modulus)
 
 
-@total_ordering
 class HalfInt:
     """An exact half-integer, stored as a doubled integer."""
 
@@ -83,17 +86,39 @@ class HalfInt:
     def __abs__(self):
         return HalfInt(twice=abs(self.twice))
 
+    def _other_twice(self, other):
+        if type(other) is HalfInt:
+            return other.twice
+        if type(other) is int:
+            return 2 * other
+        return HalfInt(other).twice
+
     def __eq__(self, other):
         try:
-            return self.twice == HalfInt(other).twice
+            return self.twice == self._other_twice(other)
         except (TypeError, ValueError):
             return NotImplemented
 
     def __lt__(self, other):
-        return self.twice < HalfInt(other).twice
+        return self.twice < self._other_twice(other)
+
+    def __le__(self, other):
+        return self.twice <= self._other_twice(other)
+
+    def __gt__(self, other):
+        return self.twice > self._other_twice(other)
+
+    def __ge__(self, other):
+        return self.twice >= self._other_twice(other)
 
     def __hash__(self):
-        return hash(self.as_fraction())
+        # equal to hash(int) or hash(Fraction) of the same value
+        t = self.twice
+        if t % 2 == 0:
+            return hash(t // 2)
+        h = hash(hash(abs(t)) * _HASH_HALF)
+        h = h if t > 0 else -h
+        return -2 if h == -1 else h
 
     def __float__(self):
         return self.twice / 2

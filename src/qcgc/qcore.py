@@ -14,6 +14,7 @@ q^2: requiring Gamma_tilde(n+1) = [n]! forces that base (the symmetric
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 
@@ -81,6 +82,9 @@ class QContext:
         # by 2x ([0] = 0 has no inverse); see factorial_pairs, qnum_pairs
         self._factorials = ([], [])
         self._brackets = ([(0, 0)], [None])
+        # the pairs of q^(1/2) and q^(-1/2), from which _qpow_pair squares
+        half = _sqrt_pair(self.q, self.width)
+        self._half_powers = (half, _inverse_pair(half, self.width))
 
     def work(self):
         """Set mpmath's global precision to this context's, for a caller's
@@ -161,6 +165,48 @@ def _q_factorial_raw(n, ctx):
     for k in range(1, n):
         value = ctx._memo(("fact", k), lambda: value * qnum(HalfInt(k), ctx))
     return value * qnum(HalfInt(n), ctx) if n else value
+
+
+def _sqrt_pair(x, width):
+    """The width-bit pair of sqrt(x) for a positive real x."""
+    _, man, exp, bc = x._mpf_
+    # shift man to 2*width - 1 bits or one fewer, leaving an even exponent,
+    # so that the integer square root has exactly width bits
+    shift = 2 * width - 1 - bc
+    if (exp - shift) % 2:
+        shift -= 1
+    return math.isqrt(man << shift), (exp - shift) // 2
+
+
+def _qpow_pair(twice, ctx):
+    """q^(twice/2) as a ``ctx.width``-bit pair.
+
+    Square-and-multiply from the pair of q^(1/2) or q^(-1/2) made with
+    the context, renormalised after each product: about 2 log2|twice|
+    products and no table, whatever the exponent.
+    """
+    width = ctx.width
+    if twice == 0 or ctx.is_classical:
+        return 1 << (width - 1), 1 - width
+    man, exp = ctx._half_powers[twice < 0]
+    n = abs(twice)
+    result = None
+    while True:  # _renormalise, inlined
+        if n & 1:
+            if result is None:
+                result, result_exp = man, exp
+            else:
+                result *= man
+                shift = result.bit_length() - width
+                result >>= shift
+                result_exp += exp + shift
+        n >>= 1
+        if not n:
+            return result, result_exp
+        man *= man
+        shift = man.bit_length() - width
+        man >>= shift
+        exp = 2 * exp + shift
 
 
 def _renormalise(man, exp, width):
@@ -262,20 +308,27 @@ def _gamma_base(sv, base, ctx):
     cutoff = ctx.to_mpf(10) ** -(ctx.precision + 5)
     num = 1
     den = 1
-    k = 0
+    # running powers base^(k+1) and base^(sv+k), one multiply per factor
+    power_num = base
+    power_den = base ** sv
     while True:
-        f_num = 1 - base ** (k + 1)
-        f_den = 1 - base ** (sv + k)
-        num *= f_num
-        den *= f_den
-        if abs(1 - f_num) < cutoff and abs(1 - f_den) < cutoff:
+        num *= 1 - power_num
+        den *= 1 - power_den
+        if power_num < cutoff and abs(power_den) < cutoff:
             break
-        k += 1
+        power_num *= base
+        power_den *= base
     return (1 - base) ** (1 - sv) * num / den
 
 
 def q_gamma_tilde(s, ctx):
-    """Symmetric q-Gamma: Gamma_tilde(n+1) = [n]! for integer n >= 0."""
+    """Symmetric q-Gamma: Gamma_tilde(n+1) = [n]! for integer n >= 0.
+
+    At a half-integer s it is Gamma_tilde(1/2), memoised on the context,
+    times (1/2|q)_(s-1/2), or divided by (s|q)_(1/2-s) when s < 1/2, by
+    the functional equation Gamma_tilde(x+1) = [x] Gamma_tilde(x); other
+    real arguments evaluate the truncated infinite products.
+    """
     sv = ctx.to_mpf(s)
     if sv <= 0 and sv == ctx.mp.floor(sv):
         raise QDomainError(f"q-Gamma pole at s={s}")
@@ -284,6 +337,18 @@ def q_gamma_tilde(s, ctx):
     if sv == ctx.mp.floor(sv):
         # factorial shortcut for positive integer arguments
         return q_factorial(int(sv) - 1, ctx)
+    if 2 * sv == ctx.mp.floor(2 * sv):
+        half = HalfInt(twice=1)
+        gamma_half = ctx._memo(("gamma_half",), lambda: _gamma_tilde_raw(
+            ctx.to_mpf(half), ctx))
+        s = HalfInt(twice=int(2 * sv))
+        if s > 0:
+            return gamma_half * q_pochhammer(half, (s - half).as_int(), ctx)
+        return gamma_half / q_pochhammer(s, (half - s).as_int(), ctx)
+    return _gamma_tilde_raw(sv, ctx)
+
+
+def _gamma_tilde_raw(sv, ctx):
     base = ctx.q ** 2
     return base ** (-(sv - 1) * (sv - 2) / 4) * _gamma_base(sv, base, ctx)
 

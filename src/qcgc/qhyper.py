@@ -13,8 +13,9 @@ from fractions import Fraction
 from itertools import permutations
 
 from .halfint import HalfInt, halfint
-from .qcore import (GUARD_DIGITS, QDomainError, _inverse_pair, _renormalise,
-                    _signed_entry, q_factorial, q_pochhammer, qnum_pairs)
+from .qcore import (GUARD_DIGITS, QDomainError, _inverse_pair, _qpow_pair,
+                    _renormalise, _signed_entry, q_factorial, q_pochhammer,
+                    qnum_pairs)
 
 
 class SeriesIllPosed(ValueError):
@@ -99,17 +100,30 @@ def _series_terms(spec, c, z, bracket, inverse):
         yield man, exp
 
 
-def eval_terminating(spec, ctx):
-    """Evaluate a terminating symmetric q-hypergeometric series."""
-    exponent = spec.signed_exponent().as_fraction()
+def eval_terminating(spec, ctx, scale=None):
+    """Evaluate a terminating symmetric q-hypergeometric series.
+
+    ``scale``, when given, is the pair of a factor multiplying every
+    term, so that the guard measures the cancellation against terms of
+    their true size and the product is rounded once.  It multiplies each
+    finished term, so terms that cancel exactly still do, and a boosted
+    pass reuses it: an error common to every term is not amplified by
+    their cancellation.
+    """
+    twice = spec.arg_exponent.twice * spec.arg_sign
     reach = 2 * spec.termination_order() + max(
         abs(a.twice) for a in spec.numerator + spec.denominator)
 
     def terms(c):
         values, inverses = qnum_pairs(reach, c)
-        return _series_terms(spec, c, c.to_pair(c.qpow(exponent)),
-                             lambda t: _signed_entry(values, t),
-                             lambda t: _signed_entry(inverses, t))
+        series = _series_terms(spec, c, _qpow_pair(twice, c),
+                               lambda t: _signed_entry(values, t),
+                               lambda t: _signed_entry(inverses, t))
+        if scale is None:
+            return series
+        scale_man, scale_exp = scale
+        return (_renormalise(m * scale_man, e + scale_exp, c.width)
+                for m, e in series)
 
     return _sum_with_guard(terms, ctx)
 

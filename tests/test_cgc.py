@@ -1,5 +1,6 @@
 """Unit tests for the Clebsch-Gordan closed forms and their structure."""
 
+import itertools
 import math
 import random
 import sys
@@ -47,6 +48,19 @@ def test_selection_failures_are_reported():
     assert selection_failure(CgcKey(1, 2, 1, 0, 2, 2)) is not None  # |m1|>j1
     assert selection_failure(CgcKey(1, 0, "1/2", "1/2", 1, "1/2")) is not None
     assert selection_failure(CgcKey(1, 0, 1, 0, 2, 0)) is None
+
+
+def test_integer_selection_rules_admit_exactly_the_admissible_keys():
+    # every doubled-label sextuple with 2j's in 0..3 and 2m's in -3..3
+    spins = [HalfInt(twice=t) for t in range(4)]
+    admissible = {key.twice for j1 in spins for j2 in spins
+                  for key in admissible_keys(j1, j2, j_cap=spins[-1])}
+    passing = set()
+    for t in itertools.product(range(4), range(-3, 4), repeat=3):
+        if selection_failure(CgcKey(*(HalfInt(twice=x) for x in t))) is None:
+            passing.add(t)
+    assert len(admissible) == 113
+    assert passing == admissible
 
 
 def test_compute_zero_with_reason_on_selection_failure():
@@ -198,6 +212,35 @@ def test_racah_keeps_precision_of_long_q_power_chains(q):
     value = cgc_racah(key, QContext(q=q, precision=50))
     reference = cgc_racah(key, QContext(q=q, precision=120))
     assert abs(value - reference) <= mpf("1e-55") * abs(reference)
+
+
+@pytest.mark.parametrize("q", ["0.02", "10", "50", "0.999", "1.001"])
+def test_racah_keeps_precision_at_extreme_q(q):
+    # the q-powers reach q^(+-n/2) with n in the thousands here
+    rng = random.Random(20)
+    keys = []
+    while len(keys) < 20:
+        j1, j2 = (HalfInt(twice=rng.randrange(81)) for _ in range(2))
+        j = rng.choice(halfint_range(abs(j1 - j2), min(j1 + j2, 40)))
+        m1 = rng.choice(halfint_range(-j1, j1))
+        m = rng.choice(halfint_range(-j, j))
+        if abs(m - m1) <= j2:
+            keys.append(CgcKey(j1, m1, j2, m - m1, j, m))
+    assert max(key.j for key in keys) > 30
+    ctx, ref = QContext(q=q, precision=50), QContext(q=q, precision=130)
+    for key in keys:
+        value, expected = ref.to_mpf(cgc_racah(key, ctx)), cgc_racah(key, ref)
+        assert abs(value - expected) <= ref.to_mpf("1e-50") * abs(expected)
+
+
+@pytest.mark.parametrize("q", ["0.02", "20"])
+def test_crosscheck_agrees_at_extreme_q(q):
+    ctx = QContext(q=q, precision=50)
+    spins = [HalfInt(twice=t) for t in range(4)]
+    keys = [key for j1 in spins for j2 in spins for key in admissible_keys(j1, j2)]
+    assert len(keys) == 192
+    for key in keys:
+        assert compute(key, ctx, mode="crosscheck").deviation < ctx.tol
 
 
 def test_unknown_mode_rejected():

@@ -19,6 +19,7 @@ from qcgc import (
     q_pochhammer,
     qnum,
 )
+from qcgc.qcore import _gamma_base
 
 CTX = QContext(q="0.5", precision=50)
 
@@ -123,6 +124,21 @@ def test_q_gamma_tilde_functional_equation_at_half_integers():
                              qnum(s, CTX) * q_gamma_tilde(s, CTX))
 
 
+@pytest.mark.parametrize("q", ["0.5", "0.9", "1.25"])
+def test_q_gamma_tilde_at_half_integers_matches_the_products(q):
+    # Gamma_tilde(1/2) times a finite Pochhammer against the truncated
+    # infinite products evaluated afresh at 120 digits
+    ctx = QContext(q=q, precision=50)
+    ref = QContext(q=q, precision=120)
+    base = ref.q ** 2
+    for twice in (-3, -1, 1, 3, 39):
+        s = HalfInt(twice=twice)
+        sv = ref.to_mpf(s)
+        expected = base ** (-(sv - 1) * (sv - 2) / 4) * _gamma_base(sv, base, ref)
+        value = ref.to_mpf(q_gamma_tilde(s, ctx))
+        assert abs(value - expected) <= ref.to_mpf("1e-50") * abs(expected)
+
+
 def test_q_gamma_pole_raises():
     with pytest.raises(QDomainError):
         q_gamma_tilde(HalfInt(0), CTX)
@@ -164,6 +180,24 @@ def test_classical_limit_of_qnum():
         while x <= 5:
             assert abs(qnum(HalfInt(x), ctx) - ctx.to_mpf(x)) < mpf("1e-6")
             x += Fraction(1, 2)
+
+
+def test_halfint_compares_and_hashes_like_its_value():
+    values = [Fraction(t, 2) for t in range(-7, 8)]
+    for a in values:
+        x = HalfInt(a)
+        assert hash(x) == hash(a)
+        for b in values:
+            others = [HalfInt(b), b] + ([int(b)] if b.denominator == 1 else [])
+            for y in others:
+                assert (x < y, x <= y, x > y, x >= y, x == y) == (
+                    a < b, a <= b, a > b, a >= b, a == b)
+    # odd numerators around the modulus of Python's numeric hash
+    for t in (2**61 - 1, 2**61 + 1, 2**62 + 1, -(2**64) - 1, 10**30 + 1):
+        assert hash(HalfInt(twice=t)) == hash(Fraction(t, 2))
+    assert hash(HalfInt(-1)) == hash(-1)
+    assert {HalfInt(3): "x"}[3] == "x"
+    assert {Fraction(-5, 2): "y"}[HalfInt("-5/2")] == "y"
 
 
 def test_halfint_parsing():
