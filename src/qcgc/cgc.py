@@ -3,7 +3,7 @@
 Eight closed forms (double-checked against each other and against the
 matrix-level oracle in :mod:`qcgc.repsu`), ten special-value fast paths
 and the symmetry relations are all stored as data rows read by one
-evaluator; two three-term recurrences complete the module.
+evaluator; the three-term recurrence in m completes the module.
 
 Conventions: the stretched coefficient <j1 j1, j2 j2|j1+j2 j1+j2> is 1,
 all coefficients are real, and structural zeros (selection-rule
@@ -726,72 +726,6 @@ def _relative_residual(terms, values):
     """|sum(terms)| over the largest term or value, 0 when all vanish."""
     scale = max(abs(x) for x in (*terms, *values))
     return abs(sum(terms)) / scale if scale else scale
-
-
-def recurrence_j_residual(key, ctx, evaluator=cgc_racah):
-    """Residual of the three-term recurrence in j at fixed magnetic labels.
-
-    The relation is the three-term recurrence of the underlying discrete
-    orthogonal polynomial family transported through the normalized
-    connection: a coupling coefficient is a fixed sign times
-    sqrt(rho(s) delta-x / d_n^2) times a polynomial of degree n = j - m
-    at the lattice point s = j2 - m2, and everything except the norm is
-    independent of j.  Dividing the polynomial recurrence by sqrt(d_n^2)
-    gives
-
-        x(s) C(j) = A_up(j) C(j+1) + B(j) C(j) + A_dn(j) C(j-1)
-
-    with A_up(j) = alpha_n sqrt(d_{n+1}^2/d_n^2) and
-    A_dn(j) = gamma_n sqrt(d_{n-1}^2/d_n^2), written below directly in
-    the coupling labels.  A published coefficient table for this
-    relation could not be reconciled with the values (only its
-    m1-dependent part checks out), so the coefficients here come from
-    the polynomial route, which is anchored to the norms and the
-    brute-force Gram matrix.
-    """
-    j1, m1, j2, m2, j, m = key.labels()
-    if j == 0:
-        raise QDomainError("three-term recurrence in j is singular at j=0")
-    key_dn = CgcKey(j1, m1, j2, m2, j - 1, m)
-    key_up = CgcKey(j1, m1, j2, m2, j + 1, m)
-    half = Fraction(1, 2)
-    # lattice value x(s) at s = j2 - m2
-    x_val = ctx.qpow(_fr(j2 - m2 - 1)) * qnum(j2 - m2, ctx)
-    # norm ratio d_n^2 / d_{n-1}^2 expressed at level j (n = j - m)
-    def _norm_ratio(jj):
-        return (ctx.qpow(-_fr(jj - m))
-                * qnum(jj - j1 + j2, ctx) * qnum(jj + j1 - j2, ctx)
-                * qnum(jj + j1 + j2 + 1, ctx) * qnum(j1 + j2 - jj + 1, ctx)
-                * qnum(2 * jj - 1, ctx)
-                / (qnum(jj - m, ctx) * qnum(jj + m, ctx)
-                   * qnum(2 * jj + 1, ctx)))
-    b_coef = ctx.to_mpf(0)
-    if selection_rules(key_up):
-        alpha_n = (ctx.qpow(half * _fr(4 * j2 + j - 3 * m - 1))
-                   * qnum(j - m + 1, ctx) * qnum(j + m + 1, ctx)
-                   / (qnum(2 * j + 2, ctx) * qnum(2 * j + 1, ctx)))
-        b_coef = alpha_n * ctx.mp.sqrt(_norm_ratio(j + 1))
-    a_coef = ctx.to_mpf(0)
-    if j > m and selection_rules(key_dn):
-        gamma_n = (ctx.qpow(half * _fr(4 * j2 - j - m - 2))
-                   * qnum(j - j1 + j2, ctx) * qnum(j + j1 - j2, ctx)
-                   * qnum(j + j1 + j2 + 1, ctx) * qnum(j1 + j2 - j + 1, ctx)
-                   / (qnum(2 * j, ctx) * qnum(2 * j + 1, ctx)))
-        a_coef = gamma_n / ctx.mp.sqrt(_norm_ratio(j))
-    d_coef = (-ctx.qpow(-_fr(j + j1 - j2 + 2)) * qnum(j + j1 - j2 + 1, ctx)
-              + ctx.qpow(_fr(2 * j2 - j - m - 2))
-              * qnum(j - m + 1, ctx) * qnum(j + j1 - j2 + 1, ctx)
-              * qnum(j + j1 + j2 + 2, ctx) / qnum(2 * j + 2, ctx))
-    if j > m:
-        d_coef -= (ctx.qpow(_fr(2 * j2 - j - m - 1))
-                   * qnum(j - m, ctx) * qnum(j + j1 - j2, ctx)
-                   * qnum(j + j1 + j2 + 1, ctx) / qnum(2 * j, ctx))
-    c_dn = evaluator(key_dn, ctx)
-    c_up = evaluator(key_up, ctx)
-    c_md = evaluator(key, ctx)
-    terms = [a_coef * c_dn, b_coef * c_up,
-             (d_coef - x_val) * c_md]
-    return _relative_residual(terms, (c_dn, c_up, c_md))
 
 
 def recurrence_m_residual(key, ctx, evaluator=cgc_racah):

@@ -42,10 +42,6 @@ class HalfInt:
         else:
             raise TypeError(f"cannot build HalfInt from {type(value).__name__}")
 
-    @classmethod
-    def from_twice(cls, twice):
-        return cls(twice=twice)
-
     @property
     def is_integer(self):
         return self.twice % 2 == 0

@@ -18,16 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .halfint import HalfInt, halfint
-from .qcore import (
-    QDomainError,
-    q_binomial,
-    q_factorial,
-    q_gamma_tilde,
-    q_pochhammer,
-    qnum,
-)
-from .qhyper import _sum_with_guard
-from .cgc import selection_failure
+from .qcore import (QDomainError, _qpow_pair, _renormalise, _signed_entry,
+                    q_binomial, q_factorial, q_gamma_tilde, q_pochhammer,
+                    qnum, qnum_pairs)
+from .qhyper import HyperSeriesSpec, SeriesIllPosed, eval_terminating
+from .cgc import (CgcKey, _relative_residual, cgc_racah, selection_failure,
+                  selection_rules)
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,10 @@ def hahn_eval(params, s, ctx, form="A"):
     terminates through the degree alone.  Both absorb (beta+1|q)_n into
     the summand as (beta+1+k|q)_{n-k}, which keeps the value finite for
     nonpositive integer beta+1 and agrees with the plain product form
-    whenever that one is defined.  The two prefactors as tabulated differ
+    whenever that one is defined.  Either way the value is a prefactor
+    times a 3F2 summed by ``eval_terminating``: over (beta+1|q)_k, or,
+    when some of the absorbed Pochhammers vanish, restarted at the first
+    summand that does not.  The two prefactors as tabulated differ
     by the pure q-power q^(n(n+alpha+beta+2)/2); form B carries the
     compensating factor here so that both representations return the
     same polynomial, in the normalization the norms, recurrence data and
@@ -103,35 +102,56 @@ def hahn_eval(params, s, ctx, form="A"):
 def _hahn_series(n, N, a, b, s, ctx, form):
     """hahn_eval on unchecked (n, N, alpha, beta), so n = N is reachable.
 
-    The forms differ in two Pochhammers, the summand's q-power and kmax."""
+    The forms differ in the prefactor, the second numerator and the
+    lower denominator parameter, and the series argument."""
     s = halfint(s)
     af, bf = a.as_fraction(), b.as_fraction()
     if form == "A":
         second, lower = -s, HalfInt(1 - N)
-        expo = (s - N - a).as_fraction()
-        kmax = s.as_int() if s.is_integer and 0 <= s.as_int() < n else n
+        expo = s - N - a
         pref = (ctx.qpow(Fraction(n, 2) * (af + bf + Fraction(n + 1, 2)))
                 * q_binomial(N - 1, n, ctx))
     elif form == "B":
         second, lower = s + b + 1, N + a + b + 1
-        expo = s.as_fraction() - N + 1
-        kmax = n
+        expo = s - N + 1
         pref = (ctx.qpow(-Fraction(n * (n - 1), 4)
                          - Fraction(n, 2) * (n + af + bf + 2))
                 * q_pochhammer(lower, n, ctx) / q_factorial(n, ctx))
     else:
         raise QDomainError(f"unknown representation {form!r}")
+    # summand k is (-n, second, a+b+n+1|q)_k (b+1+k|q)_(n-k) q^(k expo)
+    # / ([k]! (lower|q)_k), which vanishes below the first k0 at which
+    # (b+1+k|q)_(n-k) has no zero bracket; from k0 on the summands are
+    # the k0-th one times a 3F2 (over (b+1|q)_k when k0 = 0)
+    k0 = -b.as_int() if b.is_integer and -n < b + 1 <= 0 else 0
+    upper = (HalfInt(-n), second, a + b + n + 1)
+    first = _pochhammer_pair(
+        [(u, k0) for u in upper] + [(b + 1 + k0, n - k0)],
+        [(HalfInt(1), k0), (lower, k0)], k0 * expo.twice, ctx)
+    if first is None:
+        return ctx.to_mpf(0)
+    spec = HyperSeriesSpec(tuple(u + k0 for u in upper),
+                           (b + 1 if k0 == 0 else HalfInt(k0 + 1),
+                            lower + k0), expo)
+    return _phase(n) * pref * eval_terminating(spec, ctx, scale=first)
 
-    def terms(c):
-        for k in range(kmax + 1):
-            yield (q_pochhammer(HalfInt(-n), k, c)
-                   * q_pochhammer(second, k, c)
-                   * q_pochhammer(a + b + n + 1, k, c)
-                   * q_pochhammer(b + 1 + k, n - k, c)
-                   * c.qpow(k * expo)
-                   / (q_factorial(k, c) * q_pochhammer(lower, k, c)))
 
-    return _phase(n) * pref * _sum_with_guard(terms, ctx)
+def _pochhammer_pair(num, den, twice_power, ctx):
+    """The pair of q^(twice_power/2) prod (a|q)_l over (a, l) in ``num``
+    over that in ``den``, or None when a numerator bracket is [0]."""
+    num = [a.twice + 2 * i for a, l in num for i in range(l)]
+    den = [a.twice + 2 * i for a, l in den for i in range(l)]
+    if 0 in den:
+        raise SeriesIllPosed("a denominator bracket vanishes")
+    if 0 in num:
+        return None
+    values, inverses = qnum_pairs(max(map(abs, num + den), default=0), ctx)
+    man, exp = _qpow_pair(twice_power, ctx)
+    for table, twices in ((values, num), (inverses, den)):
+        for t in twices:
+            m, e = _signed_entry(table, t)
+            man, exp = _renormalise(man * m, exp + e, ctx.width)
+    return man, exp
 
 
 def hahn_weight(params, s, ctx):
@@ -382,3 +402,40 @@ def cgc_from_hahn(key, ctx, route="J2"):
                         / hahn_norm_sq(params, base))
     value = sign * norm * hahn_eval(params, s, base)
     return ctx.to_mpf(value)
+
+
+def recurrence_j_residual(key, ctx, evaluator=cgc_racah):
+    """Residual of the three-term recurrence in j at fixed magnetic labels.
+
+    On route J2 a coupling coefficient C(j) is a fixed sign times
+    sqrt(rho(s) delta-x / d_n^2) h_n(s) at s = j2 - m2, and only the
+    degree n = j - m moves with j.  Dividing the polynomial recurrence
+    x h_n = alpha_n h_(n+1) + beta_n h_n + gamma_n h_(n-1) by sqrt(d_n^2)
+    gives
+
+        x(s) C(j) = alpha_n sqrt(d_(n+1)^2/d_n^2) C(j+1) + beta_n C(j)
+                    + gamma_n sqrt(d_(n-1)^2/d_n^2) C(j-1),
+
+    where a neighbour failing the selection rules drops out.  A published
+    coefficient table for this relation could not be reconciled with the
+    values (only its m1-dependent part checks out), so the coefficients
+    are read off the polynomial data, which is anchored to the norms and
+    the brute-force Gram matrix.
+    """
+    j1, m1, j2, m2, j, m = key.labels()
+    if j == 0:
+        raise QDomainError("three-term recurrence in j is singular at j=0")
+    n, cap_n, s, alpha, beta, _ = _connection_data(key, "J2")
+    params = HahnParams(n=n, N=cap_n, alpha=alpha, beta=beta)
+    d_sq = hahn_norm_sq(params, ctx)
+    terms, values = [], []
+    for dj, coefficient in ((-1, ttrr_gamma), (1, ttrr_alpha)):
+        neighbour = CgcKey(j1, m1, j2, m2, j + dj, m)
+        value = evaluator(neighbour, ctx)
+        values.append(value)
+        if selection_rules(neighbour):
+            ratio = hahn_norm_sq(params.shifted(dj), ctx) / d_sq
+            terms.append(coefficient(params, ctx) * ctx.mp.sqrt(ratio) * value)
+    value = evaluator(key, ctx)
+    terms.append((ttrr_beta(params, ctx) - lattice_x(s, ctx)) * value)
+    return _relative_residual(terms, (*values, value))

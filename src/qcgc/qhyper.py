@@ -144,12 +144,14 @@ def _sum_with_guard(terms, ctx):
     """Sum the summands ``terms(c)`` to ``ctx.precision`` digits.
 
     A summand is a (man, exp) pair of Python ints with value man * 2^exp,
-    or a real of ``c`` (converted once, by ``c.to_pair``); the kernel
-    never touches mpmath's global precision.  Pairs carry ``c.width`` =
-    ``c.mp.prec`` + EXTRA_BITS bits, and a summand built by a chain of
-    products (a running q-power, a series term from the one before it)
-    is renormalised to that width after each step, or a mantissa near a
-    power of two loses a bit per step.  The summands are added into one
+    or a real of ``c`` (converted once, by ``c.to_pair``); every caller
+    in the package hands it pairs, and real summands come only from
+    callers outside it.  The kernel never touches mpmath's global
+    precision.  Pairs carry ``c.width`` = ``c.mp.prec`` + EXTRA_BITS
+    bits, and a summand built by a chain of products (a running q-power,
+    a series term from the one before it) is renormalised to that width
+    after each step, or a mantissa near a power of two loses a bit per
+    step.  The summands are added into one
     integer in units of 2^(peak - width), peak the top bit of the largest
     summand (the bits of a summand below that unit are dropped), and the
     total is rounded once into ``c``.

@@ -42,7 +42,6 @@ from .cgc import (
     cgc_racah,
     classical_parity_zero_value,
     compute,
-    recurrence_j_residual,
     recurrence_m_residual,
     special_value,
 )
@@ -54,6 +53,7 @@ from .qhahn import (
     hahn_eval,
     hahn_norm_sq,
     hahn_ttrr_residual,
+    recurrence_j_residual,
 )
 
 

@@ -20,18 +20,18 @@ from qcgc.cgc import (
     cgc_racah,
     cgc_sum,
     classical_parity_zero_value,
-    recurrence_j_residual,
     recurrence_m_residual,
     selection_failure,
     special_value,
 )
 from qcgc.qcore import QDomainError, qnum
+from qcgc.qhahn import recurrence_j_residual
 
 CTX = QContext(q="0.5", precision=50)
 
 
 def _random_key(rng, cap=2):
-    pool = halfint_range(0, cap)
+    pool = [HalfInt(twice=t) for t in range(2 * cap + 1)]
     while True:
         j1, j2 = rng.choice(pool), rng.choice(pool)
         j = rng.choice(halfint_range(abs(j1 - j2), j1 + j2))

@@ -18,7 +18,7 @@ from qcgc import (
     lattice_x,
 )
 from qcgc.cgc import admissible_keys, cgc_racah
-from qcgc.halfint import HalfInt, halfint_range
+from qcgc.halfint import HalfInt
 from qcgc.qcore import QDomainError
 
 CTX = QContext(q="0.5", precision=50)
@@ -106,6 +106,22 @@ def test_difference_equation():
                 assert hahn_difference_residual(params, s, CTX) < mpf("1e-30")
 
 
+@pytest.mark.parametrize("q", ["0.5", "0.9", "1.25"])
+def test_forms_match_high_precision(q):
+    # (5, 7, 1, -3) restarts the absorbed series at k0 = 3, where
+    # (beta+1+k|q)_(n-k) first has no zero bracket; (4, 6, 1/2, -5/2)
+    # puts a half-integer beta below -1
+    ctx, ref_ctx = QContext(q=q, precision=50), QContext(q=q, precision=130)
+    for n, cap_n, alpha, beta in ((5, 7, 1, -3), (4, 6, "1/2", "-5/2"),
+                                  (2, 6, "1/2", "3/2")):
+        params = HahnParams(n, cap_n, alpha, beta)
+        for s in range(cap_n):
+            for form in "AB":
+                ref = hahn_eval(params, s, ref_ctx, form=form)
+                value = ref_ctx.to_mpf(hahn_eval(params, s, ctx, form=form))
+                assert abs(value - ref) <= mpf("1e-50") * max(abs(ref), 1)
+
+
 def test_half_integer_parameter_family():
     with CTX.work():
         params = HahnParams(2, 6, "1/2", "3/2")
@@ -116,8 +132,9 @@ def test_half_integer_parameter_family():
 
 def test_connection_routes_match_racah():
     with CTX.work():
-        for j1 in halfint_range(0, HalfInt("3/2")):
-            for j2 in halfint_range(0, HalfInt("3/2")):
+        spins = [HalfInt(twice=t) for t in range(4)]
+        for j1 in spins:
+            for j2 in spins:
                 for key in admissible_keys(j1, j2):
                     ref = cgc_racah(key, CTX)
                     assert CTX.close(cgc_from_hahn(key, CTX, route="J2"), ref)
