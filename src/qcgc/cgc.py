@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .halfint import HalfInt, halfint, halfint_range
-from .qcore import (QDomainError, _qpow_pair, _renormalise, _signed_entry,
+from .qcore import (QDomainError, _qpow_pair, _renormalise,
                     factorial_pairs, qnum, qnum_pairs)
 from .qhyper import HyperSeriesSpec, _sum_with_guard, eval_terminating
 
@@ -237,7 +237,7 @@ def _product(factorials, brackets, c):
     if brackets:
         table = qnum_pairs(2 * max(map(abs, brackets)), c)[0]
         for n in brackets:
-            m, e = _signed_entry(table, 2 * n)
+            m, e = table[2 * n]
             man *= m
             exp += e
     return man, exp

@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from dataclasses import dataclass, field
 
 from mpmath import mp
@@ -140,6 +141,14 @@ def cmd_table(args, stream=None):
 # verify
 # ---------------------------------------------------------------------------
 
+def _margin_digits(checks):
+    """log10(tolerance/residual) for the tightest check, or None when its
+    residual is exactly 0 (a zero residual leaves no finite margin)."""
+    margins = [mp.log10(mp.mpf(c.tolerance) / mp.mpf(c.residual))
+               for c in checks if c.residual]
+    return round(float(min(margins)), 3) if margins else None
+
+
 def cmd_verify(args, stream=None):
     stream = stream or sys.stdout
     names = args.suite if args.suite else None
@@ -147,18 +156,22 @@ def cmd_verify(args, stream=None):
                        tolerance=args.tolerance,
                        extra={"suites": names or sorted(verify_mod.SUITES),
                               "perturb": args.perturb})
-    results = verify_mod.run_suites(names, precision=args.precision,
-                                    quick=args.quick,
-                                    tolerance=args.tolerance,
-                                    perturb=args.perturb)
     failing = []
     suites = {}
-    for name, checks in results.items():
+    for name in names or list(verify_mod.SUITES):
+        start = time.perf_counter()
+        checks = verify_mod.run_suites([name], precision=args.precision,
+                                       quick=args.quick,
+                                       tolerance=args.tolerance,
+                                       perturb=args.perturb)[name]
+        wall_s = time.perf_counter() - start
         suite_passed = all(c.passed for c in checks)
         if not suite_passed:
             failing.append(name)
         suites[name] = {
             "passed": suite_passed,
+            "wall_s": round(wall_s, 4),
+            "margin_digits": _margin_digits(checks),
             "max_residual": mp.nstr(max(mp.mpf(c.residual) for c in checks), 8),
             "checks": [{
                 "name": c.name,

@@ -79,7 +79,8 @@ class QContext:
         self._cache = {}
         self._lock = threading.Lock()
         # (man, exp) pairs of [n]! and 1/[n]! by n, and of [x] and 1/[x]
-        # by 2x ([0] = 0 has no inverse); see factorial_pairs, qnum_pairs
+        # by 2x of either sign ([0] = 0 has no inverse); see
+        # factorial_pairs, qnum_pairs
         self._factorials = ([], [])
         self._brackets = ([(0, 0)], [None])
         # the pairs of q^(1/2) and q^(-1/2), from which _qpow_pair squares
@@ -120,8 +121,23 @@ class QContext:
         return (-man if sign else man) << shift, exp - shift
 
     def qpow(self, e):
-        """q raised to an exact half-integer/rational exponent."""
-        return self.q ** self.to_mpf(e)
+        """q raised to an exact half-integer/rational exponent.
+
+        On the half-integer lattice (an int, a HalfInt, or a Fraction
+        with denominator 1 or 2) this is the pair of ``_qpow_pair``
+        rounded once, memoised by 2e as ``qnum`` is; any other exponent
+        takes a real power.
+        """
+        if isinstance(e, HalfInt):
+            twice = e.twice
+        elif isinstance(e, int):
+            twice = 2 * e
+        elif isinstance(e, Fraction) and e.denominator <= 2:
+            twice = e.numerator * (2 // e.denominator)
+        else:
+            return self.q ** self.to_mpf(e)
+        return self._memo(("qpow", twice),
+                          lambda: self.mp.mpf(_qpow_pair(twice, self)))
 
     def close(self, a, b, scale=1):
         """True if a and b agree to the context tolerance (relative, with floor)."""
@@ -226,18 +242,38 @@ def factorial_pairs(n, ctx):
 
 
 def qnum_pairs(twice, ctx):
-    """Lists of the pairs of [x] and of 1/[x], by 2x = 0..twice at least."""
-    if len(ctx._brackets[1]) <= twice:
-        _grow(ctx._brackets, twice, lambda t: qnum(HalfInt(twice=t), ctx), ctx)
-    return ctx._brackets
+    """Lists of the pairs of [x] and of 1/[x], indexed by 2x over
+    -twice..twice at least.
+
+    Each list holds 2x = 0..R and then -R..-1, so that Python's negative
+    indexing reads [-x] = -[x] at a negative 2x.  An index beyond R reads
+    a wrong entry instead of raising, so a caller asks for the largest
+    |2x| it reads.  Growth replaces both lists, so lists a caller holds
+    stay valid.
+    """
+    values, inverses = ctx._brackets
+    have = len(values) // 2
+    if have < twice:
+        # made outside the lock, as in _grow
+        new = [ctx.to_pair(qnum(HalfInt(twice=t), ctx))
+               for t in range(have + 1, twice + 1)]
+        new_inverses = [_inverse_pair(p, ctx.width) for p in new]
+        with ctx._lock:
+            values, inverses = ctx._brackets
+            skip = len(values) // 2 - have
+            if skip < len(new):
+                ctx._brackets = (_widen(values, new[skip:]),
+                                 _widen(inverses, new_inverses[skip:]))
+            values, inverses = ctx._brackets
+    return values, inverses
 
 
-def _signed_entry(table, twice):
-    """The pair at 2x = twice from a qnum_pairs table: [-x] = -[x]."""
-    if twice >= 0:
-        return table[twice]
-    man, exp = table[-twice]
-    return -man, exp
+def _widen(table, new):
+    """A qnum_pairs list (2x = 0..R, then -R..-1) with the pairs of
+    2x = R+1, R+2, ... from ``new`` and their negations added."""
+    reach = len(table) // 2
+    return (table[:reach + 1] + new + [(-m, e) for m, e in reversed(new)]
+            + table[reach + 1:])
 
 
 def _inverse_pair(pair, width):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .halfint import HalfInt, halfint
-from .qcore import (QDomainError, _qpow_pair, _renormalise, _signed_entry,
+from .qcore import (QDomainError, _qpow_pair, _renormalise,
                     q_binomial, q_factorial, q_gamma_tilde, q_pochhammer,
                     qnum, qnum_pairs)
 from .qhyper import HyperSeriesSpec, SeriesIllPosed, eval_terminating
@@ -149,7 +149,7 @@ def _pochhammer_pair(num, den, twice_power, ctx):
     man, exp = _qpow_pair(twice_power, ctx)
     for table, twices in ((values, num), (inverses, den)):
         for t in twices:
-            m, e = _signed_entry(table, t)
+            m, e = table[t]
             man, exp = _renormalise(man * m, exp + e, ctx.width)
     return man, exp
 

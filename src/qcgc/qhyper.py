@@ -10,12 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 
 from .halfint import HalfInt, halfint
 from .qcore import (GUARD_DIGITS, QDomainError, _inverse_pair, _qpow_pair,
-                    _renormalise, _signed_entry, q_factorial, q_pochhammer,
-                    qnum_pairs)
+                    _renormalise, q_factorial, q_pochhammer, qnum_pairs)
 
 
 class SeriesIllPosed(ValueError):
@@ -43,10 +42,7 @@ class HyperSeriesSpec:
 
     def termination_order(self):
         """Smallest cutoff forced by a nonpositive-integer numerator parameter."""
-        cutoffs = [-a.as_int() for a in self.numerator if a.is_integer and a <= 0]
-        if not cutoffs:
-            raise QDomainError("series is not terminating")
-        return min(cutoffs)
+        return _cutoff([a.twice for a in self.numerator])
 
     def reciprocal(self):
         """The same series under q -> 1/q (argument sign flips)."""
@@ -69,34 +65,57 @@ class BasicSeriesSpec:
     termination_order = HyperSeriesSpec.termination_order
 
 
-def _series_terms(spec, c, z, bracket, inverse):
-    """Terms, as ``c.width``-bit (man, exp) pairs, of a terminating series:
-    t_0 = 1, and t_(k+1) is t_k times z / [k+1] times prod [a+k] /
-    prod [b+k], renormalised after each step.
-
-    z is a pair, and ``bracket(2x)`` and ``inverse(2x)`` give the pairs
-    of the bracket [x] and of 1/[x].  The live range is fixed a priori by
-    the numerator cutoffs; a denominator vanishing inside it raises on
-    the first term.
-    """
-    n_eff = spec.termination_order()
-    for b in spec.denominator:
-        if b.is_integer and b <= 0 and -b.as_int() < n_eff:
-            raise SeriesIllPosed(
-                f"denominator parameter {b} vanishes at term {-b.as_int() + 1}")
-    width = c.width
-    man, exp = 1 << (width - 1), 1 - width
-    yield man, exp
+def _live_range(spec):
+    """(n_eff, num, den, reach) of a terminating series: its cutoff, its
+    doubled parameters and the largest |2x| of a bracket its terms read.
+    Raises when a denominator vanishes inside the live range, which the
+    numerator cutoffs fix a priori."""
     num = [a.twice for a in spec.numerator]
     den = [b.twice for b in spec.denominator]
-    for k in range(n_eff):
-        factors = [z, inverse(2 * k + 2)]
-        factors += [bracket(a + 2 * k) for a in num]
-        factors += [inverse(b + 2 * k) for b in den]
-        for m, e in factors:
+    n_eff = _cutoff(num)
+    for t in den:
+        if t <= 0 and not t % 2 and -t < 2 * n_eff:
+            raise SeriesIllPosed(f"denominator parameter {HalfInt(twice=t)} "
+                                 f"vanishes at term {-t // 2 + 1}")
+    return n_eff, num, den, 2 * n_eff + max(map(abs, num + den), default=0)
+
+
+def _cutoff(num):
+    """Smallest cutoff forced by a nonpositive-integer doubled parameter."""
+    cutoffs = [-t for t in num if t <= 0 and not t % 2]
+    if not cutoffs:
+        raise QDomainError("series is not terminating")
+    return min(cutoffs) // 2
+
+
+def _series_terms(n_eff, num, den, z, values, inverses, width):
+    """Terms, as ``width``-bit (man, exp) pairs, of a terminating series:
+    t_0 = 1, and t_(k+1) is t_k times z / [k+1] times prod [a+k] /
+    prod [b+k] for k < n_eff, renormalised after each step.
+
+    ``num`` and ``den`` hold the doubled parameters 2a and 2b, z is a
+    pair, and ``values[t]`` and ``inverses[t]`` are the pairs of the
+    bracket at 2x = t and of its inverse, for t of either sign, laid out
+    as in ``qnum_pairs``.
+    """
+    man, exp = 1 << (width - 1), 1 - width
+    yield man, exp
+    z_man, z_exp = z
+    for k in range(0, 2 * n_eff, 2):
+        m, e = inverses[k + 2]
+        man *= z_man * m
+        exp += z_exp + e
+        for t in num:
+            m, e = values[t + k]
             man *= m
             exp += e
-        man, exp = _renormalise(man, exp, width)
+        for t in den:
+            m, e = inverses[t + k]
+            man *= m
+            exp += e
+        shift = man.bit_length() - width  # _renormalise, inlined
+        man >>= shift
+        exp += shift
         yield man, exp
 
 
@@ -110,15 +129,13 @@ def eval_terminating(spec, ctx, scale=None):
     pass reuses it: an error common to every term is not amplified by
     their cancellation.
     """
+    n_eff, num, den, reach = _live_range(spec)
     twice = spec.arg_exponent.twice * spec.arg_sign
-    reach = 2 * spec.termination_order() + max(
-        abs(a.twice) for a in spec.numerator + spec.denominator)
 
     def terms(c):
         values, inverses = qnum_pairs(reach, c)
-        series = _series_terms(spec, c, _qpow_pair(twice, c),
-                               lambda t: _signed_entry(values, t),
-                               lambda t: _signed_entry(inverses, t))
+        series = _series_terms(n_eff, num, den, _qpow_pair(twice, c),
+                               values, inverses, c.width)
         if scale is None:
             return series
         scale_man, scale_exp = scale
@@ -130,12 +147,17 @@ def eval_terminating(spec, ctx, scale=None):
 
 def eval_basic(spec, ctx):
     """Evaluate a terminating basic series with (a;q)_k coefficients."""
-    def terms(c):
-        def bracket(t):
-            return c.to_pair(1 - c.qpow(Fraction(t, 2)))
+    n_eff, num, den, reach = _live_range(spec)
 
-        return _series_terms(spec, c, c.to_pair(spec.z), bracket,
-                             lambda t: _inverse_pair(bracket(t), c.width))
+    def terms(c):
+        # the pairs of 1 - q^(t/2), laid out as qnum_pairs lays out its
+        # lists (1 - q^0 = 0 has no inverse)
+        values = [c.to_pair(1 - c.qpow(Fraction(t, 2)))
+                  for t in chain(range(reach + 1), range(-reach, 0))]
+        inverses = [_inverse_pair(p, c.width) if p[0] else None
+                    for p in values]
+        return _series_terms(n_eff, num, den, c.to_pair(spec.z), values,
+                             inverses, c.width)
 
     return _sum_with_guard(terms, ctx)
 

@@ -77,10 +77,18 @@ def mat_max_abs(a):
 
 
 def mat_power(a, r):
-    out = mat_eye(a.shape[0])
-    for _ in range(r):
+    if r == 0:
+        return mat_eye(a.shape[0])
+    out = a.copy()
+    for _ in range(r - 1):
         out = out @ a
     return out
+
+
+def _read_only(a):
+    """a, made read-only, as a context keeps it for every caller."""
+    a.flags.writeable = False
+    return a
 
 
 def commutator(a, b):
@@ -221,8 +229,14 @@ def coproduct_operators(j1, j2, ctx):
 
     Delta(J0) = J0 x 1 + 1 x J0 and
     Delta(J+-) = J+- x q^J0 + q^-J0 x J+-.
+    Built once per context and returned read-only.
     """
     basis = TensorBasis(j1, j2)
+    return ctx._memo(("coproduct", basis.j1.twice, basis.j2.twice),
+                     lambda: _coproduct_operators(basis, ctx))
+
+
+def _coproduct_operators(basis, ctx):
     j0_1, jp_1, jm_1 = irrep_operators(basis.j1, ctx)
     j0_2, jp_2, jm_2 = irrep_operators(basis.j2, ctx)
     e1 = mat_eye(basis.b1.dim)
@@ -232,7 +246,7 @@ def coproduct_operators(j1, j2, ctx):
     j0 = np.kron(j0_1, e2) + np.kron(e1, j0_2)
     jp = np.kron(jp_1, qp_2) + np.kron(qm_1, jp_2)
     jm = np.kron(jm_1, qp_2) + np.kron(qm_1, jm_2)
-    return j0, jp, jm
+    return _read_only(j0), _read_only(jp), _read_only(jm)
 
 
 def coproduct_power_binomial(j1, j2, r, ctx, sign=-1):
@@ -260,24 +274,31 @@ def projector_extremal(j, basis, ctx):
 
     P = sum_r (-1)^r [2j+1]!/([r]![2j+r+1]!) J-^r J+^r with the coproduct
     operators; the sum terminates when J+^r vanishes on the tensor space.
+    Built once per context and returned read-only.
     """
     j = halfint(j)
-    _, jp, jm = coproduct_operators(basis.j1, basis.j2, ctx)
-    top = q_factorial((2 * j).as_int() + 1, ctx)
-    total = mat_zeros(basis.dim)
-    jp_pow = mat_eye(basis.dim)
-    jm_pow = mat_eye(basis.dim)
-    r = 0
-    while True:
-        coeff = ((-1) ** r * top
-                 / (q_factorial(r, ctx)
-                    * q_factorial((2 * j).as_int() + r + 1, ctx)))
-        total = total + (jm_pow @ jp_pow) * coeff
+    return ctx._memo(
+        ("projector", j.twice, basis.j1.twice, basis.j2.twice),
+        lambda: _read_only(_projector_extremal(j, basis, ctx)))
+
+
+def _projector_extremal(j, basis, ctx):
+    _, jp, _ = coproduct_operators(basis.j1, basis.j2, ctx)
+    two_j = (2 * j).as_int()
+    top = q_factorial(two_j + 1, ctx)
+
+    def coeff(r):
+        return ((-1) ** r * top
+                / (q_factorial(r, ctx) * q_factorial(two_j + r + 1, ctx)))
+
+    # the r = 0 term is the identity; J- is the transpose of J+ entry for
+    # entry, so J-^r J+^r is (J+^r)^T J+^r
+    total = mat_eye(basis.dim) * coeff(0)
+    jp_pow, r = jp, 1
+    while mat_max_abs(jp_pow) != 0:
+        total = total + (jp_pow.T @ jp_pow) * coeff(r)
         r += 1
         jp_pow = jp @ jp_pow
-        if mat_max_abs(jp_pow) == 0:
-            break
-        jm_pow = jm_pow @ jm
     return total
 
 

@@ -96,8 +96,15 @@ def test_verify_single_suite_passes():
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["failing_suites"] == []
-    checks = payload["suites"]["recurrence"]["checks"]
+    suite = payload["suites"]["recurrence"]
+    checks = suite["checks"]
     assert {c["name"] for c in checks} == {"recurrence_j", "recurrence_m"}
+    assert suite["wall_s"] > 0
+    # the tightest check's margin, log10(tolerance/residual)
+    tightest = min(float(mp.log10(mpf(c["tolerance"]) / mpf(c["residual"])))
+                   for c in checks)
+    assert suite["margin_digits"] > 0
+    assert abs(suite["margin_digits"] - tightest) < 1e-3
 
 
 def test_verify_perturbation_flips_exit_code():

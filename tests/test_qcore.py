@@ -139,6 +139,27 @@ def test_q_gamma_tilde_at_half_integers_matches_the_products(q):
         assert abs(value - expected) <= ref.to_mpf("1e-50") * abs(expected)
 
 
+@pytest.mark.parametrize("q", ["0.02", "0.3", "0.9", "1.25", "50"])
+def test_qpow_on_the_half_integer_lattice_matches_the_real_power(q):
+    # the memoised square-and-multiply pair against a real power at 120
+    # digits, for each way of writing the exponent
+    ctx = QContext(q=q, precision=50)
+    ref = QContext(q=q, precision=120)
+    bound = ref.to_mpf(10) ** -ctx.precision
+    for twice in range(-81, 82):
+        expected = ref.q ** ref.to_mpf(Fraction(twice, 2))
+        exponents = [HalfInt(twice=twice), Fraction(twice, 2)]
+        if twice % 2 == 0:
+            exponents.append(twice // 2)
+        for e in exponents:
+            value = ref.to_mpf(ctx.qpow(e))
+            assert abs(value - expected) <= bound * expected
+    # a quarter-integer exponent still takes the real power, unmemoised
+    kept = set(ctx._cache)
+    assert ctx.qpow(Fraction(1, 4)) == ctx.q ** ctx.to_mpf(Fraction(1, 4))
+    assert set(ctx._cache) == kept
+
+
 def test_q_gamma_pole_raises():
     with pytest.raises(QDomainError):
         q_gamma_tilde(HalfInt(0), CTX)

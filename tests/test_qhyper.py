@@ -1,7 +1,9 @@
 """Unit tests for terminating q-hypergeometric series and identities."""
 
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +60,70 @@ def test_numerator_cutoff_shields_later_denominator_zero():
                            denominator=(HalfInt(-3),),
                            arg_exponent=HalfInt(1))
     eval_terminating(spec, CTX)
+
+
+def _direct_sum(spec, q, dps=120):
+    """A terminating series summed term by term on plain mpmath reals,
+    as (value, largest |term|); raises SeriesIllPosed when a denominator
+    bracket vanishes before a numerator one does."""
+    c = mpmath.MPContext()
+    c.dps = dps
+    qv = c.mpf(q)
+
+    def real(x):
+        x = x.as_fraction() if isinstance(x, HalfInt) else Fraction(x)
+        return c.mpf(x.numerator) / x.denominator
+
+    def bracket(x):
+        return (qv ** x - qv ** -x) / (qv - 1 / qv)
+
+    num = [a.as_fraction() for a in spec.numerator]
+    den = [b.as_fraction() for b in spec.denominator]
+    z = qv ** real(spec.signed_exponent())
+    term = c.mpf(1)
+    total, largest = term, term
+    k = 0
+    while all(a + k != 0 for a in num):
+        if any(b + k == 0 for b in den):
+            raise SeriesIllPosed(f"denominator vanishes at term {k + 1}")
+        for a in num:
+            term *= bracket(real(a + k))
+        for b in den:
+            term /= bracket(real(b + k))
+        term *= z / bracket(real(k + 1))
+        total += term
+        largest = max(largest, abs(term))
+        k += 1
+    return total, largest
+
+
+def test_eval_terminating_matches_a_direct_sum():
+    # seeded 2F1 and 3F2 specs with half-integer parameters in -6..6, the
+    # first numerator a nonpositive integer so that the series terminates
+    rng = random.Random(20240907)
+    ill_posed = 0
+    for q in ("0.3", "0.9", "1.25"):
+        ctx = QContext(q=q, precision=50)
+        for i in range(100):
+            p = 2 + i % 2
+            numerator = ((HalfInt(-rng.randint(0, 6)),)
+                         + tuple(HalfInt(twice=rng.randint(-12, 12))
+                                 for _ in range(p - 1)))
+            denominator = tuple(HalfInt(twice=rng.randint(-12, 12))
+                                for _ in range(p - 1))
+            spec = HyperSeriesSpec(numerator, denominator,
+                                   HalfInt(twice=rng.randint(-12, 12)),
+                                   rng.choice((1, -1)))
+            try:
+                expected, largest = _direct_sum(spec, q)
+            except SeriesIllPosed:
+                ill_posed += 1
+                with pytest.raises(SeriesIllPosed):
+                    eval_terminating(spec, ctx)
+                continue
+            value = expected.context.mpf(eval_terminating(spec, ctx))
+            assert abs(value - expected) <= mpf("1e-45") * largest, spec
+    assert 0 < ill_posed < 100
 
 
 def test_vandermonde_example():

@@ -160,3 +160,22 @@ def test_stretched_state_positive_convention():
     with CTX.work():
         key = CgcKey(1, 1, "1/2", "1/2", "3/2", "3/2")
         assert repsu.oracle_cgc(key, CTX) > 0
+
+
+def test_operators_and_projectors_are_built_once_per_context():
+    ctx = QContext(q="0.7", precision=50)
+    basis = repsu.TensorBasis("1/2", 1)
+    ops = repsu.coproduct_operators("1/2", 1, ctx)
+    p_top = repsu.projector_extremal("3/2", basis, ctx)
+    assert repsu.coproduct_operators(HalfInt("1/2"), HalfInt(1), ctx) is ops
+    assert repsu.projector_extremal(
+        HalfInt("3/2"), repsu.TensorBasis("1/2", 1), ctx) is p_top
+    for a in ops + (p_top,):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1
+    fresh = QContext(q="0.7", precision=50)
+    fresh_ops = repsu.coproduct_operators("1/2", 1, fresh)
+    fresh_top = repsu.projector_extremal("3/2", basis, fresh)
+    for a, b in zip(ops + (p_top,), fresh_ops + (fresh_top,)):
+        assert a is not b
+        assert (a == b).all()
