@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .halfint import HalfInt, halfint, halfint_range
 from .qcore import (QDomainError, _qpow_pair, _renormalise,
-                    factorial_pairs, qnum, qnum_pairs)
+                    factorial_pairs, qnum, qnum_pairs, root_factorial_pairs)
 from .qhyper import HyperSeriesSpec, _sum_with_guard, eval_terminating
 
 
@@ -369,10 +369,10 @@ class ClosedForm:
 
     The row is evaluated in (man, exp) pairs of Python ints: its label
     forms are compiled on first use into one function of the doubled
-    labels, the root is an integer square root of an integer ratio, the
-    q-power is a pair from the context's q^(+-1/2), and the prefactor
-    they make scales every summand of the series, so that the value is
-    rounded once.
+    labels, the root is a product read from the context's sqrt([n]!)
+    tables, the q-power is a pair from the context's q^(+-1/2), and the
+    prefactor they make scales every summand of the series, so that the
+    value is rounded once.
     """
 
     def __init__(self, power, root, phase="0", outside="", series=None,
@@ -414,18 +414,33 @@ def _prefactor(labels, c, halves=0):
     """The ``c.width``-bit pair of (-1)^phase q^(power + halves/2)
     sqrt(root) times the outside factors of a row's evaluated labels."""
     phase, power, num, den, outside, _ = labels
-    width = c.width
-    nm, ne = _product(*num, c)
-    dm, de = _product(*den, c)
-    # the ratio to 2*width bits or one more, over an even power of two
-    shift = 2 * width + dm.bit_length() - nm.bit_length()
-    shift += (ne - de - shift) % 2
-    ratio = (nm << shift) // dm if shift >= 0 else nm // (dm << -shift)
+    rm, rexp = _root(num, den, c)
     qm, qe = _qpow_pair(power + halves, c)
     om, oe = _product(*outside, c)
-    man, exp = _renormalise(math.isqrt(ratio) * qm * om,
-                            (ne - de - shift) // 2 + qe + oe, width)
+    man, exp = _renormalise(rm * qm * om, rexp + qe + oe, c.width)
     return (-man if phase % 2 else man), exp
+
+
+def _root(num, den, c):
+    """The ``c.width``-bit pair of the square root of prod [n]! prod [n]
+    over the numerator's (factorials, brackets) divided by the same over
+    the denominator's, read from the sqrt([n]!) tables with
+    [n] = [n]! / [n-1]!."""
+    ups = [*num[0], *num[1], *[n - 1 for n in den[1]]]
+    downs = [*den[0], *den[1], *[n - 1 for n in num[1]]]
+    if min(ups + downs) < 0:
+        raise QDomainError(f"q_factorial: negative argument {min(ups + downs)}")
+    width = c.width
+    tables = root_factorial_pairs(max(ups + downs), c)
+    man, exp = 1 << (width - 1), 1 - width
+    for table, indices in zip(tables, (ups, downs)):
+        for n in indices:  # _renormalise, inlined
+            m, e = table[n]
+            man *= m
+            shift = man.bit_length() - width
+            man >>= shift
+            exp += e + shift
+    return man, exp
 
 
 _QUADRATIC_MINUS = "j1*m2 - j2*m1 - (j1+j2-j)*(j1+j2+j+1)/2"
@@ -525,6 +540,103 @@ cgc_3f2_rw2 = _closed_form("3f2_rw2")
 cgc_3f2_long_equiv = _closed_form("3f2_long_equiv")
 cgc_racah = _closed_form("racah")
 cgc_racah_binomial = _closed_form("racah_binomial")
+
+
+def racah_table(j1, j2, ctx):
+    """Every admissible coefficient of one spin pair through the 'racah'
+    row: {doubled labels (``CgcKey.twice``): value}, in the order of
+    ``admissible_keys(j1, j2)``.
+
+    The keys of one (j, m) form a column, and its Racah sums are one
+    convolution.  With u = j1 - m1 and s = u - r, key u's summand at r
+    is a_r b_s times the key's prefactor, where
+
+        a_r = (-1)^r q^(-(j1+j2+j+1) r) / ([r]! [j1+j2-j-r]!),
+        b_s = 1 / ([s]! [j2-j1+m+s]! [j+j1-j2-s]! [j-m-s]!).
+
+    A column builds a and b once in each context that sums it, and the
+    share of the prefactor that its keys have in common once; a key
+    multiplies in its own four roots sqrt([j1+-m1]! [j2+-m2]!) and its
+    q-power.  Each key then goes through the guard as in ``cgc_racah``,
+    with the same summands up to the rounding of the pairs.
+    """
+    tj1, tj2 = halfint(j1).twice, halfint(j2).twice
+    values = {}
+    for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+        for tm in range(-tj, tj + 1, 2):
+            values.update(_racah_column(tj1, tj2, tj, tm, ctx))
+    return values
+
+
+def _racah_column(tj1, tj2, tj, tm, ctx):
+    """{doubled labels: value} of the keys of one (j, m), by m1 up."""
+    width = ctx.width
+    n = (tj1 + tj2 - tj) // 2          # j1+j2-j
+    big = (tj1 + tj2 + tj) // 2 + 1    # j1+j2+j+1
+    plus = (tj + tj1 - tj2) // 2       # j+j1-j2
+    minus = (tj + tj2 - tj1) // 2      # j+j2-j1
+    jp, jm = (tj + tm) // 2, (tj - tm) // 2
+    d = (tj2 - tj1 + tm) // 2          # j2-j1+m, so that j2+m2 = d+u
+    s_lo, s_hi = max(0, -d), min(plus, jm)
+    u_lo, u_hi = max(0, -d), min(tj1, (tj1 + tj2 - tm) // 2)
+    # the column's share of the prefactor: sqrt([2j+1] [j+m]! [j-m]!
+    # [j1+j2-j]! [j+j1-j2]! [j+j2-j1]! / [j1+j2+j+1]!) q^(power at u_lo),
+    # the power gaining q^(j1+j2) per step in u
+    man, exp = _root(((jp, jm, n, plus, minus), (tj + 1,)), ((big,), ()), ctx)
+    roots = root_factorial_pairs(big, ctx)[0]
+    twice_power = tj1 * (tm - tj1 - tj2) // 2 + n * big
+    qm, qe = _qpow_pair(twice_power + (tj1 + tj2) * u_lo, ctx)
+    step_man, step_exp = _qpow_pair(tj1 + tj2, ctx)
+    factors = {}
+
+    def convolved(c):
+        # a_r for r = 0..n and b_s for s = 0..s_hi (None below s_lo),
+        # built once in each context that sums the column
+        if c in factors:
+            return factors[c]
+        w = c.width
+        inverse = factorial_pairs(big, c)[1]
+        a, b = [], [None] * s_lo
+        rm, rexp = 1 << (w - 1), 1 - w  # q^(-(j1+j2+j+1) r), from r = 0
+        rstep_man, rstep_exp = _qpow_pair(-2 * big, c)
+        for r in range(n + 1):
+            (fm, fe), (gm, ge) = inverse[r], inverse[n - r]
+            m, e = _renormalise(fm * gm * rm, fe + ge + rexp, w)
+            a.append((-m if r % 2 else m, e))
+            rm, rexp = _renormalise(rm * rstep_man, rexp + rstep_exp, w)
+        for s in range(s_lo, s_hi + 1):
+            m, e = 1, 0
+            for fm, fe in (inverse[s], inverse[d + s], inverse[plus - s],
+                           inverse[jm - s]):
+                m *= fm
+                e += fe
+            b.append(_renormalise(m, e, w))
+        factors[c] = a, b
+        return a, b
+
+    # on an admissible key the range of r is never empty
+    column = {}
+    for u in range(u_lo, u_hi + 1):
+        pm, pe = man * qm, exp + qe
+        for m, e in (roots[tj1 - u], roots[u], roots[d + u],
+                     roots[tj2 - d - u]):
+            pm *= m
+            pe += e
+        pm, pe = _renormalise(pm, pe, width)
+        key = (tj1, tj1 - 2 * u, tj2, tm - tj1 + 2 * u, tj, tm)
+        column[key] = _sum_with_guard(functools.partial(
+            _convolution, convolved, u, max(0, u - s_hi), min(n, u - s_lo),
+            pm, pe), ctx)
+        qm, qe = _renormalise(qm * step_man, qe + step_exp, width)
+    return dict(reversed(column.items()))
+
+
+def _convolution(convolved, u, r_lo, r_hi, pm, pe, c):
+    """Key u's summands a_r b_(u-r) times its prefactor (pm, pe), for r
+    from r_lo to r_hi, with a and b from ``convolved(c)``."""
+    a, b = convolved(c)
+    return [(am * bm * pm, ae + be + pe) for (am, ae), (bm, be)
+            in zip(a[r_lo:r_hi + 1], reversed(b[u - r_hi:u - r_lo + 1]))]
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from mpmath import mp
 
 from . import verify as verify_mod
-from .cgc import CgcKey, admissible_keys, cgc_racah, compute
-from .halfint import halfint, halfint_range
+from .cgc import CgcKey, cgc_racah, compute, racah_table
+from .halfint import HalfInt, halfint, halfint_range
 from .qcore import QContext, QDomainError, qnum
 from .qhahn import HahnParams, hahn_eval, hahn_norm_sq, hahn_weight, lattice_x
 
@@ -59,8 +59,7 @@ def _fmt(value, config):
 
 
 def _emit_json(payload, stream):
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
+    stream.write(json.dumps(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -89,24 +88,25 @@ def cmd_cgc(args, stream=None):
 # ---------------------------------------------------------------------------
 
 def _table_rows(j1, j2, ctx, config):
+    """The rows of every admissible key and the values they print."""
+    values = racah_table(j1, j2, ctx)
+    top = j1.twice + j2.twice
+    text = {t: str(HalfInt(twice=t)) for t in range(-top, top + 1)}
     rows = []
-    for key in admissible_keys(j1, j2):
-        value = cgc_racah(key, ctx)
-        rows.append({
-            "j1": str(key.j1), "m1": str(key.m1),
-            "j2": str(key.j2), "m2": str(key.m2),
-            "j": str(key.j), "m": str(key.m),
-            "value": _fmt(value, config),
-        })
-    return rows
+    for labels, value in values.items():
+        row = dict(zip(("j1", "m1", "j2", "m2", "j", "m"),
+                       map(text.__getitem__, labels)))
+        row["value"] = _fmt(value, config)
+        rows.append(row)
+    return rows, list(values.values())
 
 
-def _table_checksums(rows, ctx):
+def _table_checksums(rows, values, ctx):
     """Per product state (m1, m2): sum over j of value^2; unitarity gives 1."""
     sums = {}
-    for row in rows:
+    for row, value in zip(rows, values):
         label = (row["m1"], row["m2"])
-        v = ctx.to_mpf(row["value"])
+        v = ctx.to_mpf(value)
         sums[label] = sums.get(label, 0) + v * v
     return [{"m1": m1, "m2": m2, "sum_sq": mp.nstr(s, 30)}
             for (m1, m2), s in sorted(sums.items())]
@@ -121,7 +121,7 @@ def cmd_table(args, stream=None):
     if j1 > cap or j2 > cap:
         raise QDomainError(f"spins exceed the table cap {args.cap}")
     ctx = _context(config)
-    rows = _table_rows(j1, j2, ctx, config)
+    rows, values = _table_rows(j1, j2, ctx, config)
     fields = ["j1", "m1", "j2", "m2", "j", "m", "value"]
     if args.format == "csv":
         writer = csv.DictWriter(stream, fieldnames=fields)
@@ -132,7 +132,7 @@ def cmd_table(args, stream=None):
             "schema_version": SCHEMA_VERSION,
             "config": config.to_dict(),
             "rows": rows,
-            "checksums": _table_checksums(rows, ctx),
+            "checksums": _table_checksums(rows, values, ctx),
         }, stream)
     return 0
 

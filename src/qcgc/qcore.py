@@ -78,13 +78,14 @@ class QContext:
         self.width = self.mp.prec + EXTRA_BITS
         self._cache = {}
         self._lock = threading.Lock()
-        # (man, exp) pairs of [n]! and 1/[n]! by n, and of [x] and 1/[x]
-        # by 2x of either sign ([0] = 0 has no inverse); see
-        # factorial_pairs, qnum_pairs
+        # (man, exp) pairs of [n]! and 1/[n]! by n, of their square roots
+        # by n, and of [x] and 1/[x] by 2x of either sign ([0] = 0 has no
+        # inverse); see factorial_pairs, root_factorial_pairs, qnum_pairs
         self._factorials = ([], [])
+        self._root_factorials = ([], [])
         self._brackets = ([(0, 0)], [None])
         # the pairs of q^(1/2) and q^(-1/2), from which _qpow_pair squares
-        half = _sqrt_pair(self.q, self.width)
+        half = _sqrt_pair(self.to_pair(self.q), self.width)
         self._half_powers = (half, _inverse_pair(half, self.width))
 
     def work(self):
@@ -183,12 +184,12 @@ def _q_factorial_raw(n, ctx):
     return value * qnum(HalfInt(n), ctx) if n else value
 
 
-def _sqrt_pair(x, width):
-    """The width-bit pair of sqrt(x) for a positive real x."""
-    _, man, exp, bc = x._mpf_
+def _sqrt_pair(pair, width):
+    """The width-bit pair of sqrt(x) from the pair of a positive x."""
+    man, exp = pair
     # shift man to 2*width - 1 bits or one fewer, leaving an even exponent,
     # so that the integer square root has exactly width bits
-    shift = 2 * width - 1 - bc
+    shift = 2 * width - 1 - man.bit_length()
     if (exp - shift) % 2:
         shift -= 1
     return math.isqrt(man << shift), (exp - shift) // 2
@@ -237,8 +238,20 @@ def factorial_pairs(n, ctx):
         raise QDomainError(f"q_factorial: negative argument {n}")
     if len(ctx._factorials[1]) <= n:
         q_factorial(n, ctx)  # fills the memo below n in one upward pass
-        _grow(ctx._factorials, n, lambda k: q_factorial(k, ctx), ctx)
+        _grow(ctx._factorials, n,
+              lambda k: ctx.to_pair(q_factorial(k, ctx)), ctx)
     return ctx._factorials
+
+
+def root_factorial_pairs(n, ctx):
+    """Lists of the pairs of sqrt([k]!) and of 1/sqrt([k]!), by k = 0..n
+    at least; the square roots of the ``factorial_pairs`` entries, so
+    that sqrt([k]) is sqrt([k]!) / sqrt([k-1]!)."""
+    if len(ctx._root_factorials[1]) <= n:
+        table = factorial_pairs(n, ctx)[0]
+        _grow(ctx._root_factorials, n,
+              lambda k: _sqrt_pair(table[k], ctx.width), ctx)
+    return ctx._root_factorials
 
 
 def qnum_pairs(twice, ctx):
@@ -282,13 +295,13 @@ def _inverse_pair(pair, width):
     return _renormalise((1 << 2 * width) // man, -2 * width - exp, width)
 
 
-def _grow(tables, n, real, ctx):
-    # the pairs come from the memoised reals, made outside the lock (the
+def _grow(tables, n, pair, ctx):
+    # the pairs come from memoised values, made outside the lock (the
     # memo takes it); every thread makes the same pairs, so under the lock
     # each list only takes the entries it still lacks
     values, inverses = tables
     start = len(inverses)
-    new = [ctx.to_pair(real(k)) for k in range(start, n + 1)]
+    new = [pair(k) for k in range(start, n + 1)]
     new_inverses = [_inverse_pair(p, ctx.width) for p in new]
     with ctx._lock:
         have = len(inverses) - start

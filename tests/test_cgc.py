@@ -20,6 +20,7 @@ from qcgc.cgc import (
     cgc_racah,
     cgc_sum,
     classical_parity_zero_value,
+    racah_table,
     recurrence_m_residual,
     selection_failure,
     special_value,
@@ -178,15 +179,23 @@ def test_one_context_shared_across_threads():
     keys = admissible_keys(3, 3) + [
         CgcKey(60, 3, 65, -2, 70, 1), CgcKey("121/2", "1/2", 64, 0, "115/2", "1/2"),
         CgcKey("235/2", "3/2", "217/2", "-1/2", 119, 1), CgcKey(90, 0, 80, 0, 150, 0)]
+    # one more input, the whole 3 x 3 table, grows the sqrt([n]!) tables
+    # through racah_table instead of one key at a time
     alone = QContext(q="0.7", precision=50)
     expected = [cgc_racah(key, alone) for key in keys]
+    expected.append(racah_table(3, 3, alone))
     shared = QContext(q="0.7", precision=50)
     threaded = {}
 
-    def run(name, order):
-        threaded[name] = {i: cgc_racah(keys[i], shared) for i in order}
+    def evaluate(i):
+        if i == len(keys):
+            return racah_table(3, 3, shared)
+        return cgc_racah(keys[i], shared)
 
-    forward = range(len(keys))
+    def run(name, order):
+        threaded[name] = {i: evaluate(i) for i in order}
+
+    forward = range(len(keys) + 1)
     threads = [threading.Thread(target=run, args=("forward", forward)),
                threading.Thread(target=run, args=("backward", forward[::-1]))]
     interval = sys.getswitchinterval()
@@ -202,6 +211,26 @@ def test_one_context_shared_across_threads():
     assert len(threaded) == 2
     for values in threaded.values():
         assert [values[i] for i in forward] == expected
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.9", "1", "1.25", "2"])
+def test_racah_table_matches_cgc_racah(q):
+    # each column's convolution against the key-by-key Racah sums; at
+    # q = 1 the true zeros boost and leave residues below 1e-140, which
+    # round differently on the two sides
+    ctx = QContext(q=q, precision=50)
+    alone = QContext(q=q, precision=50)
+    for j1, j2 in (("1/2", "1/2"), (2, 1), ("5/2", "3/2"), (4, 4), (8, 2)):
+        keys = admissible_keys(j1, j2)
+        table = racah_table(j1, j2, ctx)
+        assert list(table) == [key.twice for key in keys]
+        for key in keys:
+            value, expected = table[key.twice], cgc_racah(key, alone)
+            if q == "1" and max(abs(value), abs(expected)) < mpf("1e-140"):
+                continue
+            assert abs(value - expected) <= mpf("1e-60") * abs(expected), key
+    if q == "1":
+        assert any(key[0] == "boost" for key in ctx._cache)
 
 
 @pytest.mark.parametrize("q", ["0.99", "0.9", "1.25"])

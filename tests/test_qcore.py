@@ -19,7 +19,7 @@ from qcgc import (
     q_pochhammer,
     qnum,
 )
-from qcgc.qcore import _gamma_base
+from qcgc.qcore import _gamma_base, factorial_pairs, root_factorial_pairs
 
 CTX = QContext(q="0.5", precision=50)
 
@@ -158,6 +158,29 @@ def test_qpow_on_the_half_integer_lattice_matches_the_real_power(q):
     kept = set(ctx._cache)
     assert ctx.qpow(Fraction(1, 4)) == ctx.q ** ctx.to_mpf(Fraction(1, 4))
     assert set(ctx._cache) == kept
+
+
+@pytest.mark.parametrize("q", ["0.02", "0.9", "1", "1.25", "50"])
+def test_root_factorial_pairs_match_the_square_roots(q):
+    # each root and inverse root against the square root, at 200 digits,
+    # of the [n]! pair it is taken from, within the rounding of a pair;
+    # and squared against the product [1][2]...[n] at 200 digits, within
+    # the precision that the [n]! pairs are rounded to
+    ctx = QContext(q=q, precision=50)
+    ref = QContext(q=q, precision=200)
+    mpf_ = ref.mp.mpf
+    roots, inverse_roots = root_factorial_pairs(200, ctx)
+    factorials = factorial_pairs(200, ctx)[0]
+    bound = mpf_(2) ** -(ctx.width - 4)
+    digits = mpf_(10) ** -ctx.precision
+    product = mpf_(1)
+    for n in range(201):
+        if n:
+            product *= qnum(HalfInt(n), ref)
+        root = ref.mp.sqrt(mpf_(factorials[n]))
+        assert abs(mpf_(roots[n]) - root) <= bound * root
+        assert abs(mpf_(inverse_roots[n]) * root - 1) <= bound
+        assert abs(mpf_(roots[n]) ** 2 / product - 1) <= digits
 
 
 def test_q_gamma_pole_raises():
