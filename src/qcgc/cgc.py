@@ -919,7 +919,7 @@ def compute(key, ctx, mode="default"):
     sv = special_value(key, ctx)
     if sv is not None:
         values["special"] = sv
-    vals = list(values.values())
-    deviation = max(abs(a - b) for a in vals for b in vals)
+    # the largest |a - b| over every pair, as rounding is monotone
+    deviation = max(values.values()) - min(values.values())
     return CgcValue(value=values["racah"], formula="racah",
                     precision=ctx.precision, deviation=deviation)

@@ -21,10 +21,11 @@ import time
 from dataclasses import dataclass, field
 
 from mpmath import mp
+from mpmath.libmp import to_str
 
 from . import verify as verify_mod
 from .cgc import CgcKey, cgc_racah, compute, racah_table
-from .halfint import HalfInt, halfint, halfint_range
+from .halfint import HalfInt, halfint
 from .qcore import QContext, QDomainError, qnum
 from .qhahn import HahnParams, hahn_eval, hahn_norm_sq, hahn_weight, lattice_x
 
@@ -55,7 +56,8 @@ def _context(config):
 
 
 def _fmt(value, config):
-    return mp.nstr(value, config.precision, strip_zeros=False)
+    """What ``mp.nstr(value, config.precision, strip_zeros=False)`` prints."""
+    return to_str(value._mpf_, config.precision, strip_zeros=False)
 
 
 def _emit_json(payload, stream):
@@ -87,53 +89,51 @@ def cmd_cgc(args, stream=None):
 # table
 # ---------------------------------------------------------------------------
 
-def _table_rows(j1, j2, ctx, config):
-    """The rows of every admissible key and the values they print."""
-    values = racah_table(j1, j2, ctx)
-    top = j1.twice + j2.twice
-    text = {t: str(HalfInt(twice=t)) for t in range(-top, top + 1)}
-    rows = []
-    for labels, value in values.items():
-        row = dict(zip(("j1", "m1", "j2", "m2", "j", "m"),
-                       map(text.__getitem__, labels)))
-        row["value"] = _fmt(value, config)
-        rows.append(row)
-    return rows, list(values.values())
-
-
-def _table_checksums(rows, values, ctx):
-    """Per product state (m1, m2): sum over j of value^2; unitarity gives 1."""
-    sums = {}
-    for row, value in zip(rows, values):
-        label = (row["m1"], row["m2"])
-        v = ctx.to_mpf(value)
-        sums[label] = sums.get(label, 0) + v * v
-    return [{"m1": m1, "m2": m2, "sum_sq": mp.nstr(s, 30)}
-            for (m1, m2), s in sorted(sums.items())]
+_TABLE_FIELDS = ("j1", "m1", "j2", "m2", "j", "m", "value")
+# one row as ``json.dumps(payload, indent=2)`` lays it out; labels and
+# values are plain ASCII, so nothing in them needs escaping
+_JSON_ROW = ("    {\n"
+             + ",\n".join(f'      "{name}": "%s"' for name in _TABLE_FIELDS)
+             + "\n    }")
 
 
 def cmd_table(args, stream=None):
     stream = stream or sys.stdout
     config = RunConfig(q=args.q, precision=args.precision, format=args.format,
                        extra={"j1": args.j1, "j2": args.j2, "cap": args.cap})
-    j1, j2 = halfint(args.j1), halfint(args.j2)
-    cap = halfint(args.cap)
+    j1, j2, cap = halfint(args.j1), halfint(args.j2), halfint(args.cap)
     if j1 > cap or j2 > cap:
         raise QDomainError(f"spins exceed the table cap {args.cap}")
     ctx = _context(config)
-    rows, values = _table_rows(j1, j2, ctx, config)
-    fields = ["j1", "m1", "j2", "m2", "j", "m", "value"]
+    values = racah_table(j1, j2, ctx)
+    top = j1.twice + j2.twice
+    text = {t: str(HalfInt(twice=t)) for t in range(-top, top + 1)}
+    rows = [tuple(map(text.__getitem__, labels)) + (_fmt(value, config),)
+            for labels, value in values.items()]
     if args.format == "csv":
-        writer = csv.DictWriter(stream, fieldnames=fields)
-        writer.writeheader()
+        writer = csv.writer(stream)
+        writer.writerow(_TABLE_FIELDS)
         writer.writerows(rows)
-    else:
-        _emit_json({
-            "schema_version": SCHEMA_VERSION,
-            "config": config.to_dict(),
-            "rows": rows,
-            "checksums": _table_checksums(rows, values, ctx),
-        }, stream)
+        return 0
+    # per product state (m1, m2): the sum over j of value^2, which
+    # unitarity makes 1, summed exactly and rounded once
+    low = min(value._mpf_[2] for value in values.values())
+    sums = {}
+    for (_, tm1, _, tm2, _, _), value in values.items():
+        _, man, exp, _ = value._mpf_
+        label = (text[tm1], text[tm2])
+        sums[label] = sums.get(label, 0) + (man * man << 2 * (exp - low))
+    checksums = [{"m1": m1, "m2": m2,
+                  "sum_sq": mp.nstr(ctx.mp.mpf((total, 2 * low)), 30)}
+                 for (m1, m2), total in sorted(sums.items())]
+    head, _, tail = json.dumps({
+        "schema_version": SCHEMA_VERSION,
+        "config": config.to_dict(),
+        "rows": [],
+        "checksums": checksums,
+    }, indent=2).partition('"rows": []')
+    body = ",\n".join(_JSON_ROW % row for row in rows)
+    stream.write(head + '"rows": [\n' + body + "\n  ]" + tail + "\n")
     return 0
 
 

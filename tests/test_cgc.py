@@ -101,6 +101,28 @@ def test_crosscheck_deviation_is_tight():
     assert result.deviation < CTX.tol
 
 
+def test_crosscheck_deviation_is_the_largest_pairwise_difference():
+    # the reported deviation against max |a - b| over every ordered pair
+    # of forms, the special value among them where one applies; at these
+    # spins the forms agree bit for bit at q = 1 and 2, not at q = 0.3
+    spins = [HalfInt(twice=t) for t in range(4)]
+    keys = [key for j1 in spins for j2 in spins
+            for key in admissible_keys(j1, j2)]
+    with_special = nonzero = 0
+    for ctx in (QContext(q=q, precision=50) for q in ("0.3", "1", "2")):
+        for key in keys:
+            values = [fn(key, ctx) for fn in ALL_FORMULAS.values()]
+            sv = special_value(key, ctx)
+            if sv is not None:
+                values.append(sv)
+                with_special += 1
+            pairwise = max(abs(a - b) for a in values for b in values)
+            deviation = compute(key, ctx, mode="crosscheck").deviation
+            assert deviation._mpf_ == pairwise._mpf_, (ctx.q, key)
+            nonzero += deviation != 0
+    assert with_special > 500 and nonzero > 100
+
+
 @pytest.mark.parametrize("q", ["1", "1.25", "2"])
 def test_crosscheck_agrees_at_q_at_least_one(q):
     ctx = QContext(q=q, precision=50)

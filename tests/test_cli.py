@@ -4,9 +4,13 @@ import contextlib
 import csv
 import io
 import json
+from fractions import Fraction
 
+import pytest
 from mpmath import mp, mpf
 
+from qcgc import HalfInt, QContext
+from qcgc.cgc import racah_table
 from qcgc.cli import build_parser, main
 
 
@@ -70,6 +74,48 @@ def test_table_unitarity_checksums():
     assert len(payload["checksums"]) == 4
     for entry in payload["checksums"]:
         assert abs(mpf(entry["sum_sq"]) - 1) < mpf("1e-25")
+
+
+@pytest.mark.parametrize("precision", ["50", "100"])
+@pytest.mark.parametrize("q", ["0.3", "1", "2"])
+def test_table_layout_is_json_dumps_indent_2(q, precision):
+    # the JSON is what json.dumps(payload, indent=2) writes, and the CSV
+    # what csv.DictWriter writes from the same rows
+    for j1, j2 in (("1/2", "1/2"), ("3/2", "1"), ("5/2", "3/2"),
+                   ("4", "7/2")):
+        common = ["table", "--j1", j1, "--j2", j2, "--q", q,
+                  "--precision", precision, "--cap", "4"]
+        _, out_json = _run(common + ["--format", "json"])
+        _, out_csv = _run(common + ["--format", "csv"])
+        payload = json.loads(out_json)
+        assert out_json == json.dumps(payload, indent=2) + "\n"
+        rewrite = io.StringIO()
+        writer = csv.DictWriter(rewrite, fieldnames=list(payload["rows"][0]))
+        writer.writeheader()
+        writer.writerows(payload["rows"])
+        assert out_csv == rewrite.getvalue()
+
+
+@pytest.mark.parametrize("q", ["0.3", "1", "1.25"])
+def test_table_checksums_are_exact_sums_of_squares(q):
+    ctx = QContext(q=q, precision=50)
+    for j1, j2 in (("4", "4"), ("8", "3")):
+        _, out = _run(["table", "--j1", j1, "--j2", j2, "--q", q,
+                       "--cap", "8", "--format", "json"])
+        exact = {}
+        for (_, tm1, _, tm2, _, _), value in racah_table(j1, j2, ctx).items():
+            label = (str(HalfInt(twice=tm1)), str(HalfInt(twice=tm2)))
+            man, exp = value.man_exp
+            square = Fraction(man) ** 2 * Fraction(4) ** exp
+            exact[label] = exact.get(label, 0) + square
+        checksums = json.loads(out)["checksums"]
+        assert [(c["m1"], c["m2"]) for c in checksums] == sorted(exact)
+        for entry in checksums:
+            total = exact[entry["m1"], entry["m2"]]
+            with mp.workprec(8 * total.numerator.bit_length()):
+                expected = mp.nstr(mpf(total.numerator) / total.denominator, 30)
+            assert entry["sum_sq"] == expected
+            assert abs(mpf(entry["sum_sq"]) - 1) <= mpf("1e-28")
 
 
 def test_main_writes_to_the_current_stdout():
