@@ -176,7 +176,7 @@ def _sum_with_guard(terms, ctx):
     step.  The summands are added into one
     integer in units of 2^(peak - width), peak the top bit of the largest
     summand (the bits of a summand below that unit are dropped), and the
-    total is rounded once into ``c``.
+    total is rounded once into ``ctx``, boosted or not.
 
     The total is accurate relative to itself, or else to the absolute
     floor 10^-precision of the largest summand, in two passes at most.
@@ -202,7 +202,7 @@ def _sum_with_guard(terms, ctx):
                 lost = min(lost, math.ceil(
                     (peak - base - total.bit_length()) * math.log10(2)))
         if lost <= c.dps - ctx.precision:
-            return c.mp.mpf((total, base))
+            return ctx.mp.mpf((total, base))
         if c is not ctx:  # the boost leaves GUARD_DIGITS to spare
             raise ArithmeticError(f"sum lost {lost} digits after a boost "
                                   f"to {c.precision}")

@@ -1,10 +1,11 @@
-"""Dense-matrix representations of the q-deformed angular momentum algebra.
+"""Sparse-matrix representations of the q-deformed angular momentum algebra.
 
 Finite irreducible representations, their tensor products through the
 coproduct, the extremal projection operator and two independent
-matrix-level constructions of Clebsch-Gordan coefficients.  Everything
-here works with numpy object arrays filled with mpmath reals, so the
-matrices inherit the configurable precision of the :class:`QContext`.
+matrix-level constructions of Clebsch-Gordan coefficients.  Matrices
+and vectors leave out the entries that are zero by structure; the
+entries they keep are mpmath reals of the :class:`QContext` (or exact
+Python ints), so they inherit its configurable precision.
 
 The commutation relations realized are [J0, J+-] = +-J+- and
 [J+, J-] = [2 J0].
@@ -12,13 +13,156 @@ The commutation relations realized are [J0, J+-] = +-J+- and
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-
-import numpy as np
 
 from .cgc import CgcKey, selection_rules
 from .halfint import HalfInt, halfint, halfint_range
 from .qcore import QDomainError, q_factorial, qnum
+
+
+def _merged(a, b, op):
+    """{k: op(a[k], b[k])} over the keys of either dict, 0 where absent."""
+    return {k: op(a.get(k, 0), b.get(k, 0)) for k in a.keys() | b.keys()}
+
+
+def _dot(a, b):
+    """Sum of a[k] * b[k] over the keys of both dicts, by k up, in the
+    order a dense product adds its terms; the terms left out are exact
+    zeros, so the sum is the dense one to the bit."""
+    return sum(a[k] * b[k] for k in sorted(a.keys() & b.keys()))
+
+
+class SparseVector(dict):
+    """A vector as a dict from flat index to entry; an absent index
+    reads 0."""
+
+    def __missing__(self, i):
+        return 0
+
+    def __matmul__(self, other):
+        return _dot(self, other)
+
+    def __sub__(self, other):
+        return SparseVector(_merged(self, other, operator.sub))
+
+    def __neg__(self):
+        return SparseVector({i: -x for i, x in self.items()})
+
+    def __mul__(self, s):
+        return SparseVector({i: x * s for i, x in self.items()})
+
+    def __truediv__(self, s):
+        return SparseVector({i: x / s for i, x in self.items()})
+
+
+class SparseMatrix:
+    """A matrix that keeps each row as a dict from column to entry; an
+    absent entry reads 0.
+
+    Every operator here moves weight by a fixed amount, so a row holds at
+    most one weight block and a product multiplies only entries that can
+    be nonzero.  ``read_only()`` makes a write raise ``ValueError``, for
+    the matrices a context keeps for every caller.
+    """
+
+    __slots__ = ("shape", "rows", "_read_only")
+
+    def __init__(self, shape, rows=None):
+        self.shape = shape
+        self.rows = {} if rows is None else rows
+        self._read_only = False
+
+    def read_only(self):
+        self._read_only = True
+        return self
+
+    def __getitem__(self, index):
+        r, c = index
+        return self.rows.get(r, {}).get(c, 0)
+
+    def __setitem__(self, index, x):
+        if self._read_only:
+            raise ValueError("matrix is read-only")
+        r, c = index
+        self.rows.setdefault(r, {})[c] = x
+
+    def __iter__(self):
+        for row in self.rows.values():
+            yield from row.values()
+
+    def __eq__(self, other):
+        """Exact entrywise comparison."""
+        return self.shape == other.shape and all(x == 0 for x in self - other)
+
+    @property
+    def T(self):
+        out = SparseMatrix(self.shape[::-1])
+        for r, row in self.rows.items():
+            for c, x in row.items():
+                out.rows.setdefault(c, {})[r] = x
+        return out
+
+    def _map(self, f):
+        return SparseMatrix(self.shape, {r: {c: f(x) for c, x in row.items()}
+                                         for r, row in self.rows.items()})
+
+    def copy(self):
+        return self._map(lambda x: x)
+
+    def __neg__(self):
+        return self._map(operator.neg)
+
+    def __mul__(self, s):
+        return self._map(lambda x: x * s)
+
+    def __rmul__(self, s):
+        return self._map(lambda x: s * x)
+
+    def __truediv__(self, s):
+        return self._map(lambda x: x / s)
+
+    def _merge(self, other, op):
+        empty = {}
+        return SparseMatrix(self.shape, {
+            r: _merged(self.rows.get(r, empty), other.rows.get(r, empty), op)
+            for r in self.rows.keys() | other.rows.keys()})
+
+    def __add__(self, other):
+        return self._merge(other, operator.add)
+
+    def __sub__(self, other):
+        return self._merge(other, operator.sub)
+
+    def __matmul__(self, other):
+        """Each entry sums its terms by k up, as a dense product does."""
+        if isinstance(other, SparseVector):
+            return SparseVector({r: _dot(row, other)
+                                 for r, row in self.rows.items()
+                                 if row.keys() & other.keys()})
+        rows = {}
+        for r, row in self.rows.items():
+            acc = {}
+            for k in sorted(row):
+                a = row[k]
+                for c, b in other.rows.get(k, {}).items():
+                    p = a * b
+                    acc[c] = acc[c] + p if c in acc else p
+            if acc:
+                rows[r] = acc
+        return SparseMatrix((self.shape[0], other.shape[1]), rows)
+
+
+def _kron(a, b):
+    """Kronecker product, a's index outer."""
+    n, m = b.shape
+    out = SparseMatrix((a.shape[0] * n, a.shape[1] * m))
+    for r1, row1 in a.rows.items():
+        for r2, row2 in b.rows.items():
+            out.rows[r1 * n + r2] = {c1 * m + c2: x * y
+                                     for c1, x in row1.items()
+                                     for c2, y in row2.items()}
+    return out
 
 
 class IrrepBasis:
@@ -57,23 +201,20 @@ class TensorBasis:
 def mat_zeros(rows, cols=None):
     # exact Python 0 and 1 fills: an mpmath real of another context on the
     # left of a product or sum would round the result to its precision
-    return np.full((rows, cols if cols is not None else rows), 0, dtype=object)
+    return SparseMatrix((rows, cols if cols is not None else rows))
 
 
 def mat_eye(n):
-    out = mat_zeros(n)
-    for i in range(n):
-        out[i, i] = 1
-    return out
+    return SparseMatrix((n, n), {i: {i: 1} for i in range(n)})
 
 
 def mat_dagger(a):
     """Hermitian adjoint; all matrices here are real, so just transpose."""
-    return a.T.copy()
+    return a.T
 
 
 def mat_max_abs(a):
-    return max((abs(x) for x in np.asarray(a).flat), default=0)
+    return max((abs(x) for x in a), default=0)
 
 
 def mat_power(a, r):
@@ -83,12 +224,6 @@ def mat_power(a, r):
     for _ in range(r - 1):
         out = out @ a
     return out
-
-
-def _read_only(a):
-    """a, made read-only, as a context keeps it for every caller."""
-    a.flags.writeable = False
-    return a
 
 
 def commutator(a, b):
@@ -243,10 +378,10 @@ def _coproduct_operators(basis, ctx):
     e2 = mat_eye(basis.b2.dim)
     qp_2 = _diag_qpow(basis.b2, 1, ctx)
     qm_1 = _diag_qpow(basis.b1, -1, ctx)
-    j0 = np.kron(j0_1, e2) + np.kron(e1, j0_2)
-    jp = np.kron(jp_1, qp_2) + np.kron(qm_1, jp_2)
-    jm = np.kron(jm_1, qp_2) + np.kron(qm_1, jm_2)
-    return _read_only(j0), _read_only(jp), _read_only(jm)
+    j0 = _kron(j0_1, e2) + _kron(e1, j0_2)
+    jp = _kron(jp_1, qp_2) + _kron(qm_1, jp_2)
+    jm = _kron(jm_1, qp_2) + _kron(qm_1, jm_2)
+    return j0.read_only(), jp.read_only(), jm.read_only()
 
 
 def coproduct_power_binomial(j1, j2, r, ctx, sign=-1):
@@ -265,7 +400,7 @@ def coproduct_power_binomial(j1, j2, r, ctx, sign=-1):
                  / (q_factorial(l, ctx) * q_factorial(r - l, ctx)))
         left = mat_power(a1, l) @ _diag_qpow(basis.b1, -(r - l), ctx)
         right = mat_power(a2, r - l) @ _diag_qpow(basis.b2, l, ctx)
-        total = total + np.kron(left, right) * coeff
+        total = total + _kron(left, right) * coeff
     return total
 
 
@@ -279,7 +414,7 @@ def projector_extremal(j, basis, ctx):
     j = halfint(j)
     return ctx._memo(
         ("projector", j.twice, basis.j1.twice, basis.j2.twice),
-        lambda: _read_only(_projector_extremal(j, basis, ctx)))
+        lambda: _projector_extremal(j, basis, ctx).read_only())
 
 
 def _projector_extremal(j, basis, ctx):
@@ -327,9 +462,7 @@ def projector_general(j, m, mprime, basis, ctx):
 
 def _unit_vector(basis, m1, m2):
     """Product basis vector |j1 m1>|j2 m2>."""
-    v = np.full(basis.dim, 0, dtype=object)
-    v[basis.index(m1, m2)] = 1
-    return v
+    return SparseVector({basis.index(m1, m2): 1})
 
 
 def oracle_cgc(key, ctx):

@@ -123,6 +123,23 @@ def test_crosscheck_deviation_is_the_largest_pairwise_difference():
     assert with_special > 500 and nonzero > 100
 
 
+def test_boosted_sums_are_reals_of_the_calling_context():
+    # a sum that cancels past the guard digits reruns in a boosted
+    # context; what it returns, and a deviation taken from such values,
+    # are still reals of the caller's context at its precision
+    ctx = QContext(q=1, precision=50)
+    table = racah_table(2, 2, ctx)
+    zero = cgc_racah(CgcKey(2, -1, 2, -1, 3, -2), ctx)
+    small = QContext(q="0.02", precision=50)
+    deviation = compute(CgcKey(1, -1, "3/2", "-3/2", "5/2", "-5/2"), small,
+                        mode="crosscheck").deviation
+    for c in (ctx, small):
+        assert any(key[0] == "boost" for key in c._cache)
+    for c, x in ((ctx, zero), (small, deviation),
+                 *((ctx, v) for v in table.values())):
+        assert x.context is c.mp and x._mpf_[3] <= c.mp.prec
+
+
 @pytest.mark.parametrize("q", ["1", "1.25", "2"])
 def test_crosscheck_agrees_at_q_at_least_one(q):
     ctx = QContext(q=q, precision=50)

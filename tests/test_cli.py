@@ -4,11 +4,16 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
 
+import qcgc
 from qcgc import HalfInt, QContext
 from qcgc.cgc import racah_table
 from qcgc.cli import build_parser, main
@@ -202,3 +207,15 @@ def test_limit_odd_parity_key_converges_to_zero():
     payload = json.loads(out)
     assert mpf(payload["classical_value"]) == 0
     assert mpf(payload["rows"][-1]["value"]) < mpf("1e-5")
+
+
+def test_package_imports_without_numpy():
+    # mpmath is the one runtime dependency
+    src = str(Path(qcgc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, qcgc, qcgc.cli, qcgc.verify; "
+         "print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert probe.stdout.strip() == "False"

@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp, mpf
 
 from qcgc import HalfInt, QContext, halfint_range
-from qcgc.cgc import CgcKey, cgc_racah
+from qcgc.cgc import CgcKey, cgc_racah, racah_table
 from qcgc.qcore import qnum
 from qcgc import repsu
 
@@ -178,4 +178,36 @@ def test_operators_and_projectors_are_built_once_per_context():
     fresh_top = repsu.projector_extremal("3/2", basis, fresh)
     for a, b in zip(ops + (p_top,), fresh_ops + (fresh_top,)):
         assert a is not b
-        assert (a == b).all()
+        assert a == b
+
+
+# the pairs of doubled spins of the benchmark's table ladder with both
+# at most 8
+LADDER_TO_SPIN_4 = ((1, 1), (2, 1), (3, 2), (5, 3), (4, 4), (8, 4), (6, 6),
+                    (7, 7))
+
+
+@pytest.mark.parametrize("q", ["0.3", "1.25"])
+def test_coupled_states_match_racah_table_to_spin_4(q):
+    ctx = QContext(q=q, precision=50)
+    checked = 0
+    for pair in LADDER_TO_SPIN_4:
+        for tj1, tj2 in (pair, pair[::-1]):
+            j1, j2 = HalfInt(twice=tj1), HalfInt(twice=tj2)
+            basis = repsu.TensorBasis(j1, j2)
+            states = repsu.coupled_states(j1, j2, ctx)
+            for (_, tm1, _, tm2, tj, tm), value in racah_table(
+                    j1, j2, ctx).items():
+                vec = states[(HalfInt(twice=tj), HalfInt(twice=tm))]
+                oracle = vec[basis.index(HalfInt(twice=tm1),
+                                         HalfInt(twice=tm2))]
+                assert ctx.close(value, oracle), (tj1, tm1, tj2, tm2, tj, tm)
+                checked += 1
+    assert checked == 1930
+
+
+def test_projector_oracle_at_spin_4():
+    ctx = QContext(q="0.5", precision=50)
+    for j in range(9):
+        key = CgcKey(4, 0, 4, 0, j, 0)
+        assert ctx.close(repsu.oracle_cgc(key, ctx), cgc_racah(key, ctx)), j
