@@ -324,12 +324,8 @@ class HyperSeries:
 
     def value(self, labels, prefactor, ctx):
         """The prefactor times the series, from the evaluated ``shape()``."""
-        numerator, denominator, arg = labels
-        spec = HyperSeriesSpec(
-            numerator=tuple(HalfInt(twice=t) for t in numerator),
-            denominator=tuple(HalfInt(twice=t) for t in denominator),
-            arg_exponent=HalfInt(twice=arg))
-        return eval_terminating(spec, ctx, scale=prefactor())
+        return eval_terminating(HyperSeriesSpec(twice=labels), ctx,
+                                scale=prefactor())
 
 
 class BracketDifference:

@@ -82,30 +82,23 @@ class HalfInt:
     def __abs__(self):
         return HalfInt(twice=abs(self.twice))
 
-    def _other_twice(self, other):
-        if type(other) is HalfInt:
-            return other.twice
-        if type(other) is int:
-            return 2 * other
-        return HalfInt(other).twice
-
     def __eq__(self, other):
         try:
-            return self.twice == self._other_twice(other)
+            return self.twice == doubled(other)
         except (TypeError, ValueError):
             return NotImplemented
 
     def __lt__(self, other):
-        return self.twice < self._other_twice(other)
+        return self.twice < doubled(other)
 
     def __le__(self, other):
-        return self.twice <= self._other_twice(other)
+        return self.twice <= doubled(other)
 
     def __gt__(self, other):
-        return self.twice > self._other_twice(other)
+        return self.twice > doubled(other)
 
     def __ge__(self, other):
-        return self.twice >= self._other_twice(other)
+        return self.twice >= doubled(other)
 
     def __hash__(self):
         # equal to hash(int) or hash(Fraction) of the same value
@@ -151,6 +144,16 @@ def _to_fraction(x):
     if isinstance(x, HalfInt):
         return x.as_fraction()
     return Fraction(x)
+
+
+def doubled(value):
+    """Twice a half-integer label (HalfInt, int, str, Fraction, float) as
+    an int; an int or a HalfInt builds no HalfInt."""
+    if type(value) is int:
+        return 2 * value
+    if type(value) is HalfInt:
+        return value.twice
+    return HalfInt(value).twice
 
 
 def halfint(value):

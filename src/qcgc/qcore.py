@@ -159,8 +159,16 @@ def qnum(x, ctx):
     if ctx.is_classical:
         return ctx.to_mpf(x)
     if isinstance(x, HalfInt):
-        return ctx._memo(("num", x.twice), lambda: _qnum_raw(ctx.to_mpf(x), ctx))
+        return _bracket(x.twice, ctx)
     return _qnum_raw(ctx.to_mpf(x), ctx)
+
+
+def _bracket(twice, ctx):
+    """[twice/2], memoised by twice as ``qnum`` memoises a HalfInt."""
+    if ctx.is_classical:
+        return ctx.mp.mpf(twice) / 2
+    return ctx._memo(("num", twice),
+                     lambda: _qnum_raw(ctx.mp.mpf(twice) / 2, ctx))
 
 
 def _qnum_raw(xv, ctx):
@@ -180,8 +188,8 @@ def _q_factorial_raw(n, ctx):
     # costs no recursion depth
     value = ctx.to_mpf(1)
     for k in range(1, n):
-        value = ctx._memo(("fact", k), lambda: value * qnum(HalfInt(k), ctx))
-    return value * qnum(HalfInt(n), ctx) if n else value
+        value = ctx._memo(("fact", k), lambda: value * _bracket(2 * k, ctx))
+    return value * _bracket(2 * n, ctx) if n else value
 
 
 def _sqrt_pair(pair, width):
@@ -196,12 +204,17 @@ def _sqrt_pair(pair, width):
 
 
 def _qpow_pair(twice, ctx):
-    """q^(twice/2) as a ``ctx.width``-bit pair.
+    """q^(twice/2) as a ``ctx.width``-bit pair, memoised by twice.
 
     Square-and-multiply from the pair of q^(1/2) or q^(-1/2) made with
     the context, renormalised after each product: about 2 log2|twice|
-    products and no table, whatever the exponent.
+    products, whatever the exponent.
     """
+    return ctx._memo(("qpow_pair", twice),
+                     lambda: _square_and_multiply(twice, ctx))
+
+
+def _square_and_multiply(twice, ctx):
     width = ctx.width
     if twice == 0 or ctx.is_classical:
         return 1 << (width - 1), 1 - width
@@ -268,8 +281,7 @@ def qnum_pairs(twice, ctx):
     have = len(values) // 2
     if have < twice:
         # made outside the lock, as in _grow
-        new = [ctx.to_pair(qnum(HalfInt(twice=t), ctx))
-               for t in range(have + 1, twice + 1)]
+        new = [ctx.to_pair(_bracket(t, ctx)) for t in range(have + 1, twice + 1)]
         new_inverses = [_inverse_pair(p, ctx.width) for p in new]
         with ctx._lock:
             values, inverses = ctx._brackets

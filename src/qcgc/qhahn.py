@@ -17,11 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .halfint import HalfInt, halfint
-from .qcore import (QDomainError, _qpow_pair, _renormalise,
-                    q_binomial, q_factorial, q_gamma_tilde, q_pochhammer,
-                    qnum, qnum_pairs)
-from .qhyper import HyperSeriesSpec, SeriesIllPosed, eval_terminating
+from .halfint import HalfInt, doubled, halfint
+from .qcore import QDomainError, _qpow_pair, _sqrt_pair, q_gamma_tilde
+from .qhyper import HyperSeriesSpec, _pochhammer_pair, eval_terminating
 from .cgc import (CgcKey, _relative_residual, cgc_racah, selection_failure,
                   selection_rules)
 
@@ -56,11 +54,9 @@ class LatticePoint:
 
 
 def lattice_x(s, ctx):
-    """Lattice value x(s) = (q^(2s)-1)/(q^2-1); reduces to s at q=1."""
-    sv = halfint(s)
-    if ctx.is_classical:
-        return ctx.to_mpf(sv)
-    return (ctx.qpow(2 * sv.as_fraction()) - 1) / (ctx.q ** 2 - 1)
+    """Lattice value x(s) = (q^(2s)-1)/(q^2-1) = q^(s-1) [s]; s at q=1."""
+    s = doubled(s)
+    return _bracket_ratio([s], [], 2 * s - 4, ctx)
 
 
 def lattice_point(s, ctx):
@@ -68,10 +64,8 @@ def lattice_point(s, ctx):
 
 
 def delta_x_half(s, ctx):
-    """Forward step through the midpoint: x(s+1/2) - x(s-1/2)."""
-    h = Fraction(1, 2)
-    sv = halfint(s).as_fraction()
-    return lattice_x(sv + h, ctx) - lattice_x(sv - h, ctx)
+    """Forward step through the midpoint: x(s+1/2) - x(s-1/2) = q^(2s-1)."""
+    return ctx.qpow(doubled(s) - 1)
 
 
 def _phase(n):
@@ -84,12 +78,13 @@ def hahn_eval(params, s, ctx, form="A"):
     Form A carries the q-binomial [N-1 choose n] prefactor and sums over
     the lattice index; form B carries the (N+alpha+beta+1) Pochhammer and
     terminates through the degree alone.  Both absorb (beta+1|q)_n into
-    the summand as (beta+1+k|q)_{n-k}, which keeps the value finite for
-    nonpositive integer beta+1 and agrees with the plain product form
-    whenever that one is defined.  Either way the value is a prefactor
-    times a 3F2 summed by ``eval_terminating``: over (beta+1|q)_k, or,
-    when some of the absorbed Pochhammers vanish, restarted at the first
-    summand that does not.  The two prefactors as tabulated differ
+    the summand as (beta+1+k|q)_{n-k}, and form B its own Pochhammer
+    likewise, which keeps the value finite at nonpositive integer
+    parameters and agrees with the plain product form wherever that is
+    defined.  Either way the value is a prefactor times a 3F2 summed by
+    ``eval_terminating``: over (beta+1|q)_k, or, when some of the absorbed
+    Pochhammers vanish, restarted at the first summand that does not.
+    The two prefactors as tabulated differ
     by the pure q-power q^(n(n+alpha+beta+2)/2); form B carries the
     compensating factor here so that both representations return the
     same polynomial, in the normalization the norms, recurrence data and
@@ -103,55 +98,77 @@ def _hahn_series(n, N, a, b, s, ctx, form):
     """hahn_eval on unchecked (n, N, alpha, beta), so n = N is reachable.
 
     The forms differ in the prefactor, the second numerator and the
-    lower denominator parameter, and the series argument."""
-    s = halfint(s)
-    af, bf = a.as_fraction(), b.as_fraction()
+    lower denominator parameter, and the series argument; all labels are
+    doubled."""
+    ta, tb, ts = doubled(a), doubled(b), doubled(s)
+    den = [tb + 2, 2 - 2 * N]  # beta+1 and lower
     if form == "A":
-        second, lower = -s, HalfInt(1 - N)
-        expo = s - N - a
-        pref = (ctx.qpow(Fraction(n, 2) * (af + bf + Fraction(n + 1, 2)))
-                * q_binomial(N - 1, n, ctx))
+        second, expo = -ts, ts - 2 * N - ta
+        # q^(n/2 (alpha+beta+(n+1)/2)) [N-1 choose n]
+        four_power = n * (ta + tb + n + 1)
+        pref, absorbed = [(2 * (N - n), n)], den[:1]
     elif form == "B":
-        second, lower = s + b + 1, N + a + b + 1
-        expo = s - N + 1
-        pref = (ctx.qpow(-Fraction(n * (n - 1), 4)
-                         - Fraction(n, 2) * (n + af + bf + 2))
-                * q_pochhammer(lower, n, ctx) / q_factorial(n, ctx))
+        second, expo = ts + tb + 2, ts - 2 * N + 2
+        den[1] = 2 * N + ta + tb + 2
+        # q^(-n(n-1)/4 - n/2 (n+alpha+beta+2)) (lower|q)_n / [n]!
+        four_power = -n * (n - 1) - n * (2 * n + ta + tb + 4)
+        pref, absorbed = [], den
     else:
         raise QDomainError(f"unknown representation {form!r}")
-    # summand k is (-n, second, a+b+n+1|q)_k (b+1+k|q)_(n-k) q^(k expo)
-    # / ([k]! (lower|q)_k), which vanishes below the first k0 at which
-    # (b+1+k|q)_(n-k) has no zero bracket; from k0 on the summands are
-    # the k0-th one times a 3F2 (over (b+1|q)_k when k0 = 0)
-    k0 = -b.as_int() if b.is_integer and -n < b + 1 <= 0 else 0
-    upper = (HalfInt(-n), second, a + b + n + 1)
+    # summand k is the prefactor over [n]! times (-n, second, a+b+n+1|q)_k
+    # q^(k expo) / [k]!, times (p+k|q)_(n-k) for each absorbed p and over
+    # (p|q)_k for the other.  It vanishes below the first k0 at which no
+    # absorbed Pochhammer has a zero bracket; from k0 on it is the k0-th
+    # summand times a 3F2 over k0+1 and each p+k0, less the 1 that the
+    # series' own [k]! stands for
+    k0 = max([(2 - p) // 2 for p in absorbed
+              if p <= 0 and not p % 2 and p > -2 * n], default=0)
+    upper = [-2 * n, second, ta + tb + 2 * n + 2]
     first = _pochhammer_pair(
-        [(u, k0) for u in upper] + [(b + 1 + k0, n - k0)],
-        [(HalfInt(1), k0), (lower, k0)], k0 * expo.twice, ctx)
-    if first is None:
+        [(u, k0) for u in upper] + [(p + 2 * k0, n - k0) for p in absorbed]
+        + pref, [(2, k0), (2, n)] + [(p, k0) for p in den[len(absorbed):]],
+        _qpow_quarter(four_power + 2 * k0 * expo, ctx), ctx)
+    if not first[0]:
         return ctx.to_mpf(0)
-    spec = HyperSeriesSpec(tuple(u + k0 for u in upper),
-                           (b + 1 if k0 == 0 else HalfInt(k0 + 1),
-                            lower + k0), expo)
-    return _phase(n) * pref * eval_terminating(spec, ctx, scale=first)
+    den = [2 * k0 + 2] + [p + 2 * k0 for p in den]
+    den.remove(2)
+    spec = HyperSeriesSpec(twice=([u + 2 * k0 for u in upper], den, expo))
+    return _phase(n) * eval_terminating(spec, ctx, scale=first)
 
 
-def _pochhammer_pair(num, den, twice_power, ctx):
-    """The pair of q^(twice_power/2) prod (a|q)_l over (a, l) in ``num``
-    over that in ``den``, or None when a numerator bracket is [0]."""
-    num = [a.twice + 2 * i for a, l in num for i in range(l)]
-    den = [a.twice + 2 * i for a, l in den for i in range(l)]
-    if 0 in den:
-        raise SeriesIllPosed("a denominator bracket vanishes")
-    if 0 in num:
-        return None
-    values, inverses = qnum_pairs(max(map(abs, num + den), default=0), ctx)
-    man, exp = _qpow_pair(twice_power, ctx)
-    for table, twices in ((values, num), (inverses, den)):
+def _qpow_quarter(four, ctx):
+    """The pair of q^(four/4), the square root of q^(four/2) at odd four."""
+    if four % 2:
+        return _sqrt_pair(_qpow_pair(four, ctx), ctx.width)
+    return _qpow_pair(four // 2, ctx)
+
+
+def _bracket_ratio(num, den, four_power, ctx):
+    """q^(four_power/4) prod [t/2] over doubled t in num over den, rounded once."""
+    return ctx.mp.mpf(_pochhammer_pair([(t, 1) for t in num],
+                                       [(t, 1) for t in den],
+                                       _qpow_quarter(four_power, ctx), ctx))
+
+
+def _gamma_ratio(num, den, four_power, ctx):
+    """q^(four_power/4) prod Gamma_tilde(t/2) over the doubled t in ``num``
+    over that in ``den``.  Gamma_tilde(t/2) is [1][2]..[t/2-1] at even
+    t > 0, and Gamma_tilde(1/2) times [1/2][3/2]..[t/2-1] at odd t > 0 or
+    over [t/2]..[-1/2] at odd t < 0; an even t <= 0 is a pole."""
+    brackets, halves = ([], []), 0
+    for side, twices in enumerate((num, den)):
         for t in twices:
-            m, e = table[t]
-            man, exp = _renormalise(man * m, exp + e, ctx.width)
-    return man, exp
+            if t <= 0 and not t % 2:
+                raise QDomainError(f"q-Gamma pole at s={HalfInt(twice=t)}")
+            if t > 0:
+                brackets[side].extend(range(2 - t % 2, t, 2))
+            else:
+                brackets[1 - side].extend(range(t, 0, 2))
+            halves += t % 2 * (1 - 2 * side)
+    value = _bracket_ratio(*brackets, four_power, ctx)
+    if halves:
+        value *= q_gamma_tilde(Fraction(1, 2), ctx) ** halves
+    return value
 
 
 def hahn_weight(params, s, ctx):
@@ -164,14 +181,9 @@ def hahn_weight(params, s, ctx):
     single out this reading.  A nonpositive-integer Gamma argument is a
     genuine pole and raises.
     """
-    a, b, N = params.alpha, params.beta, params.N
-    s = halfint(s)
-    exp = (a.as_fraction() + b.as_fraction()) * s.as_fraction()
-    return (ctx.qpow(exp)
-            * q_gamma_tilde(s + b + 1, ctx)
-            * q_gamma_tilde(N + a - s, ctx)
-            / (q_gamma_tilde(s + 1, ctx)
-               * q_gamma_tilde(HalfInt(N) - s, ctx)))
+    a, b, N, s = params.alpha.twice, params.beta.twice, params.N, doubled(s)
+    return _gamma_ratio([s + b + 2, 2 * N + a - s], [s + 2, 2 * N - s],
+                        (a + b) * s, ctx)
 
 
 def hahn_norm_sq(params, ctx):
@@ -181,18 +193,16 @@ def hahn_norm_sq(params, ctx):
     [2n+alpha+beta+1] bracket next to Gamma(n+alpha+beta+1) in the
     denominator); the q-power was pinned down against the brute-force
     Gram diagonal over many (N, alpha, beta, n) and reduces to 1 at q=1,
-    where the whole expression becomes the classical Hahn norm.
+    where the whole expression becomes the classical Hahn norm.  Here
+    [n]! = Gamma_tilde(n+1) and [x] = Gamma_tilde(x+1) / Gamma_tilde(x).
     """
     n, N = params.n, params.N
-    a, b = params.alpha.as_fraction(), params.beta.as_fraction()
-    exp = (N - 1) * (b + 1) - 1 - Fraction(n * (n + 1), 2)
-    num = (q_gamma_tilde(halfint(n + a + 1), ctx)
-           * q_gamma_tilde(halfint(n + b + 1), ctx)
-           * q_gamma_tilde(halfint(n + a + b + N + 1), ctx))
-    den = (q_factorial(n, ctx) * q_factorial(N - n - 1, ctx)
-           * q_gamma_tilde(halfint(n + a + b + 1), ctx)
-           * qnum(halfint(2 * n + a + b + 1), ctx))
-    return ctx.qpow(exp) * num / den
+    a, b = params.alpha.twice, params.beta.twice
+    x = 4 * n + a + b + 2  # the doubled 2n+alpha+beta+1
+    return _gamma_ratio(
+        [2 * n + a + 2, 2 * n + b + 2, 2 * n + a + b + 2 * N + 2, x],
+        [2 * n + 2, 2 * (N - n), 2 * n + a + b + 2, x + 2],
+        2 * (N - 1) * (b + 2) - 4 - 2 * n * (n + 1), ctx)
 
 
 def gram_entry(params_n, params_m, ctx):
@@ -217,12 +227,10 @@ def ttrr_alpha(params, ctx):
     because the tabulated exponent fails off q=1.
     """
     n, N = params.n, params.N
-    a, b = params.alpha, params.beta
-    exp = Fraction(2 * N + n - 3, 2) + (a.as_fraction()
-                                        - b.as_fraction()) / 2
-    return (ctx.qpow(exp) * qnum(n + 1, ctx) * qnum(n + a + b + 1, ctx)
-            / (qnum(2 * n + a + b + 2, ctx)
-               * qnum(2 * n + a + b + 1, ctx)))
+    a, b = params.alpha.twice, params.beta.twice
+    return _bracket_ratio([2 * n + 2, 2 * n + a + b + 2],
+                          [4 * n + a + b + 4, 4 * n + a + b + 2],
+                          4 * N + 2 * n - 6 + a - b, ctx)
 
 
 def ttrr_gamma(params, ctx):
@@ -233,14 +241,10 @@ def ttrr_gamma(params, ctx):
     orthogonal family to its norms.
     """
     n, N = params.n, params.N
-    a, b = params.alpha, params.beta
-    exp = Fraction(2 * N - n - 4, 2) + (a.as_fraction()
-                                        - b.as_fraction()) / 2
-    return (ctx.qpow(exp)
-            * qnum(n + a, ctx) * qnum(n + b, ctx)
-            * qnum(n + a + b + N, ctx) * qnum(HalfInt(N) - n, ctx)
-            / (qnum(2 * n + a + b, ctx)
-               * qnum(2 * n + a + b + 1, ctx)))
+    a, b = params.alpha.twice, params.beta.twice
+    return _bracket_ratio(
+        [2 * n + a, 2 * n + b, 2 * (n + N) + a + b, 2 * (N - n)],
+        [4 * n + a + b, 4 * n + a + b + 2], 4 * N - 2 * n - 8 + a - b, ctx)
 
 
 def ttrr_beta(params, ctx):
@@ -252,16 +256,14 @@ def ttrr_beta(params, ctx):
     against the exact projection <x h_n, h_n> / d_n^2.
     """
     n, N = params.n, params.N
-    a, b = params.alpha, params.beta
-    bf = b.as_fraction()
-    total = (-ctx.qpow(-bf - n - 2) * qnum(b + n + 1, ctx)
-             + ctx.qpow(N - bf - n - 3) * qnum(n + 1, ctx)
-             * qnum(b + n + 1, ctx) * qnum(N + a + b + n + 1, ctx)
-             / qnum(a + b + 2 * n + 2, ctx))
+    a, b = params.alpha.twice, params.beta.twice
+    m = 2 * n + b  # the doubled n+beta
+    total = (_bracket_ratio([2 * n + 2, m + 2, 2 * N + a + m + 2],
+                            [a + m + 2 * n + 4], 4 * N - 2 * m - 12, ctx)
+             - _bracket_ratio([m + 2], [], -2 * m - 8, ctx))
     if n > 0:
-        total -= (ctx.qpow(N - bf - n - 2) * qnum(HalfInt(n), ctx)
-                  * qnum(b + n, ctx) * qnum(N + a + b + n, ctx)
-                  / qnum(a + b + 2 * n, ctx))
+        total -= _bracket_ratio([2 * n, m, 2 * N + a + m], [a + m + 2 * n],
+                                4 * N - 2 * m - 8, ctx)
     return total
 
 
@@ -286,19 +288,16 @@ def _monic_like_next(params, s, ctx):
     Representation A's binomial prefactor vanishes at n = N, so the
     recurrence at the top degree n = N-1 is closed through form B.
     """
-    n1 = params.n + 1
-    exp = Fraction(n1, 2) * (n1 + params.alpha.as_fraction()
-                             + params.beta.as_fraction() + 2)
-    return ctx.qpow(exp) * _hahn_series(n1, params.N, params.alpha,
-                                        params.beta, s, ctx, "B")
+    n1, a, b = params.n + 1, params.alpha, params.beta
+    return (_bracket_ratio([], [], n1 * (2 * n1 + a.twice + b.twice + 4), ctx)
+            * _hahn_series(n1, params.N, a, b, s, ctx, "B"))
 
 
 def hahn_lambda(params, ctx):
     """Difference-equation eigenvalue lambda_n."""
     n, N = params.n, params.N
-    a, b = params.alpha, params.beta
-    exp = Fraction(1, 2) * (b.as_fraction() + 2 - N)
-    return ctx.qpow(exp) * qnum(HalfInt(n), ctx) * qnum(n + a + b + 1, ctx)
+    a, b = params.alpha.twice, params.beta.twice
+    return _bracket_ratio([2 * n, 2 * n + a + b + 2], [], b + 4 - 2 * N, ctx)
 
 
 def hahn_sigma(params, s, ctx):
@@ -311,13 +310,9 @@ def hahn_sigma(params, s, ctx):
     an exact linear fit over five (N, alpha, beta) families.  The s = 0
     zero of [s] closes the equation at the lower lattice boundary.
     """
-    N = params.N
-    a, b = params.alpha, params.beta
-    s = halfint(s)
-    exp = (2 * s.as_fraction()
-           + Fraction(1, 2) * (N - b.as_fraction()) - 3)
-    return (ctx.qpow(exp) * qnum(s, ctx)
-            * qnum(N + a - s, ctx))
+    N, s = params.N, doubled(s)
+    return _bracket_ratio([s, 2 * N + params.alpha.twice - s], [],
+                          4 * s + 2 * N - params.beta.twice - 12, ctx)
 
 
 def hahn_sigma_tau(params, s, ctx):
@@ -328,13 +323,10 @@ def hahn_sigma_tau(params, s, ctx):
     2s + alpha + (beta+N)/2 - 3.  The zero of [N-1-s] at s = N-1 closes
     the equation at the upper lattice boundary.
     """
-    N = params.N
-    a, b = params.alpha, params.beta
-    s = halfint(s)
-    exp = (2 * s.as_fraction() + a.as_fraction()
-           + Fraction(1, 2) * (b.as_fraction() + N) - 3)
-    return (ctx.qpow(exp) * qnum(s + b + 1, ctx)
-            * qnum(N - 1 - s, ctx))
+    N, s = params.N, doubled(s)
+    a, b = params.alpha.twice, params.beta.twice
+    return _bracket_ratio([s + b + 2, 2 * N - 2 - s], [],
+                          4 * s + 2 * a + b + 2 * N - 12, ctx)
 
 
 def hahn_difference_residual(params, s, ctx):

@@ -1,68 +1,77 @@
 """Terminating symmetric q-hypergeometric series and their identities.
 
-Series arguments are carried as signed q-exponents, never as pre-evaluated
-reals, so the q <-> 1/q flips and the pattern matching behind the two
-3F2 transformation rewrites stay exact.
+Series parameters and arguments are carried as doubled ints (2a, 2e),
+never as pre-evaluated reals, so the q <-> 1/q flips, the cutoffs and the
+pattern matching behind the two 3F2 rewrites are integer arithmetic; a
+label is parsed once, where a caller hands it in.  A closed sum is a
+Pochhammer ratio read from the context's bracket tables, rounded once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations
 
-from .halfint import HalfInt, halfint
+from .halfint import HalfInt, doubled
 from .qcore import (GUARD_DIGITS, QDomainError, _inverse_pair, _qpow_pair,
-                    _renormalise, q_factorial, q_pochhammer, qnum_pairs)
+                    _renormalise, qnum_pairs)
 
 
 class SeriesIllPosed(ValueError):
     """A denominator Pochhammer vanishes inside the live summation range."""
 
 
-@dataclass(frozen=True)
 class HyperSeriesSpec:
-    """A terminating p+1_F_p instance with argument z = q^(sign*exponent)."""
+    """A terminating p+1_F_p instance with argument z = q^(sign*exponent),
+    from labels or from ``twice=(num, den, arg)``: the doubled parameters
+    and the doubled signed exponent."""
 
-    numerator: tuple
-    denominator: tuple
-    arg_exponent: HalfInt
-    arg_sign: int = 1
+    __slots__ = ("twice",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "numerator", tuple(halfint(a) for a in self.numerator))
-        object.__setattr__(self, "denominator", tuple(halfint(b) for b in self.denominator))
-        object.__setattr__(self, "arg_exponent", halfint(self.arg_exponent))
-        if self.arg_sign not in (1, -1):
+    def __init__(self, numerator=(), denominator=(), arg_exponent=0,
+                 arg_sign=1, *, twice=None):
+        if arg_sign not in (1, -1):
             raise ValueError("arg_sign must be +1 or -1")
+        num, den, arg = twice or (map(doubled, numerator),
+                                  map(doubled, denominator),
+                                  doubled(arg_exponent) * arg_sign)
+        self.twice = (tuple(num), tuple(den), arg)
+
+    numerator = property(lambda self: _labels(self.twice[0]))
+    denominator = property(lambda self: _labels(self.twice[1]))
 
     def signed_exponent(self):
-        return self.arg_exponent * self.arg_sign
+        return HalfInt(twice=self.twice[2])
 
     def termination_order(self):
         """Smallest cutoff forced by a nonpositive-integer numerator parameter."""
-        return _cutoff([a.twice for a in self.numerator])
+        return _cutoff(self.twice[0])
 
     def reciprocal(self):
         """The same series under q -> 1/q (argument sign flips)."""
-        return HyperSeriesSpec(self.numerator, self.denominator,
-                               self.arg_exponent, -self.arg_sign)
+        num, den, arg = self.twice
+        return HyperSeriesSpec(twice=(num, den, -arg))
 
 
-@dataclass(frozen=True)
 class BasicSeriesSpec:
-    """A terminating basic series with parameters q^e and free argument z."""
+    """A terminating basic series with parameters q^e and free argument z;
+    ``twice=(num, den)`` gives the doubled parameters instead of labels."""
 
-    numerator: tuple
-    denominator: tuple
-    z: object
+    __slots__ = ("twice", "z")
 
-    def __post_init__(self):
-        object.__setattr__(self, "numerator", tuple(halfint(a) for a in self.numerator))
-        object.__setattr__(self, "denominator", tuple(halfint(b) for b in self.denominator))
+    def __init__(self, numerator=(), denominator=(), z=None, *, twice=None):
+        num, den = twice or (map(doubled, numerator), map(doubled, denominator))
+        self.twice, self.z = (tuple(num), tuple(den)), z
 
+    numerator = HyperSeriesSpec.numerator
+    denominator = HyperSeriesSpec.denominator
     termination_order = HyperSeriesSpec.termination_order
+
+
+def _labels(twices):
+    return tuple(HalfInt(twice=t) for t in twices)
 
 
 def _live_range(spec):
@@ -70,8 +79,7 @@ def _live_range(spec):
     doubled parameters and the largest |2x| of a bracket its terms read.
     Raises when a denominator vanishes inside the live range, which the
     numerator cutoffs fix a priori."""
-    num = [a.twice for a in spec.numerator]
-    den = [b.twice for b in spec.denominator]
+    num, den = spec.twice[:2]
     n_eff = _cutoff(num)
     for t in den:
         if t <= 0 and not t % 2 and -t < 2 * n_eff:
@@ -130,11 +138,10 @@ def eval_terminating(spec, ctx, scale=None):
     their cancellation.
     """
     n_eff, num, den, reach = _live_range(spec)
-    twice = spec.arg_exponent.twice * spec.arg_sign
 
     def terms(c):
         values, inverses = qnum_pairs(reach, c)
-        series = _series_terms(n_eff, num, den, _qpow_pair(twice, c),
+        series = _series_terms(n_eff, num, den, _qpow_pair(spec.twice[2], c),
                                values, inverses, c.width)
         if scale is None:
             return series
@@ -188,12 +195,15 @@ def _sum_with_guard(terms, ctx):
     """
     c = ctx
     while True:
-        pairs = [term if type(term) is tuple else c.to_pair(term)
-                 for term in terms(c)]
-        tops = [e + m.bit_length() for m, e in pairs if m]
+        pairs, peak = [], None
+        for term in terms(c):
+            m, e = term if type(term) is tuple else c.to_pair(term)
+            if m:
+                pairs.append((m, e))
+                if peak is None or e + m.bit_length() > peak:
+                    peak = e + m.bit_length()
         total = base = lost = 0
-        if tops:
-            peak = max(tops)
+        if pairs:
             base = peak - c.width
             for m, e in pairs:
                 total += m << (e - base) if e >= base else m >> (base - e)
@@ -211,39 +221,64 @@ def _sum_with_guard(terms, ctx):
                       lambda: ctx.with_precision(precision))
 
 
+def _pochhammer_pair(num, den, power, ctx):
+    """The pair of ``power`` times prod (a|q)_l over the doubled (2a, l)
+    in ``num`` over that in ``den``, or (0, 0) when a numerator bracket
+    is [0]; ``power`` is a pair, such as a q-power's."""
+    num = [t + 2 * i for t, l in num for i in range(l)]
+    den = [t + 2 * i for t, l in den for i in range(l)]
+    if 0 in den:
+        raise SeriesIllPosed("a denominator bracket vanishes")
+    if 0 in num:
+        return 0, 0
+    values, inverses = qnum_pairs(max(map(abs, num + den), default=0), ctx)
+    man, exp = power
+    width = ctx.width
+    for table, twices in ((values, num), (inverses, den)):
+        for t in twices:  # _renormalise, inlined
+            m, e = table[t]
+            man *= m
+            shift = man.bit_length() - width
+            man >>= shift
+            exp += e + shift
+    return man, exp
+
+
+def _closed_sum(num, den, twice_power, ctx):
+    """q^(twice_power/2) times a ``_pochhammer_pair`` ratio, rounded once."""
+    return ctx.mp.mpf(_pochhammer_pair(num, den, _qpow_pair(twice_power, ctx),
+                                       ctx))
+
+
 @dataclass(frozen=True)
 class Prefactor:
-    """q^exponent times a ratio of symmetric Pochhammer symbols."""
+    """q^(twice_power/2) times a ratio of symmetric Pochhammer symbols,
+    given as pairs (2a, n) of a doubled parameter and a length."""
 
-    q_exponent: Fraction
-    poch_num: tuple = field(default_factory=tuple)  # pairs (a, n)
-    poch_den: tuple = field(default_factory=tuple)
+    twice_power: int
+    poch_num: tuple
+    poch_den: tuple
 
     def value(self, ctx):
-        v = ctx.qpow(self.q_exponent)
-        for a, n in self.poch_num:
-            v *= q_pochhammer(a, n, ctx)
-        for a, n in self.poch_den:
-            v /= q_pochhammer(a, n, ctx)
-        return v
+        return _closed_sum(self.poch_num, self.poch_den, self.twice_power, ctx)
 
 
 def _match_321_pattern(spec):
-    """Decompose a 3F2 spec as (-n, a, b; d, e | q, q^(pm*(a+b-n-d-e+1)))."""
-    if len(spec.numerator) != 3 or len(spec.denominator) != 2:
+    """Decompose a 3F2 spec as (-n, a, b; d, e | q, q^(pm*(a+b-n-d-e+1))),
+    returning n and the doubled a, b, d, e."""
+    num, den, arg = spec.twice
+    if len(num) != 3 or len(den) != 2:
         raise QDomainError("transformation requires a 3F2 spec")
-    exponent = spec.signed_exponent()
-    for i in range(3):
-        minus_n = spec.numerator[i]
-        if not (minus_n.is_integer and minus_n <= 0):
+    for i, minus_n in enumerate(num):
+        if minus_n > 0 or minus_n % 2:
             continue
-        n = -minus_n.as_int()
-        rest = [spec.numerator[k] for k in range(3) if k != i]
+        n = -minus_n // 2
+        rest = [num[k] for k in range(3) if k != i]
         for a, b in permutations(rest):
-            for d, e in permutations(spec.denominator):
-                t = a + b - n - d - e + 1
+            for d, e in permutations(den):
+                t = a + b - 2 * n - d - e + 2
                 for pm in (1, -1):
-                    if t * pm == exponent:
+                    if t * pm == arg:
                         return n, a, b, d, e, pm
     raise QDomainError("spec does not match the 3F2 transformation pattern")
 
@@ -255,65 +290,40 @@ def transform_142(spec):
     value(spec) = prefactor * value(new_spec).
     """
     n, a, b, d, e, pm = _match_321_pattern(spec)
-    new = HyperSeriesSpec(
-        numerator=(HalfInt(-n), a, d - b),
-        denominator=(d, a - e - n + 1),
-        arg_exponent=b - e,
-        arg_sign=pm,
-    )
-    pre = Prefactor(
-        q_exponent=Fraction(pm) * a.as_fraction() * n,
-        poch_num=((e - a, n),),
-        poch_den=((e, n),),
-    )
-    return new, pre
+    new = HyperSeriesSpec(twice=((-2 * n, a, d - b), (d, a - e - 2 * n + 2),
+                                 pm * (b - e)))
+    return new, Prefactor(pm * a * n, ((e - a, n),), ((e, n),))
 
 
 def transform_141(spec):
     """Rewrite via the second 3F2 transformation; value is preserved."""
     n, a, b, d, e, pm = _match_321_pattern(spec)
-    new = HyperSeriesSpec(
-        numerator=(HalfInt(-n), a, a + b - d - e - n + 1),
-        denominator=(a - d - n + 1, a - e - n + 1),
-        arg_exponent=b,
-        arg_sign=pm,
-    )
-    pre = Prefactor(
-        q_exponent=Fraction(0),
-        poch_num=((d - a, n), (e - a, n)),
-        poch_den=((d, n), (e, n)),
-    )
-    return new, pre
+    new = HyperSeriesSpec(twice=(
+        (-2 * n, a, a + b - d - e - 2 * n + 2),
+        (a - d - 2 * n + 2, a - e - 2 * n + 2), pm * b))
+    return new, Prefactor(0, ((d - a, n), (e - a, n)), ((d, n), (e, n)))
 
 
 def vandermonde_spec(n, b, c, sign):
     """The 2F1 instance summed by the q-Vandermonde formula."""
-    b, c = halfint(b), halfint(c)
-    return HyperSeriesSpec(
-        numerator=(HalfInt(-n), b),
-        denominator=(c,),
-        arg_exponent=b - c - n + 1,
-        arg_sign=sign,
-    )
+    b, c = doubled(b), doubled(c)
+    return HyperSeriesSpec(twice=((-2 * n, b), (c,), sign * (b - c - 2 * n + 2)))
 
 
 def closed_sum_vandermonde(n, b, c, sign, ctx):
     """q-Vandermonde closed form (c-b|q)_n/(c|q)_n * q^(pm*n*b)."""
-    b, c = halfint(b), halfint(c)
-    _check_vandermonde_domain(n, b, c)
-    return (q_pochhammer(c - b, n, ctx) / q_pochhammer(c, n, ctx)
-            * ctx.qpow(Fraction(sign * n) * b.as_fraction()))
-
-
-def _check_vandermonde_domain(n, b, c):
+    b, c = doubled(b), doubled(c)
     if n < 0:
         raise QDomainError("vandermonde: n must be nonnegative")
-    if c.is_integer and c <= 0 and n > -c.as_int():
+    if c <= 0 and not c % 2 and 2 * n > -c:
         raise QDomainError("vandermonde: n < |c| required for negative integer c")
+    return _closed_sum([(c - b, n)], [(c, n)], sign * n * b, ctx)
 
 
 def closed_sum_positive(n, b, c, sign, ctx):
-    """Factorial form of the q-Vandermonde sum for positive integers, c > b.
+    """Factorial form of the q-Vandermonde sum for positive integers, c > b:
+    [c-b-1+n]! [c-1]! / ([c-b-1]! [c-1+n]!) q^(pm*b*n), the factorials
+    read as (c-b|q)_n / (c|q)_n.
 
     The parent display drops a factorial mark on the [c-1+n] denominator;
     matching the series numerically confirms it must read [c-1+n]!.
@@ -321,40 +331,32 @@ def closed_sum_positive(n, b, c, sign, ctx):
     n, b, c = int(n), int(b), int(c)
     if not (n >= 0 and b > 0 and c > b and n < min(b, c)):
         raise QDomainError("closed_sum_positive requires n,b,c in Z+, n<min(b,c), c>b")
-    value = (q_factorial(c - b - 1 + n, ctx) * q_factorial(c - 1, ctx)
-             / (q_factorial(c - b - 1, ctx) * q_factorial(c - 1 + n, ctx)))
-    return value * ctx.qpow(sign * b * n)
+    return _closed_sum([(2 * (c - b), n)], [(2 * c, n)], 2 * sign * b * n, ctx)
 
 
 def closed_sum_negative(n, b, c, sign, ctx):
-    """Closed form of 2F1(-n,-b;-c | q, q^(pm*(b-c+n-1))) for b > c > 0."""
+    """Closed form of 2F1(-n,-b;-c | q, q^(pm*(b-c+n-1))) for b > c > 0:
+    (-1)^n [c-n]! [b+n-c-1]! / ([c]! [b-c-1]!) q^(pm*b*n), where the sign
+    and factorials read (c-b-n+1|q)_n / (c-n+1|q)_n, as [-x] = -[x]."""
     n, b, c = int(n), int(b), int(c)
     if not (n >= 0 and c > 0 and b > c and n < min(b, c)):
         raise QDomainError("closed_sum_negative requires b>c>0 and n<min(b,c)")
-    value = ((-1) ** n * q_factorial(c - n, ctx) * q_factorial(b + n - c - 1, ctx)
-             / (q_factorial(c, ctx) * q_factorial(b - c - 1, ctx)))
-    return value * ctx.qpow(sign * b * n)
+    return _closed_sum([(2 * (c - b - n + 1), n)], [(2 * (c - n + 1), n)],
+                       2 * sign * b * n, ctx)
 
 
 def negative_spec(n, b, c, sign):
     """The 2F1 instance summed by closed_sum_negative."""
-    return HyperSeriesSpec(
-        numerator=(HalfInt(-n), HalfInt(-b)),
-        denominator=(HalfInt(-c),),
-        arg_exponent=HalfInt(b - c + n - 1),
-        arg_sign=sign,
-    )
+    b, c = doubled(b), doubled(c)
+    return HyperSeriesSpec(twice=((-2 * n, -b), (-c,),
+                                  sign * (b - c + 2 * n - 2)))
 
 
 def dixon_spec(n, b, c):
     """The 3F2 instance summed by the terminating q-Dixon formula."""
-    b, c = halfint(b), halfint(c)
-    return HyperSeriesSpec(
-        numerator=(HalfInt(-2 * n), b, c),
-        denominator=(1 - 2 * n - b, 1 - 2 * n - c),
-        arg_exponent=HalfInt(1),
-        arg_sign=1,
-    )
+    b, c = doubled(b), doubled(c)
+    return HyperSeriesSpec(twice=((-4 * n, b, c),
+                                  (2 - 4 * n - b, 2 - 4 * n - c), 2))
 
 
 def closed_sum_dixon(n, b, c, ctx):
@@ -362,11 +364,9 @@ def closed_sum_dixon(n, b, c, ctx):
     n = int(n)
     if n < 0:
         raise QDomainError("dixon: n must be nonnegative")
-    b, c = halfint(b), halfint(c)
-    return (ctx.qpow(n) * q_factorial(2 * n, ctx)
-            * q_pochhammer(b + c + n, n, ctx)
-            / (q_factorial(n, ctx) * q_pochhammer(b + n, n, ctx)
-               * q_pochhammer(c + n, n, ctx)))
+    b, c = doubled(b), doubled(c)
+    return _closed_sum([(2 * n + 2, n), (b + c + 2 * n, n)],
+                       [(b + 2 * n, n), (c + 2 * n, n)], 2 * n, ctx)
 
 
 def connection_pair(num_exps, den_exps, z_exp, ctx):
@@ -379,12 +379,9 @@ def connection_pair(num_exps, den_exps, z_exp, ctx):
     Returns (basic_spec, f_spec); evaluate the former in ctx (base q) and
     the latter in a context at sqrt(q).
     """
-    num = tuple(halfint(a) for a in num_exps)
-    den = tuple(halfint(b) for b in den_exps)
-    z_exp = halfint(z_exp)
-    basic = BasicSeriesSpec(numerator=num, denominator=den,
-                            z=ctx.qpow(z_exp.as_fraction()))
-    shifted = 2 * z_exp + sum(num, HalfInt(0)) - sum(den, HalfInt(0)) - 1
-    f_spec = HyperSeriesSpec(numerator=num, denominator=den,
-                             arg_exponent=shifted, arg_sign=1)
-    return basic, f_spec
+    num = tuple(map(doubled, num_exps))
+    den = tuple(map(doubled, den_exps))
+    z_exp = doubled(z_exp)
+    basic = BasicSeriesSpec(twice=(num, den), z=ctx.qpow(Fraction(z_exp, 2)))
+    shifted = 2 * z_exp + sum(num) - sum(den) - 2
+    return basic, HyperSeriesSpec(twice=(num, den, shifted))

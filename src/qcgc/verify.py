@@ -140,12 +140,10 @@ def qhyper_suite(precision=50, samples=200, seed=20240901, tolerance=1e-35):
     while count < samples:
         ctx = contexts[rng.choice(tuple(contexts))]
         n = rng.randint(0, 5)
-        others = [HalfInt(Fraction(rng.randint(1, 16), 2)) for _ in range(4)]
-        a, b, d, e = others
-        spec = HyperSeriesSpec(
-            numerator=(HalfInt(-n), a, b), denominator=(d, e),
-            arg_exponent=a + b - n - d - e + 1,
-            arg_sign=rng.choice((1, -1)))
+        a, b, d, e = (rng.randint(1, 16) for _ in range(4))  # doubled
+        sign = rng.choice((1, -1))
+        spec = HyperSeriesSpec(twice=((-2 * n, a, b), (d, e),
+                                      sign * (a + b - 2 * n - d - e + 2)))
         try:
             base = eval_terminating(spec, ctx)
             scale = max(abs(base), 1)
@@ -168,9 +166,9 @@ def qhyper_suite(precision=50, samples=200, seed=20240901, tolerance=1e-35):
         ctx_sqrt = _ctx(sq, precision)
         for _ in range(17):
             n = rng.randint(0, 5)
-            num = (HalfInt(-n), HalfInt(rng.randint(1, 8)))
-            den = (HalfInt(rng.randint(1, 8)),)
-            z_exp = HalfInt(rng.randint(0, 6))
+            num = (-n, rng.randint(1, 8))
+            den = (rng.randint(1, 8),)
+            z_exp = rng.randint(0, 6)
             basic, f_spec = connection_pair(num, den, z_exp, ctx)
             lhs = eval_basic(basic, ctx)
             rhs = eval_terminating(f_spec, ctx_sqrt)

@@ -27,6 +27,7 @@ from qcgc.cgc import (
 )
 from qcgc.qcore import QDomainError, qnum
 from qcgc.qhahn import recurrence_j_residual
+from qcgc.qhyper import closed_sum_dixon, dixon_spec, eval_terminating
 
 CTX = QContext(q="0.5", precision=50)
 
@@ -219,22 +220,31 @@ def test_one_context_shared_across_threads():
         CgcKey(60, 3, 65, -2, 70, 1), CgcKey("121/2", "1/2", 64, 0, "115/2", "1/2"),
         CgcKey("235/2", "3/2", "217/2", "-1/2", 119, 1), CgcKey(90, 0, 80, 0, 150, 0)]
     # one more input, the whole 3 x 3 table, grows the sqrt([n]!) tables
-    # through racah_table instead of one key at a time
+    # through racah_table instead of one key at a time; and one more, a
+    # Dixon series and its closed sum, reads the q-power pairs memoised
+    # on the context
+    def dixon(ctx):
+        return (eval_terminating(dixon_spec(6, "5/2", 7), ctx),
+                closed_sum_dixon(6, "5/2", 7, ctx))
+
     alone = QContext(q="0.7", precision=50)
     expected = [cgc_racah(key, alone) for key in keys]
     expected.append(racah_table(3, 3, alone))
+    expected.append(dixon(alone))
     shared = QContext(q="0.7", precision=50)
     threaded = {}
 
     def evaluate(i):
         if i == len(keys):
             return racah_table(3, 3, shared)
+        if i == len(keys) + 1:
+            return dixon(shared)
         return cgc_racah(keys[i], shared)
 
     def run(name, order):
         threaded[name] = {i: evaluate(i) for i in order}
 
-    forward = range(len(keys) + 1)
+    forward = range(len(keys) + 2)
     threads = [threading.Thread(target=run, args=("forward", forward)),
                threading.Thread(target=run, args=("backward", forward[::-1]))]
     interval = sys.getswitchinterval()

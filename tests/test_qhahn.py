@@ -122,6 +122,30 @@ def test_forms_match_high_precision(q):
                 assert abs(value - ref) <= mpf("1e-50") * max(abs(ref), 1)
 
 
+@pytest.mark.parametrize("q", ["0.5", "0.9", "1.25"])
+def test_forms_agree_where_form_b_meets_its_pole(q):
+    # the grid puts nonpositive integers N+alpha+beta+1 and beta+1 inside
+    # the series' range, where form B cancels its prefactor's zero against
+    # the pole (form A there: e.g. n=1, N=2, alpha=-3, beta=0, s=0 gives -2)
+    ctx = QContext(q=q, precision=50)
+    worst = 0
+    for cap_n in range(1, 7):
+        for n in range(cap_n):
+            for ta in range(-6, 5):
+                for tb in range(-6, 5):
+                    params = HahnParams(n, cap_n, HalfInt(twice=ta),
+                                        HalfInt(twice=tb))
+                    for s in range(cap_n):
+                        va = hahn_eval(params, s, ctx, form="A")
+                        vb = hahn_eval(params, s, ctx, form="B")
+                        worst = max(worst, abs(va - vb)
+                                    / max(abs(va), abs(vb), 1))
+    assert worst <= ctx.tol
+    if q == "0.5":
+        assert ctx.close(hahn_eval(HahnParams(1, 2, -3, 0), 0, ctx, form="B"),
+                         -2)
+
+
 def test_half_integer_parameter_family():
     with CTX.work():
         params = HahnParams(2, 6, "1/2", "3/2")

@@ -1,5 +1,6 @@
 """Unit tests for terminating q-hypergeometric series and identities."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -307,3 +308,117 @@ def test_kernel_leaves_global_precision_alone():
     with mp.workdps(15):
         assert _sum_with_guard(terms, ctx) == 1
     assert seen == [15]
+
+
+def _bracket_products(q, dps=120):
+    """Products of brackets on a plain mpmath context: the factorial,
+    Pochhammer and q-power of labels given as Fractions or ints."""
+    c = mpmath.MPContext()
+    c.dps = dps
+    qv = c.mpf(q)
+
+    def real(x):
+        x = Fraction(x)
+        return c.mpf(x.numerator) / x.denominator
+
+    @functools.lru_cache(maxsize=None)
+    def poch(a, n):
+        value = c.mpf(1)
+        for i in range(n):
+            x = real(Fraction(a) + i)
+            value *= (qv ** x - qv ** -x) / (qv - 1 / qv)
+        return value
+
+    return (lambda n: poch(1, n)), poch, (lambda e: qv ** real(e))
+
+
+def _assert_relative(value, expected, bound=mpf("1e-60")):
+    value = expected.context.mpf(value)
+    assert abs(value - expected) <= bound * abs(expected), (value, expected)
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.9", "1.25", "2"])
+def test_closed_sums_match_bracket_products(q):
+    # each closed sum as its display writes it, against brackets summed
+    # at 120 digits; half-integer b and c wherever the domain allows
+    ctx = QContext(q=q, precision=50)
+    fact, poch, power = _bracket_products(q)
+    halves = [Fraction(t, 2) for t in (-5, -3, -1, 1, 2, 3, 5, 8, 11)]
+    for n in range(5):
+        for sign in (1, -1):
+            for b in halves:
+                for c in halves:
+                    if c.denominator == 1 and c <= 0 and n > -c:
+                        continue
+                    _assert_relative(
+                        closed_sum_vandermonde(n, b, c, sign, ctx),
+                        poch(c - b, n) / poch(c, n) * power(sign * n * b))
+            for b in range(1, 8):
+                for c in range(1, 8):
+                    if n >= min(b, c):
+                        continue
+                    if c > b:
+                        _assert_relative(
+                            closed_sum_positive(n, b, c, sign, ctx),
+                            fact(c - b - 1 + n) * fact(c - 1)
+                            / (fact(c - b - 1) * fact(c - 1 + n))
+                            * power(sign * b * n))
+                    if b > c:
+                        _assert_relative(
+                            closed_sum_negative(n, b, c, sign, ctx),
+                            (-1) ** n * fact(c - n) * fact(b + n - c - 1)
+                            / (fact(c) * fact(b - c - 1))
+                            * power(sign * b * n))
+        for b in halves:
+            for c in halves:
+                if any(x.denominator == 1 and -2 * n < x <= -n for x in (b, c)):
+                    continue  # (b+n|q)_n or (c+n|q)_n vanishes
+                _assert_relative(
+                    closed_sum_dixon(n, b, c, ctx),
+                    power(n) * fact(2 * n) * poch(b + c + n, n)
+                    / (fact(n) * poch(b + n, n) * poch(c + n, n)))
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.9", "1.25", "2"])
+def test_transform_prefactors_match_bracket_products(q):
+    ctx = QContext(q=q, precision=50)
+    _, poch, power = _bracket_products(q)
+    rng = random.Random(20240911)
+    for _ in range(40):
+        n = rng.randint(0, 4)
+        a, b, d, e = (Fraction(rng.randint(1, 12), 2) for _ in range(4))
+        sign = rng.choice((1, -1))
+        spec = HyperSeriesSpec((-n, a, b), (d, e), a + b - n - d - e + 1, sign)
+        # the rewrites read the argument's sign off the pattern, which
+        # cannot tell the signs apart at q^0
+        pm = sign if a + b - n - d - e + 1 else 1
+        _assert_relative(transform_142(spec)[1].value(ctx),
+                         power(pm * a * n) * poch(e - a, n) / poch(e, n))
+        _assert_relative(transform_141(spec)[1].value(ctx),
+                         poch(d - a, n) * poch(e - a, n)
+                         / (poch(d, n) * poch(e, n)))
+
+
+def test_series_layer_builds_no_halfint(monkeypatch):
+    # labels are parsed where they enter the package: on int labels the
+    # specs, their sums (a boosted one included) and the closed sums
+    # are integer arithmetic, down to the bracket tables of a new context
+    created = []
+    build = HalfInt.__init__
+
+    def counting(self, *args, **kwargs):
+        created.append((args, kwargs))
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(HalfInt, "__init__", counting)
+    ctx = QContext(q="0.7", precision=50)
+    for sign in (1, -1):
+        eval_terminating(vandermonde_spec(3, 4, 9, sign), ctx)
+        eval_terminating(vandermonde_spec(2, 2, 1, sign), ctx)  # sums to 0
+        closed_sum_vandermonde(3, 4, 9, sign, ctx)
+        closed_sum_positive(3, 4, 9, sign, ctx)
+        eval_terminating(negative_spec(2, 7, 3, sign), ctx)
+        closed_sum_negative(2, 7, 3, sign, ctx)
+    eval_terminating(dixon_spec(3, 4, 5), ctx)
+    closed_sum_dixon(3, 4, 5, ctx)
+    assert created == []
