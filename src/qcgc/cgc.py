@@ -15,6 +15,7 @@ from __future__ import annotations
 import ast
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +23,8 @@ from fractions import Fraction
 from .halfint import HalfInt, halfint, halfint_range
 from .qcore import (QDomainError, _qpow_pair, _renormalise,
                     factorial_pairs, qnum, qnum_pairs, root_factorial_pairs)
-from .qhyper import HyperSeriesSpec, _sum_with_guard, eval_terminating
+from .qhyper import (HyperSeriesSpec, _exact_ratio, _round_ratio,
+                     _sum_with_guard, eval_terminating)
 
 
 @dataclass(frozen=True)
@@ -273,6 +275,11 @@ class FactorialSum:
         guard measures the cancellation against summands of their true
         size.  A boosted pass reuses it: an error common to every summand
         is not amplified by their cancellation.
+
+        At q = 1 the sum is exact: from r to r + 1 a factorial [a+r]!
+        gains the factor a+r+1 and [a-r]! loses a-r, so the sum over its
+        first summand is a ratio of integers, rounded once with that
+        summand and the prefactor.
         """
         e, num, den = labels
         lo = max(-a for a, s in den if s > 0)
@@ -283,6 +290,23 @@ class FactorialSum:
         if min(ends) < 0:
             raise QDomainError(f"q_factorial: negative argument {min(ends)}")
         start = prefactor(2 * e * lo)
+        if ctx.is_classical:
+            fact, inverse = factorial_pairs(max(ends), ctx)
+            man, exp = start
+            for table, side in ((fact, num), (inverse, den)):
+                for a, s in side:
+                    m, x = table[a + s * lo]
+                    man, exp = _renormalise(man * m, exp + x, ctx.width)
+            # from r to r + 1 the summand gains the steps of its growing
+            # numerator and shrinking denominator factorials, loses the
+            # others', and changes sign
+            ups = _steps([f for f in num if f[1] > 0] + [f for f in den if f[1] < 0],
+                         lo, hi)
+            downs = _steps([f for f in num if f[1] < 0] + [f for f in den if f[1] > 0],
+                           lo, hi)
+            return _round_ratio((-man if lo % 2 else man, exp),
+                                *_exact_ratio(zip(map(operator.neg, ups), downs)),
+                                ctx)
 
         def terms(c):
             width = c.width
@@ -292,9 +316,8 @@ class FactorialSum:
             step_man, step_exp = _qpow_pair(2 * e, c)
             man, exp = start
             for r in range(lo, hi + 1):
-                # the factorials first and the running power last, so that
-                # summands with the same factorials in another order, whose
-                # product is exact at q = 1 and small arguments, round alike
+                # the factorials first and the running power last: the
+                # order of the products sets the last bits of a summand
                 m, x = 1, 0
                 for table, a, s in factors:  # _renormalise, inlined in the hot loop
                     f, y = table[a + s * r]
@@ -307,6 +330,15 @@ class FactorialSum:
                 man, exp = _renormalise(man * step_man, exp + step_exp, width)
 
         return _sum_with_guard(terms, ctx)
+
+
+def _steps(factors, lo, hi):
+    """For r from hi - 1 down to lo, the product over (a, s) in
+    ``factors`` of the integer by which [a+sr]! grows (a+r+1, s = 1) or
+    shrinks (a-r, s = -1) from r to r + 1 at q = 1."""
+    return map(math.prod, zip(*(
+        range(a + (s > 0) + s * (hi - 1), a + (s > 0) + s * (lo - 1), -s)
+        for a, s in factors)))
 
 
 class HyperSeries:
@@ -360,8 +392,7 @@ class ClosedForm:
     The value is (-1)^phase q^power sqrt(root) times the outside factors
     and the series (a FactorialSum, HyperSeries or BracketDifference).
     Special values carry in ``match`` the forms that vanish on their
-    pattern; ``classical(key, ctx)`` replaces the whole row at q = 1 when
-    given.
+    pattern.
 
     The row is evaluated in (man, exp) pairs of Python ints: its label
     forms are compiled on first use into one function of the doubled
@@ -372,12 +403,11 @@ class ClosedForm:
     """
 
     def __init__(self, power, root, phase="0", outside="", series=None,
-                 match=(), classical=None):
+                 match=()):
         self.phase, self.power = phase, power
         self.root, self.outside = _factors(root), _factors(outside)[0]
         self.series = series
         self.match = match
-        self.classical = classical
 
     @functools.cached_property
     def _labels(self):
@@ -397,8 +427,6 @@ class ClosedForm:
         return not any(self._match(*key.twice))
 
     def value(self, key, ctx):
-        if self.classical is not None and ctx.is_classical:
-            return self.classical(key, ctx)
         labels = self._labels(*key.twice)
         prefactor = functools.partial(_prefactor, labels, ctx)
         if self.series is None:
@@ -554,7 +582,9 @@ def racah_table(j1, j2, ctx):
     share of the prefactor that its keys have in common once; a key
     multiplies in its own four roots sqrt([j1+-m1]! [j2+-m2]!) and its
     q-power.  Each key then goes through the guard as in ``cgc_racah``,
-    with the same summands up to the rounding of the pairs.
+    with the same summands up to the rounding of the pairs.  At q = 1,
+    a and b are integers over one denominator, and each key's
+    convolution is summed exactly and rounded once.
     """
     tj1, tj2 = halfint(j1).twice, halfint(j2).twice
     values = {}
@@ -610,6 +640,21 @@ def _racah_column(tj1, tj2, tj, tm, ctx):
         factors[c] = a, b
         return a, b
 
+    if ctx.is_classical:
+        # a_r = (-1)^r C(n, r) / n! and b_s = B_s / (s_hi! (d+s_hi)!
+        # (j+j1-j2)! (j-m)!), B_s the product of the falling factorials
+        # s_hi!/s!, (d+s_hi)!/(d+s)!, (j+j1-j2)!/(j+j1-j2-s)! and
+        # (j-m)!/(j-m-s)! (entries below s_lo unused), so that each key's
+        # convolution is an exact integer over one denominator
+        a = [(-1) ** r * math.comb(n, r) for r in range(n + 1)]
+        falling, rising = [1] * (s_hi + 1), [1] * (s_hi + 1)
+        for s in range(s_hi, s_lo, -1):
+            falling[s - 1] = falling[s] * s * (d + s)
+        for s in range(s_hi):
+            rising[s + 1] = rising[s] * (plus - s) * (jm - s)
+        b = [x * y for x, y in zip(falling, rising)]
+        denominator = math.prod(map(math.factorial, (n, s_hi, d + s_hi, plus, jm)))
+
     # on an admissible key the range of r is never empty
     column = {}
     for u in range(u_lo, u_hi + 1):
@@ -620,9 +665,14 @@ def _racah_column(tj1, tj2, tj, tm, ctx):
             pe += e
         pm, pe = _renormalise(pm, pe, width)
         key = (tj1, tj1 - 2 * u, tj2, tm - tj1 + 2 * u, tj, tm)
-        column[key] = _sum_with_guard(functools.partial(
-            _convolution, convolved, u, max(0, u - s_hi), min(n, u - s_lo),
-            pm, pe), ctx)
+        r_lo, r_hi = max(0, u - s_hi), min(n, u - s_lo)
+        if ctx.is_classical:
+            column[key] = _round_ratio(
+                (pm, pe), sum(a[r] * b[u - r] for r in range(r_lo, r_hi + 1)),
+                denominator, ctx)
+        else:
+            column[key] = _sum_with_guard(functools.partial(
+                _convolution, convolved, u, r_lo, r_hi, pm, pe), ctx)
         qm, qe = _renormalise(qm * step_man, qe + step_exp, width)
     return dict(reversed(column.items()))
 
@@ -783,7 +833,8 @@ SPECIAL_VALUES = {
         root=("[2j+1] [2j2]! [j1+m1]! [j-m]! [j+j1-j2]! / [j1+j2+j+1]! "
               "[j+j2-j1]! [j1+j2-j]! [j+m]! [j1-m1]!")),
     # [j]!/([j-j2]![j-j1]!) 3F2(j-j1-j2, -j1, -j2; j-j1+1, j-j2+1 | ..)
-    # with merged denominators, finite when j < max(j1, j2)
+    # with merged denominators, finite when j < max(j1, j2); exact at
+    # q = 1, where it vanishes when j1 + j2 + j is odd
     "all_m_zero": ClosedForm(
         match=("m1", "m2"), phase="j1+j2-j",
         power="-(j1+j2-j)*(j1+j2+j+1)/2",
@@ -791,9 +842,7 @@ SPECIAL_VALUES = {
         outside="[j]! [j1+j2-j]! [j1]! [j2]!",
         series=FactorialSum(
             "j1+j2+j+1", ("/ [r]! [j1+j2-j-r]! [j1-r]! [j2-r]! [j-j1+r]! "
-                          "[j-j2+r]!")),
-        classical=lambda key, ctx: classical_parity_zero_value(
-            key.j1, key.j2, key.j, ctx)),
+                          "[j-j2+r]!"))),
 }
 
 

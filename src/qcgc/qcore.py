@@ -25,7 +25,8 @@ from .halfint import HalfInt
 # Digits carried beyond the requested precision, which absorb the
 # cancellation of an alternating sum without a rerun.  Of 1112 Racah sums
 # at spins 20-120 and q = 0.9, 0.99 and 1, 133 lose more than 10 digits,
-# but only 4 near-zero sums at q = 1 lose more than 20.
+# but only 4 near-zero sums at q = 1 lose more than 20.  The closed forms,
+# tables and terminating series sum exactly at q = 1, without the guard.
 GUARD_DIGITS = 20
 
 # Bits that the (man, exp) pairs of the fixed-point series kernel carry

@@ -5,6 +5,9 @@ never as pre-evaluated reals, so the q <-> 1/q flips, the cutoffs and the
 pattern matching behind the two 3F2 rewrites are integer arithmetic; a
 label is parsed once, where a caller hands it in.  A closed sum is a
 Pochhammer ratio read from the context's bracket tables, rounded once.
+At q = 1 consecutive terms of a series differ by a ratio of integers,
+so the sum is exact (``_exact_ratio``) and rounded once
+(``_round_ratio``); an exact zero is then 0.
 """
 
 from __future__ import annotations
@@ -135,9 +138,20 @@ def eval_terminating(spec, ctx, scale=None):
     their true size and the product is rounded once.  It multiplies each
     finished term, so terms that cancel exactly still do, and a boosted
     pass reuses it: an error common to every term is not amplified by
-    their cancellation.
+    their cancellation.  At q = 1 the terms are summed exactly, as
+    integers over one denominator, and scaled and rounded once.
     """
     n_eff, num, den, reach = _live_range(spec)
+    if ctx.is_classical:
+        # [t/2] = t/2 and z = 1, so term k+1 is term k times the integer
+        # ratio prod (2a+2k) / (prod (2b+2k) (2k+2)), the powers of 2
+        # balanced by ``shift``
+        shift = len(den) + 1 - len(num)
+        ratios = ((math.prod(t + k for t in num) << max(shift, 0),
+                   math.prod(t + k for t in den) * (k + 2) << max(-shift, 0))
+                  for k in range(2 * n_eff - 2, -1, -2))
+        one = 1 << (ctx.width - 1), 1 - ctx.width
+        return _round_ratio(scale or one, *_exact_ratio(ratios), ctx)
 
     def terms(c):
         values, inverses = qnum_pairs(reach, c)
@@ -219,6 +233,32 @@ def _sum_with_guard(terms, ctx):
         precision = ctx.precision + math.ceil(lost / GUARD_DIGITS) * GUARD_DIGITS
         c = ctx._memo(("boost", precision),
                       lambda: ctx.with_precision(precision))
+
+
+def _exact_ratio(ratios):
+    """(N, D) with N / D the sum over k >= 0 of prod_(i<k) up_i / down_i,
+    from the integer ratios (up_i, down_i) of consecutive terms listed
+    from the last to the first: the terms' sum over the first term,
+    exact, in Horner fashion."""
+    num = den = 1
+    for up, down in ratios:
+        den *= down
+        num = den + up * num
+    return num, den
+
+
+def _round_ratio(pair, num, den, ctx):
+    """The real of ``ctx`` nearest to pair * num / den, for ints num and
+    den != 0: exactly 0 when num is 0, and otherwise within an ulp at
+    ``ctx.width`` bits before its one rounding into ``ctx``."""
+    if not num:
+        return ctx.to_mpf(0)
+    if den < 0:
+        num, den = -num, -den
+    man, exp = pair
+    man *= num
+    shift = max(0, ctx.width + den.bit_length() - man.bit_length())
+    return ctx.mp.mpf(((man << shift) // den, exp - shift))
 
 
 def _pochhammer_pair(num, den, power, ctx):

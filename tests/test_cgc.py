@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from qcgc import CgcKey, HalfInt, QContext, admissible_keys, compute, halfint_range
+from qcgc import cgc, qhyper
 from qcgc.cgc import (
     ALL_FORMULAS,
     SYMMETRIES,
@@ -127,15 +128,15 @@ def test_crosscheck_deviation_is_the_largest_pairwise_difference():
 def test_boosted_sums_are_reals_of_the_calling_context():
     # a sum that cancels past the guard digits reruns in a boosted
     # context; what it returns, and a deviation taken from such values,
-    # are still reals of the caller's context at its precision
+    # are still reals of the caller's context at its precision, as are
+    # the exact sums at q = 1, which never boost
     ctx = QContext(q=1, precision=50)
     table = racah_table(2, 2, ctx)
     zero = cgc_racah(CgcKey(2, -1, 2, -1, 3, -2), ctx)
     small = QContext(q="0.02", precision=50)
     deviation = compute(CgcKey(1, -1, "3/2", "-3/2", "5/2", "-5/2"), small,
                         mode="crosscheck").deviation
-    for c in (ctx, small):
-        assert any(key[0] == "boost" for key in c._cache)
+    assert any(key[0] == "boost" for key in small._cache)
     for c, x in ((ctx, zero), (small, deviation),
                  *((ctx, v) for v in table.values())):
         assert x.context is c.mp and x._mpf_[3] <= c.mp.prec
@@ -158,14 +159,22 @@ def test_crosscheck_forms_agree_to_tolerance_at_small_q():
     assert result.deviation <= ctx.tol
 
 
-def _exact_classical(j1, m1, j2, m2, j, m):
-    """Sign and square of the q = 1 coefficient: the Racah sum in Fractions."""
-    f = math.factorial
-    total = sum(Fraction((-1) ** k, f(k) * f(j1 + j2 - j - k) * f(j1 - m1 - k)
-                         * f(j2 + m2 - k) * f(j - j2 + m1 + k)
-                         * f(j - j1 - m2 + k))
-                for k in range(max(0, j2 - j - m1, j1 + m2 - j),
-                               min(j1 + j2 - j, j1 - m1, j2 + m2) + 1))
+def _exact_classical(*labels):
+    """Sign and square of the q = 1 coefficient: the Racah sum in Fractions.
+
+    The labels are ints or half-integers in any form ``HalfInt`` reads.
+    """
+    j1, m1, j2, m2, j, m = (HalfInt(x).as_fraction() for x in labels)
+    # the factorial arguments, integers on an admissible key
+    n, a, b, c, d = map(int, (j1 + j2 - j, j1 - m1, j2 + m2, j - j2 + m1,
+                              j - j1 - m2))
+
+    def f(x):
+        return math.factorial(int(x))
+
+    total = sum(Fraction((-1) ** k, f(k) * f(n - k) * f(a - k) * f(b - k)
+                         * f(c + k) * f(d + k))
+                for k in range(max(0, -c, -d), min(n, a, b) + 1))
     square = Fraction((2 * j + 1) * f(j1 + j2 - j) * f(j1 - j2 + j)
                       * f(j2 - j1 + j) * f(j1 + m1) * f(j1 - m1) * f(j2 + m2)
                       * f(j2 - m2) * f(j + m) * f(j - m),
@@ -184,8 +193,73 @@ def test_racah_keeps_precision_at_large_spin():
             assert abs(value - exact) <= mpf(10) ** -ctx.precision * abs(exact)
     # j1 + j2 + j odd: a parity zero
     assert _exact_classical(120, 0, 119, 0, 200, 0)[1] == 0
-    value = cgc_racah(CgcKey(120, 0, 119, 0, 200, 0), ctx)
-    assert abs(value) < mpf(10) ** -ctx.precision
+    assert cgc_racah(CgcKey(120, 0, 119, 0, 200, 0), ctx) == 0
+
+
+def _assert_exact_at_q_1(keys, ctx):
+    # every closed form against the Fraction reference: 0 on every exact
+    # zero, and within 10^-(precision+15) elsewhere
+    tol = mpf(10) ** -(ctx.precision + 15)
+    zeros = 0
+    for key in keys:
+        sign, square = _exact_classical(*key.labels())
+        zeros += square == 0
+        with mp.workdps(2 * ctx.precision + 40):
+            exact = sign * mp.sqrt(mpf(square.numerator) / square.denominator)
+            bound = tol * abs(exact)
+            for name, fn in ALL_FORMULAS.items():
+                assert abs(fn(key, ctx) - exact) <= bound, (name, key)
+    return zeros
+
+
+def test_closed_forms_are_exact_at_q_1_on_small_spins():
+    spins = [HalfInt(twice=t) for t in range(9)]
+    keys = [key for j1 in spins for j2 in spins
+            for key in admissible_keys(j1, j2)]
+    assert _assert_exact_at_q_1(keys, QContext(q=1, precision=50)) == 160
+
+
+@pytest.mark.parametrize("precision", [50, 100])
+def test_closed_forms_are_exact_at_q_1_at_large_spin(precision):
+    # spins 20-120, every third key <j1 0, j2 0|j 0>, a parity zero when
+    # j1 + j2 + j is odd
+    rng = random.Random(13)
+    keys = []
+    while len(keys) < 24:
+        if len(keys) % 3 == 0:
+            j1, j2 = rng.randint(20, 120), rng.randint(20, 120)
+            keys.append(CgcKey(j1, 0, j2, 0, rng.randint(abs(j1 - j2), j1 + j2), 0))
+            continue
+        tj1, tj2 = rng.randint(40, 240), rng.randint(40, 240)
+        tj = rng.randrange(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+        tm, tm1 = rng.randrange(-tj, tj + 1, 2), rng.randrange(-tj1, tj1 + 1, 2)
+        if abs(tm - tm1) <= tj2:
+            keys.append(CgcKey(*(HalfInt(twice=t) for t in
+                                 (tj1, tm1, tj2, tm - tm1, tj, tm))))
+    assert _assert_exact_at_q_1(keys, QContext(q=1, precision=precision)) >= 3
+
+
+def test_sums_at_q_1_skip_the_guard(monkeypatch):
+    # at q = 1 no closed form and no table column runs the guarded kernel;
+    # at q = 0.9 every one of them still does
+    class Guarded(Exception):
+        pass
+
+    def guard(terms, ctx):
+        raise Guarded
+
+    monkeypatch.setattr(cgc, "_sum_with_guard", guard)
+    monkeypatch.setattr(qhyper, "_sum_with_guard", guard)
+    keys = admissible_keys(2, "3/2")
+    classical, deformed = QContext(q=1, precision=50), QContext(q="0.9", precision=50)
+    for fn in ALL_FORMULAS.values():
+        for key in keys:
+            fn(key, classical)
+        with pytest.raises(Guarded):
+            fn(CgcKey(2, 0, "3/2", "1/2", "3/2", "1/2"), deformed)
+    racah_table(2, "3/2", classical)
+    with pytest.raises(Guarded):
+        racah_table(2, "3/2", deformed)
 
 
 def test_contexts_at_different_precisions_agree_across_threads():
@@ -265,8 +339,8 @@ def test_one_context_shared_across_threads():
 @pytest.mark.parametrize("q", ["0.3", "0.9", "1", "1.25", "2"])
 def test_racah_table_matches_cgc_racah(q):
     # each column's convolution against the key-by-key Racah sums; at
-    # q = 1 the true zeros boost and leave residues below 1e-140, which
-    # round differently on the two sides
+    # q = 1 both are exact, so a true zero is 0 on both sides and no sum
+    # boosts
     ctx = QContext(q=q, precision=50)
     alone = QContext(q=q, precision=50)
     for j1, j2 in (("1/2", "1/2"), (2, 1), ("5/2", "3/2"), (4, 4), (8, 2)):
@@ -275,11 +349,9 @@ def test_racah_table_matches_cgc_racah(q):
         assert list(table) == [key.twice for key in keys]
         for key in keys:
             value, expected = table[key.twice], cgc_racah(key, alone)
-            if q == "1" and max(abs(value), abs(expected)) < mpf("1e-140"):
-                continue
             assert abs(value - expected) <= mpf("1e-60") * abs(expected), key
     if q == "1":
-        assert any(key[0] == "boost" for key in ctx._cache)
+        assert not any(key[0] == "boost" for key in ctx._cache)
 
 
 @pytest.mark.parametrize("q", ["0.99", "0.9", "1.25"])

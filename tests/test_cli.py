@@ -17,6 +17,7 @@ import qcgc
 from qcgc import HalfInt, QContext
 from qcgc.cgc import racah_table
 from qcgc.cli import build_parser, main
+from test_cgc import _exact_classical
 
 
 def _run(argv):
@@ -121,6 +122,25 @@ def test_table_checksums_are_exact_sums_of_squares(q):
                 expected = mp.nstr(mpf(total.numerator) / total.denominator, 30)
             assert entry["sum_sq"] == expected
             assert abs(mpf(entry["sum_sq"]) - 1) <= mpf("1e-28")
+
+
+def test_table_at_q_1_prints_the_rounded_exact_values():
+    # every exact zero prints 0.0, and every other value is the Fraction
+    # reference rounded to the printed digits
+    _, out = _run(["table", "--j1", "3", "--j2", "3", "--q", "1",
+                   "--format", "csv"])
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 231
+    zeros = 0
+    for row in rows:
+        sign, square = _exact_classical(*(row[name] for name in
+                                          ("j1", "m1", "j2", "m2", "j", "m")))
+        with mp.workdps(140):
+            exact = sign * mp.sqrt(mpf(square.numerator) / square.denominator)
+            assert row["value"] == mp.nstr(exact, 50, strip_zeros=False), row
+        zeros += square == 0
+        assert (row["value"] == "0.0") == (square == 0)
+    assert zeros == 15
 
 
 def test_main_writes_to_the_current_stdout():
