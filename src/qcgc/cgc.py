@@ -19,9 +19,10 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .halfint import HalfInt, halfint, halfint_range
-from .qcore import (QDomainError, _qpow_pair, _renormalise,
+from .qcore import (QDomainError, _qpow_pair, _renormalise, _times,
                     factorial_pairs, qnum, qnum_pairs, root_factorial_pairs)
 from .qhyper import (HyperSeriesSpec, _exact_ratio, _round_ratio,
                      _sum_with_guard, eval_terminating)
@@ -224,25 +225,27 @@ def _ints(forms):
     return [("int", form) for form in forms]
 
 
-def _product(factorials, brackets, c):
-    """The pair of prod [n]! times prod [n] over the given n (not
-    renormalised: the mantissa has up to ``c.width`` bits per factor)."""
-    man, exp = 1, 0
+def _product(factorials, brackets, c, man=1, exp=0):
+    """The pair of man * 2^exp times prod [n]! times prod [n] over the
+    given n, renormalised to ``c.width`` bits after each factor; (0, 0)
+    when a bracket is [0]."""
+    if 0 in brackets:
+        return 0, 0
+    pairs = []
     if factorials:
         if min(factorials) < 0:
             raise QDomainError(f"q_factorial: negative argument {min(factorials)}")
         table = factorial_pairs(max(factorials), c)[0]
-        for n in factorials:
-            m, e = table[n]
-            man *= m
-            exp += e
+        pairs += map(table.__getitem__, factorials)
     if brackets:
         table = qnum_pairs(2 * max(map(abs, brackets)), c)[0]
-        for n in brackets:
-            m, e = table[2 * n]
-            man *= m
-            exp += e
-    return man, exp
+        pairs += (table[2 * n] for n in brackets)
+    return _times(man, exp, pairs, c.width)
+
+
+def _exact_product(factorials, brackets):
+    """prod n! times prod n, the ``_product`` of the same n at q = 1."""
+    return math.prod(map(math.factorial, factorials)) * math.prod(brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +295,8 @@ class FactorialSum:
         start = prefactor(2 * e * lo)
         if ctx.is_classical:
             fact, inverse = factorial_pairs(max(ends), ctx)
-            man, exp = start
-            for table, side in ((fact, num), (inverse, den)):
-                for a, s in side:
-                    m, x = table[a + s * lo]
-                    man, exp = _renormalise(man * m, exp + x, ctx.width)
+            man, exp = _times(*start, [fact[a + s * lo] for a, s in num]
+                              + [inverse[a + s * lo] for a, s in den], ctx.width)
             # from r to r + 1 the summand gains the steps of its growing
             # numerator and shrinking denominator factorials, loses the
             # others', and changes sign
@@ -319,7 +319,7 @@ class FactorialSum:
                 # the factorials first and the running power last: the
                 # order of the products sets the last bits of a summand
                 m, x = 1, 0
-                for table, a, s in factors:  # _renormalise, inlined in the hot loop
+                for table, a, s in factors:  # _times, inlined in the hot loop
                     f, y = table[a + s * r]
                     m *= f
                     shift = m.bit_length() - width
@@ -374,8 +374,15 @@ class BracketDifference:
                 [_ints(f) for f in self.second]]
 
     def value(self, labels, prefactor, ctx):
-        """The prefactor times the difference, from the evaluated ``shape()``."""
+        """The prefactor times the difference, from the evaluated ``shape()``.
+
+        At q = 1 both products are integers and the q-power is 1, so the
+        difference is exact and rounded once with the prefactor.
+        """
         first, power, second = labels
+        if ctx.is_classical:
+            return _round_ratio(prefactor(), _exact_product(*first)
+                                - _exact_product(*second), 1, ctx)
         man, exp = prefactor()
 
         def terms(c):
@@ -438,10 +445,9 @@ def _prefactor(labels, c, halves=0):
     """The ``c.width``-bit pair of (-1)^phase q^(power + halves/2)
     sqrt(root) times the outside factors of a row's evaluated labels."""
     phase, power, num, den, outside, _ = labels
-    rm, rexp = _root(num, den, c)
-    qm, qe = _qpow_pair(power + halves, c)
-    om, oe = _product(*outside, c)
-    man, exp = _renormalise(rm * qm * om, rexp + qe + oe, c.width)
+    man, exp = _times(*_root(num, den, c), [_qpow_pair(power + halves, c)],
+                      c.width)
+    man, exp = _product(*outside, c, man, exp)
     return (-man if phase % 2 else man), exp
 
 
@@ -454,17 +460,9 @@ def _root(num, den, c):
     downs = [*den[0], *den[1], *[n - 1 for n in num[1]]]
     if min(ups + downs) < 0:
         raise QDomainError(f"q_factorial: negative argument {min(ups + downs)}")
-    width = c.width
-    tables = root_factorial_pairs(max(ups + downs), c)
-    man, exp = 1 << (width - 1), 1 - width
-    for table, indices in zip(tables, (ups, downs)):
-        for n in indices:  # _renormalise, inlined
-            m, e = table[n]
-            man *= m
-            shift = man.bit_length() - width
-            man >>= shift
-            exp += e + shift
-    return man, exp
+    roots, inverses = root_factorial_pairs(max(ups + downs), c)
+    return _times(1, 0, chain(map(roots.__getitem__, ups),
+                              map(inverses.__getitem__, downs)), c.width)
 
 
 _QUADRATIC_MINUS = "j1*m2 - j2*m1 - (j1+j2-j)*(j1+j2+j+1)/2"
@@ -626,17 +624,12 @@ def _racah_column(tj1, tj2, tj, tm, ctx):
         rm, rexp = 1 << (w - 1), 1 - w  # q^(-(j1+j2+j+1) r), from r = 0
         rstep_man, rstep_exp = _qpow_pair(-2 * big, c)
         for r in range(n + 1):
-            (fm, fe), (gm, ge) = inverse[r], inverse[n - r]
-            m, e = _renormalise(fm * gm * rm, fe + ge + rexp, w)
+            m, e = _times(rm, rexp, (inverse[r], inverse[n - r]), w)
             a.append((-m if r % 2 else m, e))
             rm, rexp = _renormalise(rm * rstep_man, rexp + rstep_exp, w)
         for s in range(s_lo, s_hi + 1):
-            m, e = 1, 0
-            for fm, fe in (inverse[s], inverse[d + s], inverse[plus - s],
-                           inverse[jm - s]):
-                m *= fm
-                e += fe
-            b.append(_renormalise(m, e, w))
+            b.append(_times(1, 0, (inverse[s], inverse[d + s], inverse[plus - s],
+                                   inverse[jm - s]), w))
         factors[c] = a, b
         return a, b
 
@@ -658,12 +651,8 @@ def _racah_column(tj1, tj2, tj, tm, ctx):
     # on an admissible key the range of r is never empty
     column = {}
     for u in range(u_lo, u_hi + 1):
-        pm, pe = man * qm, exp + qe
-        for m, e in (roots[tj1 - u], roots[u], roots[d + u],
-                     roots[tj2 - d - u]):
-            pm *= m
-            pe += e
-        pm, pe = _renormalise(pm, pe, width)
+        pm, pe = _times(man, exp, ((qm, qe), roots[tj1 - u], roots[u],
+                                   roots[d + u], roots[tj2 - d - u]), width)
         key = (tj1, tj1 - 2 * u, tj2, tm - tj1 + 2 * u, tj, tm)
         r_lo, r_hi = max(0, u - s_hi), min(n, u - s_lo)
         if ctx.is_classical:

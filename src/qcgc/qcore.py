@@ -31,11 +31,17 @@ GUARD_DIGITS = 20
 
 # Bits that the (man, exp) pairs of the fixed-point series kernel carry
 # beyond ``ctx.mp.prec``: a mantissa has ctx.width = mp.prec + EXTRA_BITS
-# bits.  Against precision 150, at precision 50, the worst of 404 Racah
-# values at spins 20-120 (q = 0.3, 0.99, 1, 1.25) is off by 2.7e-53 with
-# no extra bits, 2.5e-55 with 8 and 1.6e-55 with 16 to 64; 64 leaves room
-# for the roundings of longer sums (about a bit per doubling of the terms).
-EXTRA_BITS = 64
+# bits.  Products are renormalised to that width after each factor, and
+# each truncation costs less than an ulp at width.  At spins up to 120 a
+# sum has at most 241 summands, each after at most about 250 truncations
+# (up to 8 factors and its running q-power chain), so truncation adds
+# fewer than 2^16 ulps at width: about an ulp at mp.prec of the largest
+# summand, whose table entries are rounded at mp.prec already.  Against
+# precision 150, at precision 50, the worst of 404 Racah values (101
+# seeded keys at spins 20-120, q = 0.3, 0.99, 1 and 1.25) is off by
+# 5.5e-61 relative with no extra bits, 5.7e-62 with 8 and 5.6e-62 with
+# 16 and with 64.
+EXTRA_BITS = 16
 
 
 class QDomainError(ValueError):
@@ -196,9 +202,9 @@ def _q_factorial_raw(n, ctx):
 def _sqrt_pair(pair, width):
     """The width-bit pair of sqrt(x) from the pair of a positive x."""
     man, exp = pair
-    # shift man to 2*width - 1 bits or one fewer, leaving an even exponent,
-    # so that the integer square root has exactly width bits
-    shift = 2 * width - 1 - man.bit_length()
+    # shift man to 2*width bits or one fewer, leaving an even exponent, so
+    # that the integer square root has exactly width bits
+    shift = 2 * width - man.bit_length()
     if (exp - shift) % 2:
         shift -= 1
     return math.isqrt(man << shift), (exp - shift) // 2
@@ -244,6 +250,18 @@ def _renormalise(man, exp, width):
     """man * 2^exp rounded down to a width-bit mantissa (man has more)."""
     shift = man.bit_length() - width
     return man >> shift, exp + shift
+
+
+def _times(man, exp, pairs, width):
+    """man * 2^exp times each nonzero pair of ``pairs``, renormalised to
+    a width-bit mantissa after every product, so that no product is
+    longer than two widths; (1, 0) starts an empty product."""
+    for m, e in pairs:  # _renormalise, inlined
+        man *= m
+        shift = man.bit_length() - width
+        man >>= shift
+        exp += e + shift
+    return man, exp
 
 
 def factorial_pairs(n, ctx):

@@ -19,7 +19,7 @@ from itertools import chain, permutations
 
 from .halfint import HalfInt, doubled
 from .qcore import (GUARD_DIGITS, QDomainError, _inverse_pair, _qpow_pair,
-                    _renormalise, qnum_pairs)
+                    _renormalise, _times, qnum_pairs)
 
 
 class SeriesIllPosed(ValueError):
@@ -101,8 +101,8 @@ def _cutoff(num):
 
 def _series_terms(n_eff, num, den, z, values, inverses, width):
     """Terms, as ``width``-bit (man, exp) pairs, of a terminating series:
-    t_0 = 1, and t_(k+1) is t_k times z / [k+1] times prod [a+k] /
-    prod [b+k] for k < n_eff, renormalised after each step.
+    t_0 = 1, and t_(k+1) is t_k times 1 / [k+1] times prod [a+k] over
+    prod [b+k] times z for k < n_eff, renormalised after each factor.
 
     ``num`` and ``den`` hold the doubled parameters 2a and 2b, z is a
     pair, and ``values[t]`` and ``inverses[t]`` are the pairs of the
@@ -111,22 +111,20 @@ def _series_terms(n_eff, num, den, z, values, inverses, width):
     """
     man, exp = 1 << (width - 1), 1 - width
     yield man, exp
+    factors = [(inverses, 2), *((values, t) for t in num),
+               *((inverses, t) for t in den)]
     z_man, z_exp = z
     for k in range(0, 2 * n_eff, 2):
-        m, e = inverses[k + 2]
-        man *= z_man * m
-        exp += z_exp + e
-        for t in num:
-            m, e = values[t + k]
+        for table, t in factors:  # _times, inlined in the hot loop
+            m, e = table[t + k]
             man *= m
-            exp += e
-        for t in den:
-            m, e = inverses[t + k]
-            man *= m
-            exp += e
-        shift = man.bit_length() - width  # _renormalise, inlined
+            shift = man.bit_length() - width
+            man >>= shift
+            exp += e + shift
+        man *= z_man
+        shift = man.bit_length() - width
         man >>= shift
-        exp += shift
+        exp += z_exp + shift
         yield man, exp
 
 
@@ -169,6 +167,8 @@ def eval_terminating(spec, ctx, scale=None):
 def eval_basic(spec, ctx):
     """Evaluate a terminating basic series with (a;q)_k coefficients."""
     n_eff, num, den, reach = _live_range(spec)
+    if ctx.is_classical:
+        raise QDomainError("eval_basic: every 1 - q^t vanishes at q = 1")
 
     def terms(c):
         # the pairs of 1 - q^(t/2), laid out as qnum_pairs lays out its
@@ -190,14 +190,16 @@ def _sum_with_guard(terms, ctx):
     or a real of ``c`` (converted once, by ``c.to_pair``); every caller
     in the package hands it pairs, and real summands come only from
     callers outside it.  The kernel never touches mpmath's global
-    precision.  Pairs carry ``c.width`` = ``c.mp.prec`` + EXTRA_BITS
-    bits, and a summand built by a chain of products (a running q-power,
-    a series term from the one before it) is renormalised to that width
-    after each step, or a mantissa near a power of two loses a bit per
-    step.  The summands are added into one
-    integer in units of 2^(peak - width), peak the top bit of the largest
-    summand (the bits of a summand below that unit are dropped), and the
-    total is rounded once into ``ctx``, boosted or not.
+    precision.  The tables' pairs carry ``c.width`` = ``c.mp.prec`` +
+    EXTRA_BITS bits.  A summand may be the unrenormalised product of a
+    few such pairs; one built by a chain of products (a running q-power,
+    a series term from the one before it) is renormalised to ``c.width``
+    bits after each factor, so that each product is at most two widths
+    long and each factor costs at most about an ulp at that width.  The
+    summands are added into one integer in units of 2^(peak - width),
+    peak the top bit of the largest summand (the bits of a summand below
+    that unit are dropped), and the total is rounded once into ``ctx``,
+    boosted or not.
 
     The total is accurate relative to itself, or else to the absolute
     floor 10^-precision of the largest summand, in two passes at most.
@@ -272,16 +274,8 @@ def _pochhammer_pair(num, den, power, ctx):
     if 0 in num:
         return 0, 0
     values, inverses = qnum_pairs(max(map(abs, num + den), default=0), ctx)
-    man, exp = power
-    width = ctx.width
-    for table, twices in ((values, num), (inverses, den)):
-        for t in twices:  # _renormalise, inlined
-            m, e = table[t]
-            man *= m
-            shift = man.bit_length() - width
-            man >>= shift
-            exp += e + shift
-    return man, exp
+    return _times(*power, chain(map(values.__getitem__, num),
+                                map(inverses.__getitem__, den)), ctx.width)
 
 
 def _closed_sum(num, den, twice_power, ctx):

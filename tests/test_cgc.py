@@ -262,6 +262,61 @@ def test_sums_at_q_1_skip_the_guard(monkeypatch):
         racah_table(2, "3/2", deformed)
 
 
+def test_stretched_minus_one_is_exact_at_q_1(monkeypatch):
+    # both bracket products are integers at q = 1 and the q-power is 1,
+    # so the difference is exact and rounded once: no special value runs
+    # the guarded kernel or boosts, and the exact zeros are 0
+    class Guarded(Exception):
+        pass
+
+    def guard(terms, ctx):
+        raise Guarded
+
+    monkeypatch.setattr(cgc, "_sum_with_guard", guard)
+    monkeypatch.setattr(qhyper, "_sum_with_guard", guard)
+    ctx = QContext(q=1, precision=50)
+    spins = [HalfInt(twice=t) for t in range(9)]
+    keys = [key for j1 in spins for j2 in spins
+            for key in admissible_keys(j1, j2)]
+    for key in keys:
+        special_value(key, ctx)
+    assert not any(key[0] == "boost" for key in ctx._cache)
+    row = cgc.SPECIAL_VALUES["stretched_minus_one"]
+    tol = mpf(10) ** -(ctx.precision + 15)
+    checked = zeros = 0
+    for key in filter(row.matches, keys):
+        value = row.value(key, ctx)
+        sign, square = _exact_classical(*key.labels())
+        if square == 0:
+            assert value == 0, key
+            zeros += 1
+        with mp.workdps(2 * ctx.precision + 40):
+            exact = sign * mp.sqrt(mpf(square.numerator) / square.denominator)
+            assert abs(value - exact) <= tol * abs(exact), key
+        checked += 1
+    assert checked > 500 and zeros == 48
+
+
+@pytest.mark.parametrize("precision", [50, 100])
+@pytest.mark.parametrize("q", ["0.9", "0.99"])
+def test_racah_keeps_precision_at_spins_100_to_120(q, precision):
+    # long alternating sums at ctx.width bits, m1 and m2 within 2 of 0,
+    # against a context at precision 200
+    rng = random.Random(f"{q}/{precision}")
+    keys = []
+    for _ in range(8):
+        tj1, tj2 = rng.randint(200, 240), rng.randint(200, 240)
+        tm1, tm2 = (rng.choice([t for t in range(-4, 5) if (t - spin) % 2 == 0])
+                    for spin in (tj1, tj2))
+        tj = rng.randrange(max(abs(tj1 - tj2), abs(tm1 + tm2)), tj1 + tj2 + 1, 2)
+        keys.append(CgcKey(*(HalfInt(twice=t) for t in
+                             (tj1, tm1, tj2, tm2, tj, tm1 + tm2))))
+    ctx, ref = QContext(q=q, precision=precision), QContext(q=q, precision=200)
+    for key in keys:
+        value, expected = ref.to_mpf(cgc_racah(key, ctx)), cgc_racah(key, ref)
+        assert abs(value - expected) <= ref.to_mpf(10) ** -precision * abs(expected), key
+
+
 def test_contexts_at_different_precisions_agree_across_threads():
     # each context carries its own precision, so two threads at 40 and 300
     # digits return exactly what each returns on its own

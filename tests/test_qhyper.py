@@ -13,8 +13,11 @@ from mpmath import mp, mpf
 from qcgc import CgcKey, HalfInt, QContext, QDomainError, eval_basic, eval_terminating
 from qcgc.cgc import cgc_3f2_rw1, cgc_racah
 from qcgc.qhyper import (
+    BasicSeriesSpec,
     HyperSeriesSpec,
     SeriesIllPosed,
+    _live_range,
+    _series_terms,
     _sum_with_guard,
     closed_sum_dixon,
     closed_sum_negative,
@@ -27,7 +30,7 @@ from qcgc.qhyper import (
     transform_142,
     vandermonde_spec,
 )
-from qcgc.qcore import qnum
+from qcgc.qcore import _qpow_pair, qnum, qnum_pairs
 
 CTX = QContext(q="0.5", precision=50)
 
@@ -125,6 +128,50 @@ def test_eval_terminating_matches_a_direct_sum():
             value = expected.context.mpf(eval_terminating(spec, ctx))
             assert abs(value - expected) <= mpf("1e-45") * largest, spec
     assert 0 < ill_posed < 100
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.9", "1.25"])
+def test_series_terms_are_width_bit_pairs_near_the_exact_products(q):
+    # term k+1 is term k times p + q + 2 width-bit pairs (z, 1/[k+1], the
+    # p numerator and q denominator brackets), renormalised after each
+    # factor; each truncation loses less than 2^(1-width) relative, so
+    # the term is within p + q + 2 of those units of the exact product
+    ctx = QContext(q=q, precision=50)
+    width = ctx.width
+    rng = random.Random(14)
+    checked = 0
+    for i in range(90):
+        p = 2 + i % 3
+        numerator = ((-2 * rng.randint(1, 12),)
+                     + tuple(rng.randint(-12, 12) for _ in range(p - 1)))
+        denominator = tuple(rng.randint(-12, 12) for _ in range(p - 1))
+        spec = HyperSeriesSpec(twice=(numerator, denominator,
+                                      rng.randint(-12, 12)))
+        try:
+            n_eff, num, den, reach = _live_range(spec)
+        except SeriesIllPosed:
+            continue
+        values, inverses = qnum_pairs(reach, ctx)
+        z = _qpow_pair(spec.twice[2], ctx)
+        terms = list(_series_terms(n_eff, num, den, z, values, inverses, width))
+        assert len(terms) == n_eff + 1
+        assert all(abs(m).bit_length() == width for m, _ in terms)
+        for k, ((man, exp), (m1, e1)) in enumerate(zip(terms, terms[1:])):
+            factors = [z, inverses[2 * k + 2], *(values[t + 2 * k] for t in num),
+                       *(inverses[t + 2 * k] for t in den)]
+            assert len(factors) == len(num) + len(den) + 2
+            for m, e in factors:
+                man, exp = man * m, exp + e
+            error = abs(man - (m1 << (e1 - exp)))
+            assert error << (width - 1) < len(factors) * abs(man), (spec.twice, k)
+            checked += 1
+    assert checked > 250
+
+
+def test_eval_basic_rejects_q_1():
+    # every 1 - q^t vanishes at q = 1, so the terms past the first are 0/0
+    with pytest.raises(QDomainError, match="q = 1"):
+        eval_basic(BasicSeriesSpec((-2, 1), (3,), z=0.5), QContext(q=1))
 
 
 def test_vandermonde_example():
