@@ -2,7 +2,7 @@
 
 Public surface: exact half-integer labels, the precision-carrying
 :class:`QContext`, q-number primitives, terminating q-hypergeometric
-series, dense representation matrices with projection-operator oracles,
+series, sparse representation matrices with projection-operator oracles,
 Clebsch-Gordan closed forms and the q-Hahn polynomial family.
 """
 

@@ -3,7 +3,9 @@
 Eight closed forms (double-checked against each other and against the
 matrix-level oracle in :mod:`qcgc.repsu`), ten special-value fast paths
 and the symmetry relations are all stored as data rows read by one
-evaluator; the three-term recurrence in m completes the module.
+evaluator; every series in a row is summed by ``eval_terminating``.
+``racah_table`` sums whole tables as convolutions, and the three-term
+recurrence in m completes the module.
 
 Conventions: the stretched coefficient <j1 j1, j2 j2|j1+j2 j1+j2> is 1,
 all coefficients are real, and structural zeros (selection-rule
@@ -15,17 +17,16 @@ from __future__ import annotations
 import ast
 import functools
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .halfint import HalfInt, halfint, halfint_range
+from .halfint import HalfInt, doubled, halfint
 from .qcore import (QDomainError, _qpow_pair, _renormalise, _times,
                     factorial_pairs, qnum, qnum_pairs, root_factorial_pairs)
-from .qhyper import (HyperSeriesSpec, _exact_ratio, _round_ratio,
-                     _sum_with_guard, eval_terminating)
+from .qhyper import (HyperSeriesSpec, _round_ratio, _sum_with_guard,
+                     eval_terminating)
 
 
 @dataclass(frozen=True)
@@ -79,17 +80,19 @@ def selection_rules(key):
 
 
 def admissible_keys(j1, j2, j_cap=None):
-    """All admissible keys for fixed (j1, j2), in deterministic order."""
-    j1, j2 = halfint(j1), halfint(j2)
+    """All admissible keys for fixed (j1, j2), in deterministic order:
+    by j, then m, then m1 up.  The loops run over doubled labels, and
+    each label is built once."""
+    tj1, tj2 = doubled(j1), doubled(j2)
+    top = tj1 + tj2 if j_cap is None else min(tj1 + tj2, doubled(j_cap))
+    reach = max(tj1, tj2, top)
+    label = {t: HalfInt(twice=t) for t in range(-reach, reach + 1)}
     keys = []
-    for j in halfint_range(abs(j1 - j2), j1 + j2):
-        if j_cap is not None and j > j_cap:
-            break
-        for m in halfint_range(-j, j):
-            for m1 in halfint_range(-j1, j1):
-                m2 = m - m1
-                if abs(m2) <= j2:
-                    keys.append(CgcKey(j1, m1, j2, m2, j, m))
+    for tj in range(abs(tj1 - tj2), top + 1, 2):
+        for tm in range(-tj, tj + 1, 2):
+            for tm1 in range(max(-tj1, tm - tj2), min(tj1, tm + tj2) + 1, 2):
+                keys.append(CgcKey(label[tj1], label[tm1], label[tj2],
+                                   label[tm - tm1], label[tj], label[tm]))
     return keys
 
 
@@ -243,11 +246,6 @@ def _product(factorials, brackets, c, man=1, exp=0):
     return _times(man, exp, pairs, c.width)
 
 
-def _exact_product(factorials, brackets):
-    """prod n! times prod n, the ``_product`` of the same n at q = 1."""
-    return math.prod(map(math.factorial, factorials)) * math.prod(brackets)
-
-
 # ---------------------------------------------------------------------------
 # closed forms and special values, stored as data
 # ---------------------------------------------------------------------------
@@ -257,7 +255,9 @@ class FactorialSum:
 
     r runs over the integers at which every denominator argument is >= 0,
     which is the continuation 1/[negative]! := 0; a q-binomial and a
-    Pochhammer (-n|q)_k = (-1)^k [n]!/[n-k]! both fit this shape.
+    Pochhammer (-n|q)_k = (-1)^k [n]!/[n-k]! both fit this shape.  The
+    row is a terminating series written as in the paper: ``value`` reads
+    it as one and hands it to ``eval_terminating``.
     """
 
     def __init__(self, power, factors):
@@ -265,80 +265,65 @@ class FactorialSum:
         (self.num, _), (self.den, _) = _factors(factors)
 
     def shape(self):
-        """The power, then the (a_i, s_i) of the numerator and denominator."""
+        """The power, then the a_i of the rising (s_i = 1) and falling
+        (s_i = -1) factorials of the numerator and of the denominator.
+
+        From r to r + 1 a rising factorial [a+r]! gains [a+r+1] and a
+        falling one [a-r]! loses [a-r] = -[r-a], so the sum is a series
+        in q^power only when the (-1)^r alternation cancels the signs of
+        the falling factorials; a row in which it does not raises
+        QDomainError.
+        """
+        steps = [[_parse(a)[2] for a in side] for side in (self.num, self.den)]
+        signs = steps[0] + steps[1]
+        if set(signs) - {1, -1} or not signs.count(-1) % 2:
+            raise QDomainError("factorial sum: each argument must step by +-1 "
+                               "in r, and the (-1)^r alternation must cancel "
+                               "the signs of the falling factorials")
         return [("int", self.power),
-                *([[("int", a), _parse(a)[2]] for a in side]
-                  for side in (self.num, self.den))]
+                *([("int", a) for a, s in zip(side, side_steps) if s == sign]
+                  for side, side_steps in zip((self.num, self.den), steps)
+                  for sign in (1, -1))]
 
     def value(self, labels, prefactor, ctx):
         """The prefactor times the sum, from the evaluated ``shape()``.
 
-        ``prefactor(halves)`` is the pair of the row's prefactor times
-        q^(halves/2), made in ctx; it scales every summand, so that the
-        guard measures the cancellation against summands of their true
-        size.  A boosted pass reuses it: an error common to every summand
-        is not amplified by their cancellation.
+        With k = r - lo the sum is its summand at lo times a terminating
+        series at argument q^power.  Its parameters are read off each
+        factorial's argument x at lo: a rising numerator factorial gives
+        the numerator parameter x+1, a falling denominator one -x (whose
+        zero cuts the series off at hi - lo), a rising denominator one
+        the denominator parameter x+1 (the one with x = 0 is the series'
+        own 1/[k+1]) and a falling numerator one -x.
 
-        At q = 1 the sum is exact: from r to r + 1 a factorial [a+r]!
-        gains the factor a+r+1 and [a-r]! loses a-r, so the sum over its
-        first summand is a ratio of integers, rounded once with that
-        summand and the prefactor.
+        ``prefactor(halves)`` is the pair of the row's prefactor times
+        q^(halves/2), made in ctx; times the summand at lo it is the
+        series' scale.
         """
-        e, num, den = labels
-        lo = max(-a for a, s in den if s > 0)
-        hi = min(a for a, s in den if s < 0)
+        e, num_up, num_down, den_up, den_down = labels
+        lo, hi = -min(den_up), min(den_down)
         if lo > hi:
             return ctx.to_mpf(0)
-        ends = [a + s * r for a, s in num + den for r in (lo, hi)]
-        if min(ends) < 0:
-            raise QDomainError(f"q_factorial: negative argument {min(ends)}")
-        start = prefactor(2 * e * lo)
-        if ctx.is_classical:
-            fact, inverse = factorial_pairs(max(ends), ctx)
-            man, exp = _times(*start, [fact[a + s * lo] for a, s in num]
-                              + [inverse[a + s * lo] for a, s in den], ctx.width)
-            # from r to r + 1 the summand gains the steps of its growing
-            # numerator and shrinking denominator factorials, loses the
-            # others', and changes sign
-            ups = _steps([f for f in num if f[1] > 0] + [f for f in den if f[1] < 0],
-                         lo, hi)
-            downs = _steps([f for f in num if f[1] < 0] + [f for f in den if f[1] > 0],
-                           lo, hi)
-            return _round_ratio((-man if lo % 2 else man, exp),
-                                *_exact_ratio(zip(map(operator.neg, ups), downs)),
-                                ctx)
-
-        def terms(c):
-            width = c.width
-            fact, inverse = factorial_pairs(max(ends), c)
-            factors = ([(fact, a, s) for a, s in num]
-                       + [(inverse, a, s) for a, s in den])
-            step_man, step_exp = _qpow_pair(2 * e, c)
-            man, exp = start
-            for r in range(lo, hi + 1):
-                # the factorials first and the running power last: the
-                # order of the products sets the last bits of a summand
-                m, x = 1, 0
-                for table, a, s in factors:  # _times, inlined in the hot loop
-                    f, y = table[a + s * r]
-                    m *= f
-                    shift = m.bit_length() - width
-                    m >>= shift
-                    x += y + shift
-                m, x = _renormalise(m * man, x + exp, width)
-                yield (m if r % 2 == 0 else -m), x
-                man, exp = _renormalise(man * step_man, exp + step_exp, width)
-
-        return _sum_with_guard(terms, ctx)
-
-
-def _steps(factors, lo, hi):
-    """For r from hi - 1 down to lo, the product over (a, s) in
-    ``factors`` of the integer by which [a+sr]! grows (a+r+1, s = 1) or
-    shrinks (a-r, s = -1) from r to r + 1 at q = 1."""
-    return map(math.prod, zip(*(
-        range(a + (s > 0) + s * (hi - 1), a + (s > 0) + s * (lo - 1), -s)
-        for a, s in factors)))
+        # the denominator's arguments are >= 0 from lo to hi by definition
+        if num_up or num_down:
+            least = min([a + lo for a in num_up] + [a - hi for a in num_down])
+            if least < 0:
+                raise QDomainError(f"q_factorial: negative argument {least}")
+        # the factorials' arguments at r = lo
+        num_up = [a + lo for a in num_up]
+        num_down = [a - lo for a in num_down]
+        den_up = [a + lo for a in den_up]
+        den_down = [a - lo for a in den_down]
+        fact, inverse = factorial_pairs(max(num_up + num_down + den_up + den_down),
+                                        ctx)
+        man, exp = _times(*prefactor(2 * e * lo),
+                          [fact[x] for x in num_up + num_down]
+                          + [inverse[x] for x in den_up + den_down], ctx.width)
+        upper = [2 * x + 2 for x in num_up] + [-2 * x for x in den_down]
+        lower = [2 * x + 2 for x in den_up] + [-2 * x for x in num_down]
+        lower.remove(2)
+        return eval_terminating(HyperSeriesSpec(twice=(upper, lower, 2 * e)), ctx,
+                                scale=(-man if lo % 2 else man, exp))
 
 
 class HyperSeries:
@@ -360,53 +345,20 @@ class HyperSeries:
                                 scale=prefactor())
 
 
-class BracketDifference:
-    """first q^power - second, first and second products of brackets and
-    factorials such as ``"[2j2] [j1+j2-m]"``."""
-
-    def __init__(self, first, power, second):
-        self.first = _factors(first)[0]
-        self.power = power
-        self.second = _factors(second)[0]
-
-    def shape(self):
-        return [[_ints(f) for f in self.first], ("twice", self.power),
-                [_ints(f) for f in self.second]]
-
-    def value(self, labels, prefactor, ctx):
-        """The prefactor times the difference, from the evaluated ``shape()``.
-
-        At q = 1 both products are integers and the q-power is 1, so the
-        difference is exact and rounded once with the prefactor.
-        """
-        first, power, second = labels
-        if ctx.is_classical:
-            return _round_ratio(prefactor(), _exact_product(*first)
-                                - _exact_product(*second), 1, ctx)
-        man, exp = prefactor()
-
-        def terms(c):
-            (am, ae), (bm, be) = _product(*first, c), _product(*second, c)
-            qm, qe = _qpow_pair(power, c)
-            return [(man * am * qm, exp + ae + qe), (-man * bm, exp + be)]
-
-        return _sum_with_guard(terms, ctx)
-
-
 class ClosedForm:
     """One closed form or special value as a row of label forms.
 
     The value is (-1)^phase q^power sqrt(root) times the outside factors
-    and the series (a FactorialSum, HyperSeries or BracketDifference).
-    Special values carry in ``match`` the forms that vanish on their
-    pattern.
+    and, when the row has one, a terminating series: a HyperSeries, or a
+    FactorialSum, which is one written as in the paper.  Special values
+    carry in ``match`` the forms that vanish on their pattern.
 
     The row is evaluated in (man, exp) pairs of Python ints: its label
     forms are compiled on first use into one function of the doubled
     labels, the root is a product read from the context's sqrt([n]!)
-    tables, the q-power is a pair from the context's q^(+-1/2), and the
-    prefactor they make scales every summand of the series, so that the
-    value is rounded once.
+    tables, and the q-power is a pair from the context's q^(+-1/2).  The
+    prefactor they make is the series' scale in ``eval_terminating``,
+    so that the value is rounded once.
     """
 
     def __init__(self, power, root, phase="0", outside="", series=None,
@@ -584,7 +536,7 @@ def racah_table(j1, j2, ctx):
     a and b are integers over one denominator, and each key's
     convolution is summed exactly and rounded once.
     """
-    tj1, tj2 = halfint(j1).twice, halfint(j2).twice
+    tj1, tj2 = doubled(j1), doubled(j2)
     values = {}
     for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
         for tm in range(-tj, tj + 1, 2):
@@ -783,10 +735,12 @@ SPECIAL_VALUES = {
         match=("j1+j2-j-1",), power="j1*m2 - j2*m1 - j1 - j2",
         root=("[2j1+2j2-1] [2j1-1]! [2j2-1]! [j1+j2+m-1]! [j1+j2-m-1]! "
               "/ [2j1+2j2]! [j1+m1]! [j1-m1]! [j2+m2]! [j2-m2]!"),
-        # rederived from the two-term 3F2; the first factor reads
-        # [2j1+2j2], not the difference of the spins
-        series=BracketDifference("[2j1+2j2] [j2-m2]", "j1+m1",
-                                 "[2j2] [j1+j2-m]")),
+        # the two-term 3F2 [2j2] [j1+j2-m] - [2j1+2j2] [j2-m2] q^(j1+m1),
+        # rederived; its numerator parameter reads 2j1+2j2, not the
+        # difference of the spins
+        phase="1", outside="[2j2] [j1+j2-m]",
+        series=HyperSeries(("-1", "2j1+2j2", "j2-m2"), ("2j2", "j1+j2-m"),
+                           "j1+m1")),
     # j = j1 - j2 implies j1 >= j2 on an admissible key
     "antistretched": ClosedForm(
         match=("j1-j2-j",), phase="j2+m2", power="-j1*m2 - j2*m1 - m2",

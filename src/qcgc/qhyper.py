@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import chain, permutations, repeat
 
 from .halfint import HalfInt, doubled
 from .qcore import (GUARD_DIGITS, QDomainError, _inverse_pair, _qpow_pair,
-                    _renormalise, _times, qnum_pairs)
+                    _times, qnum_pairs)
 
 
 class SeriesIllPosed(ValueError):
@@ -99,17 +99,18 @@ def _cutoff(num):
     return min(cutoffs) // 2
 
 
-def _series_terms(n_eff, num, den, z, values, inverses, width):
+def _series_terms(n_eff, num, den, z, values, inverses, width, start=None):
     """Terms, as ``width``-bit (man, exp) pairs, of a terminating series:
-    t_0 = 1, and t_(k+1) is t_k times 1 / [k+1] times prod [a+k] over
-    prod [b+k] times z for k < n_eff, renormalised after each factor.
+    t_0 = ``start`` (a pair, 1 when None), and t_(k+1) is t_k times
+    1 / [k+1] times prod [a+k] over prod [b+k] times z for k < n_eff,
+    renormalised after each factor.
 
     ``num`` and ``den`` hold the doubled parameters 2a and 2b, z is a
     pair, and ``values[t]`` and ``inverses[t]`` are the pairs of the
     bracket at 2x = t and of its inverse, for t of either sign, laid out
     as in ``qnum_pairs``.
     """
-    man, exp = 1 << (width - 1), 1 - width
+    man, exp = start or (1 << (width - 1), 1 - width)
     yield man, exp
     factors = [(inverses, 2), *((values, t) for t in num),
                *((inverses, t) for t in den)]
@@ -131,35 +132,35 @@ def _series_terms(n_eff, num, den, z, values, inverses, width):
 def eval_terminating(spec, ctx, scale=None):
     """Evaluate a terminating symmetric q-hypergeometric series.
 
-    ``scale``, when given, is the pair of a factor multiplying every
-    term, so that the guard measures the cancellation against terms of
-    their true size and the product is rounded once.  It multiplies each
-    finished term, so terms that cancel exactly still do, and a boosted
-    pass reuses it: an error common to every term is not amplified by
-    their cancellation.  At q = 1 the terms are summed exactly, as
-    integers over one denominator, and scaled and rounded once.
+    ``scale``, when given, is the pair of a factor multiplying the
+    series, made in ``ctx``.  It is the first term, and each later term
+    is built from the one before, so every term has its true size: the
+    guard measures the cancellation against them, and the product is
+    rounded once.  A boosted pass reuses the pair, so an error common to
+    every term is not amplified by their cancellation.  At q = 1 the
+    terms are summed exactly, as integers over one denominator, and
+    scaled and rounded once.
     """
     n_eff, num, den, reach = _live_range(spec)
     if ctx.is_classical:
         # [t/2] = t/2 and z = 1, so term k+1 is term k times the integer
         # ratio prod (2a+2k) / (prod (2b+2k) (2k+2)), the powers of 2
-        # balanced by ``shift``
+        # balanced by ``shift``; the ratios run from the last k down
         shift = len(den) + 1 - len(num)
-        ratios = ((math.prod(t + k for t in num) << max(shift, 0),
-                   math.prod(t + k for t in den) * (k + 2) << max(-shift, 0))
-                  for k in range(2 * n_eff - 2, -1, -2))
+        ups = map(math.prod, zip(*(range(t + 2 * n_eff - 2, t - 1, -2)
+                                   for t in num),
+                                 repeat(1 << max(shift, 0), n_eff)))
+        downs = map(math.prod, zip(*(range(t + 2 * n_eff - 2, t - 1, -2)
+                                     for t in den),
+                                   range(2 * n_eff, 0, -2),
+                                   repeat(1 << max(-shift, 0))))
         one = 1 << (ctx.width - 1), 1 - ctx.width
-        return _round_ratio(scale or one, *_exact_ratio(ratios), ctx)
+        return _round_ratio(scale or one, *_exact_ratio(zip(ups, downs)), ctx)
 
     def terms(c):
         values, inverses = qnum_pairs(reach, c)
-        series = _series_terms(n_eff, num, den, _qpow_pair(spec.twice[2], c),
-                               values, inverses, c.width)
-        if scale is None:
-            return series
-        scale_man, scale_exp = scale
-        return (_renormalise(m * scale_man, e + scale_exp, c.width)
-                for m, e in series)
+        return _series_terms(n_eff, num, den, _qpow_pair(spec.twice[2], c),
+                             values, inverses, c.width, scale)
 
     return _sum_with_guard(terms, ctx)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .cgc import CgcKey, selection_rules
+from .cgc import selection_rules
 from .halfint import HalfInt, halfint, halfint_range
 from .qcore import QDomainError, q_factorial, qnum
 

@@ -81,6 +81,28 @@ def test_admissible_key_count():
     assert len(keys) == 19
 
 
+def test_admissible_keys_build_each_label_once(monkeypatch):
+    # the loops run over doubled labels: one HalfInt per label value in
+    # -(2j1+2j2)..2j1+2j2, none per key, and the keys come by j, m, m1 up
+    created = []
+    build = HalfInt.__init__
+
+    def counting(self, *args, **kwargs):
+        created.append((args, kwargs))
+        build(self, *args, **kwargs)
+
+    j1, j2, cap = HalfInt(2), HalfInt("3/2"), HalfInt("5/2")
+    monkeypatch.setattr(HalfInt, "__init__", counting)
+    keys = admissible_keys(j1, j2)
+    assert len(created) == 2 * (4 + 3) + 1 and len(keys) == 60
+    created.clear()
+    assert len(admissible_keys(j1, j2, j_cap=cap)) == 40
+    assert len(created) == 2 * 5 + 1
+    monkeypatch.undo()
+    assert [k.twice for k in keys] == sorted(
+        (k.twice for k in keys), key=lambda t: (t[4], t[5], t[1]))
+
+
 def test_stretched_key_is_one():
     for j1, j2 in (("1/2", "1/2"), (1, "3/2"), (2, 1)):
         key = CgcKey(j1, j1, j2, j2,
@@ -295,6 +317,45 @@ def test_stretched_minus_one_is_exact_at_q_1(monkeypatch):
             assert abs(value - exact) <= tol * abs(exact), key
         checked += 1
     assert checked > 500 and zeros == 48
+
+
+@pytest.mark.parametrize("q", ["0.9", "1"])
+def test_every_series_row_is_one_terminating_series(monkeypatch, q):
+    # a closed form or special value with a series is its prefactor times
+    # one terminating series: one eval_terminating call per key, and no
+    # guarded sum of the row's own
+    calls = []
+
+    def counting(spec, ctx, scale=None):
+        calls.append(spec)
+        return eval_terminating(spec, ctx, scale)
+
+    def guard(terms, ctx):
+        raise AssertionError("a row ran its own guarded sum")
+
+    monkeypatch.setattr(cgc, "eval_terminating", counting)
+    monkeypatch.setattr(cgc, "_sum_with_guard", guard)
+    ctx = QContext(q=q, precision=50)
+    spins = [HalfInt(twice=t) for t in range(5)]
+    keys = [key for j1 in spins for j2 in spins for key in admissible_keys(j1, j2)]
+    rows = {**cgc.CLOSED_FORMS, **cgc.SPECIAL_VALUES}
+    checked = 0
+    for name, row in rows.items():
+        if row.series is None:
+            continue
+        for key in filter(row.matches, keys):
+            calls.clear()
+            row.value(key, ctx)
+            assert len(calls) == 1, (name, str(key))
+            checked += 1
+    assert checked > 4000
+    # (-1)^r / ([r]! [j1-r]! [j2-r]!): the signs of its two falling
+    # factorials cancel each other and leave the (-1)^r over, so the
+    # series read off its factorials would miss a sign in every step
+    row = cgc.ClosedForm(power="0", root="[2j+1]", series=cgc.FactorialSum(
+        "0", "/ [r]! [j1-r]! [j2-r]!"))
+    with pytest.raises(QDomainError, match="alternation"):
+        row.value(CgcKey(1, 0, 1, 0, 0, 0), ctx)
 
 
 @pytest.mark.parametrize("precision", [50, 100])
