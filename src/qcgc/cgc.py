@@ -24,7 +24,7 @@ from itertools import chain
 
 from .halfint import HalfInt, doubled, halfint
 from .qcore import (QDomainError, _qpow_pair, _renormalise, _times,
-                    factorial_pairs, qnum, qnum_pairs, root_factorial_pairs)
+                    factorial_pairs, qnum, root_factorial_pairs)
 from .qhyper import (HyperSeriesSpec, _round_ratio, _sum_with_guard,
                      eval_terminating)
 
@@ -213,37 +213,40 @@ def _compile(shape):
     return namespace["labels"]
 
 
-def _factors(text):
-    """The forms under the factorials and under the brackets on each side
-    of a ratio such as ``"[2j+1] [j+m]! / [j-m]!"``, as
-    ((numerator factorials, numerator brackets), (denominator factorials,
-    denominator brackets))."""
+def _factorials(text):
+    """The forms n of the factorials [n]! above and below the line of a
+    ratio such as ``"[2j+1] [j+m]! / [j-m]!"``, as (ups, downs), each
+    bracket [n] written as [n]! / [n-1]!."""
+    ups, downs = [], []
     num, _, den = text.partition("/")
-    return tuple(tuple([arg for arg, bang in re.findall(r"\[([^\]]*)\](!?)", side)
-                        if bang == kind] for kind in ("!", ""))
-                 for side in (num, den))
+    for side, same, other in ((num, ups, downs), (den, downs, ups)):
+        for arg, bang in re.findall(r"\[([^\]]*)\](!?)", side):
+            same.append(arg)
+            if not bang:
+                other.append(f"({arg}) - 1")
+    return ups, downs
 
 
 def _ints(forms):
     return [("int", form) for form in forms]
 
 
-def _product(factorials, brackets, c, man=1, exp=0):
-    """The pair of man * 2^exp times prod [n]! times prod [n] over the
-    given n, renormalised to ``c.width`` bits after each factor; (0, 0)
-    when a bracket is [0]."""
-    if 0 in brackets:
-        return 0, 0
-    pairs = []
-    if factorials:
-        if min(factorials) < 0:
-            raise QDomainError(f"q_factorial: negative argument {min(factorials)}")
-        table = factorial_pairs(max(factorials), c)[0]
-        pairs += map(table.__getitem__, factorials)
-    if brackets:
-        table = qnum_pairs(2 * max(map(abs, brackets)), c)[0]
-        pairs += (table[2 * n] for n in brackets)
-    return _times(man, exp, pairs, c.width)
+def _scale(phase, twice_power, root_ups, root_downs, ups, downs, c):
+    """The ``c.width``-bit pair of (-1)^phase q^(twice_power/2) prod
+    sqrt([u]!) / prod sqrt([d]!) prod [a]! / prod [b]!, over u and d in
+    ``root_ups`` and ``root_downs`` and a and b in ``ups`` and ``downs``:
+    one running product over the context's tables."""
+    least = min((*root_ups, *root_downs, *ups, *downs), default=0)
+    if least < 0:
+        raise QDomainError(f"q_factorial: negative argument {least}")
+    roots, inverse_roots = root_factorial_pairs(
+        max((*root_ups, *root_downs), default=0), c)
+    fact, inverse = factorial_pairs(max((*ups, *downs), default=0), c)
+    man, exp = _times(*_qpow_pair(twice_power, c), chain(
+        map(roots.__getitem__, root_ups),
+        map(inverse_roots.__getitem__, root_downs),
+        map(fact.__getitem__, ups), map(inverse.__getitem__, downs)), c.width)
+    return (-man if phase % 2 else man), exp
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +259,13 @@ class FactorialSum:
     r runs over the integers at which every denominator argument is >= 0,
     which is the continuation 1/[negative]! := 0; a q-binomial and a
     Pochhammer (-n|q)_k = (-1)^k [n]!/[n-k]! both fit this shape.  The
-    row is a terminating series written as in the paper: ``value`` reads
-    it as one and hands it to ``eval_terminating``.
+    row is a terminating series written as in the paper: ``split`` reads
+    it as its first summand's factorials times a ``HyperSeriesSpec``.
     """
 
     def __init__(self, power, factors):
         self.power = power
-        (self.num, _), (self.den, _) = _factors(factors)
+        self.num, self.den = _factorials(factors)
 
     def shape(self):
         """The power, then the a_i of the rising (s_i = 1) and falling
@@ -285,25 +288,24 @@ class FactorialSum:
                   for side, side_steps in zip((self.num, self.den), steps)
                   for sign in (1, -1))]
 
-    def value(self, labels, prefactor, ctx):
-        """The prefactor times the sum, from the evaluated ``shape()``.
+    def split(self, labels):
+        """(spec, lo, ups, downs) from the evaluated ``shape()``, or None
+        when the range of r is empty.
 
-        With k = r - lo the sum is its summand at lo times a terminating
-        series at argument q^power.  Its parameters are read off each
-        factorial's argument x at lo: a rising numerator factorial gives
-        the numerator parameter x+1, a falling denominator one -x (whose
-        zero cuts the series off at hi - lo), a rising denominator one
-        the denominator parameter x+1 (the one with x = 0 is the series'
-        own 1/[k+1]) and a falling numerator one -x.
-
-        ``prefactor(halves)`` is the pair of the row's prefactor times
-        q^(halves/2), made in ctx; times the summand at lo it is the
-        series' scale.
+        With k = r - lo the sum is its summand at lo, (-1)^lo q^(power lo)
+        prod [a]! / prod [b]! over a in ``ups`` and b in ``downs``, times
+        the terminating series ``spec`` at argument q^power.  Its
+        parameters are read off each factorial's argument x at lo: a
+        rising numerator factorial gives the numerator parameter x+1, a
+        falling denominator one -x (whose zero cuts the series off at
+        hi - lo), a rising denominator one the denominator parameter x+1
+        (the one with x = 0 is the series' own 1/[k+1]) and a falling
+        numerator one -x.
         """
         e, num_up, num_down, den_up, den_down = labels
         lo, hi = -min(den_up), min(den_down)
         if lo > hi:
-            return ctx.to_mpf(0)
+            return None
         # the denominator's arguments are >= 0 from lo to hi by definition
         if num_up or num_down:
             least = min([a + lo for a in num_up] + [a - hi for a in num_down])
@@ -314,20 +316,16 @@ class FactorialSum:
         num_down = [a - lo for a in num_down]
         den_up = [a + lo for a in den_up]
         den_down = [a - lo for a in den_down]
-        fact, inverse = factorial_pairs(max(num_up + num_down + den_up + den_down),
-                                        ctx)
-        man, exp = _times(*prefactor(2 * e * lo),
-                          [fact[x] for x in num_up + num_down]
-                          + [inverse[x] for x in den_up + den_down], ctx.width)
         upper = [2 * x + 2 for x in num_up] + [-2 * x for x in den_down]
         lower = [2 * x + 2 for x in den_up] + [-2 * x for x in num_down]
         lower.remove(2)
-        return eval_terminating(HyperSeriesSpec(twice=(upper, lower, 2 * e)), ctx,
-                                scale=(-man if lo % 2 else man, exp))
+        return (HyperSeriesSpec(twice=(upper, lower, 2 * e)), lo,
+                num_up + num_down, den_up + den_down)
 
 
 class HyperSeries:
-    """A terminating 3F2 at argument q^arg_exponent, parameters as forms."""
+    """A terminating 3F2 at argument q^arg_exponent, parameters as forms;
+    ``split`` hands back its spec, with no summand of its own."""
 
     def __init__(self, numerator, denominator, arg_exponent):
         self.numerator = numerator
@@ -339,32 +337,32 @@ class HyperSeries:
                 [("twice", f) for f in self.denominator],
                 ("twice", self.arg_exponent)]
 
-    def value(self, labels, prefactor, ctx):
-        """The prefactor times the series, from the evaluated ``shape()``."""
-        return eval_terminating(HyperSeriesSpec(twice=labels), ctx,
-                                scale=prefactor())
+    def split(self, labels):
+        return HyperSeriesSpec(twice=labels), 0, [], []
 
 
 class ClosedForm:
     """One closed form or special value as a row of label forms.
 
-    The value is (-1)^phase q^power sqrt(root) times the outside factors
-    and, when the row has one, a terminating series: a HyperSeries, or a
-    FactorialSum, which is one written as in the paper.  Special values
-    carry in ``match`` the forms that vanish on their pattern.
+    The value is one product, (-1)^phase q^power sqrt(root) times the
+    outside factors, times a terminating series when the row has one: a
+    HyperSeries, or a FactorialSum, which is one written as in the paper
+    and adds its first summand to the product.  Special values carry in
+    ``match`` the forms that vanish on their pattern.
 
-    The row is evaluated in (man, exp) pairs of Python ints: its label
-    forms are compiled on first use into one function of the doubled
-    labels, the root is a product read from the context's sqrt([n]!)
-    tables, and the q-power is a pair from the context's q^(+-1/2).  The
-    prefactor they make is the series' scale in ``eval_terminating``,
-    so that the value is rounded once.
+    The root and the outside factors are written as factorials when the
+    row is built, a bracket [n] as [n]! / [n-1]!, and the label forms
+    are compiled on first use into one function of the doubled labels
+    that returns the indices of the factorials.  The product is one
+    ``_scale`` pass of (man, exp) pairs over the context's sqrt([n]!)
+    and [n]! tables and its q^(+-1/2) powers, and it is the series'
+    scale in ``eval_terminating``, so that the value is rounded once.
     """
 
     def __init__(self, power, root, phase="0", outside="", series=None,
                  match=()):
         self.phase, self.power = phase, power
-        self.root, self.outside = _factors(root), _factors(outside)[0]
+        self.factorials = (*_factorials(root), *_factorials(outside))
         self.series = series
         self.match = match
 
@@ -372,7 +370,7 @@ class ClosedForm:
     def _labels(self):
         return _compile([
             ("int", self.phase), ("twice", self.power),
-            *([_ints(f) for f in side] for side in (*self.root, self.outside)),
+            *map(_ints, self.factorials),
             self.series.shape() if self.series else []])
 
     @functools.cached_property
@@ -386,35 +384,20 @@ class ClosedForm:
         return not any(self._match(*key.twice))
 
     def value(self, key, ctx):
-        labels = self._labels(*key.twice)
-        prefactor = functools.partial(_prefactor, labels, ctx)
-        if self.series is None:
-            return ctx.mp.mpf(prefactor())
-        return self.series.value(labels[-1], prefactor, ctx)
-
-
-def _prefactor(labels, c, halves=0):
-    """The ``c.width``-bit pair of (-1)^phase q^(power + halves/2)
-    sqrt(root) times the outside factors of a row's evaluated labels."""
-    phase, power, num, den, outside, _ = labels
-    man, exp = _times(*_root(num, den, c), [_qpow_pair(power + halves, c)],
-                      c.width)
-    man, exp = _product(*outside, c, man, exp)
-    return (-man if phase % 2 else man), exp
-
-
-def _root(num, den, c):
-    """The ``c.width``-bit pair of the square root of prod [n]! prod [n]
-    over the numerator's (factorials, brackets) divided by the same over
-    the denominator's, read from the sqrt([n]!) tables with
-    [n] = [n]! / [n-1]!."""
-    ups = [*num[0], *num[1], *[n - 1 for n in den[1]]]
-    downs = [*den[0], *den[1], *[n - 1 for n in num[1]]]
-    if min(ups + downs) < 0:
-        raise QDomainError(f"q_factorial: negative argument {min(ups + downs)}")
-    roots, inverses = root_factorial_pairs(max(ups + downs), c)
-    return _times(1, 0, chain(map(roots.__getitem__, ups),
-                              map(inverses.__getitem__, downs)), c.width)
+        (phase, power, root_ups, root_downs, ups, downs,
+         series) = self._labels(*key.twice)
+        spec = None
+        if self.series is not None:
+            split = self.series.split(series)
+            if split is None:
+                return ctx.to_mpf(0)
+            spec, lo, first_ups, first_downs = split
+            phase, power = phase + lo, power + lo * spec.twice[2]
+            ups, downs = (*ups, *first_ups), (*downs, *first_downs)
+        scale = _scale(phase, power, root_ups, root_downs, ups, downs, ctx)
+        if spec is None:
+            return ctx.mp.mpf(scale)
+        return eval_terminating(spec, ctx, scale=scale)
 
 
 _QUADRATIC_MINUS = "j1*m2 - j2*m1 - (j1+j2-j)*(j1+j2+j+1)/2"
@@ -506,14 +489,15 @@ def _closed_form(name):
     return evaluate
 
 
-cgc_sum = _closed_form("sum")
-cgc_sum_alt = _closed_form("sum_alt")
-cgc_3f2 = _closed_form("3f2")
-cgc_3f2_rw1 = _closed_form("3f2_rw1")
-cgc_3f2_rw2 = _closed_form("3f2_rw2")
-cgc_3f2_long_equiv = _closed_form("3f2_long_equiv")
-cgc_racah = _closed_form("racah")
-cgc_racah_binomial = _closed_form("racah_binomial")
+ALL_FORMULAS = {name: _closed_form(name) for name in CLOSED_FORMS}
+cgc_sum = ALL_FORMULAS["sum"]
+cgc_sum_alt = ALL_FORMULAS["sum_alt"]
+cgc_3f2 = ALL_FORMULAS["3f2"]
+cgc_3f2_rw1 = ALL_FORMULAS["3f2_rw1"]
+cgc_3f2_rw2 = ALL_FORMULAS["3f2_rw2"]
+cgc_3f2_long_equiv = ALL_FORMULAS["3f2_long_equiv"]
+cgc_racah = ALL_FORMULAS["racah"]
+cgc_racah_binomial = ALL_FORMULAS["racah_binomial"]
 
 
 def racah_table(j1, j2, ctx):
@@ -557,11 +541,13 @@ def _racah_column(tj1, tj2, tj, tm, ctx):
     u_lo, u_hi = max(0, -d), min(tj1, (tj1 + tj2 - tm) // 2)
     # the column's share of the prefactor: sqrt([2j+1] [j+m]! [j-m]!
     # [j1+j2-j]! [j+j1-j2]! [j+j2-j1]! / [j1+j2+j+1]!) q^(power at u_lo),
-    # the power gaining q^(j1+j2) per step in u
-    man, exp = _root(((jp, jm, n, plus, minus), (tj + 1,)), ((big,), ()), ctx)
-    roots = root_factorial_pairs(big, ctx)[0]
+    # with [2j+1] = [2j+1]! / [2j]!; the power gains q^(j1+j2) per step
+    # in u, from qm = 1 at u_lo
     twice_power = tj1 * (tm - tj1 - tj2) // 2 + n * big
-    qm, qe = _qpow_pair(twice_power + (tj1 + tj2) * u_lo, ctx)
+    man, exp = _scale(0, twice_power + (tj1 + tj2) * u_lo,
+                      (jp, jm, n, plus, minus, tj + 1), (big, tj), (), (), ctx)
+    roots = root_factorial_pairs(big, ctx)[0]
+    qm, qe = 1 << (width - 1), 1 - width
     step_man, step_exp = _qpow_pair(tj1 + tj2, ctx)
     factors = {}
 
@@ -865,18 +851,6 @@ def recurrence_m_residual(key, ctx, evaluator=cgc_racah):
 # ---------------------------------------------------------------------------
 # dispatcher
 # ---------------------------------------------------------------------------
-
-ALL_FORMULAS = {
-    "sum": cgc_sum,
-    "sum_alt": cgc_sum_alt,
-    "3f2": cgc_3f2,
-    "3f2_rw1": cgc_3f2_rw1,
-    "3f2_rw2": cgc_3f2_rw2,
-    "3f2_long_equiv": cgc_3f2_long_equiv,
-    "racah": cgc_racah,
-    "racah_binomial": cgc_racah_binomial,
-}
-
 
 @dataclass(frozen=True)
 class CgcValue:

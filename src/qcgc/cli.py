@@ -154,16 +154,14 @@ def cmd_verify(args, stream=None):
     names = args.suite if args.suite else None
     config = RunConfig(q=args.q, precision=args.precision, format="json",
                        tolerance=args.tolerance,
-                       extra={"suites": names or sorted(verify_mod.SUITES),
-                              "perturb": args.perturb})
+                       extra={"suites": names or sorted(verify_mod.SUITES)})
     failing = []
     suites = {}
     for name in names or list(verify_mod.SUITES):
         start = time.perf_counter()
         checks = verify_mod.run_suites([name], precision=args.precision,
                                        quick=args.quick,
-                                       tolerance=args.tolerance,
-                                       perturb=args.perturb)[name]
+                                       tolerance=args.tolerance)[name]
         wall_s = time.perf_counter() - start
         suite_passed = all(c.passed for c in checks)
         if not suite_passed:
@@ -311,8 +309,6 @@ def build_parser():
                    help="restrict to one suite (repeatable; default all)")
     p.add_argument("--tolerance", type=float, default=None,
                    help="override every check tolerance")
-    p.add_argument("--perturb", type=float, default=0.0,
-                   help="inflate residuals (harness sanity only)")
     p.add_argument("--quick", action="store_true",
                    help="reduced caps and sample counts")
     p.set_defaults(func=cmd_verify)

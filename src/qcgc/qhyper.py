@@ -139,9 +139,11 @@ def eval_terminating(spec, ctx, scale=None):
     rounded once.  A boosted pass reuses the pair, so an error common to
     every term is not amplified by their cancellation.  At q = 1 the
     terms are summed exactly, as integers over one denominator, and
-    scaled and rounded once.
+    scaled and rounded once.  A scale of 0 gives an exact 0.
     """
     n_eff, num, den, reach = _live_range(spec)
+    if scale and not scale[0]:
+        return ctx.to_mpf(0)
     if ctx.is_classical:
         # [t/2] = t/2 and z = 1, so term k+1 is term k times the integer
         # ratio prod (2a+2k) / (prod (2b+2k) (2k+2)), the powers of 2

@@ -471,6 +471,12 @@ def oracle_cgc(key, ctx):
     |j m> = P^j_{m j} v / sqrt(<v|P^j_{j j}|v>) with the seed vector
     v = |j1 j1>|j2 j-j1>, which fixes the standard positive-stretched
     sign convention; the coefficient is the (m1, m2) component.
+
+    The extremal projector's alternating sum cancels, losing about 8
+    digits per unit of spin.  Over <j 0, j 0|J 0> at q = 0.5 and precision
+    50, the worst relative gap to ``cgc_racah`` is 1.7e-50 at j = 4 and
+    1.6e-38 at j = 5, past ``ctx.tol``; at 50 digits this oracle gates
+    spins up to 4 only.
     """
     if not selection_rules(key):
         return ctx.to_mpf(0)

@@ -13,8 +13,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mpf
-
 from .halfint import HalfInt, halfint, halfint_range
 from .qcore import QContext, qnum
 from .qhyper import (
@@ -588,13 +586,9 @@ _QUICK_OVERRIDES = {
 }
 
 
-def run_suites(names=None, precision=50, quick=True, tolerance=None,
-               perturb=0.0):
-    """Run the selected suites and collect a machine-readable report.
-
-    The perturbation knob inflates every residual; it exists only so the
-    harness can confirm that a genuine failure flips the exit status.
-    """
+def run_suites(names=None, precision=50, quick=True, tolerance=None):
+    """Run the selected suites and collect a machine-readable report;
+    ``tolerance``, when given, replaces every check's tolerance."""
     names = list(SUITES) if not names else list(names)
     results = {}
     for name in names:
@@ -603,12 +597,7 @@ def run_suites(names=None, precision=50, quick=True, tolerance=None,
         if quick:
             kwargs.update(_QUICK_OVERRIDES.get(name, {}))
         checks = fn(**kwargs)
-        if tolerance is not None or perturb:
-            adjusted = []
-            for c in checks:
-                residual = c.residual + mpf(str(perturb)) if perturb else c.residual
-                tol = tolerance if tolerance is not None else c.tolerance
-                adjusted.append(CheckResult(c.name, residual, tol))
-            checks = adjusted
+        if tolerance is not None:
+            checks = [CheckResult(c.name, c.residual, tolerance) for c in checks]
         results[name] = checks
     return results

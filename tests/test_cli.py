@@ -178,18 +178,13 @@ def test_verify_single_suite_passes():
     assert abs(suite["margin_digits"] - tightest) < 1e-3
 
 
-def test_verify_perturbation_flips_exit_code():
+def test_verify_tolerance_override():
+    # a tolerance below the suite's residuals fails it and flips the exit code
     code, out = _run(["verify", "--quick", "--suite", "recurrence",
-                      "--perturb", "1e-6"])
+                      "--tolerance", "1e-80"])
     assert code == 1
     payload = json.loads(out)
     assert payload["failing_suites"] == ["recurrence"]
-
-
-def test_verify_tolerance_override():
-    code, _ = _run(["verify", "--quick", "--suite", "recurrence",
-                    "--tolerance", "1e-80"])
-    assert code == 1
 
 
 def test_hahn_table_csv():

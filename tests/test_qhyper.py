@@ -181,6 +181,15 @@ def test_vandermonde_example():
         assert CTX.close(series, closed)
 
 
+@pytest.mark.parametrize("q", ["0.5", "1", "1.25"])
+def test_zero_scale_is_an_exact_zero(q):
+    # a zero mantissa has no top bit to renormalise to, so the scale is
+    # read as 0 before any term is built
+    ctx = QContext(q=q, precision=50)
+    value = eval_terminating(vandermonde_spec(2, 3, 7, 1), ctx, scale=(0, 0))
+    assert value == 0 and type(value) is type(ctx.to_mpf(0))
+
+
 def test_vandermonde_two_term_expansion():
     # n = 1: 1 - [b] q^{sign*(b-c)} / [c]
     with CTX.work():
