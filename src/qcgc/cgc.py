@@ -20,7 +20,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .halfint import HalfInt, doubled, halfint
 from .qcore import (QDomainError, _qpow_pair, _renormalise, _times,
@@ -235,17 +234,38 @@ def _scale(phase, twice_power, root_ups, root_downs, ups, downs, c):
     """The ``c.width``-bit pair of (-1)^phase q^(twice_power/2) prod
     sqrt([u]!) / prod sqrt([d]!) prod [a]! / prod [b]!, over u and d in
     ``root_ups`` and ``root_downs`` and a and b in ``ups`` and ``downs``:
-    one running product over the context's tables."""
-    least = min((*root_ups, *root_downs, *ups, *downs), default=0)
+    one running product over the context's tables.
+
+    The factorials cancel before they are multiplied: each n gets the
+    net power e of sqrt([n]!) over the four lists (a root counts +-1, a
+    factorial +-2), and enters as sqrt([n]!)^sign(e) when e is odd and
+    [n]!^sign(e) |e|//2 times; [0]! = [1]! = 1 and e = 0 enter not at
+    all.  The factor count k of a rounding bound on the product is the
+    length of that reduced list, plus one for the q-power."""
+    net = {}
+    get = net.get
+    for n in root_ups:
+        net[n] = get(n, 0) + 1
+    for n in root_downs:
+        net[n] = get(n, 0) - 1
+    for n in ups:
+        net[n] = get(n, 0) + 2
+    for n in downs:
+        net[n] = get(n, 0) - 2
+    least = min(net, default=0)
     if least < 0:
         raise QDomainError(f"q_factorial: negative argument {least}")
-    roots, inverse_roots = root_factorial_pairs(
-        max((*root_ups, *root_downs), default=0), c)
-    fact, inverse = factorial_pairs(max((*ups, *downs), default=0), c)
-    man, exp = _times(*_qpow_pair(twice_power, c), chain(
-        map(roots.__getitem__, root_ups),
-        map(inverse_roots.__getitem__, root_downs),
-        map(fact.__getitem__, ups), map(inverse.__getitem__, downs)), c.width)
+    top = max(net, default=0)
+    fact, inverse = factorial_pairs(top, c)
+    roots, inverse_roots = root_factorial_pairs(top, c)
+    factors = []
+    for n, e in net.items():
+        if n > 1 and e:
+            if e % 2:
+                factors.append(roots[n] if e > 0 else inverse_roots[n])
+            if abs(e) > 1:
+                factors += [fact[n] if e > 0 else inverse[n]] * (abs(e) // 2)
+    man, exp = _times(*_qpow_pair(twice_power, c), factors, c.width)
     return (-man if phase % 2 else man), exp
 
 
@@ -783,9 +803,16 @@ def special_value(key, ctx):
     """
     if not selection_rules(key):
         return None
+    row = _special_row(key)
+    return None if row is None else row.value(key, ctx)
+
+
+def _special_row(key):
+    """The first SPECIAL_VALUES row whose pattern matches an admissible
+    key, or None."""
     for row in SPECIAL_VALUES.values():
         if row.matches(key):
-            return row.value(key, ctx)
+            return row
     return None
 
 
@@ -877,10 +904,12 @@ def compute(key, ctx, mode="default"):
                         precision=ctx.precision)
     if mode != "crosscheck":
         raise QDomainError(f"unknown mode {mode!r}")
-    values = {name: fn(key, ctx) for name, fn in ALL_FORMULAS.items()}
-    sv = special_value(key, ctx)
-    if sv is not None:
-        values["special"] = sv
+    # the key passed the selection rules above, so the rows are read
+    # directly, not through cgc_* and special_value
+    values = {name: row.value(key, ctx) for name, row in CLOSED_FORMS.items()}
+    special = _special_row(key)
+    if special is not None:
+        values["special"] = special.value(key, ctx)
     # the largest |a - b| over every pair, as rounding is monotone
     deviation = max(values.values()) - min(values.values())
     return CgcValue(value=values["racah"], formula="racah",

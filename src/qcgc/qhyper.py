@@ -139,11 +139,21 @@ def eval_terminating(spec, ctx, scale=None):
     rounded once.  A boosted pass reuses the pair, so an error common to
     every term is not amplified by their cancellation.  At q = 1 the
     terms are summed exactly, as integers over one denominator, and
-    scaled and rounded once.  A scale of 0 gives an exact 0.
+    scaled and rounded once.  A scale of 0 gives an exact 0.  A series
+    with cutoff 0 is its scale (or 1) rounded once into ``ctx``, at
+    every q, with no bracket table and no guard: that is what the
+    guarded sum of one term returns.
+
+    Term i is the scale times i steps of 2 + len(num) + len(den) pairs
+    each (1/[k+1], the parameters' brackets and z), so the factor count
+    k of a rounding bound on a term is the length of the scale's reduced
+    factor list (see ``cgc._scale``) plus those.
     """
     n_eff, num, den, reach = _live_range(spec)
     if scale and not scale[0]:
         return ctx.to_mpf(0)
+    if not n_eff:
+        return ctx.mp.mpf(scale or 1)
     if ctx.is_classical:
         # [t/2] = t/2 and z = 1, so term k+1 is term k times the integer
         # ratio prod (2a+2k) / (prod (2b+2k) (2k+2)), the powers of 2

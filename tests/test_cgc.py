@@ -26,7 +26,8 @@ from qcgc.cgc import (
     selection_failure,
     special_value,
 )
-from qcgc.qcore import QDomainError, _times, qnum
+from qcgc.qcore import (QDomainError, _qpow_pair, _times, factorial_pairs, qnum,
+                        root_factorial_pairs)
 from qcgc.qhahn import recurrence_j_residual
 from qcgc.qhyper import closed_sum_dixon, dixon_spec, eval_terminating
 
@@ -391,6 +392,128 @@ def test_every_form_is_accurate_to_spin_3_at_small_q():
                 worst[name] = max(worst[name], error / abs(reference)
                                   if reference else error)
     assert all(error <= 1e-50 for error in worst.values()), worst
+
+
+@pytest.mark.parametrize("q", ["0.3", "1", "1.25"])
+def test_factorials_below_2_are_exactly_one(q):
+    # so _scale may drop [0]!, [1]! and their roots and inverses from a
+    # product without changing a bit of it
+    ctx = QContext(q=q, precision=50)
+    one = (1 << (ctx.width - 1), 1 - ctx.width)
+    for table in (*factorial_pairs(1, ctx), *root_factorial_pairs(1, ctx)):
+        assert table[0] == table[1] == one
+
+
+def _uncancelled_scale(phase, twice_power, root_ups, root_downs, ups, downs, c):
+    # every factor the four lists name, as one running product
+    roots, inverse_roots = root_factorial_pairs(max((*root_ups, *root_downs), default=0), c)
+    fact, inverse = factorial_pairs(max((*ups, *downs), default=0), c)
+    man, exp = _times(*_qpow_pair(twice_power, c), [
+        *map(roots.__getitem__, root_ups), *map(inverse_roots.__getitem__, root_downs),
+        *map(fact.__getitem__, ups), *map(inverse.__getitem__, downs)], c.width)
+    return (-man if phase % 2 else man), exp
+
+
+def test_scale_cancels_factorials_before_it_multiplies(monkeypatch):
+    # every row on the 2408 keys with 2j1, 2j2 <= 6 at q = 0.3: the
+    # cancelled product is within 64 ulps at ctx.width of the uncancelled
+    # one, and _times receives at most a quarter of the factors that the
+    # index lists name, averaged over the spin pairs as the crosscheck
+    # benchmark draws its keys (16.7%; 26.6% pooled over the keys, most
+    # of which have the larger spins)
+    ctx = QContext(q="0.3", precision=50)
+    scale, calls, passed = cgc._scale, [], []
+
+    def recording(*args):
+        calls.append((args, scale(*args)))
+        return calls[-1][1]
+
+    def times(man, exp, pairs, width):
+        passed.append(len(pairs))
+        return _times(man, exp, pairs, width)
+
+    monkeypatch.setattr(cgc, "_scale", recording)
+    monkeypatch.setattr(cgc, "_times", times)
+    monkeypatch.setattr(cgc, "eval_terminating", lambda spec, ctx, scale=None: None)
+    rows = (*cgc.CLOSED_FORMS.values(), *cgc.SPECIAL_VALUES.values())
+    shares = []
+    for j1, j2 in itertools.product([HalfInt(twice=t) for t in range(7)], repeat=2):
+        calls.clear()
+        passed.clear()
+        for row in rows:
+            for key in filter(row.matches, admissible_keys(j1, j2)):
+                row.value(key, ctx)
+        assert len(calls) == len(passed)
+        for args, (man, exp) in calls:
+            ref_man, ref_exp = _uncancelled_scale(*args)
+            low = min(exp, ref_exp)
+            error = abs((man << (exp - low)) - (ref_man << (ref_exp - low)))
+            assert error <= 64 << (ref_exp - low), args
+        shares.append(sum(passed) / sum(sum(map(len, args[2:6])) for args, _ in calls))
+    assert sum(shares) / len(shares) <= 1 / 4
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.9", "1", "1.25"])
+def test_rows_with_a_one_term_series_are_their_scale(monkeypatch, q):
+    # most series at small spins have cutoff 0: the row's value is then
+    # its _scale pair rounded once, with no bracket table and no guard
+    scale, scales, one_term = cgc._scale, [], []
+
+    def recording(*args):
+        scales.append(scale(*args))
+        return scales[-1]
+
+    def series(spec, ctx, scale=None):
+        if qhyper._live_range(spec)[0]:
+            return None  # a longer series is not this test's
+        one_term.append(scale)
+        return eval_terminating(spec, ctx, scale)
+
+    def forbidden(*args):
+        raise AssertionError("a one-term series read the kernel")
+
+    monkeypatch.setattr(cgc, "_scale", recording)
+    monkeypatch.setattr(cgc, "eval_terminating", series)
+    for name in ("_sum_with_guard", "qnum_pairs", "_qpow_pair"):
+        monkeypatch.setattr(qhyper, name, forbidden)
+    ctx = QContext(q=q, precision=50)
+    spins = [HalfInt(twice=t) for t in range(5)]
+    keys = [key for j1 in spins for j2 in spins for key in admissible_keys(j1, j2)]
+    rows = [row for row in (*cgc.CLOSED_FORMS.values(), *cgc.SPECIAL_VALUES.values())
+            if row.series is not None]
+    for row in rows:
+        for key in filter(row.matches, keys):
+            count = len(one_term)
+            value = row.value(key, ctx)
+            if len(one_term) > count:
+                assert one_term[-1] == scales[-1]
+                assert value == ctx.mp.mpf(scales[-1]), str(key)
+    assert len(one_term) > 1000
+
+
+def test_crosscheck_checks_the_selection_rules_once(monkeypatch):
+    # compute checks the key once and then reads the closed-form rows and
+    # the special-value row directly; the cgc_* wrappers and
+    # special_value keep their own checks
+    calls = []
+
+    def counting(key):
+        calls.append(key)
+        return selection_failure(key)
+
+    monkeypatch.setattr(cgc, "selection_failure", counting)
+    keys = [*admissible_keys(2, "3/2"), CgcKey(1, 0, 1, 0, 3, 0)]
+    with_special = 0
+    for key in keys:
+        calls.clear()
+        compute(key, CTX, mode="crosscheck")
+        assert len(calls) == 1, str(key)
+        with_special += special_value(key, CTX) is not None
+    assert with_special > 10
+    calls.clear()
+    cgc_racah(keys[0], CTX)
+    special_value(keys[0], CTX)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("precision", [50, 100])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from qcgc import CgcKey, HalfInt, QContext, QDomainError, eval_basic, eval_terminating
+from qcgc import qhyper
 from qcgc.cgc import cgc_3f2_rw1, cgc_racah
 from qcgc.qhyper import (
     BasicSeriesSpec,
@@ -30,7 +31,7 @@ from qcgc.qhyper import (
     transform_142,
     vandermonde_spec,
 )
-from qcgc.qcore import _qpow_pair, qnum, qnum_pairs
+from qcgc.qcore import EXTRA_BITS, _qpow_pair, qnum, qnum_pairs
 
 CTX = QContext(q="0.5", precision=50)
 
@@ -190,6 +191,43 @@ def test_zero_scale_is_an_exact_zero(q):
     assert value == 0 and type(value) is type(ctx.to_mpf(0))
 
 
+@pytest.mark.parametrize("q", ["0.3", "0.9", "1", "1.25"])
+def test_one_term_series_is_its_scale_rounded_once(monkeypatch, q):
+    # a series with cutoff 0 is its first term: the scale (or 1) rounded
+    # once into the context, which is what the guarded sum of that one
+    # term returns, bit for bit; no bracket table and no guard is read
+    ctx = QContext(q=q, precision=50)
+    # width-bit pairs, the last two at a rounding tie and just above one
+    scales = [ctx.to_pair(x) for x in (1, "1e-30", "-3.25", ctx.mp.pi * 10 ** 40)]
+    tie = (1 << (ctx.width - 1)) + (1 << (EXTRA_BITS - 1))
+    scales += [(tie, -7), (-tie - 1, 2)]
+    guarded = [_sum_with_guard(lambda c, s=s: [s], ctx) for s in scales]
+
+    def forbidden(*args):
+        raise AssertionError("a one-term series read the kernel")
+
+    for name in ("_sum_with_guard", "qnum_pairs", "_qpow_pair"):
+        monkeypatch.setattr(qhyper, name, forbidden)
+    specs = [vandermonde_spec(0, 3, 7, 1), vandermonde_spec(0, "1/2", -3, -1),
+             dixon_spec(0, 3, 4), dixon_spec(0, "5/2", -1), negative_spec(0, 7, 3, 1),
+             HyperSeriesSpec(twice=((0, 5, -7), (-2, 3), 9))]
+    for spec in specs:
+        assert _live_range(spec)[0] == 0
+        assert eval_terminating(spec, ctx) == 1
+        for scale, reference in zip(scales, guarded):
+            value = eval_terminating(spec, ctx, scale=scale)
+            assert value == ctx.mp.mpf(scale) == reference
+            assert type(value) is type(ctx.to_mpf(0))
+        zero = eval_terminating(spec, ctx, scale=(0, 0))
+        assert zero == 0 and type(zero) is type(ctx.to_mpf(0))
+    # a spec that does not terminate, or whose denominator vanishes in
+    # its live range, still raises before anything is summed
+    with pytest.raises(QDomainError):
+        eval_terminating(HyperSeriesSpec(twice=((2, 6), (4,), 2)), ctx)
+    with pytest.raises(SeriesIllPosed):
+        eval_terminating(HyperSeriesSpec(twice=((-4, 6), (-2,), 2)), ctx)
+
+
 def test_vandermonde_two_term_expansion():
     # n = 1: 1 - [b] q^{sign*(b-c)} / [c]
     with CTX.work():
@@ -319,11 +357,14 @@ def _count_boosts(monkeypatch):
 
 
 def test_small_summands_do_not_boost(monkeypatch):
-    # a one-term sum whose summand is below 1 cancels nothing
+    # a one-term sum whose summand is below 1 cancels nothing; the row's
+    # series here has cutoff 0 and skips the guard, so the guard also
+    # gets that summand directly
     ctx = QContext(q="0.9", precision=50)
     boosts = _count_boosts(monkeypatch)
     key = CgcKey("1/2", "1/2", "1/2", "-1/2", 0, 0)
     value = cgc_3f2_rw1(key, ctx)
+    assert _sum_with_guard(lambda c: [c.to_pair("1e-30")], ctx) == ctx.to_mpf("1e-30")
     assert boosts == []
     assert ctx.close(value, cgc_racah(key, ctx))
 
