@@ -27,7 +27,6 @@ from .qhyper import (
 from .cgc import CgcKey, CgcValue, admissible_keys, compute, selection_rules
 from .qhahn import (
     HahnParams,
-    LatticePoint,
     cgc_from_hahn,
     delta_x_half,
     gram_entry,
@@ -36,7 +35,6 @@ from .qhahn import (
     hahn_norm_sq,
     hahn_ttrr_residual,
     hahn_weight,
-    lattice_point,
     lattice_x,
 )
 
@@ -63,7 +61,6 @@ __all__ = [
     "compute",
     "selection_rules",
     "HahnParams",
-    "LatticePoint",
     "cgc_from_hahn",
     "delta_x_half",
     "gram_entry",
@@ -72,7 +69,6 @@ __all__ = [
     "hahn_norm_sq",
     "hahn_ttrr_residual",
     "hahn_weight",
-    "lattice_point",
     "lattice_x",
 ]
 

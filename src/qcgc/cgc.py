@@ -1,9 +1,10 @@
 """Clebsch-Gordan coefficients of the q-deformed angular momentum algebra.
 
 Eight closed forms (double-checked against each other and against the
-matrix-level oracle in :mod:`qcgc.repsu`), ten special-value fast paths
-and the symmetry relations are all stored as data rows read by one
-evaluator; every series in a row is summed by ``eval_terminating``.
+matrix-level oracle in :mod:`qcgc.repsu`), ten special values (rows
+checked against the general form) and the symmetry relations are all
+stored as data rows read by one evaluator; every series in a row is
+summed by ``eval_terminating``.
 ``racah_table`` sums whole tables as convolutions, and the three-term
 recurrence in m completes the module.
 
@@ -95,10 +96,6 @@ def admissible_keys(j1, j2, j_cap=None):
     return keys
 
 
-def _fr(x):
-    return halfint(x).as_fraction()
-
-
 # ---------------------------------------------------------------------------
 # forms in the labels, compiled to functions of the doubled labels
 # ---------------------------------------------------------------------------
@@ -168,11 +165,11 @@ def _compile(shape):
     its leaves evaluated.
 
     ``shape`` nests lists (returned as tuples), ints (returned as they
-    are) and leaves (kind, form): kind "int" is the form's value, "twice"
-    twice its value and "fraction" its value as a Fraction.  An "int" or
-    "twice" leaf that is not an integer raises QDomainError; on a key
-    that passes the selection rules every such leaf of the rows below is
-    one.  Rows compile their forms on first use, not at import.
+    are) and leaves (kind, form): kind "int" is the form's value and
+    "twice" twice its value.  A leaf that is not an integer raises
+    QDomainError; on a key that passes the selection rules every leaf of
+    the rows below is one.  Rows compile their forms on first use, not
+    at import.
     """
     lines, masks = [], {}
 
@@ -183,8 +180,6 @@ def _compile(shape):
             return repr(node)
         kind, text = node
         numerator, den, _ = _parse(text)
-        if kind == "fraction":
-            return f"Fraction({numerator}, {den})"
         if kind == "twice":
             if den == 1:
                 return f"2 * ({numerator})"
@@ -207,7 +202,7 @@ def _compile(shape):
                      f"f'a label form is not an integer at 2*labels = "
                      f"{{({labels})}}')")
     source = "\n".join([f"def labels({labels}):", *lines, f"    return {result}"])
-    namespace = {"Fraction": Fraction, "QDomainError": QDomainError}
+    namespace = {"QDomainError": QDomainError}
     exec(compile(source, "<label forms>", "exec"), namespace)
     return namespace["labels"]
 
@@ -646,9 +641,8 @@ class SymmetryRelation:
     original labels.
     """
 
-    def __init__(self, name, key_map, q_flip, phase_form="0", power_form="0",
+    def __init__(self, key_map, q_flip, phase_form="0", power_form="0",
                  norm_num=None, norm_den=None):
-        self.name = name
         self.key_map = key_map
         self.q_flip = q_flip
         self.phase_form = phase_form
@@ -659,34 +653,32 @@ class SymmetryRelation:
     def _labels(self):
         return _compile([
             [("twice", f) for f in self.key_map], ("int", self.phase_form),
-            ("fraction", self.power_form), [("twice", f) for f in self.norm]])
+            ("twice", self.power_form), [("twice", f) for f in self.norm]])
 
 
 SYMMETRIES = {
     "swap12": SymmetryRelation(
-        name="swap12", key_map=("j2", "m2", "j1", "m1", "j", "m"),
-        q_flip=True, phase_form="j1+j2-j"),
+        key_map=("j2", "m2", "j1", "m1", "j", "m"), q_flip=True,
+        phase_form="j1+j2-j"),
     "negate_m": SymmetryRelation(
-        name="negate_m", key_map=("j2", "-m2", "j1", "-m1", "j", "-m"),
-        q_flip=False),
+        key_map=("j2", "-m2", "j1", "-m1", "j", "-m"), q_flip=False),
     "j_j1": SymmetryRelation(
-        name="j_j1", key_map=("j", "-m", "j2", "m2", "j1", "-m1"),
+        key_map=("j", "-m", "j2", "m2", "j1", "-m1"),
         q_flip=True, phase_form="j2+m2", power_form="-m2",
         norm_num="j", norm_den="j1"),
     "j_j1_composed": SymmetryRelation(
-        name="j_j1_composed", key_map=("j2", "-m2", "j", "m", "j1", "m1"),
+        key_map=("j2", "-m2", "j", "m", "j1", "m1"),
         q_flip=True, phase_form="j2+m2", power_form="-m2",
         norm_num="j", norm_den="j1"),
     "j_j2": SymmetryRelation(
-        name="j_j2", key_map=("j", "m", "j1", "-m1", "j2", "m2"),
+        key_map=("j", "m", "j1", "-m1", "j2", "m2"),
         q_flip=True, phase_form="j1-m1", power_form="m1",
         norm_num="j", norm_den="j2"),
     "rose_jj2": SymmetryRelation(
-        name="rose_jj2", key_map=("j1", "m1", "j", "-m", "j2", "-m2"),
+        key_map=("j1", "m1", "j", "-m", "j2", "-m2"),
         q_flip=True, phase_form="j1-m1", power_form="m1",
         norm_num="j", norm_den="j2"),
     "regge": SymmetryRelation(
-        name="regge",
         key_map=("(j1+j2+m1+m2)/2", "(j1-j2+m1-m2)/2", "(j1+j2-m1-m2)/2",
                  "(j1-j2-m1+m2)/2", "j", "j1-j2"),
         q_flip=False),
@@ -715,12 +707,12 @@ def apply_symmetry(key, relation):
     """Descriptor such that CGC_q(key) = prefactor * CGC_q'(mapped key)."""
     if isinstance(relation, str):
         relation = SYMMETRIES[relation]
-    key_map, phase, q_power, norm = relation._labels(*key.twice)
+    key_map, phase, twice_power, norm = relation._labels(*key.twice)
     return SymmetryDescriptor(
         key=CgcKey(*(HalfInt(twice=t) for t in key_map)),
         q_flip=relation.q_flip,
         phase=phase % 2,
-        q_power=q_power,
+        q_power=Fraction(twice_power, 2),
         norm_pair=tuple(HalfInt(twice=t) for t in norm) or None,
     )
 
@@ -796,7 +788,8 @@ SPECIAL_VALUES = {
 
 
 def special_value(key, ctx):
-    """Closed-form fast path when the key matches a special pattern.
+    """The key's special value, a closed form on a special pattern that
+    is checked against the general form.
 
     Returns None when no pattern applies; the patterns are tried in the
     order of SPECIAL_VALUES.
@@ -841,7 +834,7 @@ def _relative_residual(terms, values):
     return abs(sum(terms)) / scale if scale else scale
 
 
-def recurrence_m_residual(key, ctx, evaluator=cgc_racah):
+def recurrence_m_residual(key, ctx):
     """Residual of the recurrence moving one unit between m1 and m2.
 
     The relation is the product-basis expansion of the raising-lowering
@@ -866,11 +859,10 @@ def recurrence_m_residual(key, ctx, evaluator=cgc_racah):
     x2 = qnum(j2 - m2, ctx) * qnum(j2 + m2 + 1, ctx)
     eig = (qnum(j + HalfInt("1/2"), ctx) ** 2
            - qnum(m + HalfInt("1/2"), ctx) ** 2)
-    d_coef = (ctx.qpow(_fr(m)) * x1 + ctx.qpow(-_fr(m)) * x2
-              - ctx.qpow(_fr(m1 - m2)) * eig)
-    c_a = evaluator(CgcKey(j1, m1 + 1, j2, m2 - 1, j, m), ctx)
-    c_b = evaluator(CgcKey(j1, m1 - 1, j2, m2 + 1, j, m), ctx)
-    c_d = evaluator(key, ctx)
+    d_coef = ctx.qpow(m) * x1 + ctx.qpow(-m) * x2 - ctx.qpow(m1 - m2) * eig
+    c_a = cgc_racah(CgcKey(j1, m1 + 1, j2, m2 - 1, j, m), ctx)
+    c_b = cgc_racah(CgcKey(j1, m1 - 1, j2, m2 + 1, j, m), ctx)
+    c_d = cgc_racah(key, ctx)
     terms = [a_coef * c_a, b_coef * c_b, d_coef * c_d]
     return _relative_residual(terms, (c_a, c_b, c_d))
 
@@ -892,8 +884,8 @@ def compute(key, ctx, mode="default"):
     """Evaluate one coefficient; mode="crosscheck" runs every closed form.
 
     In crosscheck mode the reported deviation is the maximum pairwise
-    difference across all formulas (plus the special-value fast path
-    when one applies).
+    difference across all formulas (plus the special value when one
+    applies).
     """
     reason = selection_failure(key)
     if reason is not None:

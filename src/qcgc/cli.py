@@ -18,7 +18,6 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 from mpmath import mp
 from mpmath.libmp import to_str
@@ -32,32 +31,9 @@ from .qhahn import HahnParams, hahn_eval, hahn_norm_sq, hahn_weight, lattice_x
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Canonical run parameters echoed into every JSON report."""
-
-    q: str = "0.5"
-    precision: int = 50
-    format: str = "csv"
-    tolerance: float = None
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        out = {"q": self.q, "precision": self.precision,
-               "format": self.format}
-        if self.tolerance is not None:
-            out["tolerance"] = self.tolerance
-        out.update(self.extra)
-        return out
-
-
-def _context(config):
-    return QContext(q=config.q, precision=config.precision)
-
-
-def _fmt(value, config):
-    """What ``mp.nstr(value, config.precision, strip_zeros=False)`` prints."""
-    return to_str(value._mpf_, config.precision, strip_zeros=False)
+def _fmt(value, precision):
+    """What ``mp.nstr(value, precision, strip_zeros=False)`` prints."""
+    return to_str(value._mpf_, precision, strip_zeros=False)
 
 
 def _emit_json(payload, stream):
@@ -70,17 +46,17 @@ def _emit_json(payload, stream):
 
 def cmd_cgc(args, stream=None):
     stream = stream or sys.stdout
-    config = RunConfig(q=args.q, precision=args.precision)
-    ctx = _context(config)
+    ctx = QContext(q=args.q, precision=args.precision)
     key = CgcKey(halfint(args.j1), halfint(args.m1), halfint(args.j2),
                  halfint(args.m2), halfint(args.j), halfint(args.m))
     mode = "crosscheck" if args.verify else "default"
     result = compute(key, ctx, mode=mode)
-    line = f"{key} = {_fmt(result.value, config)}  [{result.formula}]"
+    line = f"{key} = {_fmt(result.value, args.precision)}  [{result.formula}]"
     if result.reason is not None:
         line += f"  ({result.reason})"
     if result.deviation is not None:
-        line += f"  max cross-formula deviation {_fmt(result.deviation, config)}"
+        line += ("  max cross-formula deviation "
+                 f"{_fmt(result.deviation, args.precision)}")
     stream.write(line + "\n")
     return 0
 
@@ -99,16 +75,14 @@ _JSON_ROW = ("    {\n"
 
 def cmd_table(args, stream=None):
     stream = stream or sys.stdout
-    config = RunConfig(q=args.q, precision=args.precision, format=args.format,
-                       extra={"j1": args.j1, "j2": args.j2, "cap": args.cap})
     j1, j2, cap = halfint(args.j1), halfint(args.j2), halfint(args.cap)
     if j1 > cap or j2 > cap:
         raise QDomainError(f"spins exceed the table cap {args.cap}")
-    ctx = _context(config)
+    ctx = QContext(q=args.q, precision=args.precision)
     values = racah_table(j1, j2, ctx)
     top = j1.twice + j2.twice
     text = {t: str(HalfInt(twice=t)) for t in range(-top, top + 1)}
-    rows = [tuple(map(text.__getitem__, labels)) + (_fmt(value, config),)
+    rows = [tuple(map(text.__getitem__, labels)) + (_fmt(value, args.precision),)
             for labels, value in values.items()]
     if args.format == "csv":
         writer = csv.writer(stream)
@@ -128,7 +102,9 @@ def cmd_table(args, stream=None):
                  for (m1, m2), total in sorted(sums.items())]
     head, _, tail = json.dumps({
         "schema_version": SCHEMA_VERSION,
-        "config": config.to_dict(),
+        "config": {"q": args.q, "precision": args.precision,
+                   "format": args.format, "j1": args.j1, "j2": args.j2,
+                   "cap": args.cap},
         "rows": [],
         "checksums": checksums,
     }, indent=2).partition('"rows": []')
@@ -152,9 +128,10 @@ def _margin_digits(checks):
 def cmd_verify(args, stream=None):
     stream = stream or sys.stdout
     names = args.suite if args.suite else None
-    config = RunConfig(q=args.q, precision=args.precision, format="json",
-                       tolerance=args.tolerance,
-                       extra={"suites": names or sorted(verify_mod.SUITES)})
+    config = {"q": args.q, "precision": args.precision, "format": "json"}
+    if args.tolerance is not None:
+        config["tolerance"] = args.tolerance
+    config["suites"] = names or sorted(verify_mod.SUITES)
     failing = []
     suites = {}
     for name in names or list(verify_mod.SUITES):
@@ -180,7 +157,7 @@ def cmd_verify(args, stream=None):
         }
     _emit_json({
         "schema_version": SCHEMA_VERSION,
-        "config": config.to_dict(),
+        "config": config,
         "suites": suites,
         "passed": not failing,
         "failing_suites": failing,
@@ -194,10 +171,7 @@ def cmd_verify(args, stream=None):
 
 def cmd_hahn(args, stream=None):
     stream = stream or sys.stdout
-    config = RunConfig(q=args.q, precision=args.precision, format=args.format,
-                       extra={"n": args.n, "N": args.N,
-                              "alpha": args.alpha, "beta": args.beta})
-    ctx = _context(config)
+    ctx = QContext(q=args.q, precision=args.precision)
     params = HahnParams(args.n, args.N, halfint(args.alpha),
                         halfint(args.beta))
     s_values = [args.s] if args.s is not None else list(range(params.N))
@@ -205,11 +179,11 @@ def cmd_hahn(args, stream=None):
     for s in s_values:
         rows.append({
             "s": str(s),
-            "x": _fmt(lattice_x(s, ctx), config),
-            "weight": _fmt(hahn_weight(params, s, ctx), config),
-            "value": _fmt(hahn_eval(params, s, ctx), config),
+            "x": _fmt(lattice_x(s, ctx), args.precision),
+            "weight": _fmt(hahn_weight(params, s, ctx), args.precision),
+            "value": _fmt(hahn_eval(params, s, ctx), args.precision),
         })
-    norm = _fmt(hahn_norm_sq(params, ctx), config)
+    norm = _fmt(hahn_norm_sq(params, ctx), args.precision)
     if args.format == "csv":
         writer = csv.DictWriter(stream, fieldnames=["s", "x", "weight",
                                                     "value"])
@@ -219,7 +193,9 @@ def cmd_hahn(args, stream=None):
     else:
         _emit_json({
             "schema_version": SCHEMA_VERSION,
-            "config": config.to_dict(),
+            "config": {"q": args.q, "precision": args.precision,
+                       "format": args.format, "n": args.n, "N": args.N,
+                       "alpha": args.alpha, "beta": args.beta},
             "rows": rows,
             "checksums": [{"norm_sq": norm}],
         }, stream)
@@ -232,15 +208,16 @@ def cmd_hahn(args, stream=None):
 
 def cmd_limit(args, stream=None):
     stream = stream or sys.stdout
-    config = RunConfig(q="1", precision=args.precision, format="json")
     ctx_one = QContext(q=1, precision=args.precision)
     key = CgcKey(halfint(args.j1), halfint(args.m1), halfint(args.j2),
                  halfint(args.m2), halfint(args.j), halfint(args.m))
     target = cgc_racah(key, ctx_one)
+    contexts = []
     cgc_rows = []
     for k in range(2, 7):
         q = "0." + "9" * k
         ctx = QContext(q=q, precision=args.precision)
+        contexts.append(ctx)
         value = cgc_racah(key, ctx)
         dev = abs(value - target)
         cgc_rows.append({"k": k, "q": q, "value": mp.nstr(value, 20),
@@ -248,14 +225,12 @@ def cmd_limit(args, stream=None):
     qnum_rows = []
     for x in ("1/2", "1", "3/2"):
         xv = halfint(x)
-        devs = []
-        for k in range(2, 7):
-            ctx = QContext(q="0." + "9" * k, precision=args.precision)
-            devs.append(mp.nstr(abs(qnum(xv, ctx) - ctx.to_mpf(xv)), 6))
+        devs = [mp.nstr(abs(qnum(xv, ctx) - ctx.to_mpf(xv)), 6)
+                for ctx in contexts]
         qnum_rows.append({"x": x, "deviations": devs})
     _emit_json({
         "schema_version": SCHEMA_VERSION,
-        "config": config.to_dict(),
+        "config": {"q": "1", "precision": args.precision, "format": "json"},
         "key": str(key),
         "classical_value": mp.nstr(target, 20),
         "rows": cgc_rows,

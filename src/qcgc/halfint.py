@@ -7,12 +7,29 @@ ever touches floating point.
 
 from __future__ import annotations
 
+import operator
 import sys
 from fractions import Fraction
 
 # 1/2 modulo the modulus of Python's numeric hash, as Fraction.__hash__
 # uses it
 _HASH_HALF = pow(2, -1, sys.hash_info.modulus)
+
+
+def _comparison(op):
+    """A HalfInt comparison, op on twice both values.  A HalfInt compares
+    with numbers only (HalfInt, int, Fraction, float): HalfInt("1/2") ==
+    "1/2" is False, as their hashes differ, and ordering against a str
+    raises TypeError."""
+
+    def compare(self, other):
+        if isinstance(other, HalfInt):
+            return op(self.twice, other.twice)
+        if isinstance(other, (int, Fraction, float)):
+            return op(self.twice, 2 * other)
+        return NotImplemented
+
+    return compare
 
 
 class HalfInt:
@@ -82,23 +99,11 @@ class HalfInt:
     def __abs__(self):
         return HalfInt(twice=abs(self.twice))
 
-    def __eq__(self, other):
-        try:
-            return self.twice == doubled(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __lt__(self, other):
-        return self.twice < doubled(other)
-
-    def __le__(self, other):
-        return self.twice <= doubled(other)
-
-    def __gt__(self, other):
-        return self.twice > doubled(other)
-
-    def __ge__(self, other):
-        return self.twice >= doubled(other)
+    __eq__ = _comparison(operator.eq)
+    __lt__ = _comparison(operator.lt)
+    __le__ = _comparison(operator.le)
+    __gt__ = _comparison(operator.gt)
+    __ge__ = _comparison(operator.ge)
 
     def __hash__(self):
         # equal to hash(int) or hash(Fraction) of the same value

@@ -47,20 +47,10 @@ class HahnParams:
         return HahnParams(self.n + dn, self.N, self.alpha, self.beta)
 
 
-@dataclass(frozen=True)
-class LatticePoint:
-    s: int
-    x: object
-
-
 def lattice_x(s, ctx):
     """Lattice value x(s) = (q^(2s)-1)/(q^2-1) = q^(s-1) [s]; s at q=1."""
     s = doubled(s)
     return _bracket_ratio([s], [], 2 * s - 4, ctx)
-
-
-def lattice_point(s, ctx):
-    return LatticePoint(s=int(s), x=lattice_x(s, ctx))
 
 
 def delta_x_half(s, ctx):
@@ -396,7 +386,7 @@ def cgc_from_hahn(key, ctx, route="J2"):
     return ctx.to_mpf(value)
 
 
-def recurrence_j_residual(key, ctx, evaluator=cgc_racah):
+def recurrence_j_residual(key, ctx):
     """Residual of the three-term recurrence in j at fixed magnetic labels.
 
     On route J2 a coupling coefficient C(j) is a fixed sign times
@@ -423,11 +413,11 @@ def recurrence_j_residual(key, ctx, evaluator=cgc_racah):
     terms, values = [], []
     for dj, coefficient in ((-1, ttrr_gamma), (1, ttrr_alpha)):
         neighbour = CgcKey(j1, m1, j2, m2, j + dj, m)
-        value = evaluator(neighbour, ctx)
+        value = cgc_racah(neighbour, ctx)
         values.append(value)
         if selection_rules(neighbour):
             ratio = hahn_norm_sq(params.shifted(dj), ctx) / d_sq
             terms.append(coefficient(params, ctx) * ctx.mp.sqrt(ratio) * value)
-    value = evaluator(key, ctx)
+    value = cgc_racah(key, ctx)
     terms.append((ttrr_beta(params, ctx) - lattice_x(s, ctx)) * value)
     return _relative_residual(terms, (*values, value))

@@ -4,7 +4,8 @@ Series parameters and arguments are carried as doubled ints (2a, 2e),
 never as pre-evaluated reals, so the q <-> 1/q flips, the cutoffs and the
 pattern matching behind the two 3F2 rewrites are integer arithmetic; a
 label is parsed once, where a caller hands it in.  A closed sum is a
-Pochhammer ratio read from the context's bracket tables, rounded once.
+Pochhammer ratio read from the context's bracket tables, or a factorial
+ratio read from its factorial tables, rounded once.
 At q = 1 consecutive terms of a series differ by a ratio of integers,
 so the sum is exact (``_exact_ratio``) and rounded once
 (``_round_ratio``); an exact zero is then 0.
@@ -19,7 +20,7 @@ from itertools import chain, permutations, repeat
 
 from .halfint import HalfInt, doubled
 from .qcore import (GUARD_DIGITS, QDomainError, _inverse_pair, _qpow_pair,
-                    _times, qnum_pairs)
+                    _times, factorial_pairs, qnum_pairs)
 
 
 class SeriesIllPosed(ValueError):
@@ -48,10 +49,6 @@ class HyperSeriesSpec:
     def signed_exponent(self):
         return HalfInt(twice=self.twice[2])
 
-    def termination_order(self):
-        """Smallest cutoff forced by a nonpositive-integer numerator parameter."""
-        return _cutoff(self.twice[0])
-
     def reciprocal(self):
         """The same series under q -> 1/q (argument sign flips)."""
         num, den, arg = self.twice
@@ -70,7 +67,6 @@ class BasicSeriesSpec:
 
     numerator = HyperSeriesSpec.numerator
     denominator = HyperSeriesSpec.denominator
-    termination_order = HyperSeriesSpec.termination_order
 
 
 def _labels(twices):
@@ -369,8 +365,8 @@ def closed_sum_vandermonde(n, b, c, sign, ctx):
 
 def closed_sum_positive(n, b, c, sign, ctx):
     """Factorial form of the q-Vandermonde sum for positive integers, c > b:
-    [c-b-1+n]! [c-1]! / ([c-b-1]! [c-1+n]!) q^(pm*b*n), the factorials
-    read as (c-b|q)_n / (c|q)_n.
+    [c-b-1+n]! [c-1]! / ([c-b-1]! [c-1+n]!) q^(pm*b*n), one product of
+    ``factorial_pairs`` entries and the q-power, rounded once.
 
     The parent display drops a factorial mark on the [c-1+n] denominator;
     matching the series numerically confirms it must read [c-1+n]!.
@@ -378,18 +374,25 @@ def closed_sum_positive(n, b, c, sign, ctx):
     n, b, c = int(n), int(b), int(c)
     if not (n >= 0 and b > 0 and c > b and n < min(b, c)):
         raise QDomainError("closed_sum_positive requires n,b,c in Z+, n<min(b,c), c>b")
-    return _closed_sum([(2 * (c - b), n)], [(2 * c, n)], 2 * sign * b * n, ctx)
+    fact, inverse = factorial_pairs(c - 1 + n, ctx)
+    return ctx.mp.mpf(_times(*_qpow_pair(2 * sign * b * n, ctx),
+                             (fact[c - b - 1 + n], fact[c - 1],
+                              inverse[c - b - 1], inverse[c - 1 + n]),
+                             ctx.width))
 
 
 def closed_sum_negative(n, b, c, sign, ctx):
     """Closed form of 2F1(-n,-b;-c | q, q^(pm*(b-c+n-1))) for b > c > 0:
-    (-1)^n [c-n]! [b+n-c-1]! / ([c]! [b-c-1]!) q^(pm*b*n), where the sign
-    and factorials read (c-b-n+1|q)_n / (c-n+1|q)_n, as [-x] = -[x]."""
+    (-1)^n [c-n]! [b+n-c-1]! / ([c]! [b-c-1]!) q^(pm*b*n), one product of
+    ``factorial_pairs`` entries and the q-power, rounded once."""
     n, b, c = int(n), int(b), int(c)
     if not (n >= 0 and c > 0 and b > c and n < min(b, c)):
         raise QDomainError("closed_sum_negative requires b>c>0 and n<min(b,c)")
-    return _closed_sum([(2 * (c - b - n + 1), n)], [(2 * (c - n + 1), n)],
-                       2 * sign * b * n, ctx)
+    fact, inverse = factorial_pairs(max(c, b + n - c - 1), ctx)
+    man, exp = _times(*_qpow_pair(2 * sign * b * n, ctx),
+                      (fact[c - n], fact[b + n - c - 1],
+                       inverse[c], inverse[b - c - 1]), ctx.width)
+    return ctx.mp.mpf((-man if n % 2 else man, exp))
 
 
 def negative_spec(n, b, c, sign):

@@ -168,7 +168,8 @@ def _kron(a, b):
 class IrrepBasis:
     """Weight basis |j m> of a spin-j irreducible representation.
 
-    States are ordered by decreasing m (highest weight first).
+    States are ordered by decreasing m (highest weight first); a state's
+    weight is its m.
     """
 
     def __init__(self, j):
@@ -176,6 +177,7 @@ class IrrepBasis:
         if self.j < 0:
             raise QDomainError("spin must be nonnegative")
         self.states = list(reversed(halfint_range(-self.j, self.j)))
+        self.weights = self.states
         self.dim = len(self.states)
         self._index = {m.twice: i for i, m in enumerate(self.states)}
 
@@ -184,7 +186,8 @@ class IrrepBasis:
 
 
 class TensorBasis:
-    """Product basis |j1 m1>|j2 m2>, m1 outer (Kronecker order)."""
+    """Product basis |j1 m1>|j2 m2>, m1 outer (Kronecker order); a
+    state's weight is m1 + m2."""
 
     def __init__(self, j1, j2):
         self.b1 = IrrepBasis(j1)
@@ -193,15 +196,16 @@ class TensorBasis:
         self.j2 = self.b2.j
         self.dim = self.b1.dim * self.b2.dim
         self.states = [(m1, m2) for m1 in self.b1.states for m2 in self.b2.states]
+        self.weights = [m1 + m2 for m1, m2 in self.states]
 
     def index(self, m1, m2):
         return self.b1.index(m1) * self.b2.dim + self.b2.index(m2)
 
 
-def mat_zeros(rows, cols=None):
+def mat_zeros(n):
     # exact Python 0 and 1 fills: an mpmath real of another context on the
     # left of a product or sum would round the result to its precision
-    return SparseMatrix((rows, cols if cols is not None else rows))
+    return SparseMatrix((n, n))
 
 
 def mat_eye(n):
@@ -231,9 +235,10 @@ def commutator(a, b):
 
 
 def _diag_qnum(basis, form, ctx):
-    """diag([form(m)]) over the basis weights; form maps m to a Fraction."""
+    """diag([form(m)]) over the basis weights m; form maps a weight to a
+    HalfInt or a Fraction."""
     out = mat_zeros(basis.dim)
-    for i, m in enumerate(basis.states):
+    for i, m in enumerate(basis.weights):
         out[i, i] = qnum(form(m), ctx)
     return out
 
@@ -314,10 +319,10 @@ def scalar_identity_residual(r, a, ctx):
     return max(abs(lhs1 - rhs1), abs(lhs2 - rhs2))
 
 
-def lemma1_suite(j, ctx, r_max=3):
+def lemma1_suite(j, ctx):
     """Max residual of the ladder-reordering identities on the spin-j irrep.
 
-    Checked for both ladder directions and 1 <= r <= r_max:
+    Checked for both ladder directions and r = 1, 2, 3:
       B^r A = A (B +- I)^r
       [nu B + eta] A^r = A^r [nu B + eta +- nu r]
       [B, A^r] = +- r A^r
@@ -328,7 +333,7 @@ def lemma1_suite(j, ctx, r_max=3):
     eye = mat_eye(basis.dim)
     worst = 0
     for sign, a_op, a_other in ((1, jp, jm), (-1, jm, jp)):
-        for r in range(1, r_max + 1):
+        for r in range(1, 4):
             a_pow = mat_power(a_op, r)
             lhs = mat_power(b, r) @ a_op
             rhs = a_op @ mat_power(b + sign * eye, r)

@@ -188,30 +188,25 @@ def qhyper_suite(precision=50, samples=200, seed=20240901, tolerance=1e-35):
 # representation-level identities
 # ---------------------------------------------------------------------------
 
-def _tensor_lemma_residual(j1, j2, ctx, r_max=3):
-    """Ladder-reordering identities on a tensor-product representation."""
+def _tensor_lemma_residual(j1, j2, ctx):
+    """Ladder-reordering identities on a tensor-product representation,
+    for r = 1, 2, 3."""
     basis = repsu.TensorBasis(j1, j2)
     j0, jp, jm = repsu.coproduct_operators(j1, j2, ctx)
     worst = 0
-
-    def diag_qnum(form):
-        out = repsu.mat_zeros(basis.dim)
-        for i, (m1, m2) in enumerate(basis.states):
-            out[i, i] = qnum(form((m1 + m2).as_fraction()), ctx)
-        return out
-
     for sign, a_op, a_other in ((1, jp, jm), (-1, jm, jp)):
-        for r in range(1, r_max + 1):
+        for r in range(1, 4):
             a_pow = repsu.mat_power(a_op, r)
             worst = max(worst, repsu.mat_max_abs(
                 repsu.commutator(j0, a_pow) - sign * r * a_pow))
-            lhs = diag_qnum(lambda m: 2 * m) @ a_pow
-            rhs = a_pow @ diag_qnum(lambda m: 2 * m + 2 * sign * r)
+            lhs = repsu._diag_qnum(basis, lambda m: 2 * m, ctx) @ a_pow
+            rhs = a_pow @ repsu._diag_qnum(
+                basis, lambda m: 2 * m + 2 * sign * r, ctx)
             worst = max(worst, repsu.mat_max_abs(lhs - rhs))
             lhs = repsu.commutator(a_op, repsu.mat_power(a_other, r))
             rhs = (sign * repsu.mat_power(a_other, r - 1)
-                   @ (diag_qnum(lambda m, _r=r, _s=sign:
-                                2 * m - Fraction(_s) * (_r - 1))
+                   @ (repsu._diag_qnum(
+                       basis, lambda m: 2 * m - sign * (r - 1), ctx)
                       * qnum(HalfInt(r), ctx)))
             worst = max(worst, repsu.mat_max_abs(lhs - rhs))
     return worst
@@ -220,8 +215,8 @@ def _tensor_lemma_residual(j1, j2, ctx, r_max=3):
 def _weight_cols_max(mat, basis, m):
     """Largest entry over the columns of total weight m1 + m2 = m."""
     worst = 0
-    for c, (m1, m2) in enumerate(basis.states):
-        if m1 + m2 == m:
+    for c, weight in enumerate(basis.weights):
+        if weight == m:
             for r in range(basis.dim):
                 worst = max(worst, abs(mat[r, c]))
     return worst
@@ -246,9 +241,7 @@ def repsu_suite(precision=50, qs=("0.5", "0.7"), j_cap="3/2",
                 repsu.commutator(j0, jp) - jp))
             worst_comm = max(worst_comm, repsu.mat_max_abs(
                 repsu.commutator(j0, jm) + jm))
-            two_j0 = repsu.mat_zeros(basis.dim)
-            for i, m in enumerate(basis.states):
-                two_j0[i, i] = qnum(2 * m, ctx)
+            two_j0 = repsu._diag_qnum(basis, lambda m: 2 * m, ctx)
             worst_comm = max(worst_comm, repsu.mat_max_abs(
                 repsu.commutator(jp, jm) - two_j0))
             cas = repsu.casimir_matrix(jm, basis, ctx)
@@ -285,9 +278,7 @@ def repsu_suite(precision=50, qs=("0.5", "0.7"), j_cap="3/2",
             j0, jp, jm = repsu.coproduct_operators(j1, j2, ctx)
             worst_cop = max(worst_cop, repsu.mat_max_abs(
                 repsu.commutator(j0, jp) - jp))
-            two_j0 = repsu.mat_zeros(basis.dim)
-            for i, (m1, m2) in enumerate(basis.states):
-                two_j0[i, i] = qnum(2 * (m1 + m2), ctx)
+            two_j0 = repsu._diag_qnum(basis, lambda m: 2 * m, ctx)
             worst_cop = max(worst_cop, repsu.mat_max_abs(
                 repsu.commutator(jp, jm) - two_j0))
             for r in range(4):
@@ -439,7 +430,7 @@ def symmetry_suite(precision=50, q="0.5", j_cap=3, samples=100,
 
 def special_value_suite(precision=50, qs=("0.5", "0.9"), j_cap=3,
                         dixon_cap=4, tolerance=1e-35):
-    """Every special-value fast path against the general formula."""
+    """Every special value against the general formula."""
     worst = 0
     for ctx, key in _sweep([_ctx(q, precision) for q in qs], j_cap):
         sv = special_value(key, ctx)

@@ -1,5 +1,6 @@
 """Unit tests for the symmetric q-number primitives."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from qcgc import (
     q_pochhammer,
     qnum,
 )
+from qcgc.halfint import doubled
 from qcgc.qcore import _gamma_base, factorial_pairs, root_factorial_pairs
 
 CTX = QContext(q="0.5", precision=50)
@@ -242,6 +244,22 @@ def test_halfint_compares_and_hashes_like_its_value():
     assert hash(HalfInt(-1)) == hash(-1)
     assert {HalfInt(3): "x"}[3] == "x"
     assert {Fraction(-5, 2): "y"}[HalfInt("-5/2")] == "y"
+
+
+def test_halfint_compares_with_numbers_only():
+    # a label equal to a string would have to hash like it; it compares
+    # with HalfInt, int, Fraction and float, and its builders parse strings
+    half = HalfInt("1/2")
+    assert half != "1/2" and not half == "1/2"
+    assert {half: 1}.get("1/2") is None
+    assert "1/2" not in {half}
+    assert half == 0.5 and HalfInt(2) == 2.0 and half != 1.5
+    for order in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            order(half, "1")
+        with pytest.raises(TypeError):
+            order("1", half)
+    assert HalfInt("3/2").twice == halfint("3/2").twice == doubled("3/2") == 3
 
 
 def test_halfint_parsing():

@@ -252,6 +252,31 @@ def test_positive_and_negative_closed_forms():
                              closed_sum_negative(2, 7, 3, sign, CTX))
 
 
+@pytest.mark.parametrize("q", ["0.3", "0.9", "1", "1.25"])
+def test_factorial_closed_sums_read_the_factorial_tables(q, monkeypatch):
+    # the factorial forms multiply the [n]! their docstrings print, not
+    # the Pochhammer ratio that closed_sum_vandermonde reads
+    def refuse(*args):
+        raise AssertionError("a factorial closed sum read a Pochhammer ratio")
+
+    monkeypatch.setattr(qhyper, "_pochhammer_pair", refuse)
+    ctx = QContext(q=q, precision=50)
+    for sign in (1, -1):
+        for n in range(6):
+            for b in range(1, 9):
+                for c in range(1, 9):
+                    if n >= min(b, c):
+                        continue
+                    if c > b:
+                        assert ctx.close(
+                            closed_sum_positive(n, b, c, sign, ctx),
+                            eval_terminating(vandermonde_spec(n, b, c, sign), ctx))
+                    if b > c:
+                        assert ctx.close(
+                            closed_sum_negative(n, b, c, sign, ctx),
+                            eval_terminating(negative_spec(n, b, c, sign), ctx))
+
+
 def test_closed_form_domain_errors():
     with pytest.raises(QDomainError):
         closed_sum_positive(3, 3, 7, 1, CTX)  # needs n < min(b, c)
