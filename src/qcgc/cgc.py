@@ -25,8 +25,7 @@ from fractions import Fraction
 from .halfint import HalfInt, doubled, halfint
 from .qcore import (QDomainError, _qpow_pair, _renormalise, _times,
                     factorial_pairs, qnum, root_factorial_pairs)
-from .qhyper import (HyperSeriesSpec, _round_ratio, _sum_with_guard,
-                     eval_terminating)
+from .qhyper import HyperSeriesSpec, _sum_with_guard, eval_terminating
 
 
 @dataclass(frozen=True)
@@ -531,10 +530,12 @@ def racah_table(j1, j2, ctx):
     share of the prefactor that its keys have in common once; a key
     multiplies in its own four roots sqrt([j1+-m1]! [j2+-m2]!) and its
     q-power.  Each key then goes through the guard as in ``cgc_racah``,
-    with the same summands up to the rounding of the pairs.  At q = 1,
-    a and b are integers over one denominator, and each key's
-    convolution is summed exactly and rounded once.
+    with the same summands up to the rounding of the pairs.  At q = 1
+    each value is the 'racah' row's, summed exactly and rounded once.
     """
+    if ctx.is_classical:
+        row = CLOSED_FORMS["racah"]
+        return {key.twice: row.value(key, ctx) for key in admissible_keys(j1, j2)}
     tj1, tj2 = doubled(j1), doubled(j2)
     values = {}
     for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
@@ -586,21 +587,6 @@ def _racah_column(tj1, tj2, tj, tm, ctx):
         factors[c] = a, b
         return a, b
 
-    if ctx.is_classical:
-        # a_r = (-1)^r C(n, r) / n! and b_s = B_s / (s_hi! (d+s_hi)!
-        # (j+j1-j2)! (j-m)!), B_s the product of the falling factorials
-        # s_hi!/s!, (d+s_hi)!/(d+s)!, (j+j1-j2)!/(j+j1-j2-s)! and
-        # (j-m)!/(j-m-s)! (entries below s_lo unused), so that each key's
-        # convolution is an exact integer over one denominator
-        a = [(-1) ** r * math.comb(n, r) for r in range(n + 1)]
-        falling, rising = [1] * (s_hi + 1), [1] * (s_hi + 1)
-        for s in range(s_hi, s_lo, -1):
-            falling[s - 1] = falling[s] * s * (d + s)
-        for s in range(s_hi):
-            rising[s + 1] = rising[s] * (plus - s) * (jm - s)
-        b = [x * y for x, y in zip(falling, rising)]
-        denominator = math.prod(map(math.factorial, (n, s_hi, d + s_hi, plus, jm)))
-
     # on an admissible key the range of r is never empty
     column = {}
     for u in range(u_lo, u_hi + 1):
@@ -608,13 +594,8 @@ def _racah_column(tj1, tj2, tj, tm, ctx):
                                    roots[d + u], roots[tj2 - d - u]), width)
         key = (tj1, tj1 - 2 * u, tj2, tm - tj1 + 2 * u, tj, tm)
         r_lo, r_hi = max(0, u - s_hi), min(n, u - s_lo)
-        if ctx.is_classical:
-            column[key] = _round_ratio(
-                (pm, pe), sum(a[r] * b[u - r] for r in range(r_lo, r_hi + 1)),
-                denominator, ctx)
-        else:
-            column[key] = _sum_with_guard(functools.partial(
-                _convolution, convolved, u, r_lo, r_hi, pm, pe), ctx)
+        column[key] = _sum_with_guard(functools.partial(
+            _convolution, convolved, u, r_lo, r_hi, pm, pe), ctx)
         qm, qe = _renormalise(qm * step_man, qe + step_exp, width)
     return dict(reversed(column.items()))
 

@@ -31,16 +31,16 @@ GUARD_DIGITS = 20
 
 # Bits that the (man, exp) pairs of the fixed-point series kernel carry
 # beyond ``ctx.mp.prec``: a mantissa has ctx.width = mp.prec + EXTRA_BITS
-# bits.  Products are renormalised to that width after each factor, and
-# each truncation costs less than an ulp at width.  At spins up to 120 a
-# sum has at most 241 summands, each after at most about 250 truncations
-# (up to 8 factors and its running q-power chain), so truncation adds
-# fewer than 2^16 ulps at width: about an ulp at mp.prec of the largest
-# summand, whose table entries are rounded at mp.prec already.  Against
-# precision 150, at precision 50, the worst of 404 Racah values (101
-# seeded keys at spins 20-120, q = 0.3, 0.99, 1 and 1.25) is off by
-# 5.5e-61 relative with no extra bits, 5.7e-62 with 8 and 5.6e-62 with
-# 16 and with 64.
+# bits.  The pair tables are made at that width from pairs alone, within
+# the bounds that qnum_pairs and factorial_pairs state ([361]!, the largest
+# a sum at spins up to 120 reads, within 3.3e5 units of 2^(1-width)), and
+# products are renormalised to it after each factor, each truncation
+# costing less than an ulp at width, at most about 250 per summand.  A
+# summand is then within a few ulps at mp.prec, which the guard digits
+# absorb.  Against precision 150, at precision 50, the worst of 404 Racah
+# values (101 seeded keys at spins 20-120, q = 0.3, 0.99, 1 and 1.25) is
+# off by 5.3e-58 relative with no extra bits, 1.9e-60 with 8, 6.8e-63
+# with 16 and 8.6e-72 with 64.
 EXTRA_BITS = 16
 
 
@@ -88,11 +88,17 @@ class QContext:
         # (man, exp) pairs of [n]! and 1/[n]! by n, of their square roots
         # by n, and of [x] and 1/[x] by 2x of either sign ([0] = 0 has no
         # inverse); see factorial_pairs, root_factorial_pairs, qnum_pairs
-        self._factorials = ([], [])
+        one = 1 << (self.width - 1), 1 - self.width
+        self._factorials = ([one], [one])
         self._root_factorials = ([], [])
         self._brackets = ([(0, 0)], [None])
-        # the pairs of q^(1/2) and q^(-1/2), from which _qpow_pair squares
-        half = _sqrt_pair(self.to_pair(self.q), self.width)
+        # the pairs of q and 1/q, from q parsed at width bits, and of
+        # q^(1/2) and q^(-1/2), from which _qpow_pair squares
+        with self.mp.workprec(self.width):
+            q_pair = self.to_pair(q)
+        powers = q_pair, _inverse_pair(q_pair, self.width)
+        self._unit_powers = powers[::-1] if self._invert else powers
+        half = _sqrt_pair(self._unit_powers[0], self.width)
         self._half_powers = (half, _inverse_pair(half, self.width))
 
     def work(self):
@@ -265,13 +271,24 @@ def _times(man, exp, pairs, width):
 
 
 def factorial_pairs(n, ctx):
-    """Lists of the pairs of [k]! and of 1/[k]!, by k = 0..n at least."""
+    """Lists of the pairs of [k]! and of 1/[k]!, by k = 0..n at least.
+
+    [k]! = [k-1]! [k] through ``_times``, from the ``qnum_pairs``
+    brackets.  Each product truncates by less than u = 2^(1-width)
+    relative and [k] is within 5(k - 1) u, so to first order in u the
+    pair of [n]! is within 5n^2/2 u of [n]! and that of 1/[n]! within 2u
+    more.
+    """
     if n < 0:
         raise QDomainError(f"q_factorial: negative argument {n}")
-    if len(ctx._factorials[1]) <= n:
-        q_factorial(n, ctx)  # fills the memo below n in one upward pass
-        _grow(ctx._factorials, n,
-              lambda k: ctx.to_pair(q_factorial(k, ctx)), ctx)
+    values, inverses = ctx._factorials
+    start = len(inverses)
+    if start <= n:
+        brackets = qnum_pairs(2 * n, ctx)[0]
+        new = [values[start - 1]]
+        for k in range(start, n + 1):
+            new.append(_times(*new[-1], (brackets[2 * k],), ctx.width))
+        _grow(ctx._factorials, start, new[1:], ctx)
     return ctx._factorials
 
 
@@ -279,10 +296,11 @@ def root_factorial_pairs(n, ctx):
     """Lists of the pairs of sqrt([k]!) and of 1/sqrt([k]!), by k = 0..n
     at least; the square roots of the ``factorial_pairs`` entries, so
     that sqrt([k]) is sqrt([k]!) / sqrt([k-1]!)."""
-    if len(ctx._root_factorials[1]) <= n:
+    start = len(ctx._root_factorials[1])
+    if start <= n:
         table = factorial_pairs(n, ctx)[0]
-        _grow(ctx._root_factorials, n,
-              lambda k: _sqrt_pair(table[k], ctx.width), ctx)
+        _grow(ctx._root_factorials, start,
+              [_sqrt_pair(p, ctx.width) for p in table[start:n + 1]], ctx)
     return ctx._root_factorials
 
 
@@ -295,12 +313,21 @@ def qnum_pairs(twice, ctx):
     a wrong entry instead of raising, so a caller asks for the largest
     |2x| it reads.  Growth replaces both lists, so lists a caller holds
     stay valid.
+
+    The entries come from pairs alone: [1/2] = 1/(q^(1/2) + q^(-1/2)),
+    [1] = 1 and [x+1] = q^-1 [x] + q^x, two positive terms at every q > 0,
+    with q parsed at ``width`` bits and q^x a running product.  Each step
+    adds less than 5u, u = 2^(1-width), to the relative error, so to first
+    order the pair of [x] is within 5(|x| - 1) u at an integer x != 0 and
+    (5|x| + 5) u at a half-integer x, that of 1/[x] within 2u more; at
+    q = 1 the brackets are exact.
     """
     values, inverses = ctx._brackets
     have = len(values) // 2
     if have < twice:
-        # made outside the lock, as in _grow
-        new = [ctx.to_pair(_bracket(t, ctx)) for t in range(have + 1, twice + 1)]
+        # made outside the lock, from [0] each time, so that every thread
+        # and every order of growth makes the same pairs
+        new = _bracket_chain(twice, ctx)[have + 1:]
         new_inverses = [_inverse_pair(p, ctx.width) for p in new]
         with ctx._lock:
             values, inverses = ctx._brackets
@@ -310,6 +337,29 @@ def qnum_pairs(twice, ctx):
                                  _widen(inverses, new_inverses[skip:]))
             values, inverses = ctx._brackets
     return values, inverses
+
+
+def _bracket_chain(twice, ctx):
+    """The pairs of [t/2] for t = 0..twice, as qnum_pairs describes them."""
+    width = ctx.width
+    (qm, qe), (im, ie) = ctx._unit_powers
+    half, half_inverse = ctx._half_powers
+    pairs = [(0, 0), _inverse_pair(_add(half, half_inverse, width), width),
+             (1 << (width - 1), 1 - width)]
+    powers = [(qm, qe), half]  # q^x for the next integer and half-integer x
+    for t in range(3, twice + 1):
+        m, e = pairs[t - 2]
+        power = powers[t % 2]
+        pairs.append(_add(_renormalise(m * im, e + ie, width), power, width))
+        powers[t % 2] = _renormalise(power[0] * qm, power[1] + qe, width)
+    return pairs[:twice + 1]
+
+
+def _add(a, b, width):
+    """The width-bit pair of a + b from the pairs of two positive reals,
+    truncated by less than 2^(2-width) relative."""
+    (am, ae), (bm, be) = (a, b) if a[1] >= b[1] else (b, a)
+    return _renormalise(am + (bm >> (ae - be)), ae, width)
 
 
 def _widen(table, new):
@@ -326,13 +376,11 @@ def _inverse_pair(pair, width):
     return _renormalise((1 << 2 * width) // man, -2 * width - exp, width)
 
 
-def _grow(tables, n, pair, ctx):
-    # the pairs come from memoised values, made outside the lock (the
-    # memo takes it); every thread makes the same pairs, so under the lock
-    # each list only takes the entries it still lacks
+def _grow(tables, start, new, ctx):
+    # ``new`` holds the pairs from index ``start`` on, made outside the
+    # lock; every thread makes the same pairs, so under the lock each list
+    # only takes the entries it still lacks
     values, inverses = tables
-    start = len(inverses)
-    new = [pair(k) for k in range(start, n + 1)]
     new_inverses = [_inverse_pair(p, ctx.width) for p in new]
     with ctx._lock:
         have = len(inverses) - start

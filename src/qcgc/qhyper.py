@@ -195,20 +195,17 @@ def eval_basic(spec, ctx):
 def _sum_with_guard(terms, ctx):
     """Sum the summands ``terms(c)`` to ``ctx.precision`` digits.
 
-    A summand is a (man, exp) pair of Python ints with value man * 2^exp,
-    or a real of ``c`` (converted once, by ``c.to_pair``); every caller
-    in the package hands it pairs, and real summands come only from
-    callers outside it.  The kernel never touches mpmath's global
-    precision.  The tables' pairs carry ``c.width`` = ``c.mp.prec`` +
-    EXTRA_BITS bits.  A summand may be the unrenormalised product of a
-    few such pairs; one built by a chain of products (a running q-power,
-    a series term from the one before it) is renormalised to ``c.width``
-    bits after each factor, so that each product is at most two widths
-    long and each factor costs at most about an ulp at that width.  The
-    summands are added into one integer in units of 2^(peak - width),
-    peak the top bit of the largest summand (the bits of a summand below
-    that unit are dropped), and the total is rounded once into ``ctx``,
-    boosted or not.
+    A summand is a (man, exp) pair of Python ints with value man * 2^exp.
+    The kernel never touches mpmath's global precision.  The tables'
+    pairs carry ``c.width`` = ``c.mp.prec`` + EXTRA_BITS bits.  A summand
+    may be the unrenormalised product of a few such pairs; one built by a
+    chain of products (a running q-power, a series term from the one
+    before it) is renormalised to ``c.width`` bits after each factor, so
+    that each product is at most two widths long and each factor costs at
+    most about an ulp at that width.  The summands are added into one
+    integer in units of 2^(peak - width), peak the top bit of the largest
+    summand (the bits of a summand below that unit are dropped), and the
+    total is rounded once into ``ctx``, boosted or not.
 
     The total is accurate relative to itself, or else to the absolute
     floor 10^-precision of the largest summand, in two passes at most.
@@ -221,8 +218,7 @@ def _sum_with_guard(terms, ctx):
     c = ctx
     while True:
         pairs, peak = [], None
-        for term in terms(c):
-            m, e = term if type(term) is tuple else c.to_pair(term)
+        for m, e in terms(c):
             if m:
                 pairs.append((m, e))
                 if peak is None or e + m.bit_length() > peak:

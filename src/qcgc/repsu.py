@@ -319,8 +319,10 @@ def scalar_identity_residual(r, a, ctx):
     return max(abs(lhs1 - rhs1), abs(lhs2 - rhs2))
 
 
-def lemma1_suite(j, ctx):
-    """Max residual of the ladder-reordering identities on the spin-j irrep.
+def lemma1_suite(basis, operators, ctx):
+    """Max residual of the ladder-reordering identities on a
+    representation: an ``IrrepBasis`` with its ``irrep_operators``, or a
+    ``TensorBasis`` with its ``coproduct_operators``.
 
     Checked for both ladder directions and r = 1, 2, 3:
       B^r A = A (B +- I)^r
@@ -328,8 +330,7 @@ def lemma1_suite(j, ctx):
       [B, A^r] = +- r A^r
       [A+-, A-+^r] = +- A-+^(r-1) [r][2B -+ (r-1)]
     """
-    basis = IrrepBasis(j)
-    b, jp, jm = irrep_operators(j, ctx)
+    b, jp, jm = operators
     eye = mat_eye(basis.dim)
     worst = 0
     for sign, a_op, a_other in ((1, jp, jm), (-1, jm, jp)):
@@ -338,14 +339,10 @@ def lemma1_suite(j, ctx):
             lhs = mat_power(b, r) @ a_op
             rhs = a_op @ mat_power(b + sign * eye, r)
             worst = max(worst, mat_max_abs(lhs - rhs))
-            for nu, eta in ((Fraction(1), Fraction(0)),
-                            (Fraction(2), Fraction(1)),
-                            (Fraction(1, 2), Fraction(-1))):
-                left = _diag_qnum(basis, lambda m: nu * m.as_fraction() + eta,
-                                  ctx) @ a_pow
+            for nu, eta in ((1, 0), (2, 0), (2, 1), (Fraction(1, 2), -1)):
+                left = _diag_qnum(basis, lambda m: nu * m + eta, ctx) @ a_pow
                 right = a_pow @ _diag_qnum(
-                    basis, lambda m: nu * m.as_fraction() + eta + nu * sign * r,
-                    ctx)
+                    basis, lambda m: nu * m + eta + nu * sign * r, ctx)
                 worst = max(worst, mat_max_abs(left - right))
             lhs = commutator(b, a_pow)
             rhs = sign * r * a_pow
@@ -353,8 +350,7 @@ def lemma1_suite(j, ctx):
             other_pow = mat_power(a_other, r)
             lhs = commutator(a_op, other_pow)
             rhs = (sign * mat_power(a_other, r - 1)
-                   @ (_diag_qnum(basis, lambda m: 2 * m.as_fraction()
-                                 - Fraction(sign) * (r - 1), ctx)
+                   @ (_diag_qnum(basis, lambda m: 2 * m - sign * (r - 1), ctx)
                       * qnum(HalfInt(r), ctx)))
             worst = max(worst, mat_max_abs(lhs - rhs))
     return worst

@@ -188,30 +188,6 @@ def qhyper_suite(precision=50, samples=200, seed=20240901, tolerance=1e-35):
 # representation-level identities
 # ---------------------------------------------------------------------------
 
-def _tensor_lemma_residual(j1, j2, ctx):
-    """Ladder-reordering identities on a tensor-product representation,
-    for r = 1, 2, 3."""
-    basis = repsu.TensorBasis(j1, j2)
-    j0, jp, jm = repsu.coproduct_operators(j1, j2, ctx)
-    worst = 0
-    for sign, a_op, a_other in ((1, jp, jm), (-1, jm, jp)):
-        for r in range(1, 4):
-            a_pow = repsu.mat_power(a_op, r)
-            worst = max(worst, repsu.mat_max_abs(
-                repsu.commutator(j0, a_pow) - sign * r * a_pow))
-            lhs = repsu._diag_qnum(basis, lambda m: 2 * m, ctx) @ a_pow
-            rhs = a_pow @ repsu._diag_qnum(
-                basis, lambda m: 2 * m + 2 * sign * r, ctx)
-            worst = max(worst, repsu.mat_max_abs(lhs - rhs))
-            lhs = repsu.commutator(a_op, repsu.mat_power(a_other, r))
-            rhs = (sign * repsu.mat_power(a_other, r - 1)
-                   @ (repsu._diag_qnum(
-                       basis, lambda m: 2 * m - sign * (r - 1), ctx)
-                      * qnum(HalfInt(r), ctx)))
-            worst = max(worst, repsu.mat_max_abs(lhs - rhs))
-    return worst
-
-
 def _weight_cols_max(mat, basis, m):
     """Largest entry over the columns of total weight m1 + m2 = m."""
     worst = 0
@@ -255,12 +231,12 @@ def repsu_suite(precision=50, qs=("0.5", "0.7"), j_cap="3/2",
                 worst_pow = max(worst_pow,
                                 repsu.operator_power_check(j, r, ctx))
             if j > 0:
-                worst_lemma = max(worst_lemma,
-                                  repsu.lemma1_suite(j, ctx))
-        worst_lemma = max(worst_lemma, _tensor_lemma_residual(
-            HalfInt("1/2"), HalfInt(1), ctx))
-        worst_lemma = max(worst_lemma, _tensor_lemma_residual(
-            HalfInt(1), j_cap, ctx))
+                worst_lemma = max(worst_lemma, repsu.lemma1_suite(
+                    basis, (j0, jp, jm), ctx))
+        for j1, j2 in ((HalfInt("1/2"), HalfInt(1)), (HalfInt(1), j_cap)):
+            worst_lemma = max(worst_lemma, repsu.lemma1_suite(
+                repsu.TensorBasis(j1, j2),
+                repsu.coproduct_operators(j1, j2, ctx), ctx))
     checks.append(CheckResult("irrep_commutators", worst_comm, tolerance))
     checks.append(CheckResult("casimir", worst_cas, tolerance))
     checks.append(CheckResult("ladder_power_closed_forms", worst_pow,

@@ -13,13 +13,15 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from qcgc import CgcKey, HalfInt, QContext, admissible_keys, compute, halfint_range
-from qcgc import cgc, qhyper
+from qcgc import cgc, qcore, qhyper
 from qcgc.cgc import (
     ALL_FORMULAS,
     SYMMETRIES,
     apply_symmetry,
+    cgc_3f2,
     cgc_racah,
     cgc_sum,
+    cgc_sum_alt,
     classical_parity_zero_value,
     racah_table,
     recurrence_m_residual,
@@ -29,7 +31,9 @@ from qcgc.cgc import (
 from qcgc.qcore import (QDomainError, _qpow_pair, _times, factorial_pairs, qnum,
                         root_factorial_pairs)
 from qcgc.qhahn import recurrence_j_residual
-from qcgc.qhyper import closed_sum_dixon, dixon_spec, eval_terminating
+from qcgc.qhyper import (closed_sum_dixon, closed_sum_negative, closed_sum_positive,
+                         closed_sum_vandermonde, dixon_spec, eval_terminating,
+                         negative_spec, vandermonde_spec)
 
 CTX = QContext(q="0.5", precision=50)
 
@@ -129,12 +133,13 @@ def test_crosscheck_deviation_is_tight():
 def test_crosscheck_deviation_is_the_largest_pairwise_difference():
     # the reported deviation against max |a - b| over every ordered pair
     # of forms, the special value among them where one applies; at these
-    # spins the forms agree bit for bit at q = 1 and 2, not at q = 0.3
+    # spins the forms agree bit for bit at q = 1, and differ on a few keys
+    # at q = 2 and on many at q = 0.3 and 0.1
     spins = [HalfInt(twice=t) for t in range(4)]
     keys = [key for j1 in spins for j2 in spins
             for key in admissible_keys(j1, j2)]
     with_special = nonzero = 0
-    for ctx in (QContext(q=q, precision=50) for q in ("0.3", "1", "2")):
+    for ctx in (QContext(q=q, precision=50) for q in ("0.1", "0.3", "1", "2")):
         for key in keys:
             values = [fn(key, ctx) for fn in ALL_FORMULAS.values()]
             sv = special_value(key, ctx)
@@ -375,8 +380,8 @@ def test_every_series_row_is_one_terminating_series(monkeypatch, q):
 def test_every_form_is_accurate_to_spin_3_at_small_q():
     # every closed form and special value at precision 50 against
     # cgc_racah at precision 200, on the 2408 admissible keys with
-    # 2j1, 2j2 <= 6 at q = 0.3; the worst, on sum, sum_alt and 3f2, is
-    # about 4.5e-51
+    # 2j1, 2j2 <= 6 at q = 0.3; the worst, on sum and 3f2, is about
+    # 3.5e-55
     ctx, exact = QContext(q="0.3", precision=50), QContext(q="0.3", precision=200)
     spins = [HalfInt(twice=t) for t in range(7)]
     keys = [key for j1 in spins for j2 in spins for key in admissible_keys(j1, j2)]
@@ -392,6 +397,43 @@ def test_every_form_is_accurate_to_spin_3_at_small_q():
                 worst[name] = max(worst[name], error / abs(reference)
                                   if reference else error)
     assert all(error <= 1e-50 for error in worst.values()), worst
+
+
+def test_plain_sums_keep_their_digits_on_a_cancelling_key():
+    # the three forms that cancel hardest here were 3.0e-51 off when the
+    # pair tables were real brackets and factorials rounded at mp.prec
+    key = CgcKey(3, 2, 3, -2, 1, 0)
+    ctx, exact = QContext(q="0.3", precision=50), QContext(q="0.3", precision=200)
+    reference = cgc_racah(key, exact)
+    for form in (cgc_sum, cgc_sum_alt, cgc_3f2):
+        assert abs(form(key, ctx) - reference) <= mpf("1e-54") * abs(reference)
+
+
+@pytest.mark.parametrize("q", ["0.3", "1", "1.25"])
+def test_integer_kernel_reads_no_real_bracket_or_factorial(monkeypatch, q):
+    # the pair tables are made from pairs alone, so with the real API's
+    # brackets and factorials refused, a fresh context still evaluates
+    # racah_table, every row, a terminating series and the closed sums
+    def refuse(*args):
+        raise AssertionError("the integer kernel read the real API")
+
+    for name in ("q_factorial", "_bracket", "_qnum_raw"):
+        monkeypatch.setattr(qcore, name, refuse)
+    ctx = QContext(q=q, precision=50)
+    table = racah_table(2, "3/2", ctx)
+    rows = (*cgc.CLOSED_FORMS.values(), *cgc.SPECIAL_VALUES.values())
+    for key in admissible_keys(2, "3/2"):
+        for row in rows:
+            if row.matches(key):
+                assert ctx.close(row.value(key, ctx), table[key.twice])
+    for sign in (1, -1):
+        series = eval_terminating(vandermonde_spec(2, 3, 7, sign), ctx)
+        assert ctx.close(series, closed_sum_vandermonde(2, 3, 7, sign, ctx))
+        assert ctx.close(series, closed_sum_positive(2, 3, 7, sign, ctx))
+        assert ctx.close(eval_terminating(negative_spec(2, 7, 3, sign), ctx),
+                         closed_sum_negative(2, 7, 3, sign, ctx))
+    assert ctx.close(eval_terminating(dixon_spec(2, 3, 4), ctx),
+                     closed_sum_dixon(2, 3, 4, ctx))
 
 
 @pytest.mark.parametrize("q", ["0.3", "1", "1.25"])

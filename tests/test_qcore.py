@@ -21,7 +21,7 @@ from qcgc import (
     qnum,
 )
 from qcgc.halfint import doubled
-from qcgc.qcore import _gamma_base, factorial_pairs, root_factorial_pairs
+from qcgc.qcore import _gamma_base, factorial_pairs, qnum_pairs, root_factorial_pairs
 
 CTX = QContext(q="0.5", precision=50)
 
@@ -183,6 +183,33 @@ def test_root_factorial_pairs_match_the_square_roots(q):
         assert abs(mpf_(roots[n]) - root) <= bound * root
         assert abs(mpf_(inverse_roots[n]) * root - 1) <= bound
         assert abs(mpf_(roots[n]) ** 2 / product - 1) <= digits
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.99", "0.999999", "1.25", "2"])
+def test_pair_tables_are_within_their_stated_bounds(q):
+    # a sample of [x] and 1/[x] over 2x <= 722 and of [n]! and 1/[n]!
+    # over n <= 361, the reach of spins up to 120, at precision 50 against
+    # the real API at precision 150, in units u = 2^(1-width) relative:
+    # 5(|x| - 1) u at an integer x, (5|x| + 5) u at a half-integer x and
+    # 5n^2/2 u, each 2u more for an inverse, as the qnum_pairs and
+    # factorial_pairs docstrings state
+    ctx = QContext(q=q, precision=50)
+    ref = QContext(q=q, precision=150)
+    mpf_ = ref.mp.mpf
+    u = mpf_(2) ** (1 - ctx.width)
+    values, inverses = qnum_pairs(722, ctx)
+    for t in [*range(1, 722, 19), 722]:
+        exact = qnum(HalfInt(twice=t), ref)
+        bound = (mpf_(5 * t) / 2 + (5 if t % 2 else -5)) * u
+        assert abs(mpf_(values[t]) / exact - 1) <= bound, t
+        assert abs(mpf_(inverses[t]) * exact - 1) <= bound + 2 * u, t
+        assert values[-t] == (-values[t][0], values[t][1])
+    factorials, inverse_factorials = factorial_pairs(361, ctx)
+    for n in [*range(0, 361, 10), 361]:
+        exact = q_factorial(n, ref)
+        bound = mpf_(5 * n * n) / 2 * u
+        assert abs(mpf_(factorials[n]) / exact - 1) <= bound, n
+        assert abs(mpf_(inverse_factorials[n]) * exact - 1) <= bound + 2 * u, n
 
 
 def test_q_gamma_pole_raises():

@@ -411,7 +411,8 @@ def test_sum_short_after_the_boost_raises():
     ctx = QContext(q="0.5", precision=100)
 
     def terms(c):
-        return c.to_mpf(1), -1 + (c.to_mpf(10) ** -25 if c is ctx else 0)
+        return (c.to_pair(1),
+                c.to_pair(-1 + (c.to_mpf(10) ** -25 if c is ctx else 0)))
 
     with pytest.raises(ArithmeticError):
         _sum_with_guard(terms, ctx)
@@ -425,7 +426,7 @@ def test_kernel_leaves_global_precision_alone():
 
     def terms(c):
         seen.append(mp.dps)
-        yield c.to_mpf(1)
+        yield c.to_pair(1)
 
     with mp.workdps(15):
         assert _sum_with_guard(terms, ctx) == 1

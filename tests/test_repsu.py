@@ -55,7 +55,16 @@ def test_ladder_power_closed_forms():
 
 def test_lemma_identities_on_irreps():
     for j in ("1/2", "1", "3/2"):
-        assert repsu.lemma1_suite(j, CTX) < CTX.tol
+        assert repsu.lemma1_suite(repsu.IrrepBasis(j),
+                                  repsu.irrep_operators(j, CTX), CTX) < CTX.tol
+
+
+def test_lemma_identities_on_tensor_products():
+    # the same identities, with B and A the coproducts Delta(J0), Delta(J+-)
+    for j1, j2 in (("1/2", "1"), ("1", "3/2")):
+        assert repsu.lemma1_suite(repsu.TensorBasis(j1, j2),
+                                  repsu.coproduct_operators(j1, j2, CTX),
+                                  CTX) < CTX.tol
 
 
 def test_coproduct_commutation_and_binomial():
