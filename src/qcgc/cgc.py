@@ -163,20 +163,17 @@ def _compile(shape):
     """One function of the six doubled labels that returns ``shape`` with
     its leaves evaluated.
 
-    ``shape`` nests lists (returned as tuples), ints (returned as they
-    are) and leaves (kind, form): kind "int" is the form's value and
-    "twice" twice its value.  A leaf that is not an integer raises
-    QDomainError; on a key that passes the selection rules every leaf of
-    the rows below is one.  Rows compile their forms on first use, not
-    at import.
+    ``shape`` nests lists (returned as tuples) and leaves (kind, form):
+    kind "int" is the form's value and "twice" twice its value.  A leaf
+    that is not an integer raises QDomainError; on a key that passes the
+    selection rules every leaf of the rows below is one.  Rows compile
+    their forms on first use, not at import.
     """
     lines, masks = [], {}
 
     def emit(node):
         if isinstance(node, list):
             return "(" + "".join(emit(x) + ", " for x in node) + ")"
-        if isinstance(node, int):
-            return repr(node)
         kind, text = node
         numerator, den, _ = _parse(text)
         if kind == "twice":
@@ -856,7 +853,6 @@ def recurrence_m_residual(key, ctx):
 class CgcValue:
     value: object
     formula: str
-    precision: int
     deviation: object = None
     reason: str = None
 
@@ -870,11 +866,9 @@ def compute(key, ctx, mode="default"):
     """
     reason = selection_failure(key)
     if reason is not None:
-        return CgcValue(value=ctx.to_mpf(0), formula="selection",
-                        precision=ctx.precision, reason=reason)
+        return CgcValue(value=ctx.to_mpf(0), formula="selection", reason=reason)
     if mode == "default":
-        return CgcValue(value=cgc_racah(key, ctx), formula="racah",
-                        precision=ctx.precision)
+        return CgcValue(value=cgc_racah(key, ctx), formula="racah")
     if mode != "crosscheck":
         raise QDomainError(f"unknown mode {mode!r}")
     # the key passed the selection rules above, so the rows are read
@@ -886,4 +880,4 @@ def compute(key, ctx, mode="default"):
     # the largest |a - b| over every pair, as rounding is monotone
     deviation = max(values.values()) - min(values.values())
     return CgcValue(value=values["racah"], formula="racah",
-                    precision=ctx.precision, deviation=deviation)
+                    deviation=deviation)

@@ -128,7 +128,7 @@ def _margin_digits(checks):
 def cmd_verify(args, stream=None):
     stream = stream or sys.stdout
     names = args.suite if args.suite else None
-    config = {"q": args.q, "precision": args.precision, "format": "json"}
+    config = {"precision": args.precision, "format": "json"}
     if args.tolerance is not None:
         config["tolerance"] = args.tolerance
     config["suites"] = names or sorted(verify_mod.SUITES)
@@ -278,7 +278,8 @@ def build_parser():
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run the identity-verification suites")
-    _add_common(p)
+    p.add_argument("--precision", type=int, default=50,
+                   help="significant digits (default 50)")
     p.add_argument("--suite", action="append",
                    choices=sorted(verify_mod.SUITES),
                    help="restrict to one suite (repeatable; default all)")

@@ -91,7 +91,6 @@ class QContext:
         one = 1 << (self.width - 1), 1 - self.width
         self._factorials = ([one], [one])
         self._root_factorials = ([], [])
-        self._brackets = ([(0, 0)], [None])
         # the pairs of q and 1/q, from q parsed at width bits, and of
         # q^(1/2) and q^(-1/2), from which _qpow_pair squares
         with self.mp.workprec(self.width):
@@ -100,6 +99,13 @@ class QContext:
         self._unit_powers = powers[::-1] if self._invert else powers
         half = _sqrt_pair(self._unit_powers[0], self.width)
         self._half_powers = (half, _inverse_pair(half, self.width))
+        # [0], [1/2] and [1], and the powers q^x that qnum_pairs adds to
+        # q^-1 [x] next, by 2x mod 2
+        first = [_inverse_pair(_add(*self._half_powers, self.width),
+                               self.width), one]
+        self._brackets = (_widen([(0, 0)], first), _widen(
+            [None], [_inverse_pair(p, self.width) for p in first]))
+        self._bracket_powers = [self._unit_powers[0], half]
 
     def work(self):
         """Set mpmath's global precision to this context's, for a caller's
@@ -234,22 +240,14 @@ def _square_and_multiply(twice, ctx):
     man, exp = ctx._half_powers[twice < 0]
     n = abs(twice)
     result = None
-    while True:  # _renormalise, inlined
+    while True:
         if n & 1:
-            if result is None:
-                result, result_exp = man, exp
-            else:
-                result *= man
-                shift = result.bit_length() - width
-                result >>= shift
-                result_exp += exp + shift
+            result = (man, exp) if result is None else _renormalise(
+                result[0] * man, result[1] + exp, width)
         n >>= 1
         if not n:
-            return result, result_exp
-        man *= man
-        shift = man.bit_length() - width
-        man >>= shift
-        exp = 2 * exp + shift
+            return result
+        man, exp = _renormalise(man * man, 2 * exp, width)
 
 
 def _renormalise(man, exp, width):
@@ -277,31 +275,35 @@ def factorial_pairs(n, ctx):
     brackets.  Each product truncates by less than u = 2^(1-width)
     relative and [k] is within 5(k - 1) u, so to first order in u the
     pair of [n]! is within 5n^2/2 u of [n]! and that of 1/[n]! within 2u
-    more.
+    more.  The lists grow in place under ``ctx._lock``, from their last
+    entries, so every order of growth makes the same pairs.
     """
     if n < 0:
         raise QDomainError(f"q_factorial: negative argument {n}")
     values, inverses = ctx._factorials
-    start = len(inverses)
-    if start <= n:
-        brackets = qnum_pairs(2 * n, ctx)[0]
-        new = [values[start - 1]]
-        for k in range(start, n + 1):
-            new.append(_times(*new[-1], (brackets[2 * k],), ctx.width))
-        _grow(ctx._factorials, start, new[1:], ctx)
-    return ctx._factorials
+    if len(inverses) <= n:
+        brackets = qnum_pairs(2 * n, ctx)[0]  # the lock is not reentrant
+        with ctx._lock:
+            # each value before its inverse, so that a reader that finds
+            # an inverse finds its value too
+            for k in range(len(inverses), n + 1):
+                values.append(_times(*values[-1], (brackets[2 * k],), ctx.width))
+                inverses.append(_inverse_pair(values[-1], ctx.width))
+    return values, inverses
 
 
 def root_factorial_pairs(n, ctx):
     """Lists of the pairs of sqrt([k]!) and of 1/sqrt([k]!), by k = 0..n
     at least; the square roots of the ``factorial_pairs`` entries, so
     that sqrt([k]) is sqrt([k]!) / sqrt([k-1]!)."""
-    start = len(ctx._root_factorials[1])
-    if start <= n:
+    roots, inverses = ctx._root_factorials
+    if len(inverses) <= n:
         table = factorial_pairs(n, ctx)[0]
-        _grow(ctx._root_factorials, start,
-              [_sqrt_pair(p, ctx.width) for p in table[start:n + 1]], ctx)
-    return ctx._root_factorials
+        with ctx._lock:
+            for k in range(len(inverses), n + 1):
+                roots.append(_sqrt_pair(table[k], ctx.width))
+                inverses.append(_inverse_pair(roots[-1], ctx.width))
+    return roots, inverses
 
 
 def qnum_pairs(twice, ctx):
@@ -320,39 +322,25 @@ def qnum_pairs(twice, ctx):
     adds less than 5u, u = 2^(1-width), to the relative error, so to first
     order the pair of [x] is within 5(|x| - 1) u at an integer x != 0 and
     (5|x| + 5) u at a half-integer x, that of 1/[x] within 2u more; at
-    q = 1 the brackets are exact.
+    q = 1 the brackets are exact.  The chain grows under ``ctx._lock``,
+    from its last two entries and the running powers that the context
+    keeps, so every order of growth makes the same pairs.
     """
-    values, inverses = ctx._brackets
-    have = len(values) // 2
-    if have < twice:
-        # made outside the lock, from [0] each time, so that every thread
-        # and every order of growth makes the same pairs
-        new = _bracket_chain(twice, ctx)[have + 1:]
-        new_inverses = [_inverse_pair(p, ctx.width) for p in new]
+    if len(ctx._brackets[0]) // 2 < twice:
         with ctx._lock:
             values, inverses = ctx._brackets
-            skip = len(values) // 2 - have
-            if skip < len(new):
-                ctx._brackets = (_widen(values, new[skip:]),
-                                 _widen(inverses, new_inverses[skip:]))
-            values, inverses = ctx._brackets
-    return values, inverses
-
-
-def _bracket_chain(twice, ctx):
-    """The pairs of [t/2] for t = 0..twice, as qnum_pairs describes them."""
-    width = ctx.width
-    (qm, qe), (im, ie) = ctx._unit_powers
-    half, half_inverse = ctx._half_powers
-    pairs = [(0, 0), _inverse_pair(_add(half, half_inverse, width), width),
-             (1 << (width - 1), 1 - width)]
-    powers = [(qm, qe), half]  # q^x for the next integer and half-integer x
-    for t in range(3, twice + 1):
-        m, e = pairs[t - 2]
-        power = powers[t % 2]
-        pairs.append(_add(_renormalise(m * im, e + ie, width), power, width))
-        powers[t % 2] = _renormalise(power[0] * qm, power[1] + qe, width)
-    return pairs[:twice + 1]
+            reach, width = len(values) // 2, ctx.width
+            (qm, qe), (im, ie) = ctx._unit_powers
+            powers, chain = ctx._bracket_powers, values[reach - 1:reach + 1]
+            for t in range(reach + 1, twice + 1):
+                (m, e), (pm, pe) = chain[-2], powers[t % 2]
+                chain.append(_add(_renormalise(m * im, e + ie, width),
+                                  (pm, pe), width))
+                powers[t % 2] = _renormalise(pm * qm, pe + qe, width)
+            new = chain[2:]
+            ctx._brackets = (_widen(values, new), _widen(
+                inverses, [_inverse_pair(p, width) for p in new]))
+    return ctx._brackets
 
 
 def _add(a, b, width):
@@ -374,18 +362,6 @@ def _inverse_pair(pair, width):
     """The width-bit pair of 1/x from the pair of x."""
     man, exp = pair
     return _renormalise((1 << 2 * width) // man, -2 * width - exp, width)
-
-
-def _grow(tables, start, new, ctx):
-    # ``new`` holds the pairs from index ``start`` on, made outside the
-    # lock; every thread makes the same pairs, so under the lock each list
-    # only takes the entries it still lacks
-    values, inverses = tables
-    new_inverses = [_inverse_pair(p, ctx.width) for p in new]
-    with ctx._lock:
-        have = len(inverses) - start
-        values.extend(new[have:])
-        inverses.extend(new_inverses[have:])
 
 
 def q_pochhammer(a, n, ctx):

@@ -65,9 +65,6 @@ class BasicSeriesSpec:
         num, den = twice or (map(doubled, numerator), map(doubled, denominator))
         self.twice, self.z = (tuple(num), tuple(den)), z
 
-    numerator = HyperSeriesSpec.numerator
-    denominator = HyperSeriesSpec.denominator
-
 
 def _labels(twices):
     return tuple(HalfInt(twice=t) for t in twices)

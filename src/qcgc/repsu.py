@@ -110,17 +110,11 @@ class SparseMatrix:
     def copy(self):
         return self._map(lambda x: x)
 
-    def __neg__(self):
-        return self._map(operator.neg)
-
     def __mul__(self, s):
         return self._map(lambda x: x * s)
 
     def __rmul__(self, s):
         return self._map(lambda x: s * x)
-
-    def __truediv__(self, s):
-        return self._map(lambda x: x / s)
 
     def _merge(self, other, op):
         empty = {}
@@ -292,16 +286,13 @@ def closed_power_lowering(j, r, ctx):
     return out
 
 
-def closed_power_raising(j, r, ctx):
-    """Matrix of J+^r from the closed-form matrix elements."""
-    return mat_dagger(closed_power_lowering(j, r, ctx))
-
-
 def operator_power_check(j, r, ctx):
-    """Max deviation between matrix powers of J+- and their closed forms."""
+    """Max deviation between matrix powers of J+- and their closed forms,
+    J+^r being the adjoint of J-^r."""
     _, jp, jm = irrep_operators(j, ctx)
-    dev_m = mat_max_abs(mat_power(jm, r) - closed_power_lowering(j, r, ctx))
-    dev_p = mat_max_abs(mat_power(jp, r) - closed_power_raising(j, r, ctx))
+    lowering = closed_power_lowering(j, r, ctx)
+    dev_m = mat_max_abs(mat_power(jm, r) - lowering)
+    dev_p = mat_max_abs(mat_power(jp, r) - mat_dagger(lowering))
     return max(dev_m, dev_p)
 
 

@@ -345,42 +345,27 @@ def unitarity_suite(precision=50, qs=("0.5",), j_cap=3, tolerance=1e-35):
                            if abs(m - m1) <= j2]
                     js = [j for j in halfint_range(abs(j1 - j2), j1 + j2)
                           if abs(m) <= j]
-                    if not m1s:
-                        continue
                     block = [[cgc_racah(
                         CgcKey(j1, m1, j2, m - m1, j, m), ctx)
                         for j in js] for m1 in m1s]
-                    for a in range(len(js)):
-                        for b in range(len(js)):
-                            acc = 0
-                            for i in range(len(m1s)):
-                                acc += block[i][a] * block[i][b]
-                            target = 1 if a == b else 0
-                            worst = max(worst, abs(acc - target))
-                    for i in range(len(m1s)):
-                        for k in range(len(m1s)):
-                            acc = 0
-                            for a in range(len(js)):
-                                acc += block[i][a] * block[k][a]
-                            target = 1 if i == k else 0
-                            worst = max(worst, abs(acc - target))
+                    # columns, then rows: each dot product against 1 for
+                    # a vector with itself and 0 for two distinct ones
+                    for vectors in (list(zip(*block)), block):
+                        for x in vectors:
+                            for y in vectors:
+                                dot = sum(u * v for u, v in zip(x, y))
+                                worst = max(worst, abs(dot - (x is y)))
     return [CheckResult("unitarity_blocks", worst, tolerance)]
 
 
 def _random_admissible_key(rng, j_cap):
     pool = _spin_pool(j_cap)
-    while True:
-        j1 = rng.choice(pool)
-        j2 = rng.choice(pool)
-        js = halfint_range(abs(j1 - j2), j1 + j2)
-        j = rng.choice(js)
-        ms = halfint_range(-j, j)
-        m = rng.choice(ms)
-        m1s = [m1 for m1 in halfint_range(-j1, j1) if abs(m - m1) <= j2]
-        if not m1s:
-            continue
-        m1 = rng.choice(m1s)
-        return CgcKey(j1, m1, j2, m - m1, j, m)
+    j1 = rng.choice(pool)
+    j2 = rng.choice(pool)
+    j = rng.choice(halfint_range(abs(j1 - j2), j1 + j2))
+    m = rng.choice(halfint_range(-j, j))
+    m1 = rng.choice([m1 for m1 in halfint_range(-j1, j1) if abs(m - m1) <= j2])
+    return CgcKey(j1, m1, j2, m - m1, j, m)
 
 
 def symmetry_suite(precision=50, q="0.5", j_cap=3, samples=100,

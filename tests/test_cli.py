@@ -178,6 +178,17 @@ def test_verify_single_suite_passes():
     assert abs(suite["margin_digits"] - tightest) < 1e-3
 
 
+def test_verify_takes_no_q():
+    # every suite runs its own grid of q, so verify takes no --q; argparse
+    # reads "--q" as short for "--quick" and rejects the value left over
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q", "0.9", "--quick", "--suite", "recurrence"])
+    assert exc.value.code == 2
+    code, out = _run(["verify", "--quick", "--suite", "recurrence"])
+    assert code == 0
+    assert "q" not in json.loads(out)["config"]
+
+
 def test_verify_tolerance_override():
     # a tolerance below the suite's residuals fails it and flips the exit code
     code, out = _run(["verify", "--quick", "--suite", "recurrence",

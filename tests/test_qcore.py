@@ -1,6 +1,9 @@
 """Unit tests for the symmetric q-number primitives."""
 
 import operator
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -20,6 +23,8 @@ from qcgc import (
     q_pochhammer,
     qnum,
 )
+from qcgc import qcore
+from qcgc.cgc import racah_table
 from qcgc.halfint import doubled
 from qcgc.qcore import _gamma_base, factorial_pairs, qnum_pairs, root_factorial_pairs
 
@@ -141,6 +146,28 @@ def test_q_gamma_tilde_at_half_integers_matches_the_products(q):
         assert abs(value - expected) <= ref.to_mpf("1e-50") * abs(expected)
 
 
+@pytest.mark.parametrize("q", ["0.5", "0.9", "1.25", "1"])
+def test_q_gamma_classical_is_a_q_factorial_at_base_q_squared(q):
+    # Gamma_{q^2}(n+1) = [n]_{q^2}! with [n]_{q^2} = q^(n-1) [n], through
+    # the truncated products, the reciprocal base when q > 1 and mpmath's
+    # gamma at q = 1
+    ctx = QContext(q=q, precision=50)
+    for n in range(8):
+        expected = ctx.qpow(n * (n - 1) // 2) * q_factorial(n, ctx)
+        assert abs(q_gamma_classical(n + 1, ctx) - expected) <= ctx.tol * expected
+
+
+@pytest.mark.parametrize("q", ["0.5", "0.9", "1.25", "1"])
+def test_q_gamma_tilde_functional_equation_off_the_lattice(q):
+    # Gamma_tilde(x+1) = [x] Gamma_tilde(x) at arguments that are not
+    # half-integers, where the truncated products are evaluated directly
+    ctx = QContext(q=q, precision=50)
+    for text in ("0.3", "1.7", "2.25"):
+        x = ctx.to_mpf(text)
+        expected = qnum(x, ctx) * q_gamma_tilde(x, ctx)
+        assert abs(q_gamma_tilde(x + 1, ctx) - expected) <= ctx.tol * expected
+
+
 @pytest.mark.parametrize("q", ["0.02", "0.3", "0.9", "1.25", "50"])
 def test_qpow_on_the_half_integer_lattice_matches_the_real_power(q):
     # the memoised square-and-multiply pair against a real power at 120
@@ -210,6 +237,63 @@ def test_pair_tables_are_within_their_stated_bounds(q):
         bound = mpf_(5 * n * n) / 2 * u
         assert abs(mpf_(factorials[n]) / exact - 1) <= bound, n
         assert abs(mpf_(inverse_factorials[n]) * exact - 1) <= bound + 2 * u, n
+
+
+def _filled_tables(ctx):
+    # [x] and 1/[x] over 2x = -722..722, and [n]!, sqrt([n]!) and their
+    # inverses over n = 0..361
+    values, inverses = qnum_pairs(722, ctx)
+    brackets = [(values[t], inverses[t]) for t in range(-722, 723)]
+    return brackets, [table[:362] for table in (*factorial_pairs(361, ctx),
+                                                *root_factorial_pairs(361, ctx))]
+
+
+@pytest.mark.parametrize("q", ["0.3", "1", "1.25"])
+def test_pair_tables_do_not_depend_on_the_order_of_growth(q):
+    # growth in shuffled steps, and from four threads at once that switch
+    # often, against a one-shot fill
+    expected = _filled_tables(QContext(q=q, precision=50))
+    steps = [*((qnum_pairs, t) for t in range(0, 723, 37)),
+             *((grow, n) for grow in (factorial_pairs, root_factorial_pairs)
+               for n in range(0, 362, 19))]
+    rng = random.Random(722)
+    orders = [rng.sample(steps, len(steps)) for _ in range(4)]
+    for order in orders:
+        ctx = QContext(q=q, precision=50)
+        for grow, n in order:
+            grow(n, ctx)
+        assert _filled_tables(ctx) == expected
+    ctx = QContext(q=q, precision=50)
+    threads = [threading.Thread(target=lambda order=order: [
+        grow(n, ctx) for grow, n in order]) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert _filled_tables(ctx) == expected
+
+
+def test_a_cold_table_steps_the_bracket_chain_once_per_entry(monkeypatch):
+    # racah_table(8, 8) reads [x] up to 2x = 66, growing the chain many
+    # times, and each growth steps only past the entries already held
+    add, steps = qcore._add, []
+
+    def step(*args):
+        steps.append(args)
+        return add(*args)
+
+    ctx = QContext(q="0.3", precision=50)
+    monkeypatch.setattr(qcore, "_add", step)
+    racah_table(8, 8, ctx)
+    reach = len(ctx._brackets[0]) // 2
+    assert reach == 66
+    assert len(steps) == reach - 2  # [1/2] and [1] come with the context
 
 
 def test_q_gamma_pole_raises():

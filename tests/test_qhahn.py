@@ -1,5 +1,7 @@
 """Unit tests for the q-Hahn polynomial family and its coupling link."""
 
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpf
 
@@ -16,6 +18,7 @@ from qcgc import (
     hahn_ttrr_residual,
     hahn_weight,
     lattice_x,
+    q_gamma_tilde,
 )
 from qcgc.cgc import admissible_keys, cgc_racah
 from qcgc.halfint import HalfInt
@@ -32,6 +35,19 @@ def test_params_validation():
         HahnParams(-1, 5, 1, 1)
     p = HahnParams(1, 5, 1, 1)
     assert p.shifted(2).n == 3
+
+
+@pytest.mark.parametrize("q", ["0.5", "1.25"])
+def test_weight_at_a_negative_half_integer_gamma_argument(q):
+    # beta = -3/2 at s = 0 puts Gamma_tilde(-1/2) in the weight's numerator
+    ctx = QContext(q=q, precision=50)
+
+    def gamma(x):
+        return q_gamma_tilde(Fraction(x), ctx)
+
+    expected = gamma("-1/2") * gamma(5) / (gamma(1) * gamma(4))
+    value = hahn_weight(HahnParams(0, 4, 1, "-3/2"), 0, ctx)
+    assert abs(value - expected) <= ctx.tol * abs(expected)
 
 
 def test_lattice_classical_limit():
