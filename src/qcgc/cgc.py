@@ -131,6 +131,21 @@ def _poly(node):
     raise ValueError(f"unsupported form {ast.unparse(node)!r}")
 
 
+def _polynomial(text):
+    """The form ``text`` as ``_poly``'s {monomial: coefficient}, where a
+    digit before a letter multiplies (``"2j+1"``)."""
+    expr = re.sub(r"(\d)([a-z(])", r"\1*\2", text)
+    return _poly(ast.parse(expr, mode="eval").body)
+
+
+@functools.cache
+def _normal(text):
+    """The form ``text`` as a set of (monomial, nonzero coefficient), the
+    same for two forms exactly when they are one polynomial, however
+    each is written."""
+    return frozenset((mono, c) for mono, c in _polynomial(text).items() if c)
+
+
 @functools.cache
 def _parse(text):
     """A form such as ``"j1*m2 - (j1+j2-j)*(j1+j2+j+1)/2"``, where a digit
@@ -141,8 +156,7 @@ def _parse(text):
     integer polynomial; r is the coefficient of the summation index r,
     which the numerator leaves out.
     """
-    expr = re.sub(r"(\d)([a-z(])", r"\1*\2", text)
-    poly = _poly(ast.parse(expr, mode="eval").body)
+    poly = _polynomial(text)
     r = int(poly.pop((_VARIABLES.index("r"),), 0))
     # a label enters as twice/2, so over the common denominator 4 * lcm
     # a monomial of degree d carries 2^(2-d)
@@ -217,6 +231,14 @@ def _factorials(text):
     return ups, downs
 
 
+def _normal_shape(shape):
+    """``_compile``'s shape with each form normalised (``_normal``)."""
+    if isinstance(shape, list):
+        return tuple(map(_normal_shape, shape))
+    kind, text = shape
+    return kind, _normal(text)
+
+
 def _ints(forms):
     return [("int", form) for form in forms]
 
@@ -232,7 +254,12 @@ def _scale(phase, twice_power, root_ups, root_downs, ups, downs, c):
     factorial +-2), and enters as sqrt([n]!)^sign(e) when e is odd and
     [n]!^sign(e) |e|//2 times; [0]! = [1]! = 1 and e = 0 enter not at
     all.  The factor count k of a rounding bound on the product is the
-    length of that reduced list, plus one for the q-power."""
+    length of that reduced list, plus one for the q-power.
+
+    The reduced factors are multiplied by n ascending, not in the order
+    the lists name them: each product is truncated, so the order sets
+    the last bits, and with it fixed two rows whose lists cancel to the
+    same net powers give the same pair (see ``compute``)."""
     net = {}
     get = net.get
     for n in root_ups:
@@ -250,7 +277,8 @@ def _scale(phase, twice_power, root_ups, root_downs, ups, downs, c):
     fact, inverse = factorial_pairs(top, c)
     roots, inverse_roots = root_factorial_pairs(top, c)
     factors = []
-    for n, e in net.items():
+    for n in sorted(net):
+        e = net[n]
         if n > 1 and e:
             if e % 2:
                 factors.append(roots[n] if e > 0 else inverse_roots[n])
@@ -389,6 +417,29 @@ class ClosedForm:
         # the match forms have denominator 2, so twice their value is an
         # integer on any key
         return _compile([("twice", f) for f in self.match])
+
+    @functools.cached_property
+    def computation(self):
+        """The row as normalised polynomials in the labels: its phase and
+        power, the net power of sqrt([n]!) of each factorial form n over
+        the root and the outside factors (a root counts +-1, a factorial
+        +-2), and its series' forms in order, as the order of the
+        parameters sets how the term products round.
+
+        The series' first summand and its phase and power follow from the
+        series' forms, so two rows with one computation hand ``_scale``
+        the same net powers and ``eval_terminating`` the same spec on
+        every key, and so give the same bits.
+        """
+        net = {}
+        for forms, weight in zip(self.factorials, (1, -1, 2, -2)):
+            for form in forms:
+                n = _normal(form)
+                net[n] = net.get(n, 0) + weight
+        series = None if self.series is None else (
+            type(self.series), _normal_shape(self.series.shape()))
+        return (_normal(self.phase), _normal(self.power),
+                frozenset(item for item in net.items() if item[1]), series)
 
     def matches(self, key):
         """True if every match form vanishes on the key."""
@@ -851,18 +902,36 @@ def recurrence_m_residual(key, ctx):
 
 @dataclass(frozen=True)
 class CgcValue:
+    """A coefficient, the row it came from and, in crosscheck mode, the
+    spread of the distinct computations that checked it."""
+
     value: object
     formula: str
     deviation: object = None
     reason: str = None
+    routes: int = None
+
+
+@functools.cache
+def _computations():
+    """The CLOSED_FORMS rows grouped by ``ClosedForm.computation``:
+    {first name: every name of the group}, 'racah' first.  Built on the
+    first crosscheck, not at import."""
+    groups = {}
+    for name in sorted(CLOSED_FORMS, key=lambda name: name != "racah"):
+        groups.setdefault(CLOSED_FORMS[name].computation, []).append(name)
+    return {names[0]: tuple(names) for names in groups.values()}
 
 
 def compute(key, ctx, mode="default"):
-    """Evaluate one coefficient; mode="crosscheck" runs every closed form.
+    """Evaluate one coefficient; mode="crosscheck" checks it against every
+    closed form.
 
     In crosscheck mode the reported deviation is the maximum pairwise
-    difference across all formulas (plus the special value when one
-    applies).
+    difference across all closed forms, plus the special value when one
+    applies.  Rows that are one computation (``_computations``) give the
+    same bits, so each computation is evaluated once; ``routes`` counts
+    the computations evaluated.
     """
     reason = selection_failure(key)
     if reason is not None:
@@ -873,11 +942,14 @@ def compute(key, ctx, mode="default"):
         raise QDomainError(f"unknown mode {mode!r}")
     # the key passed the selection rules above, so the rows are read
     # directly, not through cgc_* and special_value
-    values = {name: row.value(key, ctx) for name, row in CLOSED_FORMS.items()}
+    values = [CLOSED_FORMS[name].value(key, ctx) for name in _computations()]
     special = _special_row(key)
     if special is not None:
-        values["special"] = special.value(key, ctx)
-    # the largest |a - b| over every pair, as rounding is monotone
-    deviation = max(values.values()) - min(values.values())
-    return CgcValue(value=values["racah"], formula="racah",
-                    deviation=deviation)
+        values.append(special.value(key, ctx))
+    # the largest |a - b| over every pair, as rounding is monotone, and
+    # an exact 0 when the values agree, as they mostly do
+    distinct = {x._mpf_: x for x in values}.values()
+    deviation = (max(distinct) - min(distinct) if len(distinct) > 1
+                 else ctx.to_mpf(0))
+    return CgcValue(value=values[0], formula="racah", deviation=deviation,
+                    routes=len(values))

@@ -259,17 +259,23 @@ def _add_key(parser, required=True):
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qcgc",
-        description="q-deformed angular momentum coupling toolkit")
+        description="q-deformed angular momentum coupling toolkit",
+        allow_abbrev=False)
+    # subparsers do not inherit allow_abbrev: "verify --q" must not read
+    # as "--quick"
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cgc", help="evaluate one coupling coefficient")
+    p = sub.add_parser("cgc", help="evaluate one coupling coefficient",
+                       allow_abbrev=False)
     _add_common(p)
     _add_key(p)
     p.add_argument("--verify", action="store_true",
-                   help="cross-check every closed form and report deviation")
+                   help="cross-check against every closed form, each distinct "
+                        "computation once, and report the largest deviation")
     p.set_defaults(func=cmd_cgc)
 
-    p = sub.add_parser("table", help="all admissible keys for one spin pair")
+    p = sub.add_parser("table", help="all admissible keys for one spin pair",
+                       allow_abbrev=False)
     _add_common(p)
     p.add_argument("--j1", required=True)
     p.add_argument("--j2", required=True)
@@ -277,7 +283,8 @@ def build_parser():
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("verify", help="run the identity-verification suites")
+    p = sub.add_parser("verify", help="run the identity-verification suites",
+                       allow_abbrev=False)
     p.add_argument("--precision", type=int, default=50,
                    help="significant digits (default 50)")
     p.add_argument("--suite", action="append",
@@ -289,7 +296,8 @@ def build_parser():
                    help="reduced caps and sample counts")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("hahn", help="q-Hahn lattice and polynomial data")
+    p = sub.add_parser("hahn", help="q-Hahn lattice and polynomial data",
+                       allow_abbrev=False)
     _add_common(p)
     p.add_argument("--n", type=int, required=True, help="polynomial degree")
     p.add_argument("--N", type=int, required=True, help="lattice size")
@@ -300,7 +308,8 @@ def build_parser():
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_hahn)
 
-    p = sub.add_parser("limit", help="convergence report toward q = 1")
+    p = sub.add_parser("limit", help="convergence report toward q = 1",
+                       allow_abbrev=False)
     p.add_argument("--precision", type=int, default=50)
     _add_key(p, required=False)
     p.set_defaults(func=cmd_limit, j1="1", m1="0", j2="1", m2="0",

@@ -311,7 +311,9 @@ def repsu_suite(precision=50, qs=("0.5", "0.7"), j_cap="3/2",
 
 def cgc_formula_suite(precision=50, qs=("0.3", "0.5", "0.9"), j_cap=3,
                       tolerance=1e-35):
-    """Pairwise agreement of every closed form on the full key sweep."""
+    """Pairwise agreement of every closed form and special value on the
+    full key sweep: each crosscheck evaluates the distinct computations
+    among the closed forms once (``cgc.compute``)."""
     worst = 0
     for ctx, key in _sweep([_ctx(q, precision) for q in qs], j_cap):
         worst = max(worst, compute(key, ctx, mode="crosscheck").deviation)

@@ -153,6 +153,95 @@ def test_crosscheck_deviation_is_the_largest_pairwise_difference():
     assert with_special > 500 and nonzero > 100
 
 
+def test_rows_that_are_one_computation():
+    # after _scale cancels their factorials, 'racah', 'racah_binomial' and
+    # '3f2_rw2' are one product and one series as polynomials in the
+    # labels, and every other closed form is a computation of its own;
+    # an edit to a row's forms that breaks or makes an equivalence fails
+    # here
+    groups = {}
+    for name, row in cgc.CLOSED_FORMS.items():
+        groups.setdefault(row.computation, set()).add(name)
+    assert sorted(map(sorted, groups.values())) == [
+        ["3f2"], ["3f2_long_equiv"], ["3f2_rw1"], ["3f2_rw2", "racah", "racah_binomial"],
+        ["sum"], ["sum_alt"]]
+    assert cgc._computations() == {
+        "racah": ("racah", "3f2_rw2", "racah_binomial"), "sum": ("sum",),
+        "sum_alt": ("sum_alt",), "3f2": ("3f2",), "3f2_rw1": ("3f2_rw1",),
+        "3f2_long_equiv": ("3f2_long_equiv",)}
+    # the forms compare as polynomials, not as text, and the series'
+    # parameters in their order
+    racah = cgc.CLOSED_FORMS["racah"]
+    rewritten = cgc.ClosedForm(
+        power="m2*j1 - m1*j2 + (j+j2+j1+1)*(j2+j1-j)/2",
+        root=("[j-m]! [j+m]! [2j+1] [j1-m1]! [m1+j1]! [j2+m2]! [j2-m2]! "
+              "[j1+j2-j]! [j1-j2+j]! [j+j2-j1]! / [1+j+j1+j2]!"),
+        series=cgc.FactorialSum("-(j1+j2+j+1)", cgc._RACAH_TERMS))
+    swapped = cgc.ClosedForm(
+        power=cgc._QUADRATIC_PLUS,
+        root=("[2j+1] [j1+m1]! [j1-m1]! [j2+m2]! [j2-m2]! [j+m]! [j-m]! "
+              "[j1+j2-j]! [j+j1-j2]! [j+j2-j1]! / [j1+j2+j+1]!"),
+        series=cgc.FactorialSum("-(j1+j2+j+1)", (
+            "/ [r]! [j1+j2-j-r]! [j2+m2-r]! [j1-m1-r]! [j-j1-m2+r]! "
+            "[j-j2+m1+r]!")))
+    assert rewritten.computation == racah.computation
+    assert swapped.computation != racah.computation
+
+
+@pytest.mark.parametrize("q", ["0.3", "1.25"])
+def test_one_computation_gives_the_same_bits(monkeypatch, q):
+    # on a sample past spin 3/2, where the Racah sums have several terms:
+    # every row of a computation, evaluated alone, has the bits of the
+    # row compute evaluates for it, and its _scale pair too, and the
+    # deviation is the largest difference of the rows evaluated alone,
+    # the special value included
+    scale, pairs = cgc._scale, []
+
+    def recording(*args):
+        pairs.append(scale(*args))
+        return pairs[-1]
+
+    monkeypatch.setattr(cgc, "_scale", recording)
+    ctx = QContext(q=q, precision=50)
+    spins = [HalfInt(twice=t) for t in range(9)]
+    keys = random.Random(21).sample(
+        [key for j1 in spins for j2 in spins for key in admissible_keys(j1, j2)], 500)
+    racah = cgc.CLOSED_FORMS["racah"]
+    several = 0
+    for key in keys:
+        result = compute(key, ctx, mode="crosscheck")
+        values = []
+        for first, names in cgc._computations().items():
+            pairs.clear()
+            computed = cgc.CLOSED_FORMS[first].value(key, ctx)
+            for name in names:
+                alone = ALL_FORMULAS[name](key, ctx)
+                assert alone._mpf_ == computed._mpf_, (name, str(key))
+                assert pairs[-1] == pairs[0], (name, str(key))
+                values.append(alone)
+        assert result.value._mpf_ == values[0]._mpf_
+        sv = special_value(key, ctx)
+        if sv is not None:
+            values.append(sv)
+        pairwise = max(abs(a - b) for a in values for b in values)
+        assert result.deviation._mpf_ == pairwise._mpf_, str(key)
+        spec = racah.series.split(racah._labels(*key.twice)[-1])[0]
+        several += qhyper._live_range(spec)[0] > 0
+    assert several > 100
+
+
+def test_crosscheck_counts_its_routes():
+    # six computations among the closed forms, and the special value when
+    # one applies; the default mode evaluates one row and counts none
+    plain, stretched = CgcKey(2, 1, 2, -1, 2, 0), CgcKey(1, 0, 1, 0, 2, 0)
+    assert special_value(plain, CTX) is None
+    assert special_value(stretched, CTX) is not None
+    assert compute(plain, CTX, mode="crosscheck").routes == 6
+    assert compute(stretched, CTX, mode="crosscheck").routes == 7
+    assert compute(plain, CTX).routes is None
+    assert compute(CgcKey(1, 0, 1, 0, 3, 0), CTX, mode="crosscheck").routes is None
+
+
 def test_boosted_sums_are_reals_of_the_calling_context():
     # a sum that cancels past the guard digits reruns in a boosted
     # context; what it returns, and a deviation taken from such values,

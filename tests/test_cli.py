@@ -179,14 +179,27 @@ def test_verify_single_suite_passes():
 
 
 def test_verify_takes_no_q():
-    # every suite runs its own grid of q, so verify takes no --q; argparse
-    # reads "--q" as short for "--quick" and rejects the value left over
+    # every suite runs its own grid of q, so verify takes no --q; the
+    # parser takes no abbreviations, so "--q" is an unknown option there
+    # and not short for "--quick"
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--q", "0.9", "--quick", "--suite", "recurrence"])
     assert exc.value.code == 2
     code, out = _run(["verify", "--quick", "--suite", "recurrence"])
     assert code == 0
     assert "q" not in json.loads(out)["config"]
+
+
+def test_verify_rejects_an_abbreviated_option(monkeypatch, capsys):
+    # "--q" alone once ran the quick battery as "--quick"
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(qcgc.verify, "run_suites", forbidden)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --q" in capsys.readouterr().err
 
 
 def test_verify_tolerance_override():
