@@ -538,13 +538,26 @@ CLOSED_FORMS = {
 }
 
 
+def _unitary(value, key, name):
+    """value, the row ``name``'s on key, unless |value| >= 2 (its mpf's
+    exponent plus bit count exceeds 1), which no coupling coefficient
+    reaches, as unitarity bounds each by 1: then the row lost its digits,
+    and ArithmeticError says so."""
+    _, _, exp, bc = value._mpf_
+    if exp + bc > 1:
+        raise ArithmeticError(
+            f"the {name} row gives {key} = {value.context.nstr(value, 5)}, "
+            "past the unitarity bound 1: its sum lost its digits")
+    return value
+
+
 def _closed_form(name):
     row = CLOSED_FORMS[name]
 
     def evaluate(key, ctx):
         if not selection_rules(key):
             return ctx.to_mpf(0)
-        return row.value(key, ctx)
+        return _unitary(row.value(key, ctx), key, name)
 
     evaluate.__name__ = evaluate.__qualname__ = f"cgc_{name}"
     evaluate.__doc__ = f"The coefficient through the {name!r} closed form."
@@ -826,7 +839,8 @@ def special_value(key, ctx):
     if not selection_rules(key):
         return None
     row = _special_row(key)
-    return None if row is None else row.value(key, ctx)
+    return None if row is None else _unitary(row.value(key, ctx), key,
+                                             "special value")
 
 
 def _special_row(key):
@@ -931,7 +945,8 @@ def compute(key, ctx, mode="default"):
     difference across all closed forms, plus the special value when one
     applies.  Rows that are one computation (``_computations``) give the
     same bits, so each computation is evaluated once; ``routes`` counts
-    the computations evaluated.
+    the computations evaluated.  Either mode raises ArithmeticError when a
+    value it evaluates is 2 or more in size, past the unitarity bound.
     """
     reason = selection_failure(key)
     if reason is not None:
@@ -942,10 +957,11 @@ def compute(key, ctx, mode="default"):
         raise QDomainError(f"unknown mode {mode!r}")
     # the key passed the selection rules above, so the rows are read
     # directly, not through cgc_* and special_value
-    values = [CLOSED_FORMS[name].value(key, ctx) for name in _computations()]
+    values = [_unitary(CLOSED_FORMS[name].value(key, ctx), key, name)
+              for name in _computations()]
     special = _special_row(key)
     if special is not None:
-        values.append(special.value(key, ctx))
+        values.append(_unitary(special.value(key, ctx), key, "special value"))
     # the largest |a - b| over every pair, as rounding is monotone, and
     # an exact 0 when the values agree, as they mostly do
     distinct = {x._mpf_: x for x in values}.values()

@@ -7,14 +7,16 @@ convergence reports).
 
 Spins are entered as exact strings like ``3/2`` and q as a decimal
 string parsed at full precision, so output is deterministic across
-platforms.  Exit codes: 0 all checks pass, 1 residual failure,
-2 usage or configuration error.
+platforms.  Exit codes: 0 all checks pass, 1 residual failure or a
+value that fails its checks (``ArithmeticError``), 2 usage or
+configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -256,11 +258,27 @@ def _add_key(parser, required=True):
                             help=f"spin label {name}, e.g. 3/2")
 
 
+_COMMANDS = {"cgc": cmd_cgc, "table": cmd_table, "verify": cmd_verify,
+             "hahn": cmd_hahn, "limit": cmd_limit}
+
+
+def _dispatch(args, stream=None):
+    """Run the subcommand, looked up in _COMMANDS when called, so that
+    the parser, built once, runs whatever that table holds now (a
+    profiler's wrapper, say)."""
+    return _COMMANDS[args.command](args, stream)
+
+
+@functools.cache
 def build_parser():
+    """The ``qcgc`` argument parser, built on the first call and returned
+    to every later one; treat it as read-only.  Each ``parse_args`` call
+    returns a fresh namespace, whose ``func`` runs the subcommand."""
     parser = argparse.ArgumentParser(
         prog="qcgc",
         description="q-deformed angular momentum coupling toolkit",
         allow_abbrev=False)
+    parser.set_defaults(func=_dispatch)
     # subparsers do not inherit allow_abbrev: "verify --q" must not read
     # as "--quick"
     sub = parser.add_subparsers(dest="command", required=True)
@@ -272,7 +290,6 @@ def build_parser():
     p.add_argument("--verify", action="store_true",
                    help="cross-check against every closed form, each distinct "
                         "computation once, and report the largest deviation")
-    p.set_defaults(func=cmd_cgc)
 
     p = sub.add_parser("table", help="all admissible keys for one spin pair",
                        allow_abbrev=False)
@@ -281,7 +298,6 @@ def build_parser():
     p.add_argument("--j2", required=True)
     p.add_argument("--cap", default="3", help="largest accepted spin")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run the identity-verification suites",
                        allow_abbrev=False)
@@ -294,7 +310,6 @@ def build_parser():
                    help="override every check tolerance")
     p.add_argument("--quick", action="store_true",
                    help="reduced caps and sample counts")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hahn", help="q-Hahn lattice and polynomial data",
                        allow_abbrev=False)
@@ -306,14 +321,12 @@ def build_parser():
     p.add_argument("--s", type=int, default=None,
                    help="single lattice point (default: all of 0..N-1)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_hahn)
 
     p = sub.add_parser("limit", help="convergence report toward q = 1",
                        allow_abbrev=False)
     p.add_argument("--precision", type=int, default=50)
     _add_key(p, required=False)
-    p.set_defaults(func=cmd_limit, j1="1", m1="0", j2="1", m2="0",
-                   j="2", m="0")
+    p.set_defaults(j1="1", m1="0", j2="1", m2="0", j="2", m="0")
     return parser
 
 
@@ -325,6 +338,9 @@ def main(argv=None):
     except (QDomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

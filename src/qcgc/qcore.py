@@ -2,8 +2,8 @@
 
 Everything is built on the symmetric quantum number
 ``[x] = (q^x - q^-x)/(q - q^-1)``, which is invariant under q <-> 1/q.
-A :class:`QContext` carries the deformation parameter, its own mpmath
-context at the working precision, memo tables for factorials and
+A :class:`QContext` carries the deformation parameter, the mpmath
+context of its working precision, memo tables for factorials and
 Pochhammer symbols, and the integer (man, exp) tables of factorials and
 brackets that the series kernel in :mod:`qcgc.qhyper` sums from.
 
@@ -51,13 +51,16 @@ class QDomainError(ValueError):
 class QContext:
     """Deformation parameter, working precision and memo tables.
 
-    Each context owns an mpmath context, ``mp``, at ``precision`` plus
-    GUARD_DIGITS digits, and every real it makes belongs to it, so the
-    precision travels with the numbers instead of living in mpmath's
-    global state.  Contexts at different precisions are therefore safe
-    to use from different threads.  Immutable after construction except
-    for the caches, which are only ever filled with values that are
-    bit-identical to recomputation (guarded by a lock for concurrent use).
+    Each context works in an mpmath context, ``mp``, at ``precision``
+    plus GUARD_DIGITS digits, and every real it makes belongs to it, so
+    the precision travels with the numbers instead of living in mpmath's
+    global state.  Every QContext at one precision shares one ``mp``,
+    made once per process: never change its precision, ask
+    ``with_precision`` for a context at another.  Contexts are therefore
+    safe to use from different threads, at one precision or several.
+    Immutable after construction except for the caches, which are only
+    ever filled with values that are bit-identical to recomputation
+    (guarded by a lock for concurrent use).
     """
 
     def __init__(self, q="0.5", precision=50, invert=False):
@@ -65,8 +68,7 @@ class QContext:
             raise QDomainError("precision must be at least 30 significant digits")
         self.precision = int(precision)
         self.dps = self.precision + GUARD_DIGITS
-        self.mp = mpmath.MPContext()
-        self.mp.dps = self.dps
+        self.mp = _shared_mp(mpmath.libmp.dps_to_prec(self.dps))
         # keep the exact constructor argument so derived contexts
         # (reciprocal base, boosted precision) can re-evaluate q without
         # inheriting rounding from this context
@@ -93,8 +95,7 @@ class QContext:
         self._root_factorials = ([], [])
         # the pairs of q and 1/q, from q parsed at width bits, and of
         # q^(1/2) and q^(-1/2), from which _qpow_pair squares
-        with self.mp.workprec(self.width):
-            q_pair = self.to_pair(q)
+        q_pair = _as_pair(_real(_shared_mp(self.width), q), self.width)
         powers = q_pair, _inverse_pair(q_pair, self.width)
         self._unit_powers = powers[::-1] if self._invert else powers
         half = _sqrt_pair(self._unit_powers[0], self.width)
@@ -125,20 +126,11 @@ class QContext:
     def to_mpf(self, x):
         """HalfInt, Fraction, int, str, float or any mpmath real as a real
         of this context; a float goes through its decimal string."""
-        mpf = self.mp.mpf
-        if isinstance(x, HalfInt):
-            return mpf(x.twice) / 2
-        if isinstance(x, Fraction):
-            return mpf(x.numerator) / x.denominator
-        if isinstance(x, (int, str)) or hasattr(x, "_mpf_"):
-            return mpf(x)
-        return mpf(str(x))
+        return _real(self.mp, x)
 
     def to_pair(self, x):
         """x as a (man, exp) pair, man * 2^exp, with a ``width``-bit man."""
-        sign, man, exp, bc = self.to_mpf(x)._mpf_
-        shift = self.width - bc
-        return (-man if sign else man) << shift, exp - shift
+        return _as_pair(self.to_mpf(x), self.width)
 
     def qpow(self, e):
         """q raised to an exact half-integer/rational exponent.
@@ -171,6 +163,44 @@ class QContext:
             value = compute()
             with self._lock:
                 return self._cache.setdefault(key, value)
+
+
+_MP_CONTEXTS = {}
+_MP_LOCK = threading.Lock()
+
+
+def _shared_mp(prec):
+    """The mpmath context at prec bits, made once per process (filled as
+    ``QContext._memo`` fills its cache) and shared by every QContext that
+    asks for it; nothing changes its precision.  Its ``dps`` is the one
+    that ``dps_to_prec`` maps to prec, as the two conversions round-trip."""
+    try:
+        return _MP_CONTEXTS[prec]
+    except KeyError:
+        mp = mpmath.MPContext()
+        mp.prec = prec
+        with _MP_LOCK:
+            return _MP_CONTEXTS.setdefault(prec, mp)
+
+
+def _real(mp, x):
+    """``QContext.to_mpf`` in the mpmath context mp."""
+    mpf = mp.mpf
+    if isinstance(x, HalfInt):
+        return mpf(x.twice) / 2
+    if isinstance(x, Fraction):
+        return mpf(x.numerator) / x.denominator
+    if isinstance(x, (int, str)) or hasattr(x, "_mpf_"):
+        return mpf(x)
+    return mpf(str(x))
+
+
+def _as_pair(value, width):
+    """A real of at most width bits as a (man, exp) pair, man * 2^exp,
+    with a width-bit man."""
+    sign, man, exp, bc = value._mpf_
+    shift = width - bc
+    return (-man if sign else man) << shift, exp - shift
 
 
 def qnum(x, ctx):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -19,6 +20,7 @@ from qcgc.cgc import (
     SYMMETRIES,
     apply_symmetry,
     cgc_3f2,
+    cgc_3f2_long_equiv,
     cgc_racah,
     cgc_sum,
     cgc_sum_alt,
@@ -647,6 +649,34 @@ def test_crosscheck_checks_the_selection_rules_once(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("form, key, q", [
+    (cgc_sum, CgcKey(11, 5, "23/2", "-17/2", "9/2", "-7/2"), "0.3"),
+    (cgc_3f2_long_equiv, CgcKey(10, 0, "1/2", "1/2", "19/2", "1/2"), "0.3"),
+    (cgc_3f2_long_equiv, CgcKey(7, -5, 8, -7, 14, -12), "0.5"),
+])
+def test_a_row_past_the_unitarity_bound_raises(form, key, q):
+    # these rows lose every digit here (2.0e148, 8.9e6 and 5.0e35 came
+    # back), and a coefficient is at most 1 in size; the racah row, which
+    # compute returns, stays right
+    ctx = QContext(q=q, precision=50)
+    with pytest.raises(ArithmeticError, match=re.escape(str(key))):
+        form(key, ctx)
+    with pytest.raises(ArithmeticError, match="unitarity"):
+        compute(key, ctx, mode="crosscheck")
+    ref = QContext(q=q, precision=150)
+    value, expected = ref.to_mpf(compute(key, ctx).value), cgc_racah(key, ref)
+    assert abs(value - expected) <= ref.to_mpf(10) ** -50 * abs(expected)
+
+
+def test_the_unitarity_check_starts_at_2():
+    key = CgcKey(1, 0, 1, 0, 2, 0)
+    for text in ("0", "1", "-1.5", "1.9999999999", "1e-300"):
+        assert cgc._unitary(CTX.to_mpf(text), key, "sum") == CTX.to_mpf(text)
+    for text in ("2", "-2", "2.5", "1e300"):
+        with pytest.raises(ArithmeticError, match=re.escape(f"the sum row gives {key}")):
+            cgc._unitary(CTX.to_mpf(text), key, "sum")
+
+
 @pytest.mark.parametrize("precision", [50, 100])
 @pytest.mark.parametrize("q", ["0.9", "0.99"])
 def test_racah_keeps_precision_at_spins_100_to_120(q, precision):
@@ -690,6 +720,35 @@ def test_contexts_at_different_precisions_agree_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert threaded == alone
+
+
+def test_contexts_at_one_precision_agree_across_threads(monkeypatch):
+    # two contexts at 40 digits share one mpmath context; with none made
+    # yet, the two threads race to make it, and each still returns exactly
+    # what it returns on its own
+    keys = admissible_keys(3, 3)
+
+    def run(q):
+        ctx = QContext(q=q, precision=40)
+        return [cgc_racah(key, ctx)._mpf_ for key in keys]
+
+    alone = {q: run(q) for q in ("0.7", "1.25")}
+    monkeypatch.setattr(qcore, "_MP_CONTEXTS", {})
+    threaded = {}
+    threads = [threading.Thread(target=lambda q=q: threaded.update({q: run(q)}))
+               for q in ("0.7", "1.25")]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert threaded == alone
+    assert len(qcore._MP_CONTEXTS) == 2
 
 
 def test_one_context_shared_across_threads():

@@ -58,6 +58,35 @@ def test_usage_error_exit_code():
                  "--m2", "0", "--j", "1", "--m", "0"]) == 2
 
 
+def test_the_parser_is_built_once_and_each_call_stands_alone():
+    assert build_parser() is build_parser()
+    argv = ["table", "--j1", "1/2", "--j2", "1/2"]
+    code, out = _run(argv + ["--format", "json"])
+    assert code == 0 and json.loads(out)["config"]["format"] == "json"
+    code, out = _run(argv)
+    assert code == 0 and out.startswith("j1,m1,j2,m2,j,m,value")
+    build_parser().parse_args(["cgc", "--j1", "3", "--m1", "1", "--j2", "2",
+                               "--m2", "-1", "--j", "4", "--m", "0"])
+    args = build_parser().parse_args(["limit"])
+    assert (args.j1, args.m1, args.j2, args.m2, args.j, args.m) == (
+        "1", "0", "1", "0", "2", "0")
+
+
+def test_a_value_past_the_unitarity_bound_is_an_error(capsys):
+    # the 'sum' row loses every digit on this key at q = 0.3 and returned
+    # 2.0e148, which --verify printed as the deviation with exit status 0
+    argv = ["cgc", "--q", "0.3", "--j1", "11", "--m1", "5", "--j2", "23/2",
+            "--m2=-17/2", "--j", "9/2", "--m=-7/2"]
+    assert main(argv + ["--verify"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the sum row gives <11 5, 23/2 -17/2|9/2 -7/2> = ")
+    assert "unitarity" in err
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(
+        "<11 5, 23/2 -17/2|9/2 -7/2> = -4.6787")
+
+
 def test_table_csv_and_json_are_value_identical():
     common = ["table", "--j1", "1", "--j2", "1/2", "--q", "0.9"]
     code_csv, out_csv = _run(common + ["--format", "csv"])

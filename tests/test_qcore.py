@@ -6,6 +6,7 @@ import sys
 import threading
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -328,6 +329,54 @@ def test_with_precision_keeps_exact_base():
     with boosted.work():
         assert boosted.q == mpf("0.5")
         assert boosted.dps > CTX.dps
+
+
+def test_contexts_at_one_precision_share_an_mpmath_context():
+    ctx = QContext(q="0.3", precision=50)
+    assert ctx.mp is CTX.mp is QContext(q="2", precision=50).mp
+    assert ctx.reciprocal().mp is ctx.mp
+    assert ctx.with_precision(60).mp is not ctx.mp
+    assert QContext(q="0.3", precision=60).mp is ctx.with_precision(60).mp
+    assert ctx.mp.dps == ctx.dps
+
+
+def test_contexts_at_a_precision_seen_make_no_mpmath_context(monkeypatch):
+    monkeypatch.setattr(qcore, "_MP_CONTEXTS", {})
+    QContext(q="0.3", precision=50)
+    made, original = [], mpmath.MPContext
+
+    def counted():
+        made.append(1)
+        return original()
+
+    monkeypatch.setattr(mpmath, "MPContext", counted)
+    for k in range(10):
+        QContext(q=f"0.{k + 1}", precision=50).reciprocal()
+    assert made == []
+    QContext(q="0.3", precision=60)
+    assert len(made) == 2  # one at 80 digits and one at its pairs' width
+
+
+@pytest.mark.parametrize("q", ["0.3", 2, Fraction(3, 7), 0.3, HalfInt("3/2"),
+                               "mpf"])
+def test_q_is_parsed_at_the_pair_width(q):
+    # the pair of q is q parsed at ctx.width bits, not rounded to mp.prec
+    # first, whatever type q comes as
+    private = mpmath.MPContext()
+    if q == "mpf":
+        with mp.workdps(200):
+            q = mpf(1) / 3
+    ctx = QContext(q=q, precision=50)
+    private.prec = ctx.width
+    if isinstance(q, HalfInt):
+        value = private.mpf(q.twice) / 2
+    elif isinstance(q, Fraction):
+        value = private.mpf(q.numerator) / q.denominator
+    else:
+        value = private.mpf(str(q) if isinstance(q, float) else q)
+    sign, man, exp, bc = value._mpf_
+    assert not sign
+    assert ctx._unit_powers[0] == (man << ctx.width - bc, exp - ctx.width + bc)
 
 
 def test_classical_limit_of_qnum():
