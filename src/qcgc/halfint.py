@@ -72,15 +72,15 @@ class HalfInt:
         return self.twice // 2
 
     def __add__(self, other):
-        return HalfInt(twice=self.twice + HalfInt(other).twice)
+        return HalfInt(twice=self.twice + doubled(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return HalfInt(twice=self.twice - HalfInt(other).twice)
+        return HalfInt(twice=self.twice - doubled(other))
 
     def __rsub__(self, other):
-        return HalfInt(other) - self
+        return HalfInt(twice=doubled(other) - self.twice)
 
     def __neg__(self):
         return HalfInt(twice=-self.twice)

@@ -264,12 +264,13 @@ def hahn_ttrr_residual(params, s, ctx):
     h_up = (hahn_eval(params.shifted(1), s, ctx)
             if n + 1 <= params.N - 1 else _monic_like_next(params, s, ctx))
     h_dn = hahn_eval(params.shifted(-1), s, ctx) if n >= 1 else 0
-    lhs = lattice_x(s, ctx) * h_n
+    # the left side goes last, negated, so the sum rounds as
+    # lhs - (alpha + beta + gamma) does, up to sign
     terms = [ttrr_alpha(params, ctx) * h_up,
              ttrr_beta(params, ctx) * h_n,
-             ttrr_gamma(params, ctx) * h_dn if n >= 1 else 0]
-    scale = max(abs(lhs), max(abs(t) for t in terms), 1)
-    return abs(lhs - sum(terms)) / scale
+             ttrr_gamma(params, ctx) * h_dn if n >= 1 else 0,
+             -lattice_x(s, ctx) * h_n]
+    return _relative_residual(terms, ())
 
 
 def _monic_like_next(params, s, ctx):
@@ -331,9 +332,7 @@ def hahn_difference_residual(params, s, ctx):
     y_up = hahn_eval(params, s + 1, ctx) if s + 1 <= params.N - 1 else 0
     y_dn = hahn_eval(params, s - 1, ctx) if s - 1 >= 0 else 0
     terms = [xi * y_up, (lam - zeta - xi) * y_md, zeta * y_dn]
-    scale = max(max(abs(t) for t in terms),
-                abs(y_up), abs(y_md), abs(y_dn), 1)
-    return abs(sum(terms)) / scale
+    return _relative_residual(terms, (y_up, y_md, y_dn))
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +371,8 @@ def cgc_from_hahn(key, ctx, route="J2"):
     if selection_failure(key) is not None:
         return ctx.to_mpf(0)
     n, cap_n, s, alpha, beta, sign = _connection_data(key, route)
-    for label, v in (("n", n), ("N", cap_n), ("s", s),
-                     ("alpha", alpha), ("beta", beta)):
-        if not halfint(v).is_integer:
-            raise QDomainError(f"connection substitution {label}={v} "
-                               "is not an integer")
     base = ctx if route == "J2" else ctx.reciprocal()
-    params = HahnParams(n=halfint(n).as_int(), N=halfint(cap_n).as_int(),
-                        alpha=alpha, beta=beta)
+    params = HahnParams(n=n, N=cap_n, alpha=alpha, beta=beta)
     norm = base.mp.sqrt(hahn_weight(params, s, base) * delta_x_half(s, base)
                         / hahn_norm_sq(params, base))
     value = sign * norm * hahn_eval(params, s, base)

@@ -2,10 +2,11 @@
 
 Finite irreducible representations, their tensor products through the
 coproduct, the extremal projection operator and two independent
-matrix-level constructions of Clebsch-Gordan coefficients.  Matrices
-and vectors leave out the entries that are zero by structure; the
-entries they keep are mpmath reals of the :class:`QContext` (or exact
-Python ints), so they inherit its configurable precision.
+matrix-level constructions of Clebsch-Gordan coefficients.  A vector
+is a one-column matrix.  Matrices leave out the entries that are zero
+by structure; the entries they keep are mpmath reals of the
+:class:`QContext` (or exact Python ints), so they inherit its
+configurable precision.
 
 The commutation relations realized are [J0, J+-] = +-J+- and
 [J+, J-] = [2 J0].
@@ -24,36 +25,6 @@ from .qcore import QDomainError, q_factorial, qnum
 def _merged(a, b, op):
     """{k: op(a[k], b[k])} over the keys of either dict, 0 where absent."""
     return {k: op(a.get(k, 0), b.get(k, 0)) for k in a.keys() | b.keys()}
-
-
-def _dot(a, b):
-    """Sum of a[k] * b[k] over the keys of both dicts, by k up, in the
-    order a dense product adds its terms; the terms left out are exact
-    zeros, so the sum is the dense one to the bit."""
-    return sum(a[k] * b[k] for k in sorted(a.keys() & b.keys()))
-
-
-class SparseVector(dict):
-    """A vector as a dict from flat index to entry; an absent index
-    reads 0."""
-
-    def __missing__(self, i):
-        return 0
-
-    def __matmul__(self, other):
-        return _dot(self, other)
-
-    def __sub__(self, other):
-        return SparseVector(_merged(self, other, operator.sub))
-
-    def __neg__(self):
-        return SparseVector({i: -x for i, x in self.items()})
-
-    def __mul__(self, s):
-        return SparseVector({i: x * s for i, x in self.items()})
-
-    def __truediv__(self, s):
-        return SparseVector({i: x / s for i, x in self.items()})
 
 
 class SparseMatrix:
@@ -107,11 +78,11 @@ class SparseMatrix:
         return SparseMatrix(self.shape, {r: {c: f(x) for c, x in row.items()}
                                          for r, row in self.rows.items()})
 
-    def copy(self):
-        return self._map(lambda x: x)
-
     def __mul__(self, s):
         return self._map(lambda x: x * s)
+
+    def __truediv__(self, s):
+        return self._map(lambda x: x / s)
 
     def __rmul__(self, s):
         return self._map(lambda x: s * x)
@@ -130,10 +101,6 @@ class SparseMatrix:
 
     def __matmul__(self, other):
         """Each entry sums its terms by k up, as a dense product does."""
-        if isinstance(other, SparseVector):
-            return SparseVector({r: _dot(row, other)
-                                 for r, row in self.rows.items()
-                                 if row.keys() & other.keys()})
         rows = {}
         for r, row in self.rows.items():
             acc = {}
@@ -206,11 +173,6 @@ def mat_eye(n):
     return SparseMatrix((n, n), {i: {i: 1} for i in range(n)})
 
 
-def mat_dagger(a):
-    """Hermitian adjoint; all matrices here are real, so just transpose."""
-    return a.T
-
-
 def mat_max_abs(a):
     return max((abs(x) for x in a), default=0)
 
@@ -218,7 +180,8 @@ def mat_max_abs(a):
 def mat_power(a, r):
     if r == 0:
         return mat_eye(a.shape[0])
-    out = a.copy()
+    # no caller writes to a power, so r = 1 returns a itself
+    out = a
     for _ in range(r - 1):
         out = out @ a
     return out
@@ -264,7 +227,7 @@ def irrep_operators(j, ctx):
 
 def casimir_matrix(jm, basis, ctx):
     """C = J- J+ + [J0 + 1/2]^2; equals [j+1/2]^2 on the spin-j irrep."""
-    jp = mat_dagger(jm)
+    jp = jm.T
     half = Fraction(1, 2)
     shift = _diag_qnum(basis, lambda m: m.as_fraction() + half, ctx)
     return jm @ jp + shift @ shift
@@ -292,7 +255,7 @@ def operator_power_check(j, r, ctx):
     _, jp, jm = irrep_operators(j, ctx)
     lowering = closed_power_lowering(j, r, ctx)
     dev_m = mat_max_abs(mat_power(jm, r) - lowering)
-    dev_p = mat_max_abs(mat_power(jp, r) - mat_dagger(lowering))
+    dev_p = mat_max_abs(mat_power(jp, r) - lowering.T)
     return max(dev_m, dev_p)
 
 
@@ -453,8 +416,8 @@ def projector_general(j, m, mprime, basis, ctx):
 # ---------------------------------------------------------------------------
 
 def _unit_vector(basis, m1, m2):
-    """Product basis vector |j1 m1>|j2 m2>."""
-    return SparseVector({basis.index(m1, m2): 1})
+    """Product basis vector |j1 m1>|j2 m2>, a one-column matrix."""
+    return SparseMatrix((basis.dim, 1), {basis.index(m1, m2): {0: 1}})
 
 
 def oracle_cgc(key, ctx):
@@ -475,10 +438,10 @@ def oracle_cgc(key, ctx):
     basis = TensorBasis(key.j1, key.j2)
     v = _unit_vector(basis, basis.j1, key.j - basis.j1)
     p_top = projector_extremal(key.j, basis, ctx)
-    norm_sq = v @ (p_top @ v)
+    norm_sq = (v.T @ (p_top @ v))[0, 0]
     p_mj = projector_general(key.j, key.m, key.j, basis, ctx)
     coupled = (p_mj @ v) / ctx.mp.sqrt(norm_sq)
-    return coupled[basis.index(key.m1, key.m2)]
+    return coupled[basis.index(key.m1, key.m2), 0]
 
 
 def coupled_states(j1, j2, ctx):
@@ -488,7 +451,7 @@ def coupled_states(j1, j2, ctx):
     minus the span of the already-known |j' j> for j' > j leaves a single
     direction, whose sign is fixed by a positive overlap with
     |j1 j1>|j2 j-j1>.  Lower m follow from the coproduct lowering
-    operator.  Returns {(j, m): vector}.
+    operator.  Returns {(j, m): vector}, each a one-column matrix.
     """
     basis = TensorBasis(j1, j2)
     _, _, jm = coproduct_operators(basis.j1, basis.j2, ctx)
@@ -502,13 +465,13 @@ def coupled_states(j1, j2, ctx):
                                 min(basis.j1, j + basis.j2)):
             w = _unit_vector(basis, m1, j - m1)
             for h in higher:
-                w = w - h * (h @ w)
-            norm = ctx.mp.sqrt(w @ w)
+                w = w - h * (h.T @ w)[0, 0]
+            norm = ctx.mp.sqrt((w.T @ w)[0, 0])
             if norm > best_norm:
                 best, best_norm = w, norm
         top = best / best_norm
-        if top[basis.index(basis.j1, j - basis.j1)] < 0:
-            top = -top
+        if top[basis.index(basis.j1, j - basis.j1), 0] < 0:
+            top = top * -1
         states[(j, j)] = top
         vec = top
         for m in reversed(halfint_range(-j + 1, j)):
@@ -524,4 +487,4 @@ def oracle_cgc_lowering(key, ctx):
         return ctx.to_mpf(0)
     basis = TensorBasis(key.j1, key.j2)
     states = coupled_states(key.j1, key.j2, ctx)
-    return states[(key.j, key.m)][basis.index(key.m1, key.m2)]
+    return states[(key.j, key.m)][basis.index(key.m1, key.m2), 0]

@@ -273,7 +273,7 @@ def repsu_suite(precision=50, qs=("0.5", "0.7"), j_cap="3/2",
                 worst_proj = max(worst_proj, _weight_cols_max(
                     p_top @ p_top - p_top, basis, j))
                 worst_proj = max(worst_proj, repsu.mat_max_abs(
-                    repsu.mat_dagger(p_top) - p_top))
+                    p_top.T - p_top))
                 for m in halfint_range(-j, j):
                     projectors[(j, m)] = repsu.projector_general(
                         j, m, m, basis, ctx)
@@ -297,7 +297,7 @@ def repsu_suite(precision=50, qs=("0.5", "0.7"), j_cap="3/2",
                 p_ba = repsu.projector_general(j_hi, m, j_hi - 1,
                                                basis, ctx)
                 worst_proj = max(worst_proj, repsu.mat_max_abs(
-                    repsu.mat_dagger(p_ab) - p_ba))
+                    p_ab.T - p_ba))
                 worst_proj = max(worst_proj, _weight_cols_max(
                     p_ab @ projectors[(j_hi, m)] - p_ab, basis, m))
     checks.append(CheckResult("coproduct_algebra", worst_cop, tolerance))
@@ -334,7 +334,8 @@ def cgc_oracle_suite(precision=50, qs=("0.5", "0.9"), j_cap="3/2",
             CheckResult("lowering_oracle", worst_low, tolerance)]
 
 
-def unitarity_suite(precision=50, qs=("0.5",), j_cap=3, tolerance=1e-35):
+def unitarity_suite(precision=50, qs=("0.5", "0.9"), j_cap=3,
+                    tolerance=1e-35):
     """Row and column orthonormality of the per-weight coupling blocks."""
     worst = 0
     pool = _spin_pool(j_cap)
@@ -530,7 +531,7 @@ _QUICK_OVERRIDES = {
     "qhyper": {"samples": 40},
     "formulas": {"j_cap": "3/2", "qs": ("0.5",)},
     "oracle": {"qs": ("0.5",)},
-    "unitarity": {"j_cap": 2},
+    "unitarity": {"qs": ("0.5",), "j_cap": 2},
     "symmetry": {"samples": 25, "j_cap": 2},
     "special": {"qs": ("0.5",), "dixon_cap": 3},
     "recurrence": {"j_cap": "3/2", "qs": ("0.5",)},

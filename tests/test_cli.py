@@ -14,7 +14,7 @@ import pytest
 from mpmath import mp, mpf
 
 import qcgc
-from qcgc import HalfInt, QContext
+from qcgc import HalfInt, QContext, verify
 from qcgc.cgc import racah_table
 from qcgc.cli import build_parser, main
 from test_cgc import _exact_classical
@@ -217,6 +217,22 @@ def test_verify_takes_no_q():
     code, out = _run(["verify", "--quick", "--suite", "recurrence"])
     assert code == 0
     assert "q" not in json.loads(out)["config"]
+
+
+@pytest.mark.parametrize("quick, qs", [(False, {"0.5", "0.9"}),
+                                       (True, {"0.5"})])
+def test_unitarity_runs_the_criterion_grid_unless_quick(monkeypatch, quick,
+                                                          qs):
+    seen = set()
+    make = verify._ctx
+
+    def recording(q, precision):
+        seen.add(q)
+        return make(q, precision)
+
+    monkeypatch.setattr(verify, "_ctx", recording)
+    verify.run_suites(["unitarity"], quick=quick)
+    assert seen == qs
 
 
 def test_verify_rejects_an_abbreviated_option(monkeypatch, capsys):

@@ -422,6 +422,29 @@ def test_halfint_compares_with_numbers_only():
     assert HalfInt("3/2").twice == halfint("3/2").twice == doubled("3/2") == 3
 
 
+def test_halfint_arithmetic_takes_any_label(monkeypatch):
+    half = HalfInt("1/2")
+    for value in (1 - half, HalfInt(1) + "1/2", Fraction(1, 2) + HalfInt(1),
+                  2.5 - half, "1/2" - HalfInt(-1), HalfInt(2) - 1.5):
+        assert type(value) is HalfInt
+    assert 1 - half == half and 2.5 - half == 2 and "1/2" - HalfInt(-1) == 1.5
+    assert HalfInt(1) + "1/2" == Fraction(1, 2) + HalfInt(1) == Fraction(3, 2)
+    assert HalfInt(2) - 1.5 == half
+    # an int operand is doubled in place: the sum is the one HalfInt built
+    created = []
+    build = HalfInt.__init__
+
+    def counting(self, *args, **kwargs):
+        created.append(args)
+        build(self, *args, **kwargs)
+
+    one = HalfInt(1)
+    monkeypatch.setattr(HalfInt, "__init__", counting)
+    total = one + 1
+    monkeypatch.undo()
+    assert total == 2 and len(created) == 1
+
+
 def test_halfint_parsing():
     assert halfint("3/2").twice == 3
     assert halfint(2).twice == 4

@@ -23,6 +23,7 @@ from qcgc import (
 from qcgc.cgc import admissible_keys, cgc_racah
 from qcgc.halfint import HalfInt
 from qcgc.qcore import QDomainError
+from qcgc.qhahn import _connection_data
 
 CTX = QContext(q="0.5", precision=50)
 FAMILY = (5, 1, 2)  # N, alpha, beta
@@ -198,3 +199,16 @@ def test_connection_zero_on_selection_failure():
 def test_unknown_route_rejected():
     with pytest.raises(QDomainError):
         cgc_from_hahn(CgcKey(1, 0, 1, 0, 2, 0), CTX, route="J3")
+
+
+def test_connection_data_are_integers_on_admissible_keys():
+    # n = j - m, N, s and alpha, beta are sums of j -+ m labels on a key
+    # that passes the selection rules, so cgc_from_hahn checks none of
+    # them
+    spins = [HalfInt(twice=t) for t in range(9)]
+    for j1 in spins:
+        for j2 in spins:
+            for key in admissible_keys(j1, j2):
+                for route in ("J2", "J1"):
+                    data = _connection_data(key, route)[:5]
+                    assert all(HalfInt(v).is_integer for v in data), (key, route)

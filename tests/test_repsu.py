@@ -30,7 +30,7 @@ def test_irrep_commutation_relations():
 def test_ladder_adjointness():
     with CTX.work():
         _, jp, jm = repsu.irrep_operators("3/2", CTX)
-        assert repsu.mat_max_abs(repsu.mat_dagger(jp) - jm) == 0
+        assert repsu.mat_max_abs(jp.T - jm) == 0
 
 
 def test_casimir_is_constant_and_central():
@@ -97,7 +97,7 @@ def test_extremal_projector_idempotent_on_top_weight_block():
             for c in _weight_cols(basis, j):
                 for r in range(basis.dim):
                     assert abs(d[r, c]) < CTX.tol
-            assert repsu.mat_max_abs(repsu.mat_dagger(p) - p) < CTX.tol
+            assert repsu.mat_max_abs(p.T - p) < CTX.tol
 
 
 def test_projector_completeness_per_weight_block():
@@ -121,7 +121,7 @@ def test_projector_transpose_law():
         basis = repsu.TensorBasis("1/2", "1/2")
         p_ab = repsu.projector_general(1, 0, 1, basis, CTX)
         p_ba = repsu.projector_general(1, 1, 0, basis, CTX)
-        assert repsu.mat_max_abs(repsu.mat_dagger(p_ab) - p_ba) < CTX.tol
+        assert repsu.mat_max_abs(p_ab.T - p_ba) < CTX.tol
 
 
 def test_general_projector_reduces_to_extremal():
@@ -209,10 +209,23 @@ def test_coupled_states_match_racah_table_to_spin_4(q):
                     j1, j2, ctx).items():
                 vec = states[(HalfInt(twice=tj), HalfInt(twice=tm))]
                 oracle = vec[basis.index(HalfInt(twice=tm1),
-                                         HalfInt(twice=tm2))]
+                                         HalfInt(twice=tm2)), 0]
                 assert ctx.close(value, oracle), (tj1, tm1, tj2, tm2, tj, tm)
                 checked += 1
     assert checked == 1930
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.5", "1.25"])
+def test_coupled_states_are_orthonormal(q):
+    ctx = QContext(q=q, precision=50)
+    for j1, j2 in (("1/2", "1"), ("3/2", "2"), ("2", "2"), ("5/2", "2")):
+        dim = repsu.TensorBasis(j1, j2).dim
+        states = list(repsu.coupled_states(j1, j2, ctx).values())
+        assert len(states) == dim
+        for a in states:
+            assert a.shape == (dim, 1)
+            for b in states:
+                assert abs((a.T @ b)[0, 0] - (a is b)) < ctx.tol
 
 
 def test_projector_oracle_at_spin_4():
