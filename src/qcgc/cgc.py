@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .halfint import HalfInt, doubled, halfint
-from .qcore import (QDomainError, _qpow_pair, _renormalise, _times,
-                    factorial_pairs, qnum, root_factorial_pairs)
+from .qcore import (QDomainError, _bracket, _qpow_pair, _renormalise,
+                    _times, factorial_pairs, root_factorial_pairs)
 from .qhyper import HyperSeriesSpec, _sum_with_guard, eval_terminating
 
 
@@ -734,14 +734,15 @@ class SymmetryDescriptor:
     key: CgcKey
     q_flip: bool
     phase: int
-    q_power: Fraction
-    norm_pair: tuple  # (a, b) for sqrt([2a+1]/[2b+1]) or None
+    twice_power: int  # the power of q, doubled
+    twice_norm: tuple  # (2a, 2b) for sqrt([2a+1]/[2b+1]), or ()
 
     def prefactor(self, ctx):
-        v = (-1) ** self.phase * ctx.qpow(self.q_power)
-        if self.norm_pair is not None:
-            a, b = self.norm_pair
-            v *= ctx.mp.sqrt(qnum(2 * a + 1, ctx) / qnum(2 * b + 1, ctx))
+        v = (-1) ** self.phase * ctx.qpow(Fraction(self.twice_power, 2))
+        if self.twice_norm:
+            a, b = self.twice_norm
+            v *= ctx.mp.sqrt(_bracket(2 * a + 2, ctx)
+                             / _bracket(2 * b + 2, ctx))
         return v
 
 
@@ -754,8 +755,8 @@ def apply_symmetry(key, relation):
         key=CgcKey(*(HalfInt(twice=t) for t in key_map)),
         q_flip=relation.q_flip,
         phase=phase % 2,
-        q_power=Fraction(twice_power, 2),
-        norm_pair=tuple(HalfInt(twice=t) for t in norm) or None,
+        twice_power=twice_power,
+        twice_norm=tuple(norm),
     )
 
 
@@ -891,20 +892,20 @@ def recurrence_m_residual(key, ctx):
     the coproduct expansion and vanish to working precision on every
     admissible key.
     """
-    j1, m1, j2, m2, j, m = key.labels()
+    j1, m1, j2, m2, j, m = key.twice  # doubled
+    b = functools.partial(_bracket, ctx=ctx)  # b(2x) is [x]
     a_coef = ctx.qinv * ctx.mp.sqrt(
-        qnum(j1 + m1 + 1, ctx) * qnum(j1 - m1, ctx)
-        * qnum(j2 + m2, ctx) * qnum(j2 - m2 + 1, ctx))
+        b(j1 + m1 + 2) * b(j1 - m1) * b(j2 + m2) * b(j2 - m2 + 2))
     b_coef = ctx.q * ctx.mp.sqrt(
-        qnum(j1 + m1, ctx) * qnum(j1 - m1 + 1, ctx)
-        * qnum(j2 + m2 + 1, ctx) * qnum(j2 - m2, ctx))
-    x1 = qnum(j1 - m1, ctx) * qnum(j1 + m1 + 1, ctx)
-    x2 = qnum(j2 - m2, ctx) * qnum(j2 + m2 + 1, ctx)
-    eig = (qnum(j + HalfInt("1/2"), ctx) ** 2
-           - qnum(m + HalfInt("1/2"), ctx) ** 2)
-    d_coef = ctx.qpow(m) * x1 + ctx.qpow(-m) * x2 - ctx.qpow(m1 - m2) * eig
-    c_a = cgc_racah(CgcKey(j1, m1 + 1, j2, m2 - 1, j, m), ctx)
-    c_b = cgc_racah(CgcKey(j1, m1 - 1, j2, m2 + 1, j, m), ctx)
+        b(j1 + m1) * b(j1 - m1 + 2) * b(j2 + m2 + 2) * b(j2 - m2))
+    x1 = b(j1 - m1) * b(j1 + m1 + 2)
+    x2 = b(j2 - m2) * b(j2 + m2 + 2)
+    eig = b(j + 1) ** 2 - b(m + 1) ** 2
+    d_coef = (ctx.qpow(Fraction(m, 2)) * x1 + ctx.qpow(Fraction(-m, 2)) * x2
+              - ctx.qpow(Fraction(m1 - m2, 2)) * eig)
+    c_a, c_b = (cgc_racah(CgcKey(key.j1, HalfInt(twice=m1 + t), key.j2,
+                                 HalfInt(twice=m2 - t), key.j, key.m), ctx)
+                for t in (2, -2))
     c_d = cgc_racah(key, ctx)
     terms = [a_coef * c_a, b_coef * c_b, d_coef * c_d]
     return _relative_residual(terms, (c_a, c_b, c_d))

@@ -86,12 +86,9 @@ class HalfInt:
         return HalfInt(twice=-self.twice)
 
     def __mul__(self, other):
-        # products of half-integers may leave the half-integer lattice,
-        # so generic multiplication returns a Fraction
+        # only by an int, which keeps the half-integer lattice
         if isinstance(other, int):
             return HalfInt(twice=self.twice * other)
-        if isinstance(other, (HalfInt, Fraction)):
-            return self.as_fraction() * _to_fraction(other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -143,12 +140,6 @@ def _parse_twice(text):
             return 2 * num
         raise ValueError(f"{text!r} is not a half-integer")
     return 2 * int(text)
-
-
-def _to_fraction(x):
-    if isinstance(x, HalfInt):
-        return x.as_fraction()
-    return Fraction(x)
 
 
 def doubled(value):

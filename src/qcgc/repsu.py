@@ -6,7 +6,9 @@ matrix-level constructions of Clebsch-Gordan coefficients.  A vector
 is a one-column matrix.  Matrices leave out the entries that are zero
 by structure; the entries they keep are mpmath reals of the
 :class:`QContext` (or exact Python ints), so they inherit its
-configurable precision.
+configurable precision.  Bases, operators and coupled states are keyed
+by doubled labels (2j, 2m) as ints; a public function reads each label
+it is handed once, through ``halfint.doubled``.
 
 The commutation relations realized are [J0, J+-] = +-J+- and
 [J+, J-] = [2 J0].
@@ -14,12 +16,13 @@ The commutation relations realized are [J0, J+-] = +-J+- and
 
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
 
 from .cgc import selection_rules
-from .halfint import HalfInt, halfint, halfint_range
-from .qcore import QDomainError, q_factorial, qnum
+from .halfint import doubled
+from .qcore import QDomainError, _bracket, q_factorial, qnum
 
 
 def _merged(a, b, op):
@@ -126,41 +129,34 @@ def _kron(a, b):
     return out
 
 
-class IrrepBasis:
-    """Weight basis |j m> of a spin-j irreducible representation.
+def _spin(j):
+    """Twice a spin label, which must be nonnegative."""
+    tj = doubled(j)
+    if tj < 0:
+        raise QDomainError("spin must be nonnegative")
+    return tj
 
-    States are ordered by decreasing m (highest weight first); a state's
-    weight is its m.
-    """
 
-    def __init__(self, j):
-        self.j = halfint(j)
-        if self.j < 0:
-            raise QDomainError("spin must be nonnegative")
-        self.states = list(reversed(halfint_range(-self.j, self.j)))
-        self.weights = self.states
-        self.dim = len(self.states)
-        self._index = {m.twice: i for i, m in enumerate(self.states)}
-
-    def index(self, m):
-        return self._index[halfint(m).twice]
+def _weights(tj):
+    """The doubled weights of the spin-tj/2 irrep, highest first."""
+    return range(tj, -tj - 1, -2)
 
 
 class TensorBasis:
-    """Product basis |j1 m1>|j2 m2>, m1 outer (Kronecker order); a
-    state's weight is m1 + m2."""
+    """Product basis |j1 m1>|j2 m2>, m1 outer (Kronecker order), each
+    factor by decreasing m.  It holds doubled labels: ``tj1``, ``tj2``
+    and each state's doubled weight tm1 + tm2 in ``weights``.
+    ``TensorBasis(j, 0)`` is the weight basis of the spin-j irrep."""
 
     def __init__(self, j1, j2):
-        self.b1 = IrrepBasis(j1)
-        self.b2 = IrrepBasis(j2)
-        self.j1 = self.b1.j
-        self.j2 = self.b2.j
-        self.dim = self.b1.dim * self.b2.dim
-        self.states = [(m1, m2) for m1 in self.b1.states for m2 in self.b2.states]
-        self.weights = [m1 + m2 for m1, m2 in self.states]
+        self.tj1, self.tj2 = _spin(j1), _spin(j2)
+        self.dim = (self.tj1 + 1) * (self.tj2 + 1)
+        self.weights = [tm1 + tm2 for tm1 in _weights(self.tj1)
+                        for tm2 in _weights(self.tj2)]
 
-    def index(self, m1, m2):
-        return self.b1.index(m1) * self.b2.dim + self.b2.index(m2)
+    def index(self, tm1, tm2):
+        return ((self.tj1 - tm1) // 2 * (self.tj2 + 1)
+                + (self.tj2 - tm2) // 2)
 
 
 def mat_zeros(n):
@@ -192,60 +188,57 @@ def commutator(a, b):
 
 
 def _diag_qnum(basis, form, ctx):
-    """diag([form(m)]) over the basis weights m; form maps a weight to a
-    HalfInt or a Fraction."""
+    """diag([x]) over the basis's doubled weights tm, where form(tm) is 2x:
+    an int, or a Fraction off the half-integer lattice."""
     out = mat_zeros(basis.dim)
-    for i, m in enumerate(basis.weights):
-        out[i, i] = qnum(form(m), ctx)
+    for i, tm in enumerate(basis.weights):
+        t = form(tm)
+        out[i, i] = (qnum(t / 2, ctx) if isinstance(t, Fraction)
+                     else _bracket(t, ctx))
     return out
 
 
-def _diag_qpow(basis, coeff, ctx):
-    """diag(q^(coeff*m)) over the basis weights."""
-    out = mat_zeros(basis.dim)
-    for i, m in enumerate(basis.states):
-        out[i, i] = ctx.qpow(Fraction(coeff) * m.as_fraction())
+def _diag_qpow(tj, coeff, ctx):
+    """diag(q^(coeff*m)) over the weights of the spin-tj/2 irrep."""
+    out = mat_zeros(tj + 1)
+    for i, tm in enumerate(_weights(tj)):
+        out[i, i] = ctx.qpow(Fraction(coeff * tm, 2))
     return out
 
 
 def irrep_operators(j, ctx):
     """Matrices (j0, jp, jm) of the spin-j irreducible representation."""
-    basis = IrrepBasis(j)
-    j0 = mat_zeros(basis.dim)
-    jp = mat_zeros(basis.dim)
-    jm = mat_zeros(basis.dim)
-    for i, m in enumerate(basis.states):
-        j0[i, i] = ctx.to_mpf(m)
-        if m < basis.j:
-            amp = ctx.mp.sqrt(qnum(basis.j - m, ctx) * qnum(basis.j + m + 1, ctx))
-            jp[basis.index(m + 1), i] = amp
-        if m > -basis.j:
-            amp = ctx.mp.sqrt(qnum(basis.j + m, ctx) * qnum(basis.j - m + 1, ctx))
-            jm[basis.index(m - 1), i] = amp
-    return j0, jp, jm
+    return _irrep_operators(_spin(j), ctx)
+
+
+def _irrep_operators(tj, ctx):
+    # J- is the transpose of J+ entry for entry
+    j0, jp = mat_zeros(tj + 1), mat_zeros(tj + 1)
+    for i, tm in enumerate(_weights(tj)):
+        j0[i, i] = ctx.mp.mpf(tm) / 2
+        if i:  # the weight falls by one unit from index i - 1 to i
+            jp[i - 1, i] = ctx.mp.sqrt(_bracket(tj - tm, ctx)
+                                       * _bracket(tj + tm + 2, ctx))
+    return j0, jp, jp.T
 
 
 def casimir_matrix(jm, basis, ctx):
     """C = J- J+ + [J0 + 1/2]^2; equals [j+1/2]^2 on the spin-j irrep."""
     jp = jm.T
-    half = Fraction(1, 2)
-    shift = _diag_qnum(basis, lambda m: m.as_fraction() + half, ctx)
+    shift = _diag_qnum(basis, lambda tm: tm + 1, ctx)
     return jm @ jp + shift @ shift
 
 
 def closed_power_lowering(j, r, ctx):
     """Matrix of J-^r from the closed-form matrix elements."""
-    basis = IrrepBasis(j)
-    out = mat_zeros(basis.dim)
-    for i, m in enumerate(basis.states):
-        if m - r < -basis.j:
-            continue
-        amp = ctx.mp.sqrt(
-            q_factorial((basis.j + m).as_int(), ctx)
-            * q_factorial((basis.j - m).as_int() + r, ctx)
-            / (q_factorial((basis.j - m).as_int(), ctx)
-               * q_factorial((basis.j + m).as_int() - r, ctx)))
-        out[basis.index(m - r), i] = amp
+    tj = _spin(j)
+    out = mat_zeros(tj + 1)
+    # index i holds m = j - i, and J-^r vanishes on it when j + m < r
+    for i in range(tj - r + 1):
+        up = tj - i
+        out[i + r, i] = ctx.mp.sqrt(
+            q_factorial(up, ctx) * q_factorial(i + r, ctx)
+            / (q_factorial(i, ctx) * q_factorial(up - r, ctx)))
     return out
 
 
@@ -265,18 +258,19 @@ def operator_power_check(j, r, ctx):
 
 def scalar_identity_residual(r, a, ctx):
     """Residual of [r][a-(r+1)] + [a] = [r+1][a-r] and its sign mirror."""
-    r, a = halfint(r), halfint(a)
-    lhs1 = qnum(r, ctx) * qnum(a - r - 1, ctx) + qnum(a, ctx)
-    rhs1 = qnum(r + 1, ctx) * qnum(a - r, ctx)
-    lhs2 = qnum(r, ctx) * qnum(a + r + 1, ctx) + qnum(a, ctx)
-    rhs2 = qnum(r + 1, ctx) * qnum(a + r, ctx)
+    tr, ta = doubled(r), doubled(a)
+    b = functools.partial(_bracket, ctx=ctx)  # b(2x) is [x]
+    lhs1 = b(tr) * b(ta - tr - 2) + b(ta)
+    rhs1 = b(tr + 2) * b(ta - tr)
+    lhs2 = b(tr) * b(ta + tr + 2) + b(ta)
+    rhs2 = b(tr + 2) * b(ta + tr)
     return max(abs(lhs1 - rhs1), abs(lhs2 - rhs2))
 
 
 def lemma1_suite(basis, operators, ctx):
     """Max residual of the ladder-reordering identities on a
-    representation: an ``IrrepBasis`` with its ``irrep_operators``, or a
-    ``TensorBasis`` with its ``coproduct_operators``.
+    representation: ``TensorBasis(j, 0)`` with its ``irrep_operators``,
+    or a ``TensorBasis`` with its ``coproduct_operators``.
 
     Checked for both ladder directions and r = 1, 2, 3:
       B^r A = A (B +- I)^r
@@ -293,10 +287,12 @@ def lemma1_suite(basis, operators, ctx):
             lhs = mat_power(b, r) @ a_op
             rhs = a_op @ mat_power(b + sign * eye, r)
             worst = max(worst, mat_max_abs(lhs - rhs))
+            # on doubled weights; nu = 1/2 leaves the half-integer lattice
             for nu, eta in ((1, 0), (2, 0), (2, 1), (Fraction(1, 2), -1)):
-                left = _diag_qnum(basis, lambda m: nu * m + eta, ctx) @ a_pow
+                left = _diag_qnum(basis, lambda tm: nu * tm + 2 * eta,
+                                  ctx) @ a_pow
                 right = a_pow @ _diag_qnum(
-                    basis, lambda m: nu * m + eta + nu * sign * r, ctx)
+                    basis, lambda tm: nu * (tm + 2 * sign * r) + 2 * eta, ctx)
                 worst = max(worst, mat_max_abs(left - right))
             lhs = commutator(b, a_pow)
             rhs = sign * r * a_pow
@@ -304,8 +300,8 @@ def lemma1_suite(basis, operators, ctx):
             other_pow = mat_power(a_other, r)
             lhs = commutator(a_op, other_pow)
             rhs = (sign * mat_power(a_other, r - 1)
-                   @ (_diag_qnum(basis, lambda m: 2 * m - sign * (r - 1), ctx)
-                      * qnum(HalfInt(r), ctx)))
+                   @ (_diag_qnum(basis, lambda tm: 2 * tm - 2 * sign * (r - 1),
+                                 ctx) * _bracket(2 * r, ctx)))
             worst = max(worst, mat_max_abs(lhs - rhs))
     return worst
 
@@ -321,22 +317,25 @@ def coproduct_operators(j1, j2, ctx):
     Delta(J+-) = J+- x q^J0 + q^-J0 x J+-.
     Built once per context and returned read-only.
     """
-    basis = TensorBasis(j1, j2)
-    return ctx._memo(("coproduct", basis.j1.twice, basis.j2.twice),
-                     lambda: _coproduct_operators(basis, ctx))
+    return _coproduct(_spin(j1), _spin(j2), ctx)
 
 
-def _coproduct_operators(basis, ctx):
-    j0_1, jp_1, jm_1 = irrep_operators(basis.j1, ctx)
-    j0_2, jp_2, jm_2 = irrep_operators(basis.j2, ctx)
-    e1 = mat_eye(basis.b1.dim)
-    e2 = mat_eye(basis.b2.dim)
-    qp_2 = _diag_qpow(basis.b2, 1, ctx)
-    qm_1 = _diag_qpow(basis.b1, -1, ctx)
+def _coproduct(tj1, tj2, ctx):
+    return ctx._memo(("coproduct", tj1, tj2),
+                     lambda: _coproduct_operators(tj1, tj2, ctx))
+
+
+def _coproduct_operators(tj1, tj2, ctx):
+    j0_1, jp_1, _ = _irrep_operators(tj1, ctx)
+    j0_2, jp_2, _ = _irrep_operators(tj2, ctx)
+    e1 = mat_eye(tj1 + 1)
+    e2 = mat_eye(tj2 + 1)
+    qp_2 = _diag_qpow(tj2, 1, ctx)
+    qm_1 = _diag_qpow(tj1, -1, ctx)
     j0 = _kron(j0_1, e2) + _kron(e1, j0_2)
     jp = _kron(jp_1, qp_2) + _kron(qm_1, jp_2)
-    jm = _kron(jm_1, qp_2) + _kron(qm_1, jm_2)
-    return j0.read_only(), jp.read_only(), jm.read_only()
+    # Delta(J-) is the transpose of Delta(J+), as q^J0 is diagonal
+    return j0.read_only(), jp.read_only(), jp.T.read_only()
 
 
 def coproduct_power_binomial(j1, j2, r, ctx, sign=-1):
@@ -344,17 +343,15 @@ def coproduct_power_binomial(j1, j2, r, ctx, sign=-1):
 
     Delta(J+-)^r = sum_l [r]!/([l]![r-l]!) J+-^l q^(-(r-l)J0) x J+-^(r-l) q^(l J0).
     """
-    basis = TensorBasis(j1, j2)
-    ops1 = irrep_operators(basis.j1, ctx)
-    ops2 = irrep_operators(basis.j2, ctx)
-    a1 = ops1[2] if sign < 0 else ops1[1]
-    a2 = ops2[2] if sign < 0 else ops2[1]
-    total = mat_zeros(basis.dim)
+    tj1, tj2 = _spin(j1), _spin(j2)
+    a1 = _irrep_operators(tj1, ctx)[2 if sign < 0 else 1]
+    a2 = _irrep_operators(tj2, ctx)[2 if sign < 0 else 1]
+    total = mat_zeros((tj1 + 1) * (tj2 + 1))
     for l in range(r + 1):
         coeff = (q_factorial(r, ctx)
                  / (q_factorial(l, ctx) * q_factorial(r - l, ctx)))
-        left = mat_power(a1, l) @ _diag_qpow(basis.b1, -(r - l), ctx)
-        right = mat_power(a2, r - l) @ _diag_qpow(basis.b2, l, ctx)
+        left = mat_power(a1, l) @ _diag_qpow(tj1, -(r - l), ctx)
+        right = mat_power(a2, r - l) @ _diag_qpow(tj2, l, ctx)
         total = total + _kron(left, right) * coeff
     return total
 
@@ -366,20 +363,22 @@ def projector_extremal(j, basis, ctx):
     operators; the sum terminates when J+^r vanishes on the tensor space.
     Built once per context and returned read-only.
     """
-    j = halfint(j)
+    return _extremal(doubled(j), basis, ctx)
+
+
+def _extremal(tj, basis, ctx):
     return ctx._memo(
-        ("projector", j.twice, basis.j1.twice, basis.j2.twice),
-        lambda: _projector_extremal(j, basis, ctx).read_only())
+        ("projector", tj, basis.tj1, basis.tj2),
+        lambda: _projector_extremal(tj, basis, ctx).read_only())
 
 
-def _projector_extremal(j, basis, ctx):
-    _, jp, _ = coproduct_operators(basis.j1, basis.j2, ctx)
-    two_j = (2 * j).as_int()
-    top = q_factorial(two_j + 1, ctx)
+def _projector_extremal(tj, basis, ctx):
+    _, jp, _ = _coproduct(basis.tj1, basis.tj2, ctx)
+    top = q_factorial(tj + 1, ctx)
 
     def coeff(r):
         return ((-1) ** r * top
-                / (q_factorial(r, ctx) * q_factorial(two_j + r + 1, ctx)))
+                / (q_factorial(r, ctx) * q_factorial(tj + r + 1, ctx)))
 
     # the r = 0 term is the identity; J- is the transpose of J+ entry for
     # entry, so J-^r J+^r is (J+^r)^T J+^r
@@ -398,26 +397,28 @@ def projector_general(j, m, mprime, basis, ctx):
     Satisfies P^j_{m m'} P^j'_{m' m''} = delta_{j j'} P^j_{m m''} and
     (P^j_{m m'})^dagger = P^j_{m' m}.
     """
-    j, m, mprime = halfint(j), halfint(m), halfint(mprime)
-    _, jp, jm = coproduct_operators(basis.j1, basis.j2, ctx)
-    p_top = projector_extremal(j, basis, ctx)
-    left = ctx.mp.sqrt(q_factorial((j + m).as_int(), ctx)
-                       / (q_factorial((2 * j).as_int(), ctx)
-                          * q_factorial((j - m).as_int(), ctx)))
-    right = ctx.mp.sqrt(q_factorial((j + mprime).as_int(), ctx)
-                        / (q_factorial((2 * j).as_int(), ctx)
-                           * q_factorial((j - mprime).as_int(), ctx)))
-    return (mat_power(jm, (j - m).as_int()) @ p_top
-            @ mat_power(jp, (j - mprime).as_int())) * (left * right)
+    tj, tm, tmprime = doubled(j), doubled(m), doubled(mprime)
+    if (tj - tm) % 2 or (tj - tmprime) % 2:
+        raise QDomainError("j - m must be an integer")
+    _, jp, jm = _coproduct(basis.tj1, basis.tj2, ctx)
+    p_top = _extremal(tj, basis, ctx)
+
+    def norm(t):
+        return ctx.mp.sqrt(q_factorial((tj + t) // 2, ctx)
+                           / (q_factorial(tj, ctx)
+                              * q_factorial((tj - t) // 2, ctx)))
+
+    return (mat_power(jm, (tj - tm) // 2) @ p_top
+            @ mat_power(jp, (tj - tmprime) // 2)) * (norm(tm) * norm(tmprime))
 
 
 # ---------------------------------------------------------------------------
 # matrix-level oracles for the Clebsch-Gordan coefficients
 # ---------------------------------------------------------------------------
 
-def _unit_vector(basis, m1, m2):
+def _unit_vector(basis, tm1, tm2):
     """Product basis vector |j1 m1>|j2 m2>, a one-column matrix."""
-    return SparseMatrix((basis.dim, 1), {basis.index(m1, m2): {0: 1}})
+    return SparseMatrix((basis.dim, 1), {basis.index(tm1, tm2): {0: 1}})
 
 
 def oracle_cgc(key, ctx):
@@ -435,13 +436,14 @@ def oracle_cgc(key, ctx):
     """
     if not selection_rules(key):
         return ctx.to_mpf(0)
+    tj1, tm1, _, tm2, tj, _ = key.twice
     basis = TensorBasis(key.j1, key.j2)
-    v = _unit_vector(basis, basis.j1, key.j - basis.j1)
+    v = _unit_vector(basis, tj1, tj - tj1)
     p_top = projector_extremal(key.j, basis, ctx)
     norm_sq = (v.T @ (p_top @ v))[0, 0]
     p_mj = projector_general(key.j, key.m, key.j, basis, ctx)
     coupled = (p_mj @ v) / ctx.mp.sqrt(norm_sq)
-    return coupled[basis.index(key.m1, key.m2), 0]
+    return coupled[basis.index(tm1, tm2), 0]
 
 
 def coupled_states(j1, j2, ctx):
@@ -451,33 +453,33 @@ def coupled_states(j1, j2, ctx):
     minus the span of the already-known |j' j> for j' > j leaves a single
     direction, whose sign is fixed by a positive overlap with
     |j1 j1>|j2 j-j1>.  Lower m follow from the coproduct lowering
-    operator.  Returns {(j, m): vector}, each a one-column matrix.
+    operator.  Returns {(2j, 2m): vector}, each a one-column matrix.
     """
     basis = TensorBasis(j1, j2)
-    _, _, jm = coproduct_operators(basis.j1, basis.j2, ctx)
+    tj1, tj2 = basis.tj1, basis.tj2
+    _, _, jm = _coproduct(tj1, tj2, ctx)
     states = {}
-    j_top = basis.j1 + basis.j2
-    for j in reversed(halfint_range(abs(basis.j1 - basis.j2), j_top)):
-        higher = [states[(jh, j)] for jh in halfint_range(j + 1, j_top)]
+    for tj in range(tj1 + tj2, abs(tj1 - tj2) - 1, -2):
+        higher = [states[(th, tj)] for th in range(tj + 2, tj1 + tj2 + 1, 2)]
         best = None
         best_norm = 0
-        for m1 in halfint_range(max(-basis.j1, j - basis.j2),
-                                min(basis.j1, j + basis.j2)):
-            w = _unit_vector(basis, m1, j - m1)
+        for tm1 in range(max(-tj1, tj - tj2), min(tj1, tj + tj2) + 1, 2):
+            w = _unit_vector(basis, tm1, tj - tm1)
             for h in higher:
                 w = w - h * (h.T @ w)[0, 0]
             norm = ctx.mp.sqrt((w.T @ w)[0, 0])
             if norm > best_norm:
                 best, best_norm = w, norm
         top = best / best_norm
-        if top[basis.index(basis.j1, j - basis.j1), 0] < 0:
+        if top[basis.index(tj1, tj - tj1), 0] < 0:
             top = top * -1
-        states[(j, j)] = top
+        states[(tj, tj)] = top
         vec = top
-        for m in reversed(halfint_range(-j + 1, j)):
-            amp = ctx.mp.sqrt(qnum(j + m, ctx) * qnum(j - m + 1, ctx))
+        for tm in range(tj, -tj, -2):
+            amp = ctx.mp.sqrt(_bracket(tj + tm, ctx)
+                              * _bracket(tj - tm + 2, ctx))
             vec = (jm @ vec) / amp
-            states[(j, m - 1)] = vec
+            states[(tj, tm - 2)] = vec
     return states
 
 
@@ -485,6 +487,6 @@ def oracle_cgc_lowering(key, ctx):
     """Second oracle: coefficient from orthogonalized, lowered coupled states."""
     if not selection_rules(key):
         return ctx.to_mpf(0)
-    basis = TensorBasis(key.j1, key.j2)
+    _, tm1, _, tm2, tj, tm = key.twice
     states = coupled_states(key.j1, key.j2, ctx)
-    return states[(key.j, key.m)][basis.index(key.m1, key.m2), 0]
+    return states[(tj, tm)][TensorBasis(key.j1, key.j2).index(tm1, tm2), 0]

@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp, mpf
 
 from qcgc import HalfInt, QContext, halfint_range
-from qcgc.cgc import CgcKey, cgc_racah, racah_table
+from qcgc.cgc import CgcKey, admissible_keys, cgc_racah, racah_table
 from qcgc.qcore import qnum
 from qcgc import repsu
 
@@ -16,13 +16,14 @@ CTX = QContext(q="0.5", precision=50)
 def test_irrep_commutation_relations():
     with CTX.work():
         for j in ("1/2", "1", "3/2"):
-            basis = repsu.IrrepBasis(j)
+            basis = repsu.TensorBasis(j, 0)
             j0, jp, jm = repsu.irrep_operators(j, CTX)
             assert repsu.mat_max_abs(repsu.commutator(j0, jp) - jp) < CTX.tol
             assert repsu.mat_max_abs(repsu.commutator(j0, jm) + jm) < CTX.tol
             two_j0 = repsu.mat_zeros(basis.dim)
-            for i, m in enumerate(basis.states):
-                two_j0[i, i] = qnum(2 * m, CTX)
+            # the doubled weight tm = 2m
+            for i, tm in enumerate(basis.weights):
+                two_j0[i, i] = qnum(tm, CTX)
             assert repsu.mat_max_abs(
                 repsu.commutator(jp, jm) - two_j0) < CTX.tol
 
@@ -36,10 +37,10 @@ def test_ladder_adjointness():
 def test_casimir_is_constant_and_central():
     with CTX.work():
         for j in ("1", "3/2"):
-            basis = repsu.IrrepBasis(j)
+            basis = repsu.TensorBasis(j, 0)
             j0, jp, jm = repsu.irrep_operators(j, CTX)
             cas = repsu.casimir_matrix(jm, basis, CTX)
-            eig = qnum(basis.j + HalfInt("1/2"), CTX) ** 2
+            eig = qnum(HalfInt(twice=basis.tj1 + 1), CTX) ** 2
             assert repsu.mat_max_abs(
                 cas - eig * repsu.mat_eye(basis.dim)) < CTX.tol
             for op in (j0, jp, jm):
@@ -48,14 +49,14 @@ def test_casimir_is_constant_and_central():
 
 def test_ladder_power_closed_forms():
     for j in ("1/2", "1", "3/2", "2"):
-        basis = repsu.IrrepBasis(j)
+        basis = repsu.TensorBasis(j, 0)
         for r in range(basis.dim + 1):
             assert repsu.operator_power_check(j, r, CTX) < CTX.tol
 
 
 def test_lemma_identities_on_irreps():
     for j in ("1/2", "1", "3/2"):
-        assert repsu.lemma1_suite(repsu.IrrepBasis(j),
+        assert repsu.lemma1_suite(repsu.TensorBasis(j, 0),
                                   repsu.irrep_operators(j, CTX), CTX) < CTX.tol
 
 
@@ -73,8 +74,8 @@ def test_coproduct_commutation_and_binomial():
         j0, jp, jm = repsu.coproduct_operators("1/2", "1", CTX)
         assert repsu.mat_max_abs(repsu.commutator(j0, jp) - jp) < CTX.tol
         two_j0 = repsu.mat_zeros(basis.dim)
-        for i, (m1, m2) in enumerate(basis.states):
-            two_j0[i, i] = qnum(2 * (m1 + m2), CTX)
+        for i, tm in enumerate(basis.weights):
+            two_j0[i, i] = qnum(tm, CTX)
         assert repsu.mat_max_abs(repsu.commutator(jp, jm) - two_j0) < CTX.tol
         for r in range(4):
             for sign, op in ((1, jp), (-1, jm)):
@@ -84,8 +85,9 @@ def test_coproduct_commutation_and_binomial():
                     repsu.mat_power(op, r) - expanded) < CTX.tol
 
 
-def _weight_cols(basis, m):
-    return [i for i, (m1, m2) in enumerate(basis.states) if m1 + m2 == m]
+def _weight_cols(basis, tm):
+    """The columns of doubled total weight tm."""
+    return [i for i, weight in enumerate(basis.weights) if weight == tm]
 
 
 def test_extremal_projector_idempotent_on_top_weight_block():
@@ -94,7 +96,7 @@ def test_extremal_projector_idempotent_on_top_weight_block():
         for j in halfint_range(0, 2):
             p = repsu.projector_extremal(j, basis, CTX)
             d = p @ p - p
-            for c in _weight_cols(basis, j):
+            for c in _weight_cols(basis, j.twice):
                 for r in range(basis.dim):
                     assert abs(d[r, c]) < CTX.tol
             assert repsu.mat_max_abs(p.T - p) < CTX.tol
@@ -111,7 +113,7 @@ def test_projector_completeness_per_weight_block():
         eye = repsu.mat_eye(basis.dim)
         for m, acc in total.items():
             d = acc - eye
-            for c in _weight_cols(basis, m):
+            for c in _weight_cols(basis, m.twice):
                 for r in range(basis.dim):
                     assert abs(d[r, c]) < CTX.tol
 
@@ -130,7 +132,7 @@ def test_general_projector_reduces_to_extremal():
         p1 = repsu.projector_general(1, 1, 1, basis, CTX)
         p2 = repsu.projector_extremal(1, basis, CTX)
         d = p1 - p2
-        for c in _weight_cols(basis, HalfInt(1)):
+        for c in _weight_cols(basis, 2):
             for r in range(basis.dim):
                 assert abs(d[r, c]) < CTX.tol
 
@@ -207,9 +209,7 @@ def test_coupled_states_match_racah_table_to_spin_4(q):
             states = repsu.coupled_states(j1, j2, ctx)
             for (_, tm1, _, tm2, tj, tm), value in racah_table(
                     j1, j2, ctx).items():
-                vec = states[(HalfInt(twice=tj), HalfInt(twice=tm))]
-                oracle = vec[basis.index(HalfInt(twice=tm1),
-                                         HalfInt(twice=tm2)), 0]
+                oracle = states[(tj, tm)][basis.index(tm1, tm2), 0]
                 assert ctx.close(value, oracle), (tj1, tm1, tj2, tm2, tj, tm)
                 checked += 1
     assert checked == 1930
@@ -233,3 +233,26 @@ def test_projector_oracle_at_spin_4():
     for j in range(9):
         key = CgcKey(4, 0, 4, 0, j, 0)
         assert ctx.close(repsu.oracle_cgc(key, ctx), cgc_racah(key, ctx)), j
+
+
+def test_oracles_build_no_halfint_from_halfint_labels(monkeypatch):
+    # labels handed in as HalfInts are read as doubled ints throughout,
+    # on a cold context and then on a warm one
+    keys = admissible_keys(HalfInt("3/2"), HalfInt(1))
+    j1, j2 = keys[0].j1, keys[0].j2
+    built = []
+    init = HalfInt.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HalfInt, "__init__", counting)
+    ctx = QContext(q="0.5", precision=50)
+    for _ in range(2):
+        repsu.coproduct_operators(j1, j2, ctx)
+        repsu.coupled_states(j1, j2, ctx)
+        for key in keys:
+            repsu.oracle_cgc(key, ctx)
+            repsu.oracle_cgc_lowering(key, ctx)
+    assert built == []
