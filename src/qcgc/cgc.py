@@ -25,34 +25,37 @@ from fractions import Fraction
 from .halfint import HalfInt, doubled, halfint
 from .qcore import (QDomainError, _bracket, _qpow_pair, _renormalise,
                     _times, factorial_pairs, root_factorial_pairs)
-from .qhyper import HyperSeriesSpec, _sum_with_guard, eval_terminating
+from .qhyper import HyperSeriesSpec, _labels, _sum_with_guard, eval_terminating
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CgcKey:
-    """The sextuple (j1, m1, j2, m2, j, m) addressing one coefficient.
+    """The sextuple (j1, m1, j2, m2, j, m) addressing one coefficient, held
+    only as ``twice``, the six labels doubled as ints: ``CgcKey(j1, m1, j2,
+    m2, j, m)`` reads each label through ``halfint.doubled``, and
+    ``CgcKey(twice=(2j1, ..., 2m))`` takes the ints, as ``HalfInt(twice=)``
+    does.  A label read by name (``key.j1`` ... ``key.m``) or through
+    ``labels()`` is a HalfInt made on the read."""
 
-    ``twice`` holds the six labels doubled, as plain ints.
-    """
+    twice: tuple
 
-    j1: HalfInt
-    m1: HalfInt
-    j2: HalfInt
-    m2: HalfInt
-    j: HalfInt
-    m: HalfInt
+    def __init__(self, *labels, twice=None):
+        if labels and twice is not None:
+            raise TypeError("CgcKey takes six labels or twice=, not both")
+        twice = tuple(twice or map(doubled, labels))
+        if len(twice) != 6:
+            raise TypeError(f"CgcKey takes six labels, not {len(twice)}")
+        object.__setattr__(self, "twice", twice)
 
-    def __post_init__(self):
-        for name in ("j1", "m1", "j2", "m2", "j", "m"):
-            object.__setattr__(self, name, halfint(getattr(self, name)))
-        object.__setattr__(self, "twice", tuple(x.twice for x in self.labels()))
+    j1, m1, j2, m2, j, m = (
+        property(lambda self, i=i: HalfInt(twice=self.twice[i]))
+        for i in range(6))
 
     def labels(self):
-        return (self.j1, self.m1, self.j2, self.m2, self.j, self.m)
+        return _labels(self.twice)
 
     def __str__(self):
-        j1, m1, j2, m2, j, m = self.labels()
-        return f"<{j1} {m1}, {j2} {m2}|{j} {m}>"
+        return "<{} {}, {} {}|{} {}>".format(*self.labels())
 
 
 def selection_failure(key):
@@ -78,20 +81,16 @@ def selection_rules(key):
     return selection_failure(key) is None
 
 
-def admissible_keys(j1, j2, j_cap=None):
+def admissible_keys(j1, j2):
     """All admissible keys for fixed (j1, j2), in deterministic order:
-    by j, then m, then m1 up.  The loops run over doubled labels, and
-    each label is built once."""
+    by j, then m, then m1 up.  The loops run over doubled labels and build
+    each key from them, so no HalfInt is made."""
     tj1, tj2 = doubled(j1), doubled(j2)
-    top = tj1 + tj2 if j_cap is None else min(tj1 + tj2, doubled(j_cap))
-    reach = max(tj1, tj2, top)
-    label = {t: HalfInt(twice=t) for t in range(-reach, reach + 1)}
     keys = []
-    for tj in range(abs(tj1 - tj2), top + 1, 2):
+    for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
         for tm in range(-tj, tj + 1, 2):
             for tm1 in range(max(-tj1, tm - tj2), min(tj1, tm + tj2) + 1, 2):
-                keys.append(CgcKey(label[tj1], label[tm1], label[tj2],
-                                   label[tm - tm1], label[tj], label[tm]))
+                keys.append(CgcKey(twice=(tj1, tm1, tj2, tm - tm1, tj, tm)))
     return keys
 
 
@@ -752,7 +751,7 @@ def apply_symmetry(key, relation):
         relation = SYMMETRIES[relation]
     key_map, phase, twice_power, norm = relation._labels(*key.twice)
     return SymmetryDescriptor(
-        key=CgcKey(*(HalfInt(twice=t) for t in key_map)),
+        key=CgcKey(twice=key_map),
         q_flip=relation.q_flip,
         phase=phase % 2,
         twice_power=twice_power,
@@ -903,8 +902,7 @@ def recurrence_m_residual(key, ctx):
     eig = b(j + 1) ** 2 - b(m + 1) ** 2
     d_coef = (ctx.qpow(Fraction(m, 2)) * x1 + ctx.qpow(Fraction(-m, 2)) * x2
               - ctx.qpow(Fraction(m1 - m2, 2)) * eig)
-    c_a, c_b = (cgc_racah(CgcKey(key.j1, HalfInt(twice=m1 + t), key.j2,
-                                 HalfInt(twice=m2 - t), key.j, key.m), ctx)
+    c_a, c_b = (cgc_racah(CgcKey(twice=(j1, m1 + t, j2, m2 - t, j, m)), ctx)
                 for t in (2, -2))
     c_d = cgc_racah(key, ctx)
     terms = [a_coef * c_a, b_coef * c_b, d_coef * c_d]

@@ -49,8 +49,7 @@ def _emit_json(payload, stream):
 def cmd_cgc(args, stream=None):
     stream = stream or sys.stdout
     ctx = QContext(q=args.q, precision=args.precision)
-    key = CgcKey(halfint(args.j1), halfint(args.m1), halfint(args.j2),
-                 halfint(args.m2), halfint(args.j), halfint(args.m))
+    key = CgcKey(args.j1, args.m1, args.j2, args.m2, args.j, args.m)
     mode = "crosscheck" if args.verify else "default"
     result = compute(key, ctx, mode=mode)
     line = f"{key} = {_fmt(result.value, args.precision)}  [{result.formula}]"
@@ -211,8 +210,7 @@ def cmd_hahn(args, stream=None):
 def cmd_limit(args, stream=None):
     stream = stream or sys.stdout
     ctx_one = QContext(q=1, precision=args.precision)
-    key = CgcKey(halfint(args.j1), halfint(args.m1), halfint(args.j2),
-                 halfint(args.m2), halfint(args.j), halfint(args.m))
+    key = CgcKey(args.j1, args.m1, args.j2, args.m2, args.j, args.m)
     target = cgc_racah(key, ctx_one)
     contexts = []
     cgc_rows = []

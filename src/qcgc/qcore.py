@@ -400,15 +400,16 @@ def q_pochhammer(a, n, ctx):
     if n < 0:
         raise QDomainError(f"q_pochhammer: negative length {n}")
     if isinstance(a, HalfInt):
-        return ctx._memo(("poch", a.twice, n), lambda: _q_pochhammer_raw(a, n, ctx))
-    return _q_pochhammer_raw(a, n, ctx)
+        return _q_pochhammer_twice(a.twice, n, ctx)
+    return math.prod((qnum(ctx.to_mpf(a) + m, ctx) for m in range(n)),
+                     start=ctx.to_mpf(1))
 
 
-def _q_pochhammer_raw(a, n, ctx):
-    value = ctx.to_mpf(1)
-    for m in range(n):
-        value *= qnum(a + m if isinstance(a, HalfInt) else ctx.to_mpf(a) + m, ctx)
-    return value
+def _q_pochhammer_twice(twice, n, ctx):
+    """(twice/2|q)_n from the memoised brackets, memoised by twice."""
+    return ctx._memo(("poch", twice, n), lambda: math.prod(
+        (_bracket(t, ctx) for t in range(twice, twice + 2 * n, 2)),
+        start=ctx.to_mpf(1)))
 
 
 def q_binomial(n, k, ctx):
@@ -472,13 +473,12 @@ def q_gamma_tilde(s, ctx):
         # factorial shortcut for positive integer arguments
         return q_factorial(int(sv) - 1, ctx)
     if 2 * sv == ctx.mp.floor(2 * sv):
-        half = HalfInt(twice=1)
         gamma_half = ctx._memo(("gamma_half",), lambda: _gamma_tilde_raw(
-            ctx.to_mpf(half), ctx))
-        s = HalfInt(twice=int(2 * sv))
-        if s > 0:
-            return gamma_half * q_pochhammer(half, (s - half).as_int(), ctx)
-        return gamma_half / q_pochhammer(s, (half - s).as_int(), ctx)
+            ctx.mp.mpf(1) / 2, ctx))
+        twice = int(2 * sv)
+        if twice > 0:
+            return gamma_half * _q_pochhammer_twice(1, (twice - 1) // 2, ctx)
+        return gamma_half / _q_pochhammer_twice(twice, (1 - twice) // 2, ctx)
     return _gamma_tilde_raw(sv, ctx)
 
 

@@ -340,22 +340,17 @@ def hahn_difference_residual(params, s, ctx):
 # ---------------------------------------------------------------------------
 
 def _connection_data(key, route):
-    j1, m1, j2, m2, j, m = key.labels()
-    n = j - m
-    cap_n = j1 + j2 - m + 1
+    """(params, s, sign) of the key's q-Hahn value on ``route``."""
+    j1, m1, j2, m2, j, m = key.twice
     if route == "J2":
-        s = j2 - m2
-        alpha = m - j1 + j2
-        beta = m + j1 - j2
-        sign = _phase((j1 - m1).as_int())
+        s, alpha, beta, phase = j2 - m2, m - j1 + j2, m + j1 - j2, j1 - m1
     elif route == "J1":
-        s = j1 - m1
-        alpha = m + j1 - j2
-        beta = m - j1 + j2
-        sign = _phase((j1 - m1 + j - m).as_int())
+        s, alpha, beta, phase = j1 - m1, m + j1 - j2, m - j1 + j2, j1 - m1 + j - m
     else:
         raise QDomainError(f"unknown route {route!r}")
-    return n, cap_n, s, alpha, beta, sign
+    params = HahnParams(n=(j - m) // 2, N=(j1 + j2 - m) // 2 + 1,
+                        alpha=HalfInt(twice=alpha), beta=HalfInt(twice=beta))
+    return params, s // 2, _phase(phase // 2)
 
 
 def cgc_from_hahn(key, ctx, route="J2"):
@@ -370,9 +365,8 @@ def cgc_from_hahn(key, ctx, route="J2"):
     """
     if selection_failure(key) is not None:
         return ctx.to_mpf(0)
-    n, cap_n, s, alpha, beta, sign = _connection_data(key, route)
+    params, s, sign = _connection_data(key, route)
     base = ctx if route == "J2" else ctx.reciprocal()
-    params = HahnParams(n=n, N=cap_n, alpha=alpha, beta=beta)
     norm = base.mp.sqrt(hahn_weight(params, s, base) * delta_x_half(s, base)
                         / hahn_norm_sq(params, base))
     value = sign * norm * hahn_eval(params, s, base)
@@ -395,17 +389,20 @@ def recurrence_j_residual(key, ctx):
     coefficient table for this relation could not be reconciled with the
     values (only its m1-dependent part checks out), so the coefficients
     are read off the polynomial data, which is anchored to the norms and
-    the brute-force Gram matrix.
+    the brute-force Gram matrix.  A key that fails the selection rules
+    raises QDomainError.
     """
-    j1, m1, j2, m2, j, m = key.labels()
+    reason = selection_failure(key)
+    if reason is not None:
+        raise QDomainError(f"three-term recurrence in j: {reason}")
+    j1, m1, j2, m2, j, m = key.twice
     if j == 0:
         raise QDomainError("three-term recurrence in j is singular at j=0")
-    n, cap_n, s, alpha, beta, _ = _connection_data(key, "J2")
-    params = HahnParams(n=n, N=cap_n, alpha=alpha, beta=beta)
+    params, s, _ = _connection_data(key, "J2")
     d_sq = hahn_norm_sq(params, ctx)
     terms, values = [], []
     for dj, coefficient in ((-1, ttrr_gamma), (1, ttrr_alpha)):
-        neighbour = CgcKey(j1, m1, j2, m2, j + dj, m)
+        neighbour = CgcKey(twice=(j1, m1, j2, m2, j + 2 * dj, m))
         value = cgc_racah(neighbour, ctx)
         values.append(value)
         if selection_rules(neighbour):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import operator
 from fractions import Fraction
+from types import MappingProxyType
 
 from .cgc import selection_rules
 from .halfint import doubled
@@ -144,12 +145,12 @@ def _weights(tj):
 
 class TensorBasis:
     """Product basis |j1 m1>|j2 m2>, m1 outer (Kronecker order), each
-    factor by decreasing m.  It holds doubled labels: ``tj1``, ``tj2``
-    and each state's doubled weight tm1 + tm2 in ``weights``.
+    factor by decreasing m, from labels or from ``twice=(2j1, 2j2)``.  It
+    holds ``tj1``, ``tj2`` and each state's doubled weight in ``weights``.
     ``TensorBasis(j, 0)`` is the weight basis of the spin-j irrep."""
 
-    def __init__(self, j1, j2):
-        self.tj1, self.tj2 = _spin(j1), _spin(j2)
+    def __init__(self, *labels, twice=None):
+        self.tj1, self.tj2 = map(_spin, labels) if twice is None else twice
         self.dim = (self.tj1 + 1) * (self.tj2 + 1)
         self.weights = [tm1 + tm2 for tm1 in _weights(self.tj1)
                         for tm2 in _weights(self.tj2)]
@@ -397,7 +398,10 @@ def projector_general(j, m, mprime, basis, ctx):
     Satisfies P^j_{m m'} P^j'_{m' m''} = delta_{j j'} P^j_{m m''} and
     (P^j_{m m'})^dagger = P^j_{m' m}.
     """
-    tj, tm, tmprime = doubled(j), doubled(m), doubled(mprime)
+    return _general(doubled(j), doubled(m), doubled(mprime), basis, ctx)
+
+
+def _general(tj, tm, tmprime, basis, ctx):
     if (tj - tm) % 2 or (tj - tmprime) % 2:
         raise QDomainError("j - m must be an integer")
     _, jp, jm = _coproduct(basis.tj1, basis.tj2, ctx)
@@ -436,12 +440,12 @@ def oracle_cgc(key, ctx):
     """
     if not selection_rules(key):
         return ctx.to_mpf(0)
-    tj1, tm1, _, tm2, tj, _ = key.twice
-    basis = TensorBasis(key.j1, key.j2)
+    tj1, tm1, tj2, tm2, tj, tm = key.twice
+    basis = TensorBasis(twice=(tj1, tj2))
     v = _unit_vector(basis, tj1, tj - tj1)
-    p_top = projector_extremal(key.j, basis, ctx)
+    p_top = _extremal(tj, basis, ctx)
     norm_sq = (v.T @ (p_top @ v))[0, 0]
-    p_mj = projector_general(key.j, key.m, key.j, basis, ctx)
+    p_mj = _general(tj, tm, tj, basis, ctx)
     coupled = (p_mj @ v) / ctx.mp.sqrt(norm_sq)
     return coupled[basis.index(tm1, tm2), 0]
 
@@ -453,10 +457,19 @@ def coupled_states(j1, j2, ctx):
     minus the span of the already-known |j' j> for j' > j leaves a single
     direction, whose sign is fixed by a positive overlap with
     |j1 j1>|j2 j-j1>.  Lower m follow from the coproduct lowering
-    operator.  Returns {(2j, 2m): vector}, each a one-column matrix.
+    operator.  Returns {(2j, 2m): vector}, each a one-column matrix,
+    built once per context and handed out read-only.
     """
-    basis = TensorBasis(j1, j2)
-    tj1, tj2 = basis.tj1, basis.tj2
+    return _coupled(_spin(j1), _spin(j2), ctx)
+
+
+def _coupled(tj1, tj2, ctx):
+    return ctx._memo(("coupled", tj1, tj2),
+                     lambda: _coupled_states(tj1, tj2, ctx))
+
+
+def _coupled_states(tj1, tj2, ctx):
+    basis = TensorBasis(twice=(tj1, tj2))
     _, _, jm = _coproduct(tj1, tj2, ctx)
     states = {}
     for tj in range(tj1 + tj2, abs(tj1 - tj2) - 1, -2):
@@ -480,13 +493,13 @@ def coupled_states(j1, j2, ctx):
                               * _bracket(tj - tm + 2, ctx))
             vec = (jm @ vec) / amp
             states[(tj, tm - 2)] = vec
-    return states
+    return MappingProxyType({k: v.read_only() for k, v in states.items()})
 
 
 def oracle_cgc_lowering(key, ctx):
     """Second oracle: coefficient from orthogonalized, lowered coupled states."""
     if not selection_rules(key):
         return ctx.to_mpf(0)
-    _, tm1, _, tm2, tj, tm = key.twice
-    states = coupled_states(key.j1, key.j2, ctx)
-    return states[(tj, tm)][TensorBasis(key.j1, key.j2).index(tm1, tm2), 0]
+    tj1, tm1, tj2, tm2, tj, tm = key.twice
+    basis = TensorBasis(twice=(tj1, tj2))
+    return _coupled(tj1, tj2, ctx)[(tj, tm)][basis.index(tm1, tm2), 0]

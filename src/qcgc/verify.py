@@ -14,7 +14,7 @@ import functools
 import random
 from dataclasses import dataclass
 
-from .halfint import HalfInt, doubled, halfint
+from .halfint import HalfInt, doubled
 from .qcore import QContext, _bracket
 from .qhyper import (
     HyperSeriesSpec,
@@ -81,11 +81,6 @@ def _spin_pool(cap):
 def _label(twice):
     """The label of a doubled int, built once per process."""
     return HalfInt(twice=twice)
-
-
-def _key(*twice):
-    """The CgcKey of six doubled labels."""
-    return CgcKey(*map(_label, twice))
 
 
 def _sweep(contexts, j_cap):
@@ -211,17 +206,17 @@ def _weight_cols_max(mat, basis, tm):
     return worst
 
 
-def repsu_suite(precision=50, qs=("0.5", "0.7"), j_cap="3/2"):
-    """Commutators, Casimir, ladder powers, Lemma identities, projectors."""
+def repsu_suite(precision=50):
+    """Commutators, Casimir, ladder powers, Lemma identities, projectors,
+    at q = 0.5 and 0.7 on spins up to 3/2."""
     checks = []
-    j_cap = halfint(j_cap)
-    half = _label(1)
+    half, j_cap = _label(1), _label(3)
 
     worst_comm = 0
     worst_pow = 0
     worst_lemma = 0
     worst_cas = 0
-    for q in qs:
+    for q in ("0.5", "0.7"):
         ctx = _ctx(q, precision)
         for tj in _spin_pool(j_cap):
             j = _label(tj)
@@ -258,7 +253,7 @@ def repsu_suite(precision=50, qs=("0.5", "0.7"), j_cap="3/2"):
 
     worst_cop = 0
     worst_proj = 0
-    for q in qs:
+    for q in ("0.5", "0.7"):
         ctx = _ctx(q, precision)
         for j1, j2 in ((half, half), (half, 1), (1, 1)):
             basis = repsu.TensorBasis(j1, j2)
@@ -354,8 +349,8 @@ def unitarity_suite(precision=50, qs=("0.5", "0.9"), j_cap=3):
                             if abs(tm - t) <= tj2]
                     tjs = [t for t in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
                            if abs(tm) <= t]
-                    block = [[cgc_racah(
-                        _key(tj1, tm1, tj2, tm - tm1, tj, tm), ctx)
+                    block = [[cgc_racah(CgcKey(
+                        twice=(tj1, tm1, tj2, tm - tm1, tj, tm)), ctx)
                         for tj in tjs] for tm1 in tm1s]
                     # columns, then rows: each dot product against 1 for
                     # a vector with itself and 0 for two distinct ones
@@ -375,7 +370,7 @@ def _random_admissible_key(rng, j_cap):
     tm = rng.choice(range(-tj, tj + 1, 2))
     tm1 = rng.choice([t for t in range(-tj1, tj1 + 1, 2)
                       if abs(tm - t) <= tj2])
-    return _key(tj1, tm1, tj2, tm - tm1, tj, tm)
+    return CgcKey(twice=(tj1, tm1, tj2, tm - tm1, tj, tm))
 
 
 def symmetry_suite(precision=50, j_cap=3, samples=100, seed=20240902):
@@ -414,9 +409,9 @@ def special_value_suite(precision=50, qs=("0.5", "0.9"), j_cap=3,
     for tj1 in pool:
         for tj2 in pool:
             for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                key = _key(tj1, 0, tj2, 0, tj, 0)
-                closed = classical_parity_zero_value(key.j1, key.j2, key.j,
-                                                     ctx1)
+                key = CgcKey(twice=(tj1, 0, tj2, 0, tj, 0))
+                closed = classical_parity_zero_value(
+                    _label(tj1), _label(tj2), _label(tj), ctx1)
                 worst = max(worst, abs(closed - cgc_racah(key, ctx1)))
     checks.append(CheckResult("dixon_classical_m0", worst, 1e-35))
     return checks
@@ -427,7 +422,7 @@ def recurrence_suite(precision=50, qs=("0.5", "0.7"), j_cap=2):
     worst_j = 0
     worst_m = 0
     for ctx, key in _sweep([_ctx(q, precision) for q in qs], j_cap):
-        if key.j != 0:
+        if key.twice[4]:
             worst_j = max(worst_j, recurrence_j_residual(key, ctx))
         worst_m = max(worst_m, recurrence_m_residual(key, ctx))
     return [CheckResult("recurrence_j", worst_j, 1e-30),
@@ -450,13 +445,11 @@ def hahn_suite(precision=50, qs=("0.5", "0.9")):
     for q in qs:
         ctx = _ctx(q, precision)
         for (cap_n, alpha, beta) in HAHN_FAMILIES:
-            norms = [hahn_norm_sq(HahnParams(n, cap_n, alpha, beta), ctx)
-                     for n in range(cap_n)]
-            for n in range(cap_n):
-                params = HahnParams(n, cap_n, alpha, beta)
+            family = [HahnParams(n, cap_n, alpha, beta) for n in range(cap_n)]
+            norms = [hahn_norm_sq(params, ctx) for params in family]
+            for n, params in enumerate(family):
                 for m in range(n, cap_n):
-                    entry = gram_entry(
-                        params, HahnParams(m, cap_n, alpha, beta), ctx)
+                    entry = gram_entry(params, family[m], ctx)
                     if m == n:
                         worst_gram = max(worst_gram,
                                          abs(entry / norms[n] - 1))

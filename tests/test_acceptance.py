@@ -77,8 +77,7 @@ def test_criterion_8_hahn_connection():
 
 def test_criterion_9_series_identity_layer():
     checks = (verify.qhyper_suite(precision=50, samples=200)
-              + verify.repsu_suite(precision=50, qs=("0.5", "0.7"),
-                                   j_cap="3/2"))
+              + verify.repsu_suite(precision=50))
     _report(9, "summation/transformation formulas and operator identities",
             checks, 1e-35)
 

@@ -60,11 +60,34 @@ def test_selection_failures_are_reported():
     assert selection_failure(CgcKey(1, 0, 1, 0, 2, 0)) is None
 
 
+def test_a_key_is_its_doubled_labels():
+    # built from labels of any type or from doubled ints, a key holds only
+    # the doubled tuple; a label read by name is a HalfInt made on the read
+    key = CgcKey("1/2", Fraction(1, 2), 1, 0, HalfInt("3/2"), 0.5)
+    same = CgcKey(twice=(1, 1, 2, 0, 3, 1))
+    assert key.twice == (1, 1, 2, 0, 3, 1) and not hasattr(key, "__dict__")
+    assert key == same and hash(key) == hash(same)
+    assert key != CgcKey(twice=(1, -1, 2, 2, 3, 1))
+    assert str(key) == "<1/2 1/2, 1 0|3/2 1/2>"
+    assert key.labels() == tuple(HalfInt(twice=t) for t in key.twice)
+    assert (key.j1, key.m1, key.j2, key.m2, key.j, key.m) == key.labels()
+    assert type(key.j) is HalfInt
+    for bad in ((1, 0, 1, 0, 2), (1,) * 7):
+        with pytest.raises(TypeError):
+            CgcKey(*bad)
+        with pytest.raises(TypeError):
+            CgcKey(twice=bad)
+    with pytest.raises(TypeError):
+        CgcKey(1, twice=same.twice)
+    with pytest.raises(AttributeError):
+        key.twice = (1, -1, 2, 2, 3, 1)
+
+
 def test_integer_selection_rules_admit_exactly_the_admissible_keys():
     # every doubled-label sextuple with 2j's in 0..3 and 2m's in -3..3
     spins = [HalfInt(twice=t) for t in range(4)]
     admissible = {key.twice for j1 in spins for j2 in spins
-                  for key in admissible_keys(j1, j2, j_cap=spins[-1])}
+                  for key in admissible_keys(j1, j2) if key.twice[4] <= 3}
     passing = set()
     for t in itertools.product(range(4), range(-3, 4), repeat=3):
         if selection_failure(CgcKey(*(HalfInt(twice=x) for x in t))) is None:
@@ -89,8 +112,8 @@ def test_admissible_key_count():
 
 
 def test_admissible_keys_build_each_label_once(monkeypatch):
-    # the loops run over doubled labels: one HalfInt per label value in
-    # -(2j1+2j2)..2j1+2j2, none per key, and the keys come by j, m, m1 up
+    # the loops run over doubled labels and a key holds only those, so
+    # no HalfInt is built, and the keys come by j, m, m1 up
     created = []
     build = HalfInt.__init__
 
@@ -98,13 +121,12 @@ def test_admissible_keys_build_each_label_once(monkeypatch):
         created.append((args, kwargs))
         build(self, *args, **kwargs)
 
-    j1, j2, cap = HalfInt(2), HalfInt("3/2"), HalfInt("5/2")
+    j1, j2 = HalfInt(2), HalfInt("3/2")
     monkeypatch.setattr(HalfInt, "__init__", counting)
     keys = admissible_keys(j1, j2)
-    assert len(created) == 2 * (4 + 3) + 1 and len(keys) == 60
-    created.clear()
-    assert len(admissible_keys(j1, j2, j_cap=cap)) == 40
-    assert len(created) == 2 * 5 + 1
+    assert len(keys) == 60
+    assert len([k for k in keys if k.twice[4] <= 5]) == 40
+    assert created == []
     monkeypatch.undo()
     assert [k.twice for k in keys] == sorted(
         (k.twice for k in keys), key=lambda t: (t[4], t[5], t[1]))
@@ -234,7 +256,8 @@ def test_one_computation_gives_the_same_bits(monkeypatch, q):
 
 def test_crosscheck_counts_its_routes():
     # six computations among the closed forms, and the special value when
-    # one applies; the default mode evaluates one row and counts none
+    # one applies, on every key with 2j1, 2j2 <= 6; the default mode
+    # evaluates one row and counts none
     plain, stretched = CgcKey(2, 1, 2, -1, 2, 0), CgcKey(1, 0, 1, 0, 2, 0)
     assert special_value(plain, CTX) is None
     assert special_value(stretched, CTX) is not None
@@ -242,6 +265,15 @@ def test_crosscheck_counts_its_routes():
     assert compute(stretched, CTX, mode="crosscheck").routes == 7
     assert compute(plain, CTX).routes is None
     assert compute(CgcKey(1, 0, 1, 0, 3, 0), CTX, mode="crosscheck").routes is None
+    spins = [HalfInt(twice=t) for t in range(7)]
+    counts = {6: 0, 7: 0}
+    for j1 in spins:
+        for j2 in spins:
+            for key in admissible_keys(j1, j2):
+                routes = compute(key, CTX, mode="crosscheck").routes
+                assert routes == 6 + (special_value(key, CTX) is not None), key
+                counts[routes] += 1
+    assert counts == {6: 364, 7: 2044}
 
 
 def test_boosted_sums_are_reals_of_the_calling_context():
@@ -919,6 +951,14 @@ def test_recurrences_vanish(seed):
 def test_j_recurrence_rejects_j_zero():
     with pytest.raises(QDomainError):
         recurrence_j_residual(CgcKey(1, 0, 1, 0, 0, 0), CTX)
+
+
+def test_j_recurrence_rejects_a_key_that_fails_the_selection_rules():
+    # its degree j - m, halved from the doubled labels, would be floored
+    for key in (CgcKey("1/2", "1/2", "1/2", "-1/2", 1, "1/2"),
+                CgcKey(1, 0, 1, 1, 2, 0)):
+        with pytest.raises(QDomainError, match="selection"):
+            recurrence_j_residual(key, CTX)
 
 
 def test_unitarity_small_block():

@@ -247,6 +247,23 @@ def test_verify_rejects_an_abbreviated_option(monkeypatch, capsys):
     assert "unrecognized arguments: --q" in capsys.readouterr().err
 
 
+def test_quick_coupling_suites_build_almost_no_halfint(monkeypatch):
+    # a key is its doubled labels, so these suites build a HalfInt only
+    # for a spin cap or a pool label handed to a public function (1101
+    # while each key also held its six labels as HalfInts)
+    built = []
+    init = HalfInt.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HalfInt, "__init__", counting)
+    verify.run_suites(["formulas", "oracle", "unitarity", "symmetry"],
+                      quick=True)
+    assert len(built) <= 10
+
+
 def test_verify_tolerance_override():
     # a tolerance below the suite's residuals fails it and flips the exit code
     code, out = _run(["verify", "--quick", "--suite", "recurrence",

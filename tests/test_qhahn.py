@@ -203,12 +203,16 @@ def test_unknown_route_rejected():
 
 def test_connection_data_are_integers_on_admissible_keys():
     # n = j - m, N, s and alpha, beta are sums of j -+ m labels on a key
-    # that passes the selection rules, so cgc_from_hahn checks none of
-    # them
+    # that passes the selection rules, so _connection_data halves the
+    # doubled n, N and s exactly and cgc_from_hahn checks none of them
     spins = [HalfInt(twice=t) for t in range(9)]
     for j1 in spins:
         for j2 in spins:
             for key in admissible_keys(j1, j2):
+                tj1, tm1, tj2, tm2, tj, tm = key.twice
+                doubled = (tj - tm, tj1 + tj2 - tm, tj1 - tm1, tj2 - tm2)
+                assert not any(t % 2 for t in doubled), key
                 for route in ("J2", "J1"):
-                    data = _connection_data(key, route)[:5]
-                    assert all(HalfInt(v).is_integer for v in data), (key, route)
+                    params, s, _ = _connection_data(key, route)
+                    assert params.alpha.is_integer, (key, route)
+                    assert params.beta.is_integer, (key, route)

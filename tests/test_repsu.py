@@ -228,6 +228,25 @@ def test_coupled_states_are_orthonormal(q):
                 assert abs((a.T @ b)[0, 0] - (a is b)) < ctx.tol
 
 
+def test_coupled_states_are_kept_on_the_context():
+    # one construction per spin pair and context: a second call hands back
+    # the same read-only vectors, and each oracle on the warm context has
+    # the bits it has on a cold one
+    ctx = QContext(q="0.5", precision=50)
+    first = repsu.coupled_states("3/2", 1, ctx)
+    second = repsu.coupled_states(HalfInt("3/2"), HalfInt(1), ctx)
+    assert first.keys() == second.keys()
+    assert all(first[k] is second[k] for k in first)
+    with pytest.raises(ValueError):
+        first[(5, 5)][0, 0] = 0
+    with pytest.raises(TypeError):
+        first[(5, 5)] = first[(5, 3)]
+    for key in admissible_keys("3/2", 1):
+        for oracle in (repsu.oracle_cgc, repsu.oracle_cgc_lowering):
+            cold = oracle(key, QContext(q="0.5", precision=50))
+            assert oracle(key, ctx)._mpf_ == cold._mpf_, (key, oracle)
+
+
 def test_projector_oracle_at_spin_4():
     ctx = QContext(q="0.5", precision=50)
     for j in range(9):
