@@ -26,7 +26,7 @@ from mpmath.libmp import to_str
 
 from . import verify as verify_mod
 from .cgc import CgcKey, cgc_racah, compute, racah_table
-from .halfint import HalfInt, halfint
+from .halfint import HalfInt, doubled, halfint
 from .qcore import QContext, QDomainError, qnum
 from .qhahn import HahnParams, hahn_eval, hahn_norm_sq, hahn_weight, lattice_x
 
@@ -76,12 +76,12 @@ _JSON_ROW = ("    {\n"
 
 def cmd_table(args, stream=None):
     stream = stream or sys.stdout
-    j1, j2, cap = halfint(args.j1), halfint(args.j2), halfint(args.cap)
-    if j1 > cap or j2 > cap:
+    tj1, tj2, cap = doubled(args.j1), doubled(args.j2), doubled(args.cap)
+    if tj1 > cap or tj2 > cap:
         raise QDomainError(f"spins exceed the table cap {args.cap}")
     ctx = QContext(q=args.q, precision=args.precision)
-    values = racah_table(j1, j2, ctx)
-    top = j1.twice + j2.twice
+    values = racah_table(args.j1, args.j2, ctx)
+    top = tj1 + tj2
     text = {t: str(HalfInt(twice=t)) for t in range(-top, top + 1)}
     rows = [tuple(map(text.__getitem__, labels)) + (_fmt(value, args.precision),)
             for labels, value in values.items()]
@@ -173,8 +173,7 @@ def cmd_verify(args, stream=None):
 def cmd_hahn(args, stream=None):
     stream = stream or sys.stdout
     ctx = QContext(q=args.q, precision=args.precision)
-    params = HahnParams(args.n, args.N, halfint(args.alpha),
-                        halfint(args.beta))
+    params = HahnParams(args.n, args.N, args.alpha, args.beta)
     s_values = [args.s] if args.s is not None else list(range(params.N))
     rows = []
     for s in s_values:

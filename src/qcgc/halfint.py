@@ -38,26 +38,7 @@ class HalfInt:
     __slots__ = ("twice",)
 
     def __init__(self, value=0, *, twice=None):
-        if twice is not None:
-            self.twice = int(twice)
-            return
-        if isinstance(value, HalfInt):
-            self.twice = value.twice
-        elif isinstance(value, int):
-            self.twice = 2 * value
-        elif isinstance(value, str):
-            self.twice = _parse_twice(value)
-        elif isinstance(value, Fraction):
-            if value.denominator not in (1, 2):
-                raise ValueError(f"{value} is not a half-integer")
-            self.twice = value.numerator * (2 // value.denominator)
-        elif isinstance(value, float):
-            d = value * 2
-            if d != int(d):
-                raise ValueError(f"{value} is not a half-integer")
-            self.twice = int(d)
-        else:
-            raise TypeError(f"cannot build HalfInt from {type(value).__name__}")
+        self.twice = doubled(value) if twice is None else int(twice)
 
     @property
     def is_integer(self):
@@ -144,12 +125,20 @@ def _parse_twice(text):
 
 def doubled(value):
     """Twice a half-integer label (HalfInt, int, str, Fraction, float) as
-    an int; an int or a HalfInt builds no HalfInt."""
-    if type(value) is int:
+    an int: the one reader of labels, which ``HalfInt(value)`` calls, so
+    reading a label builds no HalfInt."""
+    if isinstance(value, int):
         return 2 * value
-    if type(value) is HalfInt:
+    if isinstance(value, HalfInt):
         return value.twice
-    return HalfInt(value).twice
+    if isinstance(value, str):
+        return _parse_twice(value)
+    if isinstance(value, (Fraction, float)):
+        twice = value * 2
+        if twice != int(twice):
+            raise ValueError(f"{value} is not a half-integer")
+        return int(twice)
+    raise TypeError(f"cannot read a half-integer from {type(value).__name__}")
 
 
 def halfint(value):
@@ -159,5 +148,4 @@ def halfint(value):
 
 def halfint_range(lo, hi):
     """All half-integers from lo to hi inclusive, in unit steps."""
-    lo, hi = halfint(lo), halfint(hi)
-    return [HalfInt(twice=t) for t in range(lo.twice, hi.twice + 1, 2)]
+    return [HalfInt(twice=t) for t in range(doubled(lo), doubled(hi) + 1, 2)]

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .halfint import HalfInt
+from .halfint import HalfInt, doubled
 
 # Digits carried beyond the requested precision, which absorb the
 # cancellation of an alternating sum without a rerun.  Of 1112 Racah sums
@@ -119,9 +119,10 @@ class QContext:
             q=self._q_arg, precision=self.precision, invert=not self._invert))
 
     def with_precision(self, precision):
-        """The same deformation parameter at a different precision."""
-        return QContext(q=self._q_arg, precision=precision,
-                        invert=self._invert)
+        """The same deformation parameter at a different precision, kept
+        for later as ``reciprocal`` keeps its context."""
+        return self._memo(("precision", precision), lambda: QContext(
+            q=self._q_arg, precision=precision, invert=self._invert))
 
     def to_mpf(self, x):
         """HalfInt, Fraction, int, str, float or any mpmath real as a real
@@ -135,18 +136,12 @@ class QContext:
     def qpow(self, e):
         """q raised to an exact half-integer/rational exponent.
 
-        On the half-integer lattice (an int, a HalfInt, or a Fraction
-        with denominator 1 or 2) this is the pair of ``_qpow_pair``
-        rounded once, memoised by 2e as ``qnum`` is; any other exponent
-        takes a real power.
+        On the half-integer lattice (see ``_lattice_twice``) this is the
+        pair of ``_qpow_pair`` rounded once, memoised by 2e as ``qnum`` is;
+        any other exponent takes a real power.
         """
-        if isinstance(e, HalfInt):
-            twice = e.twice
-        elif isinstance(e, int):
-            twice = 2 * e
-        elif isinstance(e, Fraction) and e.denominator <= 2:
-            twice = e.numerator * (2 // e.denominator)
-        else:
+        twice = _lattice_twice(e)
+        if twice is None:
             return self.q ** self.to_mpf(e)
         return self._memo(("qpow", twice),
                           lambda: self.mp.mpf(_qpow_pair(twice, self)))
@@ -203,17 +198,27 @@ def _as_pair(value, width):
     return (-man if sign else man) << shift, exp - shift
 
 
+def _lattice_twice(x):
+    """2x, read by ``doubled``, for an x on the half-integer lattice: a
+    HalfInt, an int or a Fraction with denominator 1 or 2; else None."""
+    if isinstance(x, HalfInt) or isinstance(x, (int, Fraction)) \
+            and x.denominator <= 2:
+        return doubled(x)
+    return None
+
+
 def qnum(x, ctx):
     """Symmetric quantum number [x] = (q^x - q^-x)/(q - q^-1)."""
+    twice = _lattice_twice(x)
+    if twice is not None:
+        return _bracket(twice, ctx)
     if ctx.is_classical:
         return ctx.to_mpf(x)
-    if isinstance(x, HalfInt):
-        return _bracket(x.twice, ctx)
     return _qnum_raw(ctx.to_mpf(x), ctx)
 
 
 def _bracket(twice, ctx):
-    """[twice/2], memoised by twice as ``qnum`` memoises a HalfInt."""
+    """[twice/2], memoised by twice as ``qnum`` memoises a lattice x."""
     if ctx.is_classical:
         return ctx.mp.mpf(twice) / 2
     return ctx._memo(("num", twice),
@@ -399,8 +404,9 @@ def q_pochhammer(a, n, ctx):
     n = _as_index(n)
     if n < 0:
         raise QDomainError(f"q_pochhammer: negative length {n}")
-    if isinstance(a, HalfInt):
-        return _q_pochhammer_twice(a.twice, n, ctx)
+    twice = _lattice_twice(a)
+    if twice is not None:
+        return _q_pochhammer_twice(twice, n, ctx)
     return math.prod((qnum(ctx.to_mpf(a) + m, ctx) for m in range(n)),
                      start=ctx.to_mpf(1))
 

@@ -17,34 +17,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .halfint import HalfInt, doubled, halfint
+from .halfint import HalfInt, doubled
 from .qcore import QDomainError, _qpow_pair, _sqrt_pair, q_gamma_tilde
 from .qhyper import HyperSeriesSpec, _pochhammer_pair, eval_terminating
 from .cgc import (CgcKey, _relative_residual, cgc_racah, selection_failure,
                   selection_rules)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class HahnParams:
-    """Degree n on the lattice of size N with parameters alpha, beta."""
+    """Degree n on the lattice of size N with parameters alpha, beta, held
+    only as ``twice`` = (2 alpha, 2 beta): labels are read through
+    ``halfint.doubled``, or ``twice=`` takes the ints, as for ``CgcKey``;
+    ``alpha`` and ``beta`` are HalfInts made on the read."""
 
     n: int
     N: int
-    alpha: HalfInt
-    beta: HalfInt
+    twice: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "N", int(self.N))
-        object.__setattr__(self, "alpha", halfint(self.alpha))
-        object.__setattr__(self, "beta", halfint(self.beta))
-        if not 0 <= self.n <= self.N - 1:
-            raise QDomainError(
-                f"degree n={self.n} outside 0..N-1 for N={self.N}")
+    def __init__(self, n, N, alpha=None, beta=None, *, twice=None):
+        if twice is None:
+            twice = doubled(alpha), doubled(beta)
+        elif alpha is not None or beta is not None:
+            raise TypeError("HahnParams takes alpha and beta or twice=, not both")
+        n, N = int(n), int(N)
+        if not 0 <= n <= N - 1:
+            raise QDomainError(f"degree n={n} outside 0..N-1 for N={N}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "N", N)
+        ta, tb = twice
+        object.__setattr__(self, "twice", (ta, tb))
+
+    alpha, beta = (property(lambda self, i=i: HalfInt(twice=self.twice[i]))
+                   for i in range(2))
 
     def shifted(self, dn):
         """Same family, degree n + dn."""
-        return HahnParams(self.n + dn, self.N, self.alpha, self.beta)
+        return HahnParams(self.n + dn, self.N, twice=self.twice)
 
 
 def lattice_x(s, ctx):
@@ -80,17 +89,16 @@ def hahn_eval(params, s, ctx, form="A"):
     same polynomial, in the normalization the norms, recurrence data and
     coupling connection are anchored to.
     """
-    return _hahn_series(params.n, params.N, params.alpha, params.beta, s,
-                        ctx, form)
+    return _hahn_series(params.n, params.N, *params.twice, doubled(s), ctx,
+                        form)
 
 
-def _hahn_series(n, N, a, b, s, ctx, form):
-    """hahn_eval on unchecked (n, N, alpha, beta), so n = N is reachable.
+def _hahn_series(n, N, ta, tb, ts, ctx, form):
+    """hahn_eval on unchecked (n, N, 2 alpha, 2 beta, 2s), so n = N is
+    reachable.
 
     The forms differ in the prefactor, the second numerator and the
-    lower denominator parameter, and the series argument; all labels are
-    doubled."""
-    ta, tb, ts = doubled(a), doubled(b), doubled(s)
+    lower denominator parameter, and the series argument."""
     den = [tb + 2, 2 - 2 * N]  # beta+1 and lower
     if form == "A":
         second, expo = -ts, ts - 2 * N - ta
@@ -171,7 +179,7 @@ def hahn_weight(params, s, ctx):
     single out this reading.  A nonpositive-integer Gamma argument is a
     genuine pole and raises.
     """
-    a, b, N, s = params.alpha.twice, params.beta.twice, params.N, doubled(s)
+    (a, b), N, s = params.twice, params.N, doubled(s)
     return _gamma_ratio([s + b + 2, 2 * N + a - s], [s + 2, 2 * N - s],
                         (a + b) * s, ctx)
 
@@ -187,7 +195,7 @@ def hahn_norm_sq(params, ctx):
     [n]! = Gamma_tilde(n+1) and [x] = Gamma_tilde(x+1) / Gamma_tilde(x).
     """
     n, N = params.n, params.N
-    a, b = params.alpha.twice, params.beta.twice
+    a, b = params.twice
     x = 4 * n + a + b + 2  # the doubled 2n+alpha+beta+1
     return _gamma_ratio(
         [2 * n + a + 2, 2 * n + b + 2, 2 * n + a + b + 2 * N + 2, x],
@@ -197,8 +205,7 @@ def hahn_norm_sq(params, ctx):
 
 def gram_entry(params_n, params_m, ctx):
     """Brute-force inner product sum_s h_n h_m rho delta-x over the lattice."""
-    if (params_n.N, params_n.alpha, params_n.beta) != \
-            (params_m.N, params_m.alpha, params_m.beta):
+    if (params_n.N, params_n.twice) != (params_m.N, params_m.twice):
         raise QDomainError("gram_entry requires a shared family")
     return sum(hahn_eval(params_n, s, ctx) * hahn_eval(params_m, s, ctx)
                * hahn_weight(params_n, s, ctx) * delta_x_half(s, ctx)
@@ -217,7 +224,7 @@ def ttrr_alpha(params, ctx):
     because the tabulated exponent fails off q=1.
     """
     n, N = params.n, params.N
-    a, b = params.alpha.twice, params.beta.twice
+    a, b = params.twice
     return _bracket_ratio([2 * n + 2, 2 * n + a + b + 2],
                           [4 * n + a + b + 4, 4 * n + a + b + 2],
                           4 * N + 2 * n - 6 + a - b, ctx)
@@ -231,7 +238,7 @@ def ttrr_gamma(params, ctx):
     orthogonal family to its norms.
     """
     n, N = params.n, params.N
-    a, b = params.alpha.twice, params.beta.twice
+    a, b = params.twice
     return _bracket_ratio(
         [2 * n + a, 2 * n + b, 2 * (n + N) + a + b, 2 * (N - n)],
         [4 * n + a + b, 4 * n + a + b + 2], 4 * N - 2 * n - 8 + a - b, ctx)
@@ -246,7 +253,7 @@ def ttrr_beta(params, ctx):
     against the exact projection <x h_n, h_n> / d_n^2.
     """
     n, N = params.n, params.N
-    a, b = params.alpha.twice, params.beta.twice
+    a, b = params.twice
     m = 2 * n + b  # the doubled n+beta
     total = (_bracket_ratio([2 * n + 2, m + 2, 2 * N + a + m + 2],
                             [a + m + 2 * n + 4], 4 * N - 2 * m - 12, ctx)
@@ -279,15 +286,15 @@ def _monic_like_next(params, s, ctx):
     Representation A's binomial prefactor vanishes at n = N, so the
     recurrence at the top degree n = N-1 is closed through form B.
     """
-    n1, a, b = params.n + 1, params.alpha, params.beta
-    return (_bracket_ratio([], [], n1 * (2 * n1 + a.twice + b.twice + 4), ctx)
-            * _hahn_series(n1, params.N, a, b, s, ctx, "B"))
+    n1, (a, b) = params.n + 1, params.twice
+    return (_bracket_ratio([], [], n1 * (2 * n1 + a + b + 4), ctx)
+            * _hahn_series(n1, params.N, a, b, doubled(s), ctx, "B"))
 
 
 def hahn_lambda(params, ctx):
     """Difference-equation eigenvalue lambda_n."""
     n, N = params.n, params.N
-    a, b = params.alpha.twice, params.beta.twice
+    a, b = params.twice
     return _bracket_ratio([2 * n, 2 * n + a + b + 2], [], b + 4 - 2 * N, ctx)
 
 
@@ -301,9 +308,8 @@ def hahn_sigma(params, s, ctx):
     an exact linear fit over five (N, alpha, beta) families.  The s = 0
     zero of [s] closes the equation at the lower lattice boundary.
     """
-    N, s = params.N, doubled(s)
-    return _bracket_ratio([s, 2 * N + params.alpha.twice - s], [],
-                          4 * s + 2 * N - params.beta.twice - 12, ctx)
+    (a, b), N, s = params.twice, params.N, doubled(s)
+    return _bracket_ratio([s, 2 * N + a - s], [], 4 * s + 2 * N - b - 12, ctx)
 
 
 def hahn_sigma_tau(params, s, ctx):
@@ -314,8 +320,7 @@ def hahn_sigma_tau(params, s, ctx):
     2s + alpha + (beta+N)/2 - 3.  The zero of [N-1-s] at s = N-1 closes
     the equation at the upper lattice boundary.
     """
-    N, s = params.N, doubled(s)
-    a, b = params.alpha.twice, params.beta.twice
+    (a, b), N, s = params.twice, params.N, doubled(s)
     return _bracket_ratio([s + b + 2, 2 * N - 2 - s], [],
                           4 * s + 2 * a + b + 2 * N - 12, ctx)
 
@@ -340,7 +345,8 @@ def hahn_difference_residual(params, s, ctx):
 # ---------------------------------------------------------------------------
 
 def _connection_data(key, route):
-    """(params, s, sign) of the key's q-Hahn value on ``route``."""
+    """(params, s, sign) of the key's q-Hahn value on ``route``, read off
+    ``key.twice`` as ints: params takes 2 alpha and 2 beta through twice=."""
     j1, m1, j2, m2, j, m = key.twice
     if route == "J2":
         s, alpha, beta, phase = j2 - m2, m - j1 + j2, m + j1 - j2, j1 - m1
@@ -348,8 +354,8 @@ def _connection_data(key, route):
         s, alpha, beta, phase = j1 - m1, m + j1 - j2, m - j1 + j2, j1 - m1 + j - m
     else:
         raise QDomainError(f"unknown route {route!r}")
-    params = HahnParams(n=(j - m) // 2, N=(j1 + j2 - m) // 2 + 1,
-                        alpha=HalfInt(twice=alpha), beta=HalfInt(twice=beta))
+    params = HahnParams((j - m) // 2, (j1 + j2 - m) // 2 + 1,
+                        twice=(alpha, beta))
     return params, s // 2, _phase(phase // 2)
 
 

@@ -209,8 +209,8 @@ def _sum_with_guard(terms, ctx):
     The guard digits of ``ctx.dps`` absorb a loss of up to GUARD_DIGITS
     between the largest summand and the total.  A larger loss, counted
     up to ``ctx.precision`` digits, reruns the summands once at that many
-    more digits rounded up to a multiple of GUARD_DIGITS, in a context
-    with the same deformation parameter that ``ctx`` keeps for later.
+    more digits rounded up to a multiple of GUARD_DIGITS, in the context
+    of that precision that ``ctx.with_precision`` keeps for later.
     """
     c = ctx
     while True:
@@ -235,8 +235,7 @@ def _sum_with_guard(terms, ctx):
             raise ArithmeticError(f"sum lost {lost} digits after a boost "
                                   f"to {c.precision}")
         precision = ctx.precision + math.ceil(lost / GUARD_DIGITS) * GUARD_DIGITS
-        c = ctx._memo(("boost", precision),
-                      lambda: ctx.with_precision(precision))
+        c = ctx.with_precision(precision)
 
 
 def _exact_ratio(ratios):

@@ -287,7 +287,7 @@ def test_boosted_sums_are_reals_of_the_calling_context():
     small = QContext(q="0.02", precision=50)
     deviation = compute(CgcKey(1, -1, "3/2", "-3/2", "5/2", "-5/2"), small,
                         mode="crosscheck").deviation
-    assert any(key[0] == "boost" for key in small._cache)
+    assert any(key[0] == "precision" for key in small._cache)
     for c, x in ((ctx, zero), (small, deviation),
                  *((ctx, v) for v in table.values())):
         assert x.context is c.mp and x._mpf_[3] <= c.mp.prec
@@ -310,40 +310,119 @@ def test_crosscheck_forms_agree_to_tolerance_at_small_q():
     assert result.deviation <= ctx.tol
 
 
-def _exact_classical(*labels):
-    """Sign and square of the q = 1 coefficient: the Racah sum in Fractions.
+_INTEGER_FACTORIALS = {}
 
-    The labels are ints or half-integers in any form ``HalfInt`` reads.
+
+def _integer_factorials(q, top):
+    """Lists of the integers {n} and {n}! at q = u/v, for n = 0..top at
+    least: [n] = {n} / (uv)^(n-1) with {n} = (u^2n - v^2n) / (u^2 - v^2),
+    the sum of u^2i v^(2n-2-2i) over i < n, so {n} = u^2 {n-1} + v^(2n-2)
+    and [n]! = {n}! / (uv)^(n(n-1)/2).  At q = 1, {n} = n."""
+    brackets, factorials = _INTEGER_FACTORIALS.setdefault(q, ([0], [1]))
+    u2, v2 = q.numerator ** 2, q.denominator ** 2
+    for n in range(len(factorials), top + 1):
+        brackets.append(u2 * brackets[-1] + v2 ** (n - 1))
+        factorials.append(factorials[-1] * brackets[-1])
+    return brackets, factorials
+
+
+def _triangle(n):
+    return n * (n - 1) // 2
+
+
+def _exact(twice, q=Fraction(1)):
+    """Sign and square of the coefficient at the doubled labels ``twice``
+    and a rational q > 0, exactly; it reads nothing of qcgc.
+
+    C = q^P sqrt(R) S, the Racah sum with 2P = 2(j1 m2 - j2 m1) + n k,
+    n = j1+j2-j, k = j1+j2+j+1, R = [2j+1] [n]! [j+j1-j2]! [j+j2-j1]!
+    [j1+m1]! [j1-m1]! [j2+m2]! [j2-m2]! [j+m]! [j-m]! / [k]!, and
+    S = sum_r (-1)^r q^(-k r) / prod [y]! over y in (r, n-r, j1-m1-r,
+    j2+m2-r, j-j2+m1+r, j-j1-m2+r).  Each [y]! is an integer {y}! over a
+    power of uv (``_integer_factorials``), so S is an integer z over phi,
+    the product of the largest factorial of each argument, times powers
+    of u and v, and C^2 is one ratio of integers.  q = 1 is the classical
+    coefficient.
     """
-    j1, m1, j2, m2, j, m = (HalfInt(x).as_fraction() for x in labels)
-    # the factorial arguments, integers on an admissible key
-    n, a, b, c, d = map(int, (j1 + j2 - j, j1 - m1, j2 + m2, j - j2 + m1,
-                              j - j1 - m2))
+    tj1, tm1, tj2, tm2, tj, tm = twice
+    n, a, b = (tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    c, d = (tj - tj2 + tm1) // 2, (tj - tj1 - tm2) // 2
+    k = (tj1 + tj2 + tj) // 2 + 1
+    brackets, f = _integer_factorials(q, k)
+    u, v = q.numerator, q.denominator
+    rs = range(max(0, -c, -d), min(n, a, b) + 1)
+    ys = [(r, n - r, a - r, b - r, c + r, d + r) for r in rs]
+    phi = math.prod(f[max(column)] for column in zip(*ys))
+    # term r is (-1)^r u^(e - k r) v^(e + k r) / prod {y}!, e the sum of
+    # the triangle numbers of its y
+    terms = [((-1) ** r, sum(map(_triangle, y)), k * r,
+              phi // math.prod(f[x] for x in y)) for r, y in zip(rs, ys)]
+    low_u = min(e - kr for _, e, kr, _ in terms)
+    low_v = min(e + kr for _, e, kr, _ in terms)
+    z = sum(sign * u ** (e - kr - low_u) * v ** (e + kr - low_v) * ratio
+            for sign, e, kr, ratio in terms)
+    root = (n, (tj + tj1 - tj2) // 2, (tj + tj2 - tj1) // 2, (tj1 + tm1) // 2,
+            a, b, (tj2 - tm2) // 2, (tj + tm) // 2, (tj - tm) // 2)
+    twice_p = (tj1 * tm2 - tj2 * tm1) // 2 + n * k
+    common = _triangle(k) - tj - sum(map(_triangle, root))
+    eu, ev = common + twice_p + 2 * low_u, common - twice_p + 2 * low_v
+    num = brackets[tj + 1] * math.prod(f[x] for x in root) * z * z
+    den = f[k] * phi * phi
+    square = Fraction(num * u ** max(eu, 0) * v ** max(ev, 0),
+                      den * u ** max(-eu, 0) * v ** max(-ev, 0))
+    return (z > 0) - (z < 0), square
 
-    def f(x):
-        return math.factorial(int(x))
 
-    total = sum(Fraction((-1) ** k, f(k) * f(n - k) * f(a - k) * f(b - k)
-                         * f(c + k) * f(d + k))
-                for k in range(max(0, -c, -d), min(n, a, b) + 1))
-    square = Fraction((2 * j + 1) * f(j1 + j2 - j) * f(j1 - j2 + j)
-                      * f(j2 - j1 + j) * f(j1 + m1) * f(j1 - m1) * f(j2 + m2)
-                      * f(j2 - m2) * f(j + m) * f(j - m),
-                      f(j1 + j2 + j + 1)) * total ** 2
-    return (total > 0) - (total < 0), square
+def _is_exact(value, twice, q, ctx):
+    """The sign of value is right and value^2 is within 10^-precision of
+    C^2 relative, against ``_exact``."""
+    sign, square = _exact(twice, q)
+    with mp.workdps(3 * ctx.dps):
+        exact = mpf(square.numerator) / square.denominator
+        return ((value > 0) - (value < 0) == sign and abs(mpf(value) ** 2 - exact)
+                <= mpf(10) ** -ctx.precision * exact)
+
+
+# spin pairs (2j1, 2j2), one orientation each, up to j1 = j2 = 8
+_ORACLE_LADDER = ((1, 1), (2, 1), (3, 2), (5, 3), (4, 4), (16, 2), (8, 4),
+                  (6, 6), (10, 5), (7, 7), (12, 6), (16, 6), (16, 16))
+
+
+def _oracle_sample(count, seed):
+    """A seeded sample of admissible keys with 2j1, 2j2 <= 16."""
+    rng = random.Random(seed)
+    return [rng.choice(admissible_keys(HalfInt(twice=rng.randint(0, 16)),
+                                       HalfInt(twice=rng.randint(0, 16))))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("q", ["3/10", "1/2", "3"])
+def test_rows_against_the_exact_oracle(q):
+    # the racah row, 3f2_rw1 and compute's default value on a seeded
+    # sample, and racah_table on a ladder of spin pairs: every sign right
+    # and every square within 10^-precision of the exact one
+    ctx, exact_q = QContext(q=q, precision=50), Fraction(q)
+    for key in _oracle_sample(150, seed=2111):
+        for value in (cgc_racah(key, ctx), cgc.cgc_3f2_rw1(key, ctx),
+                      compute(key, ctx).value):
+            assert _is_exact(value, key.twice, exact_q, ctx), (q, str(key))
+    for tj1, tj2 in _ORACLE_LADDER:
+        table = racah_table(HalfInt(twice=tj1), HalfInt(twice=tj2), ctx)
+        for twice, value in table.items():
+            assert _is_exact(value, twice, exact_q, ctx), (q, twice)
 
 
 def test_racah_keeps_precision_at_large_spin():
     ctx = QContext(q=1, precision=30)
     for labels in ((120, 0, 120, 0, 120, 0), (100, 0, 110, 0, 60, 0),
                    (90, 0, 120, 0, 150, 0)):
-        sign, square = _exact_classical(*labels)
+        sign, square = _exact(tuple(2 * x for x in labels))
         value = cgc_racah(CgcKey(*labels), ctx)
         with mp.workdps(2 * ctx.precision):
             exact = sign * mp.sqrt(mpf(square.numerator) / square.denominator)
             assert abs(value - exact) <= mpf(10) ** -ctx.precision * abs(exact)
     # j1 + j2 + j odd: a parity zero
-    assert _exact_classical(120, 0, 119, 0, 200, 0)[1] == 0
+    assert _exact((240, 0, 238, 0, 400, 0))[1] == 0
     assert cgc_racah(CgcKey(120, 0, 119, 0, 200, 0), ctx) == 0
 
 
@@ -353,7 +432,7 @@ def _assert_exact_at_q_1(keys, ctx):
     tol = mpf(10) ** -(ctx.precision + 15)
     zeros = 0
     for key in keys:
-        sign, square = _exact_classical(*key.labels())
+        sign, square = _exact(key.twice)
         zeros += square == 0
         with mp.workdps(2 * ctx.precision + 40):
             exact = sign * mp.sqrt(mpf(square.numerator) / square.denominator)
@@ -431,13 +510,13 @@ def test_stretched_minus_one_is_exact_at_q_1(monkeypatch):
             for key in admissible_keys(j1, j2)]
     for key in keys:
         special_value(key, ctx)
-    assert not any(key[0] == "boost" for key in ctx._cache)
+    assert not any(key[0] == "precision" for key in ctx._cache)
     row = cgc.SPECIAL_VALUES["stretched_minus_one"]
     tol = mpf(10) ** -(ctx.precision + 15)
     checked = zeros = 0
     for key in filter(row.matches, keys):
         value = row.value(key, ctx)
-        sign, square = _exact_classical(*key.labels())
+        sign, square = _exact(key.twice)
         if square == 0:
             assert value == 0, key
             zeros += 1
@@ -847,7 +926,7 @@ def test_racah_table_matches_cgc_racah(q):
             value, expected = table[key.twice], cgc_racah(key, alone)
             assert abs(value - expected) <= mpf("1e-60") * abs(expected), key
     if q == "1":
-        assert not any(key[0] == "boost" for key in ctx._cache)
+        assert not any(key[0] == "precision" for key in ctx._cache)
 
 
 @pytest.mark.parametrize("q", ["0.99", "0.9", "1.25"])

@@ -17,7 +17,8 @@ import qcgc
 from qcgc import HalfInt, QContext, verify
 from qcgc.cgc import racah_table
 from qcgc.cli import build_parser, main
-from test_cgc import _exact_classical
+from qcgc.halfint import doubled
+from test_cgc import _exact
 
 
 def _run(argv):
@@ -162,8 +163,8 @@ def test_table_at_q_1_prints_the_rounded_exact_values():
     assert len(rows) == 231
     zeros = 0
     for row in rows:
-        sign, square = _exact_classical(*(row[name] for name in
-                                          ("j1", "m1", "j2", "m2", "j", "m")))
+        sign, square = _exact(tuple(doubled(row[name]) for name in
+                                    ("j1", "m1", "j2", "m2", "j", "m")))
         with mp.workdps(140):
             exact = sign * mp.sqrt(mpf(square.numerator) / square.denominator)
             assert row["value"] == mp.nstr(exact, 50, strip_zeros=False), row
@@ -264,6 +265,24 @@ def test_quick_coupling_suites_build_almost_no_halfint(monkeypatch):
     assert len(built) <= 10
 
 
+def test_quick_hahn_suites_build_almost_no_halfint():
+    # HahnParams holds alpha and beta doubled, so these suites build a
+    # HalfInt only for verify's pool labels (182 while HahnParams held
+    # HalfInts, 148 of them in qhahn._connection_data); in a fresh
+    # process, as verify keeps its labels for the life of one
+    script = (
+        "from qcgc import HalfInt, verify\n"
+        "built = []\n"
+        "init = HalfInt.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(args or kwargs)\n"
+        "    init(self, *args, **kwargs)\n"
+        "HalfInt.__init__ = counting\n"
+        "verify.run_suites(['hahn', 'connection', 'recurrence'], quick=True)\n"
+        "print(len(built))\n")
+    assert int(_python(script)) <= 5
+
+
 def test_verify_tolerance_override():
     # a tolerance below the suite's residuals fails it and flips the exit code
     code, out = _run(["verify", "--quick", "--suite", "recurrence",
@@ -310,13 +329,18 @@ def test_limit_odd_parity_key_converges_to_zero():
     assert mpf(payload["rows"][-1]["value"]) < mpf("1e-5")
 
 
-def test_package_imports_without_numpy():
-    # mpmath is the one runtime dependency
+def _python(code):
+    """What ``code`` prints when run in a fresh interpreter that imports
+    this qcgc."""
     src = str(Path(qcgc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    probe = subprocess.run(
-        [sys.executable, "-c", "import sys, qcgc, qcgc.cli, qcgc.verify; "
-         "print('numpy' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert probe.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True).stdout.strip()
+
+
+def test_package_imports_without_numpy():
+    # mpmath is the one runtime dependency
+    assert _python("import sys, qcgc, qcgc.cli, qcgc.verify; "
+                   "print('numpy' in sys.modules)") == "False"

@@ -190,6 +190,38 @@ def test_qpow_on_the_half_integer_lattice_matches_the_real_power(q):
     assert set(ctx._cache) == kept
 
 
+@pytest.mark.parametrize("q", ["0.3", "1", "1.25"])
+def test_a_lattice_value_gives_the_same_bits_however_written(q):
+    # an int, a Fraction and a HalfInt of one half-integer take one path
+    # through qnum, qpow and q_pochhammer; each spelling runs in a context
+    # of its own, so none reads a value that another put in the memo
+    spellings = {"HalfInt": lambda t: HalfInt(twice=t),
+                 "Fraction": lambda t: Fraction(t, 2), "int": lambda t: t // 2}
+    bits = {}
+    for name, spell in spellings.items():
+        ctx = QContext(q=q, precision=50)
+        for twice in range(-9, 10):
+            if name != "int" or twice % 2 == 0:
+                x = spell(twice)
+                values = (qnum(x, ctx), ctx.qpow(x), q_pochhammer(x, 3, ctx))
+                bits.setdefault(twice, set()).add(tuple(v._mpf_ for v in values))
+    assert all(len(seen) == 1 for seen in bits.values())
+
+
+def test_doubled_reads_every_label_without_a_halfint(monkeypatch):
+    built = []
+    monkeypatch.setattr(HalfInt, "__init__", lambda self, *a, **k: built.append(a))
+    labels = (3, "3/2", " -5/2 ", Fraction(-7, 2), Fraction(4, 2), 1.5, True)
+    assert [doubled(x) for x in labels] == [6, 3, -5, -7, 4, 3, 2]
+    with pytest.raises(ValueError):
+        doubled(Fraction(1, 3))
+    with pytest.raises(ValueError):
+        doubled(0.25)
+    with pytest.raises(TypeError):
+        doubled(None)
+    assert built == []
+
+
 @pytest.mark.parametrize("q", ["0.02", "0.9", "1", "1.25", "50"])
 def test_root_factorial_pairs_match_the_square_roots(q):
     # each root and inverse root against the square root, at 200 digits,
