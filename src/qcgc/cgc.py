@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .halfint import HalfInt, doubled, halfint
+from .halfint import HalfInt, doubled
 from .qcore import (QDomainError, _bracket, _qpow_pair, _renormalise,
                     _times, factorial_pairs, root_factorial_pairs)
 from .qhyper import HyperSeriesSpec, _labels, _sum_with_guard, eval_terminating
@@ -854,7 +854,10 @@ def _special_row(key):
 
 def classical_parity_zero_value(j1, j2, j, ctx):
     """Classical (q=1) value of <j1 0, j2 0|j 0> from the Dixon summation."""
-    j1, j2, j = halfint(j1).as_int(), halfint(j2).as_int(), halfint(j).as_int()
+    twice = [doubled(label) for label in (j1, j2, j)]
+    if any(t % 2 for t in twice):
+        raise ValueError(f"{j1}, {j2}, {j} are not all integers")
+    j1, j2, j = (t // 2 for t in twice)
     total = j1 + j2 + j
     if total % 2 == 1:
         return ctx.to_mpf(0)

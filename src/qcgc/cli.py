@@ -24,11 +24,9 @@ import time
 from mpmath import mp
 from mpmath.libmp import to_str
 
-from . import verify as verify_mod
 from .cgc import CgcKey, cgc_racah, compute, racah_table
 from .halfint import HalfInt, doubled, halfint
 from .qcore import QContext, QDomainError, qnum
-from .qhahn import HahnParams, hahn_eval, hahn_norm_sq, hahn_weight, lattice_x
 
 SCHEMA_VERSION = 1
 
@@ -127,8 +125,16 @@ def _margin_digits(checks):
 
 
 def cmd_verify(args, stream=None):
+    # imported here, as in cmd_hahn: cgc, table and limit never load
+    # verify, repsu or qhahn
+    from . import verify as verify_mod
+
     stream = stream or sys.stdout
     names = args.suite if args.suite else None
+    unknown = sorted(set(names or ()) - verify_mod.SUITES.keys())
+    if unknown:
+        raise QDomainError(f"unknown suite {', '.join(unknown)}; known suites: "
+                           f"{', '.join(sorted(verify_mod.SUITES))}")
     config = {"precision": args.precision, "format": "json"}
     if args.tolerance is not None:
         config["tolerance"] = args.tolerance
@@ -171,6 +177,8 @@ def cmd_verify(args, stream=None):
 # ---------------------------------------------------------------------------
 
 def cmd_hahn(args, stream=None):
+    from .qhahn import HahnParams, hahn_eval, hahn_norm_sq, hahn_weight, lattice_x
+
     stream = stream or sys.stdout
     ctx = QContext(q=args.q, precision=args.precision)
     params = HahnParams(args.n, args.N, args.alpha, args.beta)
@@ -301,7 +309,6 @@ def build_parser():
     p.add_argument("--precision", type=int, default=50,
                    help="significant digits (default 50)")
     p.add_argument("--suite", action="append",
-                   choices=sorted(verify_mod.SUITES),
                    help="restrict to one suite (repeatable; default all)")
     p.add_argument("--tolerance", type=float, default=None,
                    help="override every check tolerance")

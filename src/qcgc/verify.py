@@ -10,11 +10,11 @@ loops run on doubled labels, as ``CgcKey.twice`` holds them.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .halfint import HalfInt, doubled
+from .halfint import doubled
 from .qcore import QContext, _bracket
 from .qhyper import (
     HyperSeriesSpec,
@@ -77,12 +77,6 @@ def _spin_pool(cap):
     return range(0, doubled(cap) + 1, 2)
 
 
-@functools.cache
-def _label(twice):
-    """The label of a doubled int, built once per process."""
-    return HalfInt(twice=twice)
-
-
 def _sweep(contexts, j_cap):
     """(ctx, key) for every admissible key with both spins up to j_cap,
     per context."""
@@ -90,7 +84,7 @@ def _sweep(contexts, j_cap):
     for ctx in contexts:
         for tj1 in pool:
             for tj2 in pool:
-                for key in admissible_keys(_label(tj1), _label(tj2)):
+                for key in admissible_keys(Fraction(tj1, 2), Fraction(tj2, 2)):
                     yield ctx, key
 
 
@@ -129,7 +123,10 @@ def qhyper_suite(precision=50, samples=200, seed=20240901):
     checks.append(CheckResult("vandermonde_summations", worst, 1e-35))
 
     worst = 0
-    dixon_grid = [_label(t) for t in (*range(1, 13), *range(14, 25, 2))]
+    # whole labels as ints, which halfint.doubled reads fastest: the loop
+    # reads each label thousands of times
+    dixon_grid = [Fraction(t, 2) if t % 2 else t // 2
+                  for t in (*range(1, 13), *range(14, 25, 2))]
     for q in ("0.3", "0.5", "0.7", "0.9"):
         ctx = _ctx(q, precision)
         for n in range(0, 7):
@@ -186,7 +183,7 @@ def qhyper_suite(precision=50, samples=200, seed=20240901):
         ctx = _ctx(q, precision)
         for _ in range(50):
             r = rng.randint(0, 8)
-            a = _label(rng.randint(-16, 16))
+            a = Fraction(rng.randint(-16, 16), 2)
             worst = max(worst, repsu.scalar_identity_residual(r, a, ctx))
     checks.append(CheckResult("ladder_scalar_identity", worst, 1e-35))
     return checks
@@ -210,7 +207,7 @@ def repsu_suite(precision=50):
     """Commutators, Casimir, ladder powers, Lemma identities, projectors,
     at q = 0.5 and 0.7 on spins up to 3/2."""
     checks = []
-    half, j_cap = _label(1), _label(3)
+    half, j_cap = Fraction(1, 2), Fraction(3, 2)
 
     worst_comm = 0
     worst_pow = 0
@@ -219,8 +216,8 @@ def repsu_suite(precision=50):
     for q in ("0.5", "0.7"):
         ctx = _ctx(q, precision)
         for tj in _spin_pool(j_cap):
-            j = _label(tj)
-            basis = repsu.TensorBasis(j, 0)
+            j = Fraction(tj, 2)
+            basis = repsu.TensorBasis(twice=(tj, 0))
             j0, jp, jm = repsu.irrep_operators(j, ctx)
             worst_comm = max(worst_comm, repsu.mat_max_abs(
                 repsu.commutator(j0, jp) - jp))
@@ -277,14 +274,14 @@ def repsu_suite(precision=50):
             zero = repsu.mat_zeros(basis.dim)
             t_lo, t_hi = abs(basis.tj1 - basis.tj2), basis.tj1 + basis.tj2
             for tj in range(t_lo, t_hi + 1, 2):
-                j = _label(tj)
+                j = Fraction(tj, 2)
                 p_top = repsu.projector_extremal(j, basis, ctx)
                 worst_proj = max(worst_proj, _weight_cols_max(
                     p_top @ p_top - p_top, basis, tj))
                 worst_proj = max(worst_proj, repsu.mat_max_abs(
                     p_top.T - p_top))
                 for tm in range(-tj, tj + 1, 2):
-                    m = _label(tm)
+                    m = Fraction(tm, 2)
                     projectors[(tj, tm)] = repsu.projector_general(
                         j, m, m, basis, ctx)
                     complete[tm] = (complete.get(tm, zero)
@@ -297,7 +294,7 @@ def repsu_suite(precision=50):
                 cross = projectors[(t_lo, t_lo)] @ projectors[(t_hi, t_lo)]
                 worst_proj = max(worst_proj, _weight_cols_max(
                     cross, basis, t_lo))
-                j_hi, m_a, m_b = map(_label, (t_hi, t_hi - 2, t_lo))
+                j_hi, m_a, m_b = (Fraction(t, 2) for t in (t_hi, t_hi - 2, t_lo))
                 p_ab = repsu.projector_general(j_hi, m_a, m_b, basis, ctx)
                 p_ba = repsu.projector_general(j_hi, m_b, m_a, basis, ctx)
                 worst_proj = max(worst_proj, repsu.mat_max_abs(
@@ -411,7 +408,7 @@ def special_value_suite(precision=50, qs=("0.5", "0.9"), j_cap=3,
             for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
                 key = CgcKey(twice=(tj1, 0, tj2, 0, tj, 0))
                 closed = classical_parity_zero_value(
-                    _label(tj1), _label(tj2), _label(tj), ctx1)
+                    tj1 // 2, tj2 // 2, tj // 2, ctx1)
                 worst = max(worst, abs(closed - cgc_racah(key, ctx1)))
     checks.append(CheckResult("dixon_classical_m0", worst, 1e-35))
     return checks

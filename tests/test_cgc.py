@@ -1010,6 +1010,10 @@ def test_classical_parity_zero():
                                             HalfInt(2), ctx)
         assert ctx.close(value, cgc_racah(CgcKey(1, 0, 1, 0, 2, 0), ctx))
         assert ctx.close(value, mp.sqrt(mpf(2) / 3))
+        assert ctx.close(classical_parity_zero_value(1, "1", Fraction(2), ctx),
+                         value)
+    with pytest.raises(ValueError):
+        classical_parity_zero_value("1/2", "1/2", 1, ctx)
 
 
 def test_q_deformed_all_m_zero_does_not_vanish():

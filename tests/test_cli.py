@@ -248,10 +248,23 @@ def test_verify_rejects_an_abbreviated_option(monkeypatch, capsys):
     assert "unrecognized arguments: --q" in capsys.readouterr().err
 
 
+def test_verify_rejects_an_unknown_suite(monkeypatch, capsys):
+    # the parser does not read verify.SUITES, so cmd_verify checks each
+    # name; without it run_suites raised a bare KeyError (exit 1)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(qcgc.verify, "run_suites", forbidden)
+    assert main(["verify", "--suite", "recurrence", "--suite", "nosuch"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown suite nosuch")
+    assert all(name in err for name in verify.SUITES)
+
+
 def test_quick_coupling_suites_build_almost_no_halfint(monkeypatch):
-    # a key is its doubled labels, so these suites build a HalfInt only
-    # for a spin cap or a pool label handed to a public function (1101
-    # while each key also held its six labels as HalfInts)
+    # a key is its doubled labels, and verify hands its pool labels on as
+    # Fractions, so these suites build a HalfInt only for a spin cap
+    # (1101 while each key also held its six labels as HalfInts)
     built = []
     init = HalfInt.__init__
 
@@ -266,10 +279,10 @@ def test_quick_coupling_suites_build_almost_no_halfint(monkeypatch):
 
 
 def test_quick_hahn_suites_build_almost_no_halfint():
-    # HahnParams holds alpha and beta doubled, so these suites build a
-    # HalfInt only for verify's pool labels (182 while HahnParams held
-    # HalfInts, 148 of them in qhahn._connection_data); in a fresh
-    # process, as verify keeps its labels for the life of one
+    # HahnParams holds alpha and beta doubled, so these suites build
+    # almost no HalfInt (182 while HahnParams held HalfInts, 148 of them
+    # in qhahn._connection_data); in a fresh process, as a context keeps
+    # what it computed for the life of one
     script = (
         "from qcgc import HalfInt, verify\n"
         "built = []\n"
@@ -344,3 +357,28 @@ def test_package_imports_without_numpy():
     # mpmath is the one runtime dependency
     assert _python("import sys, qcgc, qcgc.cli, qcgc.verify; "
                    "print('numpy' in sys.modules)") == "False"
+
+
+def test_table_and_cgc_load_only_the_coupling_path():
+    # qhahn, repsu and verify load on first use, and the coupling
+    # commands never use them
+    script = (
+        "import contextlib, io, sys\n"
+        "from qcgc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['table', '--j1', '1', '--j2', '1/2', '--format', 'json'])\n"
+        "    main(['cgc', '--j1', '1', '--m1', '0', '--j2', '1/2',\n"
+        "          '--m2', '1/2', '--j', '3/2', '--m', '1/2', '--verify'])\n"
+        "print(sorted(m for m in ('qcgc.qhahn', 'qcgc.repsu', 'qcgc.verify')\n"
+        "             if m in sys.modules))\n"
+        "import qcgc\n"
+        "assert all(getattr(qcgc, name) for name in qcgc.__all__)\n"
+        "assert 'limit' in qcgc.verify.SUITES\n"
+        "from qcgc import hahn_eval\n"
+        "assert hahn_eval is qcgc.qhahn.hahn_eval\n"
+        "assert qcgc.HahnParams is qcgc.qhahn.HahnParams\n"
+        "try:\n"
+        "    qcgc.nosuch\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')\n")
+    assert _python(script).splitlines() == ["[]", "AttributeError"]
