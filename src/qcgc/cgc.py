@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .halfint import HalfInt, doubled
-from .qcore import (QDomainError, _bracket, _qpow_pair, _renormalise,
-                    _times, factorial_pairs, root_factorial_pairs)
-from .qhyper import HyperSeriesSpec, _labels, _sum_with_guard, eval_terminating
+from .qcore import (QDomainError, _bracket, _qpow_pair, _times,
+                    factorial_pairs, root_factorial_pairs)
+from .qhyper import (HyperSeriesSpec, _labels, _round_summand, _sum_with_guard,
+                     eval_terminating)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -580,33 +581,79 @@ def racah_table(j1, j2, ctx):
     ``admissible_keys(j1, j2)``.
 
     The keys of one (j, m) form a column, and its Racah sums are one
-    convolution.  With u = j1 - m1 and s = u - r, key u's summand at r
-    is a_r b_s times the key's prefactor, where
+    convolution.  With u = j1 - m1, v = j2 + m2 = d + u, d = j2 - j1 + m,
+    n = j1 + j2 - j and s = u - r, key u's summand at r is a_r b_s times
+    the key's prefactor, where
 
-        a_r = (-1)^r q^(-(j1+j2+j+1) r) / ([r]! [j1+j2-j-r]!),
-        b_s = 1 / ([s]! [j2-j1+m+s]! [j+j1-j2-s]! [j-m-s]!).
+        a_r = (-1)^r q^((n/2 - r)(j1+j2+j+1)) / ([r]! [n-r]!),
+        b_s = 1 / ([s]! [j-m-s]!) * 1 / ([d+s]! [j+m-d-s]!).
 
-    A column builds a and b once in each context that sums it, and the
-    share of the prefactor that its keys have in common once; a key
-    multiplies in its own four roots sqrt([j1+-m1]! [j2+-m2]!) and its
-    q-power.  Each key then goes through the guard as in ``cgc_racah``,
-    with the same summands up to the rounding of the pairs.  At q = 1
-    each value is the 'racah' row's, summed exactly and rounded once.
+    Each product is built once, where its inputs are fixed:
+    - per table, ``ones[u]`` = sqrt([j1+m1]! [j1-m1]!) q^((j1+j2) u) and
+      ``twos[v]`` = sqrt([j2+m2]! [j2-m2]!), and, once in each context
+      that sums a column (a boosted one too), the rows 1/([x]! [t-x]!)
+      by t <= 2j1 + 2j2;
+    - per j, the a-list: row n times a running q-power, shared by the
+      2j+1 columns of that j;
+    - per column, the scale that its keys share (``_scale``), with the
+      q-power q^(j1 (m-j1-j2)), and the b-list, each b_s one product of
+      two row entries;
+    - per key, the prefactor: the scale times ``ones[u]`` times
+      ``twos[v]``.
+    These lists are local to the call, and every product is truncated to
+    the context's width after each factor.  A summand then carries
+    k = r + u + 13 roundings plus the length of the scale's reduced
+    factor list: r + 3 in a_r (its first q-power, r steps, the row entry
+    and the product), 3 in b_s, u + 2 in ``ones[u]`` (u steps and the
+    product with two roots), 1 in ``twos[v]``, 2 in the key's product,
+    1 for the scale's q-power and 1 in the summing.
+    A key with two or more summands goes through the guard as in
+    ``cgc_racah``.  A key with one is that summand truncated to the width
+    and rounded once, which is what the guarded sum of one term returns
+    (``_round_summand``).  At q = 1 each value is the 'racah' row's,
+    summed exactly and rounded once.
     """
     if ctx.is_classical:
         row = CLOSED_FORMS["racah"]
         return {key.twice: row.value(key, ctx) for key in admissible_keys(j1, j2)}
     tj1, tj2 = doubled(j1), doubled(j2)
+    width, top = ctx.width, tj1 + tj2
+    roots = root_factorial_pairs(max(tj1, tj2), ctx)[0]
+    power, step, ones = (1 << (width - 1), 1 - width), _qpow_pair(top, ctx), []
+    for u in range(tj1 + 1):
+        ones.append(_times(*power, (roots[tj1 - u], roots[u]), width))
+        power = _times(*power, (step,), width)
+    twos = [_times(*roots[v], (roots[tj2 - v],), width) for v in range(tj2 + 1)]
+    rows, a_lists = {}, {}
+
+    def lists(c, n):
+        # the rows 1/([x]! [t-x]!) in c, and the a-list of j = j1+j2-n,
+        # each built once per call and context
+        w = c.width
+        if c not in rows:
+            inverse = factorial_pairs(top, c)[1]
+            rows[c] = [[_times(*inverse[x], (inverse[t - x],), w)
+                        for x in range(t + 1)] for t in range(top + 1)]
+        if (c, n) not in a_lists:
+            # q^((n/2 - r)(j1+j2+j+1)), from q^(n (j1+j2+j+1)/2) at r = 0
+            a, power = [], _qpow_pair(n * (top + 1 - n), c)
+            step = _qpow_pair(2 * (n - top - 1), c)
+            for r, entry in enumerate(rows[c][n]):
+                m, e = _times(*power, (entry,), w)
+                a.append((-m if r % 2 else m, e))
+                power = _times(*power, (step,), w)
+            a_lists[c, n] = a
+        return rows[c], a_lists[c, n]
+
     values = {}
-    for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+    for tj in range(abs(tj1 - tj2), top + 1, 2):
         for tm in range(-tj, tj + 1, 2):
-            values.update(_racah_column(tj1, tj2, tj, tm, ctx))
+            values.update(_racah_column(tj1, tj2, tj, tm, ones, twos, lists, ctx))
     return values
 
 
-def _racah_column(tj1, tj2, tj, tm, ctx):
+def _racah_column(tj1, tj2, tj, tm, ones, twos, lists, ctx):
     """{doubled labels: value} of the keys of one (j, m), by m1 up."""
-    width = ctx.width
     n = (tj1 + tj2 - tj) // 2          # j1+j2-j
     big = (tj1 + tj2 + tj) // 2 + 1    # j1+j2+j+1
     plus = (tj + tj1 - tj2) // 2       # j+j1-j2
@@ -616,47 +663,36 @@ def _racah_column(tj1, tj2, tj, tm, ctx):
     s_lo, s_hi = max(0, -d), min(plus, jm)
     u_lo, u_hi = max(0, -d), min(tj1, (tj1 + tj2 - tm) // 2)
     # the column's share of the prefactor: sqrt([2j+1] [j+m]! [j-m]!
-    # [j1+j2-j]! [j+j1-j2]! [j+j2-j1]! / [j1+j2+j+1]!) q^(power at u_lo),
-    # with [2j+1] = [2j+1]! / [2j]!; the power gains q^(j1+j2) per step
-    # in u, from qm = 1 at u_lo
-    twice_power = tj1 * (tm - tj1 - tj2) // 2 + n * big
-    man, exp = _scale(0, twice_power + (tj1 + tj2) * u_lo,
+    # [j1+j2-j]! [j+j1-j2]! [j+j2-j1]! / [j1+j2+j+1]!) q^(j1 (m-j1-j2)),
+    # with [2j+1] = [2j+1]! / [2j]!
+    man, exp = _scale(0, tj1 * (tm - tj1 - tj2) // 2,
                       (jp, jm, n, plus, minus, tj + 1), (big, tj), (), (), ctx)
-    roots = root_factorial_pairs(big, ctx)[0]
-    qm, qe = 1 << (width - 1), 1 - width
-    step_man, step_exp = _qpow_pair(tj1 + tj2, ctx)
     factors = {}
 
     def convolved(c):
         # a_r for r = 0..n and b_s for s = 0..s_hi (None below s_lo),
-        # built once in each context that sums the column
-        if c in factors:
-            return factors[c]
-        w = c.width
-        inverse = factorial_pairs(big, c)[1]
-        a, b = [], [None] * s_lo
-        rm, rexp = 1 << (w - 1), 1 - w  # q^(-(j1+j2+j+1) r), from r = 0
-        rstep_man, rstep_exp = _qpow_pair(-2 * big, c)
-        for r in range(n + 1):
-            m, e = _times(rm, rexp, (inverse[r], inverse[n - r]), w)
-            a.append((-m if r % 2 else m, e))
-            rm, rexp = _renormalise(rm * rstep_man, rexp + rstep_exp, w)
-        for s in range(s_lo, s_hi + 1):
-            b.append(_times(1, 0, (inverse[s], inverse[d + s], inverse[plus - s],
-                                   inverse[jm - s]), w))
-        factors[c] = a, b
-        return a, b
+        # in each context that sums the column
+        if c not in factors:
+            rows, a = lists(c, n)
+            left, right = rows[jm], rows[jp]
+            factors[c] = a, [None] * s_lo + [
+                _times(*left[s], (right[d + s],), c.width)
+                for s in range(s_lo, s_hi + 1)]
+        return factors[c]
 
     # on an admissible key the range of r is never empty
+    a, b = convolved(ctx)
     column = {}
     for u in range(u_lo, u_hi + 1):
-        pm, pe = _times(man, exp, ((qm, qe), roots[tj1 - u], roots[u],
-                                   roots[d + u], roots[tj2 - d - u]), width)
+        pm, pe = _times(man, exp, (ones[u], twos[d + u]), ctx.width)
         key = (tj1, tj1 - 2 * u, tj2, tm - tj1 + 2 * u, tj, tm)
         r_lo, r_hi = max(0, u - s_hi), min(n, u - s_lo)
-        column[key] = _sum_with_guard(functools.partial(
-            _convolution, convolved, u, r_lo, r_hi, pm, pe), ctx)
-        qm, qe = _renormalise(qm * step_man, qe + step_exp, width)
+        if r_lo == r_hi:
+            (am, ae), (bm, be) = a[r_lo], b[u - r_lo]
+            column[key] = _round_summand(am * bm * pm, ae + be + pe, ctx)
+        else:
+            column[key] = _sum_with_guard(functools.partial(
+                _convolution, convolved, u, r_lo, r_hi, pm, pe), ctx)
     return dict(reversed(column.items()))
 
 

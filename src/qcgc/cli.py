@@ -22,7 +22,7 @@ import sys
 import time
 
 from mpmath import mp
-from mpmath.libmp import to_str
+from mpmath.libmp import from_man_exp, to_str
 
 from .cgc import CgcKey, cgc_racah, compute, racah_table
 from .halfint import HalfInt, doubled, halfint
@@ -65,11 +65,18 @@ def cmd_cgc(args, stream=None):
 # ---------------------------------------------------------------------------
 
 _TABLE_FIELDS = ("j1", "m1", "j2", "m2", "j", "m", "value")
-# one row as ``json.dumps(payload, indent=2)`` lays it out; labels and
-# values are plain ASCII, so nothing in them needs escaping
-_JSON_ROW = ("    {\n"
-             + ",\n".join(f'      "{name}": "%s"' for name in _TABLE_FIELDS)
-             + "\n    }")
+
+
+def _json_entry(fields):
+    """One list entry of string fields as ``json.dumps(payload, indent=2)``
+    lays it out; labels and values are plain ASCII, so nothing in them
+    needs escaping."""
+    return ("    {\n" + ",\n".join(f'      "{name}": "%s"' for name in fields)
+            + "\n    }")
+
+
+_JSON_ROW, _JSON_CHECKSUM = _json_entry(_TABLE_FIELDS), _json_entry(
+    ("m1", "m2", "sum_sq"))
 
 
 def cmd_table(args, stream=None):
@@ -96,19 +103,19 @@ def cmd_table(args, stream=None):
         _, man, exp, _ = value._mpf_
         label = (text[tm1], text[tm2])
         sums[label] = sums.get(label, 0) + (man * man << 2 * (exp - low))
-    checksums = [{"m1": m1, "m2": m2,
-                  "sum_sq": mp.nstr(ctx.mp.mpf((total, 2 * low)), 30)}
-                 for (m1, m2), total in sorted(sums.items())]
-    head, _, tail = json.dumps({
+    checksums = ",\n".join(
+        _JSON_CHECKSUM % (m1, m2, to_str(from_man_exp(total, 2 * low), 30))
+        for (m1, m2), total in sorted(sums.items()))
+    head = json.dumps({
         "schema_version": SCHEMA_VERSION,
         "config": {"q": args.q, "precision": args.precision,
                    "format": args.format, "j1": args.j1, "j2": args.j2,
                    "cap": args.cap},
         "rows": [],
-        "checksums": checksums,
-    }, indent=2).partition('"rows": []')
+    }, indent=2).partition('"rows": []')[0]
     body = ",\n".join(_JSON_ROW % row for row in rows)
-    stream.write(head + '"rows": [\n' + body + "\n  ]" + tail + "\n")
+    stream.write(head + '"rows": [\n' + body + '\n  ],\n  "checksums": [\n'
+                 + checksums + "\n  ]\n}\n")
     return 0
 
 

@@ -238,6 +238,17 @@ def _sum_with_guard(terms, ctx):
         c = ctx.with_precision(precision)
 
 
+def _round_summand(man, exp, ctx):
+    """``_sum_with_guard`` of the one summand man * 2^exp, bit for bit:
+    man truncated to ``ctx.width`` bits, as the guard's unit truncates
+    it, and rounded once into ``ctx``.  One term cancels nothing, so
+    there is no pass to boost."""
+    shift = man.bit_length() - ctx.width
+    if shift > 0:
+        man, exp = man >> shift, exp + shift
+    return ctx.mp.mpf((man, exp))
+
+
 def _exact_ratio(ratios):
     """(N, D) with N / D the sum over k >= 0 of prod_(i<k) up_i / down_i,
     from the integer ratios (up_i, down_i) of consecutive terms listed

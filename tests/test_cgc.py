@@ -33,9 +33,9 @@ from qcgc.cgc import (
 from qcgc.qcore import (QDomainError, _qpow_pair, _times, factorial_pairs, qnum,
                         root_factorial_pairs)
 from qcgc.qhahn import recurrence_j_residual
-from qcgc.qhyper import (closed_sum_dixon, closed_sum_negative, closed_sum_positive,
-                         closed_sum_vandermonde, dixon_spec, eval_terminating,
-                         negative_spec, vandermonde_spec)
+from qcgc.qhyper import (_sum_with_guard, closed_sum_dixon, closed_sum_negative,
+                         closed_sum_positive, closed_sum_vandermonde, dixon_spec,
+                         eval_terminating, negative_spec, vandermonde_spec)
 
 CTX = QContext(q="0.5", precision=50)
 
@@ -383,7 +383,8 @@ def _is_exact(value, twice, q, ctx):
                 <= mpf(10) ** -ctx.precision * exact)
 
 
-# spin pairs (2j1, 2j2), one orientation each, up to j1 = j2 = 8
+# spin pairs (2j1, 2j2) up to j1 = j2 = 8; racah_table is gated on both
+# orientations of each
 _ORACLE_LADDER = ((1, 1), (2, 1), (3, 2), (5, 3), (4, 4), (16, 2), (8, 4),
                   (6, 6), (10, 5), (7, 7), (12, 6), (16, 6), (16, 16))
 
@@ -399,14 +400,16 @@ def _oracle_sample(count, seed):
 @pytest.mark.parametrize("q", ["3/10", "1/2", "3"])
 def test_rows_against_the_exact_oracle(q):
     # the racah row, 3f2_rw1 and compute's default value on a seeded
-    # sample, and racah_table on a ladder of spin pairs: every sign right
-    # and every square within 10^-precision of the exact one
+    # sample, and racah_table on a ladder of spin pairs in both
+    # orientations: every sign right and every square within
+    # 10^-precision of the exact one
     ctx, exact_q = QContext(q=q, precision=50), Fraction(q)
     for key in _oracle_sample(150, seed=2111):
         for value in (cgc_racah(key, ctx), cgc.cgc_3f2_rw1(key, ctx),
                       compute(key, ctx).value):
             assert _is_exact(value, key.twice, exact_q, ctx), (q, str(key))
-    for tj1, tj2 in _ORACLE_LADDER:
+    for tj1, tj2 in _ORACLE_LADDER + tuple((b, a) for a, b in _ORACLE_LADDER
+                                           if a != b):
         table = racah_table(HalfInt(twice=tj1), HalfInt(twice=tj2), ctx)
         for twice, value in table.items():
             assert _is_exact(value, twice, exact_q, ctx), (q, twice)
@@ -927,6 +930,43 @@ def test_racah_table_matches_cgc_racah(q):
             assert abs(value - expected) <= mpf("1e-60") * abs(expected), key
     if q == "1":
         assert not any(key[0] == "precision" for key in ctx._cache)
+
+
+def test_one_summand_keys_round_as_the_guard_does(monkeypatch):
+    # a table key whose Racah sum has one summand skips the guard: its
+    # value is that summand truncated and rounded once, bit for bit what
+    # the guarded sum of the one term returns
+    round_summand, summands = cgc._round_summand, []
+
+    def recorded(man, exp, ctx):
+        summands.append((man, exp, round_summand(man, exp, ctx)))
+        return summands[-1][2]
+
+    def one_summand(twice):
+        # r runs from max(0, j2-j-m1, j1-j+m2) to min(j1+j2-j, j1-m1, j2+m2)
+        tj1, tm1, tj2, tm2, tj, _ = twice
+        return max(0, tj2 - tj - tm1, tj1 - tj + tm2) == min(
+            tj1 + tj2 - tj, tj1 - tm1, tj2 + tm2)
+
+    monkeypatch.setattr(cgc, "_round_summand", recorded)
+    for q, j1, j2 in (("1.25", 3, "3/2"), ("3", "3/2", 3), ("0.3", 8, 8)):
+        ctx = QContext(q=q, precision=50)
+        summands.clear()
+        table = racah_table(j1, j2, ctx)
+        ones = [value._mpf_ for twice, value in table.items() if one_summand(twice)]
+        assert sorted(ones) == sorted(value._mpf_ for *_, value in summands)
+        for man, exp, value in summands:
+            guarded = _sum_with_guard(lambda c: [(man, exp)], ctx)
+            assert value._mpf_ == guarded._mpf_ and value.context is ctx.mp
+    assert (len(ones), len(table)) == (1026, 3281)
+    # short, negative and zero mantissas, which no table key makes, and
+    # one that ties at mp.prec bits only once it is truncated
+    top, prec = 1 << ctx.width + 20, ctx.mp.prec
+    for man in (0, 1, -3, 1 << ctx.width - 1, 1 - (1 << ctx.width),
+                (1 << 2 * ctx.width) - 1, -(1 << 3 * ctx.width),
+                top + (top >> prec) + 1):
+        assert round_summand(man, -7, ctx)._mpf_ == _sum_with_guard(
+            lambda c: [(man, -7)], ctx)._mpf_
 
 
 @pytest.mark.parametrize("q", ["0.99", "0.9", "1.25"])
