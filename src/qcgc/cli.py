@@ -18,11 +18,12 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 import time
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, to_str
+from mpmath.libmp import to_str
 
 from .cgc import CgcKey, cgc_racah, compute, racah_table
 from .halfint import HalfInt, doubled, halfint
@@ -31,9 +32,56 @@ from .qcore import QContext, QDomainError, qnum
 SCHEMA_VERSION = 1
 
 
-def _fmt(value, precision):
-    """What ``mp.nstr(value, precision, strip_zeros=False)`` prints."""
-    return to_str(value._mpf_, precision, strip_zeros=False)
+# mpmath's own constant, so that the bit and digit counts below are to_str's
+_LOG2_10 = math.log(10, 2)
+# fixed-point bits -> (digits, 10**digits), one entry per bit count met
+_FIXED = {}
+
+
+def _fmt(raw, dps, strip_zeros=False):
+    """``to_str(raw, dps, strip_zeros)`` for a raw mpf ``raw``, by to_str's
+    own integer steps for one digit count: cut to fixed point at dps + 3
+    digits and 10 more bits, times a power of ten cached by that bit
+    count, printed once, rounded half up on digit dps + 1, and laid out
+    in fixed point when the exponent lies strictly between
+    min(-(dps//3), -5) and dps.  Zero, inf and nan, values past 2**3500
+    either way (which to_str first scales by a power of ten) and more
+    than 4000 digits (past what ``str`` prints of an int) go to to_str
+    itself."""
+    sign, man, exp, bc = raw
+    top = exp + bc
+    if not man or not -3500 <= top <= 3500 or dps > 4000:
+        return to_str(raw, dps, strip_zeros=strip_zeros)
+    fixprec = max(int((dps + 3) * _LOG2_10) + 10 - top, 0)
+    fixed = _FIXED.get(fixprec)
+    if fixed is None:
+        fixdps = int(fixprec / _LOG2_10 + 0.5)
+        fixed = _FIXED[fixprec] = fixdps, 10 ** fixdps
+    fixdps, ten = fixed
+    shift = exp + fixprec
+    digits = str((man << shift if shift >= 0 else man >> -shift) * ten
+                 >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    if digits[dps:dps + 1] >= "5":
+        digits = str(int(digits[:dps]) + 1)
+        if len(digits) > dps:  # 9...9 carried into a new power of ten
+            digits = digits[:dps]
+            exponent += 1
+    else:
+        digits = digits[:dps]
+    suffix = ""
+    if min(-(dps // 3), -5) < exponent < 0:
+        text = "0." + "0" * (-1 - exponent) + digits
+    elif 0 <= exponent < dps:
+        text = digits[:exponent + 1] + "." + digits[exponent + 1:]
+    else:
+        text = digits[0] + "." + digits[1:]
+        suffix = "e%+d" % exponent
+    if strip_zeros:
+        text = text.rstrip("0")
+        if text[-1] == ".":
+            text += "0"
+    return "-" * sign + text + suffix
 
 
 def _emit_json(payload, stream):
@@ -50,12 +98,13 @@ def cmd_cgc(args, stream=None):
     key = CgcKey(args.j1, args.m1, args.j2, args.m2, args.j, args.m)
     mode = "crosscheck" if args.verify else "default"
     result = compute(key, ctx, mode=mode)
-    line = f"{key} = {_fmt(result.value, args.precision)}  [{result.formula}]"
+    value = _fmt(result.value._mpf_, args.precision)
+    line = f"{key} = {value}  [{result.formula}]"
     if result.reason is not None:
         line += f"  ({result.reason})"
     if result.deviation is not None:
         line += ("  max cross-formula deviation "
-                 f"{_fmt(result.deviation, args.precision)}")
+                 f"{_fmt(result.deviation._mpf_, args.precision)}")
     stream.write(line + "\n")
     return 0
 
@@ -77,35 +126,44 @@ def _json_entry(fields):
 
 _JSON_ROW, _JSON_CHECKSUM = _json_entry(_TABLE_FIELDS), _json_entry(
     ("m1", "m2", "sum_sq"))
+# what csv.writer writes of a row: no label or value needs quoting
+_CSV_ROW = ",".join(["%s"] * len(_TABLE_FIELDS)) + "\r\n"
 
 
 def cmd_table(args, stream=None):
     stream = stream or sys.stdout
     tj1, tj2, cap = doubled(args.j1), doubled(args.j2), doubled(args.cap)
+    for name, twice in (("j1", tj1), ("j2", tj2)):
+        if twice < 0:
+            raise QDomainError(
+                f"spin {name} = {getattr(args, name)} is negative")
     if tj1 > cap or tj2 > cap:
         raise QDomainError(f"spins exceed the table cap {args.cap}")
     ctx = QContext(q=args.q, precision=args.precision)
     values = racah_table(args.j1, args.j2, ctx)
     top = tj1 + tj2
     text = {t: str(HalfInt(twice=t)) for t in range(-top, top + 1)}
-    rows = [tuple(map(text.__getitem__, labels)) + (_fmt(value, args.precision),)
-            for labels, value in values.items()]
+    template = _CSV_ROW if args.format == "csv" else _JSON_ROW
+    rows = [template % (text[a], text[b], text[c], text[d], text[e], text[f],
+                        _fmt(value._mpf_, args.precision))
+            for (a, b, c, d, e, f), value in values.items()]
     if args.format == "csv":
-        writer = csv.writer(stream)
-        writer.writerow(_TABLE_FIELDS)
-        writer.writerows(rows)
+        stream.write(_CSV_ROW % _TABLE_FIELDS + "".join(rows))
         return 0
     # per product state (m1, m2): the sum over j of value^2, which
-    # unitarity makes 1, summed exactly and rounded once
+    # unitarity makes 1, summed exactly and rounded once; _fmt reads only
+    # the value of (sign, man, exp, bc), so the sum needs no normalising
     low = min(value._mpf_[2] for value in values.values())
     sums = {}
     for (_, tm1, _, tm2, _, _), value in values.items():
         _, man, exp, _ = value._mpf_
-        label = (text[tm1], text[tm2])
-        sums[label] = sums.get(label, 0) + (man * man << 2 * (exp - low))
+        key = tm1, tm2
+        sums[key] = sums.get(key, 0) + (man * man << 2 * (exp - low))
     checksums = ",\n".join(
-        _JSON_CHECKSUM % (m1, m2, to_str(from_man_exp(total, 2 * low), 30))
-        for (m1, m2), total in sorted(sums.items()))
+        _JSON_CHECKSUM % (m1, m2, _fmt((0, total, 2 * low, total.bit_length()),
+                                       30, True))
+        for (m1, m2), total in sorted(((text[tm1], text[tm2]), total)
+                                      for (tm1, tm2), total in sums.items()))
     head = json.dumps({
         "schema_version": SCHEMA_VERSION,
         "config": {"q": args.q, "precision": args.precision,
@@ -113,9 +171,8 @@ def cmd_table(args, stream=None):
                    "cap": args.cap},
         "rows": [],
     }, indent=2).partition('"rows": []')[0]
-    body = ",\n".join(_JSON_ROW % row for row in rows)
-    stream.write(head + '"rows": [\n' + body + '\n  ],\n  "checksums": [\n'
-                 + checksums + "\n  ]\n}\n")
+    stream.write(head + '"rows": [\n' + ",\n".join(rows)
+                 + '\n  ],\n  "checksums": [\n' + checksums + "\n  ]\n}\n")
     return 0
 
 
@@ -194,11 +251,11 @@ def cmd_hahn(args, stream=None):
     for s in s_values:
         rows.append({
             "s": str(s),
-            "x": _fmt(lattice_x(s, ctx), args.precision),
-            "weight": _fmt(hahn_weight(params, s, ctx), args.precision),
-            "value": _fmt(hahn_eval(params, s, ctx), args.precision),
+            "x": _fmt(lattice_x(s, ctx)._mpf_, args.precision),
+            "weight": _fmt(hahn_weight(params, s, ctx)._mpf_, args.precision),
+            "value": _fmt(hahn_eval(params, s, ctx)._mpf_, args.precision),
         })
-    norm = _fmt(hahn_norm_sq(params, ctx), args.precision)
+    norm = _fmt(hahn_norm_sq(params, ctx)._mpf_, args.precision)
     if args.format == "csv":
         writer = csv.DictWriter(stream, fieldnames=["s", "x", "weight",
                                                     "value"])

@@ -397,7 +397,7 @@ def _oracle_sample(count, seed):
             for _ in range(count)]
 
 
-@pytest.mark.parametrize("q", ["3/10", "1/2", "3"])
+@pytest.mark.parametrize("q", ["3/10", "1/2", "9/10", "5/4", "3"])
 def test_rows_against_the_exact_oracle(q):
     # the racah row, 3f2_rw1 and compute's default value on a seeded
     # sample, and racah_table on a ladder of spin pairs in both

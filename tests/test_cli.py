@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,11 +13,12 @@ from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import fzero, from_man_exp, from_str, round_nearest, to_str
 
 import qcgc
 from qcgc import HalfInt, QContext, verify
 from qcgc.cgc import racah_table
-from qcgc.cli import build_parser, main
+from qcgc.cli import _fmt, build_parser, main
 from qcgc.halfint import doubled
 from test_cgc import _exact
 
@@ -184,6 +186,69 @@ def test_main_writes_to_the_current_stdout():
 
 def test_table_cap_enforced():
     assert main(["table", "--j1", "4", "--j2", "1", "--cap", "3"]) == 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_rejects_a_negative_spin(fmt, capsys):
+    # a negative j1 printed a bare CSV header (exit 0), or failed in JSON
+    # on the empty table's checksums
+    for argv, name in ((["--j1", "-1", "--j2", "1"], "j1 = -1"),
+                       (["--j1", "1", "--j2=-1/2"], "j2 = -1/2")):
+        assert main(["table", *argv, "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: spin {name} is negative\n"
+
+
+def _assert_fmt_is_to_str(raw, dps):
+    assert _fmt(raw, dps) == to_str(raw, dps, strip_zeros=False), (raw, dps)
+    # the checksums' form: 30 digits, trailing zeros stripped, and a sum
+    # whose mantissa is not normalised
+    assert _fmt(raw, 30, True) == to_str(raw, 30), raw
+    _, man, exp, bc = raw
+    if man:
+        wide = (raw[0], man << 40, exp - 40, bc + 40)
+        assert _fmt(wide, 30, True) == to_str(raw, 30), raw
+
+
+@pytest.mark.parametrize("precision", [30, 50, 100])
+def test_fmt_is_to_str_on_table_values(precision):
+    for q in ("0.3", "1", "3"):
+        ctx = QContext(q=q, precision=precision)
+        for j1, j2 in (("5/2", "3/2"), ("3/2", "5/2"), ("4", "4"),
+                       ("8", "3"), ("3", "8")):
+            for value in racah_table(j1, j2, ctx).values():
+                _assert_fmt_is_to_str(value._mpf_, precision)
+
+
+def test_fmt_is_to_str_on_edge_values():
+    rng = random.Random(29)
+    raws = [fzero]
+    for k in range(1, 400, 7):
+        # 2^-k: a digit string ending in 5, an exact tie at some length;
+        # 1 - 2^-k: a run of 9s that rounds into a new power of ten
+        raws += [from_man_exp(1, -k), from_man_exp((1 << k) - 1, -k)]
+    for e in range(-40, 110):
+        # both sides of the fixed-point bounds min(-(dps//3), -5) and dps,
+        # also where a carry moves the exponent across them
+        for digits in ("12345", "9" * 60, "9" * 105):
+            raws.append(from_str(f"{digits[0]}.{digits[1:]}e{e}", 400,
+                                 round_nearest))
+    for _ in range(2000):
+        bits = rng.randrange(1, 500)
+        raws.append(from_man_exp(rng.getrandbits(bits) | 1,
+                                 rng.randrange(-700, 500) - bits))
+    # past 2^3500 either way, which to_str scales by a power of ten first
+    raws += [from_man_exp(rng.getrandbits(200) | 1, e)
+             for e in (3400, -3700, 5000, -9000)]
+    for raw in raws:
+        for sign in (0, 1) if raw[1] else (0,):
+            for dps in (30, 31, 50, 100):
+                _assert_fmt_is_to_str((sign,) + raw[1:], dps)
+    # str() prints an int of at most 4300 digits
+    third = from_man_exp((1 << 13400) // 3, -13400)
+    for dps in (4000, 4001):
+        assert _fmt(third, dps) == to_str(third, dps, strip_zeros=False)
 
 
 def test_table_deterministic():
