@@ -590,8 +590,7 @@ def racah_table(j1, j2, ctx):
 
     Each product is built once, where its inputs are fixed:
     - per table, ``ones[u]`` = sqrt([j1+m1]! [j1-m1]!) q^((j1+j2) u) and
-      ``twos[v]`` = sqrt([j2+m2]! [j2-m2]!), and, once in each context
-      that sums a column (a boosted one too), the rows 1/([x]! [t-x]!)
+      ``twos[v]`` = sqrt([j2+m2]! [j2-m2]!) and the rows 1/([x]! [t-x]!)
       by t <= 2j1 + 2j2;
     - per j, the a-list: row n times a running q-power, shared by the
       2j+1 columns of that j;
@@ -600,16 +599,20 @@ def racah_table(j1, j2, ctx):
       two row entries;
     - per key, the prefactor: the scale times ``ones[u]`` times
       ``twos[v]``.
-    These lists are local to the call, and every product is truncated to
-    the context's width after each factor.  A summand then carries
-    k = r + u + 13 roundings plus the length of the scale's reduced
-    factor list: r + 3 in a_r (its first q-power, r steps, the row entry
-    and the product), 3 in b_s, u + 2 in ``ones[u]`` (u steps and the
-    product with two roots), 1 in ``twos[v]``, 2 in the key's product,
-    1 for the scale's q-power and 1 in the summing.
+    These lists are local to the call and made in ``ctx`` alone, and
+    every product is truncated to the context's width after each factor.
+    A first-pass summand then carries k = r + u + 13 roundings plus the
+    length of the scale's reduced factor list: r + 3 in a_r (its first
+    q-power, r steps, the row entry and the product), 3 in b_s, u + 2 in
+    ``ones[u]`` (u steps and the product with two roots), 1 in
+    ``twos[v]``, 2 in the key's product, 1 for the scale's q-power and 1
+    in the summing.
     A key with two or more summands goes through the guard as in
-    ``cgc_racah``.  A key with one is that summand truncated to the width
-    and rounded once, which is what the guarded sum of one term returns
+    ``cgc_racah``.  Should the guard boost, its pass sums one term, the
+    key's 'racah' row evaluated in the boosted context, which is guarded
+    itself and carries that row's roundings, not the column's k.  A key
+    with one summand is that summand truncated to the width and rounded
+    once, which is what the guarded sum of one term returns
     (``_round_summand``).  At q = 1 each value is the 'racah' row's,
     summed exactly and rounded once.
     """
@@ -624,36 +627,28 @@ def racah_table(j1, j2, ctx):
         ones.append(_times(*power, (roots[tj1 - u], roots[u]), width))
         power = _times(*power, (step,), width)
     twos = [_times(*roots[v], (roots[tj2 - v],), width) for v in range(tj2 + 1)]
-    rows, a_lists = {}, {}
-
-    def lists(c, n):
-        # the rows 1/([x]! [t-x]!) in c, and the a-list of j = j1+j2-n,
-        # each built once per call and context
-        w = c.width
-        if c not in rows:
-            inverse = factorial_pairs(top, c)[1]
-            rows[c] = [[_times(*inverse[x], (inverse[t - x],), w)
-                        for x in range(t + 1)] for t in range(top + 1)]
-        if (c, n) not in a_lists:
-            # q^((n/2 - r)(j1+j2+j+1)), from q^(n (j1+j2+j+1)/2) at r = 0
-            a, power = [], _qpow_pair(n * (top + 1 - n), c)
-            step = _qpow_pair(2 * (n - top - 1), c)
-            for r, entry in enumerate(rows[c][n]):
-                m, e = _times(*power, (entry,), w)
-                a.append((-m if r % 2 else m, e))
-                power = _times(*power, (step,), w)
-            a_lists[c, n] = a
-        return rows[c], a_lists[c, n]
-
+    inverse = factorial_pairs(top, ctx)[1]
+    rows = [[_times(*inverse[x], (inverse[t - x],), width) for x in range(t + 1)]
+            for t in range(top + 1)]
     values = {}
     for tj in range(abs(tj1 - tj2), top + 1, 2):
+        # the a-list of j = j1+j2-n, its q-power q^((n/2 - r)(j1+j2+j+1))
+        # from q^(n (j1+j2+j+1)/2) at r = 0
+        n, a = (top - tj) // 2, []
+        power = _qpow_pair(n * (top + 1 - n), ctx)
+        step = _qpow_pair(2 * (n - top - 1), ctx)
+        for r, entry in enumerate(rows[n]):
+            m, e = _times(*power, (entry,), width)
+            a.append((-m if r % 2 else m, e))
+            power = _times(*power, (step,), width)
         for tm in range(-tj, tj + 1, 2):
-            values.update(_racah_column(tj1, tj2, tj, tm, ones, twos, lists, ctx))
+            values.update(_racah_column(tj1, tj2, tj, tm, ones, twos, rows, a, ctx))
     return values
 
 
-def _racah_column(tj1, tj2, tj, tm, ones, twos, lists, ctx):
-    """{doubled labels: value} of the keys of one (j, m), by m1 up."""
+def _racah_column(tj1, tj2, tj, tm, ones, twos, rows, a, ctx):
+    """{doubled labels: value} of the keys of one (j, m), by m1 up, from
+    the table's rows and the a-list of j."""
     n = (tj1 + tj2 - tj) // 2          # j1+j2-j
     big = (tj1 + tj2 + tj) // 2 + 1    # j1+j2+j+1
     plus = (tj + tj1 - tj2) // 2       # j+j1-j2
@@ -667,21 +662,11 @@ def _racah_column(tj1, tj2, tj, tm, ones, twos, lists, ctx):
     # with [2j+1] = [2j+1]! / [2j]!
     man, exp = _scale(0, tj1 * (tm - tj1 - tj2) // 2,
                       (jp, jm, n, plus, minus, tj + 1), (big, tj), (), (), ctx)
-    factors = {}
-
-    def convolved(c):
-        # a_r for r = 0..n and b_s for s = 0..s_hi (None below s_lo),
-        # in each context that sums the column
-        if c not in factors:
-            rows, a = lists(c, n)
-            left, right = rows[jm], rows[jp]
-            factors[c] = a, [None] * s_lo + [
-                _times(*left[s], (right[d + s],), c.width)
-                for s in range(s_lo, s_hi + 1)]
-        return factors[c]
-
+    # b_s for s = 0..s_hi, None below s_lo
+    left, right = rows[jm], rows[jp]
+    b = [None] * s_lo + [_times(*left[s], (right[d + s],), ctx.width)
+                         for s in range(s_lo, s_hi + 1)]
     # on an admissible key the range of r is never empty
-    a, b = convolved(ctx)
     column = {}
     for u in range(u_lo, u_hi + 1):
         pm, pe = _times(man, exp, (ones[u], twos[d + u]), ctx.width)
@@ -690,18 +675,13 @@ def _racah_column(tj1, tj2, tj, tm, ones, twos, lists, ctx):
         if r_lo == r_hi:
             (am, ae), (bm, be) = a[r_lo], b[u - r_lo]
             column[key] = _round_summand(am * bm * pm, ae + be + pe, ctx)
-        else:
-            column[key] = _sum_with_guard(functools.partial(
-                _convolution, convolved, u, r_lo, r_hi, pm, pe), ctx)
+            continue
+        summands = [(am * bm * pm, ae + be + pe) for (am, ae), (bm, be)
+                    in zip(a[r_lo:r_hi + 1], reversed(b[u - r_hi:u - r_lo + 1]))]
+        # a boosted pass sums the key's 'racah' row in its context instead
+        column[key] = _sum_with_guard(lambda c: summands if c is ctx else [
+            c.to_pair(CLOSED_FORMS["racah"].value(CgcKey(twice=key), c))], ctx)
     return dict(reversed(column.items()))
-
-
-def _convolution(convolved, u, r_lo, r_hi, pm, pe, c):
-    """Key u's summands a_r b_(u-r) times its prefactor (pm, pe), for r
-    from r_lo to r_hi, with a and b from ``convolved(c)``."""
-    a, b = convolved(c)
-    return [(am * bm * pm, ae + be + pe) for (am, ae), (bm, be)
-            in zip(a[r_lo:r_hi + 1], reversed(b[u - r_hi:u - r_lo + 1]))]
 
 
 # ---------------------------------------------------------------------------

@@ -494,10 +494,12 @@ def _gamma_tilde_raw(sv, ctx):
 
 
 def _as_index(n):
-    if isinstance(n, HalfInt):
+    """An integer index from an int, an integral HalfInt or an integral
+    float; anything else raises QDomainError."""
+    if isinstance(n, HalfInt) and n.is_integer:
         return n.as_int()
     if isinstance(n, int):
         return n
-    if isinstance(n, float) and n == int(n):
+    if isinstance(n, float) and n.is_integer():
         return int(n)
     raise QDomainError(f"expected an integer index, got {n!r}")

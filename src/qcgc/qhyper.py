@@ -29,8 +29,9 @@ class SeriesIllPosed(ValueError):
 
 class HyperSeriesSpec:
     """A terminating p+1_F_p instance with argument z = q^(sign*exponent),
-    from labels or from ``twice=(num, den, arg)``: the doubled parameters
-    and the doubled signed exponent."""
+    from labels (with ``arg_sign``) or from ``twice=(num, den, arg)``: the
+    doubled parameters and the doubled signed exponent; given both, it
+    raises TypeError, as ``CgcKey`` does."""
 
     __slots__ = ("twice",)
 
@@ -38,9 +39,12 @@ class HyperSeriesSpec:
                  arg_sign=1, *, twice=None):
         if arg_sign not in (1, -1):
             raise ValueError("arg_sign must be +1 or -1")
-        num, den, arg = twice or (map(doubled, numerator),
-                                  map(doubled, denominator),
-                                  doubled(arg_exponent) * arg_sign)
+        if twice is None:
+            twice = (map(doubled, numerator), map(doubled, denominator),
+                     doubled(arg_exponent) * arg_sign)
+        elif numerator or denominator or arg_exponent or arg_sign != 1:
+            raise TypeError("HyperSeriesSpec takes labels or twice=, not both")
+        num, den, arg = twice
         self.twice = (tuple(num), tuple(den), arg)
 
     numerator = property(lambda self: _labels(self.twice[0]))
@@ -57,12 +61,17 @@ class HyperSeriesSpec:
 
 class BasicSeriesSpec:
     """A terminating basic series with parameters q^e and free argument z;
-    ``twice=(num, den)`` gives the doubled parameters instead of labels."""
+    ``twice=(num, den)`` gives the doubled parameters instead of labels,
+    and labels given with it raise TypeError."""
 
     __slots__ = ("twice", "z")
 
     def __init__(self, numerator=(), denominator=(), z=None, *, twice=None):
-        num, den = twice or (map(doubled, numerator), map(doubled, denominator))
+        if twice is None:
+            twice = map(doubled, numerator), map(doubled, denominator)
+        elif numerator or denominator:
+            raise TypeError("BasicSeriesSpec takes labels or twice=, not both")
+        num, den = twice
         self.twice, self.z = (tuple(num), tuple(den)), z
 
 

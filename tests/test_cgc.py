@@ -932,6 +932,14 @@ def test_racah_table_matches_cgc_racah(q):
         assert not any(key[0] == "precision" for key in ctx._cache)
 
 
+def _racah_summands(twice):
+    """The number of summands of a key's Racah sum: r runs from
+    max(0, j2-j-m1, j1-j+m2) to min(j1+j2-j, j1-m1, j2+m2)."""
+    tj1, tm1, tj2, tm2, tj, _ = twice
+    return 1 + (min(tj1 + tj2 - tj, tj1 - tm1, tj2 + tm2)
+                - max(0, tj2 - tj - tm1, tj1 - tj + tm2)) // 2
+
+
 def test_one_summand_keys_round_as_the_guard_does(monkeypatch):
     # a table key whose Racah sum has one summand skips the guard: its
     # value is that summand truncated and rounded once, bit for bit what
@@ -942,18 +950,13 @@ def test_one_summand_keys_round_as_the_guard_does(monkeypatch):
         summands.append((man, exp, round_summand(man, exp, ctx)))
         return summands[-1][2]
 
-    def one_summand(twice):
-        # r runs from max(0, j2-j-m1, j1-j+m2) to min(j1+j2-j, j1-m1, j2+m2)
-        tj1, tm1, tj2, tm2, tj, _ = twice
-        return max(0, tj2 - tj - tm1, tj1 - tj + tm2) == min(
-            tj1 + tj2 - tj, tj1 - tm1, tj2 + tm2)
-
     monkeypatch.setattr(cgc, "_round_summand", recorded)
     for q, j1, j2 in (("1.25", 3, "3/2"), ("3", "3/2", 3), ("0.3", 8, 8)):
         ctx = QContext(q=q, precision=50)
         summands.clear()
         table = racah_table(j1, j2, ctx)
-        ones = [value._mpf_ for twice, value in table.items() if one_summand(twice)]
+        ones = [value._mpf_ for twice, value in table.items()
+                if _racah_summands(twice) == 1]
         assert sorted(ones) == sorted(value._mpf_ for *_, value in summands)
         for man, exp, value in summands:
             guarded = _sum_with_guard(lambda c: [(man, exp)], ctx)
@@ -967,6 +970,48 @@ def test_one_summand_keys_round_as_the_guard_does(monkeypatch):
                 top + (top >> prec) + 1):
         assert round_summand(man, -7, ctx)._mpf_ == _sum_with_guard(
             lambda c: [(man, -7)], ctx)._mpf_
+
+
+def test_a_boosted_table_pass_sums_the_racah_row(monkeypatch):
+    # no measured table boosts, so a cancelling pair 2^100 above a key's
+    # summands forces every guarded table sum to boost; that pass sums one
+    # term, the key's 'racah' row, evaluated once in the boosted context
+    guard, row_value = cgc._sum_with_guard, cgc.ClosedForm.value
+    racah, evaluated = cgc.CLOSED_FORMS["racah"], []
+
+    def cancelling(terms, ctx):
+        def forced(c):
+            pairs = list(terms(c))
+            if c is ctx:
+                top = max(e + m.bit_length() for m, e in pairs) + 100
+                pairs += [(1, top), (-1, top)]
+            return pairs
+        return guard(forced, ctx)
+
+    def recorded(row, key, c):
+        if row is racah:
+            evaluated.append((key.twice, c.precision))
+        return row_value(row, key, c)
+
+    monkeypatch.setattr(cgc, "_sum_with_guard", cancelling)
+    monkeypatch.setattr(cgc.ClosedForm, "value", recorded)
+    boosted = 0
+    for q in ("0.3", "0.9", "1.25", "3"):
+        ctx, ref = QContext(q=q, precision=50), QContext(q=q, precision=120)
+        for pair in ((2, 1), ("5/2", "3/2"), (4, 4), (8, 2)):
+            for j1, j2 in (pair, pair[::-1]):
+                evaluated.clear()
+                table = racah_table(j1, j2, ctx)
+                several = [twice for twice in table if _racah_summands(twice) > 1]
+                assert sorted(twice for twice, _ in evaluated) == sorted(several)
+                assert all(precision > 50 for _, precision in evaluated)
+                boosted += len(several)
+                for twice, value in table.items():
+                    expected = cgc_racah(CgcKey(twice=twice), ref)
+                    assert value.context is ctx.mp
+                    assert abs(ref.to_mpf(value) - expected) <= (
+                        mpf("1e-60") * abs(expected)), twice
+    assert boosted == 3000
 
 
 @pytest.mark.parametrize("q", ["0.99", "0.9", "1.25"])

@@ -238,16 +238,17 @@ def test_fmt_is_to_str_on_edge_values():
         bits = rng.randrange(1, 500)
         raws.append(from_man_exp(rng.getrandbits(bits) | 1,
                                  rng.randrange(-700, 500) - bits))
-    # past 2^3500 either way, which to_str scales by a power of ten first
+    # past 2^3500 either way, which to_str scales by a power of ten first;
+    # near 2^20000 a value has more digits than str prints of an int
     raws += [from_man_exp(rng.getrandbits(200) | 1, e)
-             for e in (3400, -3700, 5000, -9000)]
+             for e in (3400, -3700, 5000, -9000, 19800)]
     for raw in raws:
         for sign in (0, 1) if raw[1] else (0,):
             for dps in (30, 31, 50, 100):
                 _assert_fmt_is_to_str((sign,) + raw[1:], dps)
     # str() prints an int of at most 4300 digits
     third = from_man_exp((1 << 13400) // 3, -13400)
-    for dps in (4000, 4001):
+    for dps in (4000, 4001, 4400):
         assert _fmt(third, dps) == to_str(third, dps, strip_zeros=False)
 
 

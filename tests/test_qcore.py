@@ -1,5 +1,6 @@
 """Unit tests for the symmetric q-number primitives."""
 
+import math
 import operator
 import random
 import sys
@@ -90,6 +91,32 @@ def test_q_factorial_recursion_and_base():
 def test_q_factorial_negative_raises():
     with pytest.raises(QDomainError):
         q_factorial(-1, CTX)
+
+
+def test_an_index_reads_integral_labels_and_rejects_the_rest():
+    for n in (3, HalfInt(3), 3.0):
+        assert qcore._as_index(n) == 3 and type(qcore._as_index(n)) is int
+    for n in (2.5, HalfInt("5/2"), float("inf"), "3"):
+        with pytest.raises(QDomainError):
+            qcore._as_index(n)
+    # a half-integer index is outside the domain however it is written
+    for n in (2.5, HalfInt("5/2")):
+        with pytest.raises(QDomainError):
+            q_factorial(n, CTX)
+
+
+@pytest.mark.parametrize("q", ["0.3", "1", "1.25"])
+def test_q_pochhammer_off_the_lattice_is_the_product_of_brackets(q):
+    ctx = QContext(q=q, precision=50)
+    for a in (Fraction(1, 3), "0.25", Fraction(-5, 4)):
+        start = Fraction(a)
+        for n in range(5):
+            expected = math.prod((qnum(start + m, ctx) for m in range(n)),
+                                 start=ctx.to_mpf(1))
+            assert ctx.close(q_pochhammer(a, n, ctx), expected), (a, n)
+            if q == "1":
+                assert ctx.close(q_pochhammer(a, n, ctx), math.prod(
+                    (start + m for m in range(n)), start=Fraction(1)))
 
 
 def test_q_pochhammer_matches_factorial_ratio():

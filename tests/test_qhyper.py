@@ -67,6 +67,24 @@ def test_numerator_cutoff_shields_later_denominator_zero():
     eval_terminating(spec, CTX)
 
 
+def test_a_spec_takes_labels_or_twice_not_both():
+    # as CgcKey and HahnParams do; BasicSeriesSpec's z is no label
+    hyper = HyperSeriesSpec(numerator=(-1, "3/2"), denominator=(2,),
+                            arg_exponent=1, arg_sign=-1)
+    assert hyper.twice == ((-2, 3), (4,), -2)
+    assert HyperSeriesSpec(twice=hyper.twice).twice == hyper.twice
+    for labels in ({"numerator": (-1,)}, {"denominator": (2,)},
+                   {"arg_exponent": 1}, {"arg_sign": -1}):
+        with pytest.raises(TypeError):
+            HyperSeriesSpec(twice=hyper.twice, **labels)
+    basic = BasicSeriesSpec((-1, "3/2"), (2,), z=0.5)
+    assert basic.twice == ((-2, 3), (4,))
+    assert BasicSeriesSpec(twice=basic.twice, z=0.5).twice == basic.twice
+    for labels in ({"numerator": (-1,)}, {"denominator": (2,)}):
+        with pytest.raises(TypeError):
+            BasicSeriesSpec(twice=basic.twice, z=0.5, **labels)
+
+
 def _direct_sum(spec, q, dps=120):
     """A terminating series summed term by term on plain mpmath reals,
     as (value, largest |term|); raises SeriesIllPosed when a denominator
