@@ -3,8 +3,8 @@
 Eight closed forms (double-checked against each other and against the
 matrix-level oracle in :mod:`qcgc.repsu`), ten special values (rows
 checked against the general form) and the symmetry relations are all
-stored as data rows read by one evaluator; every series in a row is
-summed by ``eval_terminating``.
+stored as data rows read by one evaluator; every series of two or more
+terms in a row is summed by ``eval_terminating``.
 ``racah_table`` sums whole tables as convolutions, and the three-term
 recurrence in m completes the module.
 
@@ -299,7 +299,8 @@ class FactorialSum:
     which is the continuation 1/[negative]! := 0; a q-binomial and a
     Pochhammer (-n|q)_k = (-1)^k [n]!/[n-k]! both fit this shape.  The
     row is a terminating series written as in the paper: ``split`` reads
-    it as its first summand's factorials times a ``HyperSeriesSpec``.
+    it as its first summand's factorials times a ``HyperSeriesSpec``, or
+    as that summand alone when r takes one value.
     """
 
     def __init__(self, power, factors):
@@ -328,18 +329,20 @@ class FactorialSum:
                   for sign in (1, -1))]
 
     def split(self, labels):
-        """(spec, lo, ups, downs) from the evaluated ``shape()``, or None
-        when the range of r is empty.
+        """(spec, phase, twice_power, ups, downs) from the evaluated
+        ``shape()``, or None when the range of r is empty.
 
-        With k = r - lo the sum is its summand at lo, (-1)^lo q^(power lo)
-        prod [a]! / prod [b]! over a in ``ups`` and b in ``downs``, times
-        the terminating series ``spec`` at argument q^power.  Its
-        parameters are read off each factorial's argument x at lo: a
-        rising numerator factorial gives the numerator parameter x+1, a
-        falling denominator one -x (whose zero cuts the series off at
-        hi - lo), a rising denominator one the denominator parameter x+1
-        (the one with x = 0 is the series' own 1/[k+1]) and a falling
-        numerator one -x.
+        With k = r - lo the sum is its summand at lo, (-1)^phase
+        q^(twice_power/2) prod [a]! / prod [b]! over a in ``ups`` and b in
+        ``downs`` (phase = lo, twice_power = 2 power lo), times the
+        terminating series ``spec`` at argument q^power.  Its parameters
+        are read off each factorial's argument x at lo: a rising
+        numerator factorial gives the numerator parameter x+1, a falling
+        denominator one -x (whose zero cuts the series off at hi - lo), a
+        rising denominator one the denominator parameter x+1 (the one
+        with x = 0 is the series' own 1/[k+1]) and a falling numerator
+        one -x.  When lo = hi the sum is its one summand and spec is
+        None: no series is built.
         """
         e, num_up, num_down, den_up, den_down = labels
         lo, hi = -min(den_up), min(den_down)
@@ -355,16 +358,21 @@ class FactorialSum:
         num_down = [a - lo for a in num_down]
         den_up = [a + lo for a in den_up]
         den_down = [a - lo for a in den_down]
+        ups, downs = num_up + num_down, den_up + den_down
+        if lo == hi:
+            return None, lo, 2 * e * lo, ups, downs
         upper = [2 * x + 2 for x in num_up] + [-2 * x for x in den_down]
         lower = [2 * x + 2 for x in den_up] + [-2 * x for x in num_down]
         lower.remove(2)
-        return (HyperSeriesSpec(twice=(upper, lower, 2 * e)), lo,
-                num_up + num_down, den_up + den_down)
+        return (HyperSeriesSpec(twice=(upper, lower, 2 * e)), lo, 2 * e * lo,
+                ups, downs)
 
 
 class HyperSeries:
     """A terminating 3F2 at argument q^arg_exponent, parameters as forms;
-    ``split`` hands back its spec, with no summand of its own."""
+    ``split`` hands back its spec, with no summand of its own, or no spec
+    when a numerator parameter is 0: the series is then its first term,
+    1."""
 
     def __init__(self, numerator, denominator, arg_exponent):
         self.numerator = numerator
@@ -377,7 +385,8 @@ class HyperSeries:
                 ("twice", self.arg_exponent)]
 
     def split(self, labels):
-        return HyperSeriesSpec(twice=labels), 0, [], []
+        spec = None if 0 in labels[0] else HyperSeriesSpec(twice=labels)
+        return spec, 0, 0, [], []
 
 
 class ClosedForm:
@@ -396,6 +405,9 @@ class ClosedForm:
     ``_scale`` pass of (man, exp) pairs over the context's sqrt([n]!)
     and [n]! tables and its q^(+-1/2) powers, and it is the series'
     scale in ``eval_terminating``, so that the value is rounded once.
+    A row whose series has one term (``split`` returns no spec) is its
+    product rounded once, as ``eval_terminating`` rounds a series with
+    cutoff 0, and builds no spec, bracket table or guarded sum.
     """
 
     def __init__(self, power, root, phase="0", outside="", series=None,
@@ -453,8 +465,8 @@ class ClosedForm:
             split = self.series.split(series)
             if split is None:
                 return ctx.to_mpf(0)
-            spec, lo, first_ups, first_downs = split
-            phase, power = phase + lo, power + lo * spec.twice[2]
+            spec, first_phase, first_power, first_ups, first_downs = split
+            phase, power = phase + first_phase, power + first_power
             ups, downs = (*ups, *first_ups), (*downs, *first_downs)
         scale = _scale(phase, power, root_ups, root_downs, ups, downs, ctx)
         if spec is None:

@@ -19,6 +19,7 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 import time
 
@@ -338,12 +339,24 @@ def _dispatch(args, stream=None):
     return _COMMANDS[args.command](args, stream)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a negative half-integer such as
+    ``-1/2`` is a value, as ``-1`` and ``-0.5`` are, not an unknown
+    option.  argparse has no public setting for which tokens read as
+    negative numbers; subparsers are made of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
+
 @functools.cache
 def build_parser():
     """The ``qcgc`` argument parser, built on the first call and returned
     to every later one; treat it as read-only.  Each ``parse_args`` call
     returns a fresh namespace, whose ``func`` runs the subcommand."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcgc",
         description="q-deformed angular momentum coupling toolkit",
         allow_abbrev=False)

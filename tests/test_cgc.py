@@ -249,8 +249,7 @@ def test_one_computation_gives_the_same_bits(monkeypatch, q):
             values.append(sv)
         pairwise = max(abs(a - b) for a in values for b in values)
         assert result.deviation._mpf_ == pairwise._mpf_, str(key)
-        spec = racah.series.split(racah._labels(*key.twice)[-1])[0]
-        several += qhyper._live_range(spec)[0] > 0
+        several += racah.series.split(racah._labels(*key.twice)[-1])[0] is not None
     assert several > 100
 
 
@@ -534,8 +533,9 @@ def test_stretched_minus_one_is_exact_at_q_1(monkeypatch):
 def test_every_series_row_is_one_terminating_series(monkeypatch, q):
     # a closed form or special value is one product, made in one _times
     # pass, times at most one terminating series: one eval_terminating
-    # call per key for a row with a series, and no guarded sum of the
-    # row's own
+    # call per key for a row whose series has two or more terms (``split``
+    # returns a spec), none for a row whose series has one, and no
+    # guarded sum of the row's own
     calls, products = [], []
 
     def counting(spec, ctx, scale=None):
@@ -556,17 +556,21 @@ def test_every_series_row_is_one_terminating_series(monkeypatch, q):
     spins = [HalfInt(twice=t) for t in range(5)]
     keys = [key for j1 in spins for j2 in spins for key in admissible_keys(j1, j2)]
     rows = {**cgc.CLOSED_FORMS, **cgc.SPECIAL_VALUES}
-    checked = with_series = 0
+    checked = with_series = several = 0
     for name, row in rows.items():
         for key in filter(row.matches, keys):
             calls.clear()
             products.clear()
             row.value(key, ctx)
+            summed = row.series is not None and row.series.split(
+                row._labels(*key.twice)[-1])[0] is not None
             assert len(products) == 1, (name, str(key))
-            assert len(calls) == (row.series is not None), (name, str(key))
+            assert len(calls) == summed, (name, str(key))
             checked += 1
             with_series += row.series is not None
+            several += summed
     assert with_series > 4000 and checked > with_series
+    assert 1000 < several < with_series
     # an empty range of r (here j1+j2-j = -1) is an exact 0, with no
     # product and no series
     calls.clear()
@@ -700,42 +704,42 @@ def test_scale_cancels_factorials_before_it_multiplies(monkeypatch):
     assert sum(shares) / len(shares) <= 1 / 4
 
 
-@pytest.mark.parametrize("q", ["0.3", "0.9", "1", "1.25"])
+@pytest.mark.parametrize("q", ["0.02", "0.3", "0.9", "1", "1.25", "3", "50"])
 def test_rows_with_a_one_term_series_are_their_scale(monkeypatch, q):
-    # most series at small spins have cutoff 0: the row's value is then
-    # its _scale pair rounded once, with no bracket table and no guard
-    scale, scales, one_term = cgc._scale, [], []
+    # most series at small spins have one term, and ``split`` then
+    # returns no spec: the row's value is its _scale pair rounded once,
+    # with no series, bracket table or guard, in a boosted context too
+    scale, scales = cgc._scale, []
 
     def recording(*args):
         scales.append(scale(*args))
         return scales[-1]
 
-    def series(spec, ctx, scale=None):
-        if qhyper._live_range(spec)[0]:
-            return None  # a longer series is not this test's
-        one_term.append(scale)
-        return eval_terminating(spec, ctx, scale)
-
-    def forbidden(*args):
-        raise AssertionError("a one-term series read the kernel")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a one-term row read the kernel")
 
     monkeypatch.setattr(cgc, "_scale", recording)
-    monkeypatch.setattr(cgc, "eval_terminating", series)
-    for name in ("_sum_with_guard", "qnum_pairs", "_qpow_pair"):
+    monkeypatch.setattr(cgc, "eval_terminating", forbidden)
+    for name in ("eval_terminating", "_sum_with_guard", "qnum_pairs", "_qpow_pair"):
         monkeypatch.setattr(qhyper, name, forbidden)
-    ctx = QContext(q=q, precision=50)
+    plain = QContext(q=q, precision=50)
     spins = [HalfInt(twice=t) for t in range(5)]
     keys = [key for j1 in spins for j2 in spins for key in admissible_keys(j1, j2)]
-    rows = [row for row in (*cgc.CLOSED_FORMS.values(), *cgc.SPECIAL_VALUES.values())
-            if row.series is not None]
-    for row in rows:
-        for key in filter(row.matches, keys):
-            count = len(one_term)
-            value = row.value(key, ctx)
-            if len(one_term) > count:
-                assert one_term[-1] == scales[-1]
-                assert value == ctx.mp.mpf(scales[-1]), str(key)
-    assert len(one_term) > 1000
+    rows = {name: row for name, row in {**cgc.CLOSED_FORMS, **cgc.SPECIAL_VALUES}.items()
+            if row.series is not None}
+    one_term, names = 0, set()
+    for ctx in (plain, plain.with_precision(110)):
+        for name, row in rows.items():
+            for key in filter(row.matches, keys):
+                if row.series.split(row._labels(*key.twice)[-1])[0] is not None:
+                    continue  # a longer series is not this test's
+                value = row.value(key, ctx)
+                assert value._mpf_ == ctx.mp.mpf(scales[-1])._mpf_, (name, str(key))
+                one_term += 1
+                names.add(name)
+    assert one_term > 2000
+    # the HyperSeries rows, cut off by a zero numerator parameter
+    assert {"3f2", "3f2_long_equiv", "stretched_minus_one"} <= names
 
 
 def test_crosscheck_checks_the_selection_rules_once(monkeypatch):

@@ -61,6 +61,32 @@ def test_usage_error_exit_code():
                  "--m2", "0", "--j", "1", "--m", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["cgc", "--q", "0.3", "--j1", "3/2", "--m1", "1/2", "--j2", "1/2",
+     "--m2", "-1/2", "--j", "1", "--m", "0"],
+    ["cgc", "--q", "3", "--j1", "3/2", "--m1", "-3/2", "--j2", "1/2",
+     "--m2", "-1/2", "--j", "2", "--m", "-2", "--verify"],
+    ["limit", "--j1", "1/2", "--m1", "-1/2", "--j2", "1/2", "--m2", "1/2",
+     "--j", "1", "--m", "0"],
+    ["hahn", "--n", "1", "--N", "4", "--alpha", "-1/2", "--beta", "1"],
+], ids=["cgc", "cgc-verify", "limit", "hahn"])
+def test_a_negative_half_integer_label_is_its_own_token(argv):
+    # argparse reads "-1/2" as an option unless the parser says otherwise;
+    # "--m2 -1/2" must parse as "--m2=-1/2" does, in build_parser itself
+    joined = []
+    for arg in argv:
+        if arg.startswith("-") and not arg.startswith("--"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    assert len(joined) < len(argv)
+    code, out = _run(argv)
+    assert code == 0 and out
+    assert (code, out) == _run(joined)
+    if argv[0] == "cgc":
+        assert "-1/2" in out
+
+
 def test_the_parser_is_built_once_and_each_call_stands_alone():
     assert build_parser() is build_parser()
     argv = ["table", "--j1", "1/2", "--j2", "1/2"]
