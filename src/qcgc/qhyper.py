@@ -19,8 +19,8 @@ from fractions import Fraction
 from itertools import chain, permutations, repeat
 
 from .halfint import HalfInt, doubled
-from .qcore import (GUARD_DIGITS, QDomainError, _inverse_pair, _qpow_pair,
-                    _times, factorial_pairs, qnum_pairs)
+from .qcore import (GUARD_DIGITS, QDomainError, _as_index, _inverse_pair,
+                    _qpow_pair, _times, factorial_pairs, qnum_pairs)
 
 
 class SeriesIllPosed(ValueError):
@@ -114,8 +114,9 @@ def _series_terms(n_eff, num, den, z, values, inverses, width, start=None):
     """
     man, exp = start or (1 << (width - 1), 1 - width)
     yield man, exp
-    factors = [(inverses, 2), *((values, t) for t in num),
-               *((inverses, t) for t in den)]
+    factors = [(inverses, 2)]
+    factors += [(values, t) for t in num]
+    factors += [(inverses, t) for t in den]
     z_man, z_exp = z
     for k in range(0, 2 * n_eff, 2):
         for table, t in factors:  # _times, inlined in the hot loop
@@ -287,16 +288,35 @@ def _round_ratio(pair, num, den, ctx):
 def _pochhammer_pair(num, den, power, ctx):
     """The pair of ``power`` times prod (a|q)_l over the doubled (2a, l)
     in ``num`` over that in ``den``, or (0, 0) when a numerator bracket
-    is [0]; ``power`` is a pair, such as a q-power's."""
-    num = [t + 2 * i for t, l in num for i in range(l)]
-    den = [t + 2 * i for t, l in den for i in range(l)]
-    if 0 in den:
-        raise SeriesIllPosed("a denominator bracket vanishes")
-    if 0 in num:
-        return 0, 0
-    values, inverses = qnum_pairs(max(map(abs, num + den), default=0), ctx)
-    return _times(*power, chain(map(values.__getitem__, num),
-                                map(inverses.__getitem__, den)), ctx.width)
+    is [0]; ``power`` is a pair, such as a q-power's.
+
+    A pair reads the brackets at 2x = 2a, 2a + 2, ..., 2a + 2l - 2, so its
+    end points give both its largest |2x| and whether it crosses [0].  The
+    product is ``_times`` of the power, the numerator brackets and the
+    denominator inverses, in that order, inlined.
+    """
+    reach = 0
+    for pairs, zero in ((den, None), (num, (0, 0))):
+        for t, l in pairs:
+            if l > 0:
+                end = t + 2 * l - 2
+                if t <= 0 <= end and not t % 2:
+                    if zero is None:
+                        raise SeriesIllPosed("a denominator bracket vanishes")
+                    return zero
+                reach = max(reach, end, -t)
+    values, inverses = qnum_pairs(reach, ctx)
+    man, exp = power
+    width = ctx.width
+    for table, pairs in ((values, num), (inverses, den)):
+        for t, l in pairs:
+            for i in range(t, t + 2 * l, 2):
+                m, e = table[i]
+                man *= m
+                shift = man.bit_length() - width
+                man >>= shift
+                exp += e + shift
+    return man, exp
 
 
 def _closed_sum(num, den, twice_power, ctx):
@@ -361,13 +381,13 @@ def transform_141(spec):
 
 def vandermonde_spec(n, b, c, sign):
     """The 2F1 instance summed by the q-Vandermonde formula."""
-    b, c = doubled(b), doubled(c)
+    n, b, c = _as_index(n), doubled(b), doubled(c)
     return HyperSeriesSpec(twice=((-2 * n, b), (c,), sign * (b - c - 2 * n + 2)))
 
 
 def closed_sum_vandermonde(n, b, c, sign, ctx):
     """q-Vandermonde closed form (c-b|q)_n/(c|q)_n * q^(pm*n*b)."""
-    b, c = doubled(b), doubled(c)
+    n, b, c = _as_index(n), doubled(b), doubled(c)
     if n < 0:
         raise QDomainError("vandermonde: n must be nonnegative")
     if c <= 0 and not c % 2 and 2 * n > -c:
@@ -383,7 +403,7 @@ def closed_sum_positive(n, b, c, sign, ctx):
     The parent display drops a factorial mark on the [c-1+n] denominator;
     matching the series numerically confirms it must read [c-1+n]!.
     """
-    n, b, c = int(n), int(b), int(c)
+    n, b, c = _as_index(n), _as_index(b), _as_index(c)
     if not (n >= 0 and b > 0 and c > b and n < min(b, c)):
         raise QDomainError("closed_sum_positive requires n,b,c in Z+, n<min(b,c), c>b")
     fact, inverse = factorial_pairs(c - 1 + n, ctx)
@@ -397,7 +417,7 @@ def closed_sum_negative(n, b, c, sign, ctx):
     """Closed form of 2F1(-n,-b;-c | q, q^(pm*(b-c+n-1))) for b > c > 0:
     (-1)^n [c-n]! [b+n-c-1]! / ([c]! [b-c-1]!) q^(pm*b*n), one product of
     ``factorial_pairs`` entries and the q-power, rounded once."""
-    n, b, c = int(n), int(b), int(c)
+    n, b, c = _as_index(n), _as_index(b), _as_index(c)
     if not (n >= 0 and c > 0 and b > c and n < min(b, c)):
         raise QDomainError("closed_sum_negative requires b>c>0 and n<min(b,c)")
     fact, inverse = factorial_pairs(max(c, b + n - c - 1), ctx)
@@ -409,24 +429,23 @@ def closed_sum_negative(n, b, c, sign, ctx):
 
 def negative_spec(n, b, c, sign):
     """The 2F1 instance summed by closed_sum_negative."""
-    b, c = doubled(b), doubled(c)
+    n, b, c = _as_index(n), doubled(b), doubled(c)
     return HyperSeriesSpec(twice=((-2 * n, -b), (-c,),
                                   sign * (b - c + 2 * n - 2)))
 
 
 def dixon_spec(n, b, c):
     """The 3F2 instance summed by the terminating q-Dixon formula."""
-    b, c = doubled(b), doubled(c)
+    n, b, c = _as_index(n), doubled(b), doubled(c)
     return HyperSeriesSpec(twice=((-4 * n, b, c),
                                   (2 - 4 * n - b, 2 - 4 * n - c), 2))
 
 
 def closed_sum_dixon(n, b, c, ctx):
     """Terminating q-Dixon sum: q^n [2n]! (b+c+n|q)_n / ([n]! (b+n|q)_n (c+n|q)_n)."""
-    n = int(n)
+    n, b, c = _as_index(n), doubled(b), doubled(c)
     if n < 0:
         raise QDomainError("dixon: n must be nonnegative")
-    b, c = doubled(b), doubled(c)
     return _closed_sum([(2 * n + 2, n), (b + c + 2 * n, n)],
                        [(b + 2 * n, n), (c + 2 * n, n)], 2 * n, ctx)
 

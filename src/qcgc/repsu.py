@@ -432,11 +432,11 @@ def oracle_cgc(key, ctx):
     v = |j1 j1>|j2 j-j1>, which fixes the standard positive-stretched
     sign convention; the coefficient is the (m1, m2) component.
 
-    The extremal projector's alternating sum cancels, losing about 8
-    digits per unit of spin.  Over <j 0, j 0|J 0> at q = 0.5 and precision
-    50, the worst relative gap to ``cgc_racah`` is 1.7e-50 at j = 4 and
-    1.6e-38 at j = 5, past ``ctx.tol``; at 50 digits this oracle gates
-    spins up to 4 only.
+    Spin cap: 4 at 50 digits.  The extremal projector's alternating sum
+    over r cancels, losing about 8 digits per unit of spin.  Over
+    <j 0, j 0|J 0> at q = 0.5 and precision 50, the worst relative gap to
+    ``cgc_racah`` is 1.7e-50 at j = 4 and 1.6e-38 at j = 5, past
+    ``ctx.tol`` = 1e-40.  ``oracle_cgc_lowering`` covers higher spins.
     """
     if not selection_rules(key):
         return ctx.to_mpf(0)

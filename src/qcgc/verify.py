@@ -71,6 +71,23 @@ def _ctx(q, precision):
     return QContext(q=str(q), precision=precision)
 
 
+def _gap(a, b):
+    """|a - b| of two mpfs, or exactly 0, with no mpmath arithmetic, when
+    they have the same bits: a normalised ``_mpf_`` is canonical, so equal
+    tuples are equal values.  A worst residual, which starts at 0, comes
+    out the same either way, since max(worst, 0) is worst."""
+    if a._mpf_ == b._mpf_:
+        return 0
+    return abs(a - b)
+
+
+def _worst_relative(worst, a, b):
+    """The larger of ``worst`` and |a - b| / max(|a|, 1); the scale is
+    worked out only when the gap is not 0."""
+    gap = _gap(a, b)
+    return max(worst, gap / max(abs(a), 1)) if gap else worst
+
+
 def _spin_pool(cap):
     """Doubled spins from 0 up to cap, in whole steps."""
     # half steps would change the verify benchmark's work: left to its revision
@@ -107,19 +124,15 @@ def qhyper_suite(precision=50, samples=200, seed=20240901):
                         series = eval_terminating(
                             vandermonde_spec(n, b, c, sign), ctx)
                         closed = closed_sum_vandermonde(n, b, c, sign, ctx)
-                        scale = max(abs(series), 1)
-                        worst = max(worst, abs(series - closed) / scale)
+                        worst = _worst_relative(worst, series, closed)
                         if c > b and n < min(b, c):
                             pos = closed_sum_positive(n, b, c, sign, ctx)
-                            worst = max(worst,
-                                        abs(series - pos) / scale)
+                            worst = _worst_relative(worst, series, pos)
                         if b > c and n < min(b, c):
                             neg_series = eval_terminating(
                                 negative_spec(n, b, c, sign), ctx)
                             neg = closed_sum_negative(n, b, c, sign, ctx)
-                            nscale = max(abs(neg_series), 1)
-                            worst = max(worst,
-                                        abs(neg_series - neg) / nscale)
+                            worst = _worst_relative(worst, neg_series, neg)
     checks.append(CheckResult("vandermonde_summations", worst, 1e-35))
 
     worst = 0
@@ -134,7 +147,7 @@ def qhyper_suite(precision=50, samples=200, seed=20240901):
                 for c in dixon_grid:
                     series = eval_terminating(dixon_spec(n, b, c), ctx)
                     closed = closed_sum_dixon(n, b, c, ctx)
-                    worst = max(worst, abs(series - closed))
+                    worst = max(worst, _gap(series, closed))
     checks.append(CheckResult("dixon_summation", worst, 1e-35))
 
     worst = 0
@@ -149,14 +162,13 @@ def qhyper_suite(precision=50, samples=200, seed=20240901):
                                       sign * (a + b - 2 * n - d - e + 2)))
         try:
             base = eval_terminating(spec, ctx)
-            scale = max(abs(base), 1)
             for transform in (transform_142, transform_141):
                 new, pre = transform(spec)
                 rewritten = pre.value(ctx) * eval_terminating(new, ctx)
-                worst = max(worst, abs(base - rewritten) / scale)
+                worst = _worst_relative(worst, base, rewritten)
             flipped = eval_terminating(spec.reciprocal(),
                                        ctx.reciprocal())
-            worst = max(worst, abs(base - flipped) / scale)
+            worst = _worst_relative(worst, base, flipped)
         except SeriesIllPosed:
             continue
         count += 1
@@ -175,7 +187,7 @@ def qhyper_suite(precision=50, samples=200, seed=20240901):
             basic, f_spec = connection_pair(num, den, z_exp, ctx)
             lhs = eval_basic(basic, ctx)
             rhs = eval_terminating(f_spec, ctx_sqrt)
-            worst = max(worst, abs(lhs - rhs))
+            worst = max(worst, _gap(lhs, rhs))
     checks.append(CheckResult("basic_series_connection", worst, 1e-35))
 
     worst = 0
@@ -321,14 +333,21 @@ def cgc_formula_suite(precision=50, qs=("0.3", "0.5", "0.9"), j_cap=3):
 
 
 def cgc_oracle_suite(precision=50, qs=("0.5", "0.9"), j_cap="3/2"):
-    """cgc_racah against both matrix-level constructions."""
+    """cgc_racah against both matrix-level constructions.
+
+    The projector oracle (``repsu.oracle_cgc``) has a spin cap of 4 at
+    50 digits: the extremal projector's sum over r cancels, losing about
+    8 digits per unit of spin, so at q = 0.5 its gap to ``cgc_racah`` is
+    1.7e-50 at j = 4 and 1.6e-38 at j = 5, past ``ctx.tol`` = 1e-40.  The
+    lowering oracle (``repsu.oracle_cgc_lowering``) covers higher spins.
+    """
     worst_proj = 0
     worst_low = 0
     for ctx, key in _sweep([_ctx(q, precision) for q in qs], j_cap):
         ref = cgc_racah(key, ctx)
-        worst_proj = max(worst_proj, abs(ref - repsu.oracle_cgc(key, ctx)))
+        worst_proj = max(worst_proj, _gap(ref, repsu.oracle_cgc(key, ctx)))
         worst_low = max(worst_low,
-                        abs(ref - repsu.oracle_cgc_lowering(key, ctx)))
+                        _gap(ref, repsu.oracle_cgc_lowering(key, ctx)))
     return [CheckResult("projector_oracle", worst_proj, 1e-30),
             CheckResult("lowering_oracle", worst_low, 1e-30)]
 
@@ -385,7 +404,7 @@ def symmetry_suite(precision=50, j_cap=3, samples=100, seed=20240902):
             lhs = cgc_racah(key, ctx)
             rhs = (descriptor.prefactor(ctx)
                    * cgc_racah(descriptor.key, other))
-            worst = max(worst, abs(lhs - rhs))
+            worst = max(worst, _gap(lhs, rhs))
         checks.append(CheckResult(f"symmetry_{name}", worst, 1e-35))
     return checks
 
@@ -397,7 +416,7 @@ def special_value_suite(precision=50, qs=("0.5", "0.9"), j_cap=3,
     for ctx, key in _sweep([_ctx(q, precision) for q in qs], j_cap):
         sv = special_value(key, ctx)
         if sv is not None:
-            worst = max(worst, abs(sv - cgc_racah(key, ctx)))
+            worst = max(worst, _gap(sv, cgc_racah(key, ctx)))
     checks = [CheckResult("special_value_patterns", worst, 1e-35)]
 
     ctx1 = _ctx(1, precision)
@@ -409,7 +428,7 @@ def special_value_suite(precision=50, qs=("0.5", "0.9"), j_cap=3,
                 key = CgcKey(twice=(tj1, 0, tj2, 0, tj, 0))
                 closed = classical_parity_zero_value(
                     tj1 // 2, tj2 // 2, tj // 2, ctx1)
-                worst = max(worst, abs(closed - cgc_racah(key, ctx1)))
+                worst = max(worst, _gap(closed, cgc_racah(key, ctx1)))
     checks.append(CheckResult("dixon_classical_m0", worst, 1e-35))
     return checks
 
@@ -456,8 +475,10 @@ def hahn_suite(precision=50, qs=("0.5", "0.9")):
                 for s in range(cap_n):
                     va = hahn_eval(params, s, ctx, form="A")
                     vb = hahn_eval(params, s, ctx, form="B")
-                    scale = max(abs(va), abs(vb), 1)
-                    worst_forms = max(worst_forms, abs(va - vb) / scale)
+                    gap = _gap(va, vb)
+                    if gap:
+                        worst_forms = max(worst_forms, gap / max(
+                            abs(va), abs(vb), 1))
                     worst_ttrr = max(worst_ttrr,
                                      hahn_ttrr_residual(params, s, ctx))
                     worst_diff = max(
@@ -475,7 +496,8 @@ def connection_suite(precision=50, qs=("0.5", "0.9"), j_cap=2):
     for ctx, key in _sweep([_ctx(q, precision) for q in qs], j_cap):
         ref = cgc_racah(key, ctx)
         for route in ("J2", "J1"):
-            worst = max(worst, abs(cgc_from_hahn(key, ctx, route=route) - ref))
+            worst = max(worst, _gap(cgc_from_hahn(key, ctx, route=route),
+                                    ref))
     return [CheckResult("hahn_connection_routes", worst, 1e-30)]
 
 
@@ -489,12 +511,12 @@ def classical_limit_suite(precision=50, j_cap="3/2"):
     ctx_one = _ctx(1, precision)
     worst_num = 0
     for t in range(-10, 11):  # [x] against x for x = -5, -9/2, ..., 5
-        worst_num = max(worst_num, abs(_bracket(t, ctx_near)
-                                       - ctx_near.mp.mpf(t) / 2))
+        worst_num = max(worst_num, _gap(_bracket(t, ctx_near),
+                                        ctx_near.mp.mpf(t) / 2))
     worst_cgc = 0
     for _, key in _sweep([ctx_near], j_cap):
-        worst_cgc = max(worst_cgc, abs(cgc_racah(key, ctx_near)
-                                       - cgc_racah(key, ctx_one)))
+        worst_cgc = max(worst_cgc, _gap(cgc_racah(key, ctx_near),
+                                        cgc_racah(key, ctx_one)))
     return [CheckResult("classical_limit_cgc", worst_cgc, 1e-5),
             CheckResult("classical_limit_qnum", worst_num, 1e-6)]
 

@@ -31,7 +31,7 @@ from qcgc.qhyper import (
     transform_142,
     vandermonde_spec,
 )
-from qcgc.qcore import EXTRA_BITS, _qpow_pair, qnum, qnum_pairs
+from qcgc.qcore import EXTRA_BITS, _qpow_pair, _times, qnum, qnum_pairs
 
 CTX = QContext(q="0.5", precision=50)
 
@@ -302,6 +302,91 @@ def test_closed_form_domain_errors():
         closed_sum_negative(2, 3, 7, 1, CTX)  # needs b > c
     with pytest.raises(QDomainError):
         closed_sum_dixon(-1, 3, 4, CTX)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: closed_sum_positive(1, Fraction(5, 2), 5, 1, CTX),
+    lambda: closed_sum_negative(1, Fraction(7, 2), 2, 1, CTX),
+    lambda: closed_sum_dixon(1.5, 2, 3, CTX),
+    lambda: closed_sum_vandermonde(1.5, 3, 7, 1, CTX),
+    lambda: vandermonde_spec(1.5, 3, 7, 1),
+    lambda: negative_spec(1.5, 7, 3, 1),
+    lambda: dixon_spec(1.5, 2, 3),
+], ids=["positive", "negative", "dixon", "vandermonde", "vandermonde_spec",
+        "negative_spec", "dixon_spec"])
+def test_closed_sums_reject_a_non_integer_index(call):
+    # int() once truncated these to the b = 2, b = 3 and n = 1 values,
+    # and the Pochhammer lengths raised TypeError
+    with pytest.raises(QDomainError):
+        call()
+
+
+def test_closed_sums_read_an_integral_index_of_any_type():
+    assert (closed_sum_positive(HalfInt(2), 3.0, 7, 1, CTX)
+            == closed_sum_positive(2, 3, 7, 1, CTX))
+    assert (closed_sum_negative(2.0, HalfInt(7), 3, -1, CTX)
+            == closed_sum_negative(2, 7, 3, -1, CTX))
+    assert closed_sum_dixon(HalfInt(2), 3, 4, CTX) == closed_sum_dixon(2, 3, 4, CTX)
+    assert (closed_sum_vandermonde(2.0, 3, 7, 1, CTX)
+            == closed_sum_vandermonde(2, 3, 7, 1, CTX))
+    assert (vandermonde_spec(HalfInt(2), 3, 7, 1).twice
+            == vandermonde_spec(2, 3, 7, 1).twice)
+
+
+def _listed_pochhammer(num, den, power, ctx):
+    """``_pochhammer_pair`` written out: the list of every bracket index,
+    then ``_times`` over the power, the numerator brackets and the
+    denominator inverses."""
+    num = [t + 2 * i for t, l in num for i in range(l)]
+    den = [t + 2 * i for t, l in den for i in range(l)]
+    if 0 in den:
+        raise SeriesIllPosed("a denominator bracket vanishes")
+    if 0 in num:
+        return 0, 0
+    values, inverses = qnum_pairs(max(map(abs, num + den), default=0), ctx)
+    return _times(*power, [values[t] for t in num] + [inverses[t] for t in den],
+                  ctx.width)
+
+
+@pytest.mark.parametrize("q", ["0.3", "1", "1.25"])
+def test_pochhammer_pair_is_the_listed_product(q):
+    ctx = QContext(q=q, precision=50)
+    rng = random.Random(32)
+    outcomes = {"pair": 0, "zero": 0, "ill": 0}
+
+    def draw():  # doubled parameters of either sign and parity, l >= 0
+        return [(rng.randint(-9, 9), rng.randint(0, 4))
+                for _ in range(rng.randint(0, 3))]
+
+    for _ in range(1500):
+        num, den = draw(), draw()
+        power = _qpow_pair(rng.randint(-9, 9), ctx)
+        try:
+            expected = _listed_pochhammer(num, den, power, ctx)
+        except SeriesIllPosed:
+            with pytest.raises(SeriesIllPosed):
+                qhyper._pochhammer_pair(num, den, power, ctx)
+            outcomes["ill"] += 1
+            continue
+        assert qhyper._pochhammer_pair(num, den, power, ctx) == expected
+        outcomes["zero" if expected == (0, 0) else "pair"] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_pochhammer_pair_end_points():
+    power = _qpow_pair(3, CTX)
+    # l = 0 reads no bracket, so (0|q)_0 is 1 and no zero
+    assert qhyper._pochhammer_pair([(0, 0)], [(0, 0), (-2, 0)], power,
+                                   CTX) == power
+    # (-2|q)_3 reads [-1] [0] [1]
+    assert qhyper._pochhammer_pair([(3, 2), (-2, 3)], [(5, 1)], power,
+                                   CTX) == (0, 0)
+    # a half-integer pair never reads [0]
+    assert qhyper._pochhammer_pair([(-3, 4)], [(-5, 5)], power, CTX) != (0, 0)
+    # a [0] denominator raises, also when a numerator bracket is [0] too
+    for num in ([(1, 2)], [(0, 1)]):
+        with pytest.raises(SeriesIllPosed):
+            qhyper._pochhammer_pair(num, [(4, 1), (-4, 3)], power, CTX)
 
 
 def test_dixon_n0_is_one():
