@@ -3,10 +3,14 @@
 Eight closed forms (double-checked against each other and against the
 matrix-level oracle in :mod:`qcgc.repsu`), ten special values (rows
 checked against the general form) and the symmetry relations are all
-stored as data rows read by one evaluator; every series of two or more
-terms in a row is summed by ``eval_terminating``.
-``racah_table`` sums whole tables as convolutions, and the three-term
-recurrence in m completes the module.
+stored as data rows of label forms.  On first use a row compiles into
+one function from the doubled labels to its phase, its power of q, the
+net power of each factorial it names and its series' parameters; one
+reduction (``_scale``) multiplies those factorials, and every series of
+two or more terms in a row is summed by ``eval_terminating``.
+``racah_table`` sums whole tables as convolutions, its column scales
+through the same reduction, and the three-term recurrence in m
+completes the module.
 
 Conventions: the stretched coefficient <j1 j1, j2 j2|j1+j2 j1+j2> is 1,
 all coefficients are real, and structural zeros (selection-rule
@@ -173,22 +177,21 @@ def _parse(text):
     return " ".join(monomials).removeprefix("+ ") or "0", 4 * lcm // g, r
 
 
-def _compile(shape):
-    """One function of the six doubled labels that returns ``shape`` with
-    its leaves evaluated.
+class _Source:
+    """The source of one function of the six doubled labels.
 
-    ``shape`` nests lists (returned as tuples) and leaves (kind, form):
-    kind "int" is the form's value and "twice" twice its value.  A leaf
-    that is not an integer raises QDomainError; on a key that passes the
-    selection rules every leaf of the rows below is one.  Rows compile
-    their forms on first use, not at import.
+    ``form`` returns an expression for a label form: kind "int" is the
+    form's value and "twice" twice its value.  The numerator of a form
+    with a denominator is computed once into a local, and ``function``
+    raises QDomainError before its body when a form is not an integer;
+    on a key that passes the selection rules every form of the rows
+    below is one.  Rows compile their forms on first use, not at import.
     """
-    lines, masks = [], {}
 
-    def emit(node):
-        if isinstance(node, list):
-            return "(" + "".join(emit(x) + ", " for x in node) + ")"
-        kind, text = node
+    def __init__(self):
+        self.lines, self.masks, self.locals = [], {}, {}
+
+    def form(self, kind, text):
         numerator, den, _ = _parse(text)
         if kind == "twice":
             if den == 1:
@@ -198,23 +201,58 @@ def _compile(shape):
             return f"({numerator})"
         if den & (den - 1):
             raise ValueError(f"{text!r} has a denominator other than a power of 2")
-        local = f"_{len(lines)}"
-        lines.append(f"    {local} = {numerator}")
-        masks.setdefault(den - 1, []).append(local)
+        local = self.locals.get(numerator)
+        if local is None:
+            local = self.locals[numerator] = f"_{len(self.lines)}"
+            self.lines.append(f"    {local} = {numerator}")
+        checked = self.masks.setdefault(den - 1, [])
+        if local not in checked:
+            checked.append(local)
         return f"({local} >> {den.bit_length() - 1})"
 
-    result = emit(shape)
-    labels = ", ".join(_VARIABLES[:6])
-    checks = " or ".join(f"({' | '.join(names)}) & {mask}"
-                         for mask, names in masks.items())
-    if checks:
-        lines.append(f"    if {checks}:\n        raise QDomainError("
-                     f"f'a label form is not an integer at 2*labels = "
-                     f"{{({labels})}}')")
-    source = "\n".join([f"def labels({labels}):", *lines, f"    return {result}"])
-    namespace = {"QDomainError": QDomainError}
-    exec(compile(source, "<label forms>", "exec"), namespace)
-    return namespace["labels"]
+    def function(self, body):
+        """The function whose lines are the forms' locals, their check and
+        then ``body``, lines indented as in the function's body."""
+        labels = ", ".join(_VARIABLES[:6])
+        checks = " or ".join(f"({' | '.join(names)}) & {mask}"
+                             for mask, names in self.masks.items())
+        lines = [f"def labels({labels}):", *self.lines]
+        if checks:
+            lines.append(f"    if {checks}:\n        raise QDomainError("
+                         f"f'a label form is not an integer at 2*labels = "
+                         f"{{({labels})}}')")
+        source = "\n".join([*lines, *(f"    {line}" for line in body)])
+        namespace = {"QDomainError": QDomainError}
+        exec(compile(source, "<label forms>", "exec"), namespace)
+        return namespace["labels"]
+
+
+def _compile(shape):
+    """One function of the six doubled labels that returns ``shape`` with
+    its leaves evaluated: ``shape`` nests lists (returned as tuples) and
+    leaves (kind, form), read as ``_Source.form`` reads them."""
+    source = _Source()
+
+    def emit(node):
+        if isinstance(node, list):
+            return "(" + "".join(emit(x) + ", " for x in node) + ")"
+        return source.form(*node)
+
+    return source.function([f"return {emit(shape)}"])
+
+
+def _net_lines(factors):
+    """Body lines that gather ``factors``, pairs (expression n, net power
+    of sqrt([n]!)), into the dict ``net``, adding the powers of equal n."""
+    lines = ["net = {}", "get = net.get"]
+    for n, weight in factors:
+        lines += [f"n = {n}", f"net[n] = get(n, 0) + {weight}"]
+    return lines
+
+
+def _least(names):
+    """The source of the least of the expressions ``names``."""
+    return names[0] if len(names) == 1 else f"min({', '.join(names)})"
 
 
 def _factorials(text):
@@ -239,37 +277,23 @@ def _normal_shape(shape):
     return kind, _normal(text)
 
 
-def _ints(forms):
-    return [("int", form) for form in forms]
-
-
-def _scale(phase, twice_power, root_ups, root_downs, ups, downs, c):
+def _scale(phase, twice_power, net, c):
     """The ``c.width``-bit pair of (-1)^phase q^(twice_power/2) prod
-    sqrt([u]!) / prod sqrt([d]!) prod [a]! / prod [b]!, over u and d in
-    ``root_ups`` and ``root_downs`` and a and b in ``ups`` and ``downs``:
-    one running product over the context's tables.
+    sqrt([n]!)^e over the items (n, e) of ``net``: one running product
+    over the context's tables.
 
-    The factorials cancel before they are multiplied: each n gets the
-    net power e of sqrt([n]!) over the four lists (a root counts +-1, a
-    factorial +-2), and enters as sqrt([n]!)^sign(e) when e is odd and
-    [n]!^sign(e) |e|//2 times; [0]! = [1]! = 1 and e = 0 enter not at
-    all.  The factor count k of a rounding bound on the product is the
-    length of that reduced list, plus one for the q-power.
+    ``net`` holds the net power e of sqrt([n]!) of each factorial a row
+    names (a root counts +-1, a factorial +-2), so the factorials have
+    cancelled before they are multiplied: n enters as sqrt([n]!)^sign(e)
+    when e is odd and [n]!^sign(e) |e|//2 times; [0]! = [1]! = 1 and
+    e = 0 enter not at all, and an n < 0 raises QDomainError.  The
+    factor count k of a rounding bound on the product is the length of
+    that reduced list, plus one for the q-power.
 
     The reduced factors are multiplied by n ascending, not in the order
-    the lists name them: each product is truncated, so the order sets
-    the last bits, and with it fixed two rows whose lists cancel to the
+    a row names them: each product is truncated, so the order sets the
+    last bits, and with it fixed two rows whose factorials cancel to the
     same net powers give the same pair (see ``compute``)."""
-    net = {}
-    get = net.get
-    for n in root_ups:
-        net[n] = get(n, 0) + 1
-    for n in root_downs:
-        net[n] = get(n, 0) - 1
-    for n in ups:
-        net[n] = get(n, 0) + 2
-    for n in downs:
-        net[n] = get(n, 0) - 2
     least = min(net, default=0)
     if least < 0:
         raise QDomainError(f"q_factorial: negative argument {least}")
@@ -298,9 +322,10 @@ class FactorialSum:
     r runs over the integers at which every denominator argument is >= 0,
     which is the continuation 1/[negative]! := 0; a q-binomial and a
     Pochhammer (-n|q)_k = (-1)^k [n]!/[n-k]! both fit this shape.  The
-    row is a terminating series written as in the paper: ``split`` reads
-    it as its first summand's factorials times a ``HyperSeriesSpec``, or
-    as that summand alone when r takes one value.
+    row is a terminating series written as in the paper, and the row's
+    compiled function (``body``) reads it as its first summand's
+    factorials times a terminating series, or as that summand alone when
+    r takes one value.
     """
 
     def __init__(self, power, factors):
@@ -328,51 +353,61 @@ class FactorialSum:
                   for side, side_steps in zip((self.num, self.den), steps)
                   for sign in (1, -1))]
 
-    def split(self, labels):
-        """(spec, phase, twice_power, ups, downs) from the evaluated
-        ``shape()``, or None when the range of r is empty.
+    def body(self, source, phase, power, named):
+        """The compiled function's lines from the series on, after the
+        row's ``phase`` and ``power`` expressions and its ``named``
+        factorials, pairs (expression, net power).
 
-        With k = r - lo the sum is its summand at lo, (-1)^phase
-        q^(twice_power/2) prod [a]! / prod [b]! over a in ``ups`` and b in
-        ``downs`` (phase = lo, twice_power = 2 power lo), times the
-        terminating series ``spec`` at argument q^power.  Its parameters
-        are read off each factorial's argument x at lo: a rising
-        numerator factorial gives the numerator parameter x+1, a falling
-        denominator one -x (whose zero cuts the series off at hi - lo), a
-        rising denominator one the denominator parameter x+1 (the one
-        with x = 0 is the series' own 1/[k+1]) and a falling numerator
-        one -x.  When lo = hi the sum is its one summand and spec is
-        None: no series is built.
+        r runs from lo = -min(a) over the rising denominator factorials
+        [a+r]! to hi = min(a) over the falling ones [a-r]!, and an empty
+        range returns None.  With k = r - lo the sum is its summand at
+        lo, (-1)^lo q^(power lo) times the factorials at lo, which join
+        the named ones in ``net``, times a terminating series at argument
+        q^power.  Its parameters are read off each factorial's argument x
+        at lo: a rising numerator factorial gives the numerator parameter
+        x+1, a falling denominator one -x (whose zero cuts the series off
+        at hi - lo), a rising denominator one the denominator parameter
+        x+1 (the one with x = 0 is the series' own 1/[k+1]) and a falling
+        numerator one -x.  When lo = hi the sum is its one summand and
+        the spec is None.
         """
-        e, num_up, num_down, den_up, den_down = labels
-        lo, hi = -min(den_up), min(den_down)
-        if lo > hi:
-            return None
+        e, *sides = self.shape()
+        lines, names = [f"e = {source.form(*e)}"], []
+        for side in sides:
+            names.append([])
+            for leaf in side:
+                names[-1].append(f"x{len(lines)}")
+                lines.append(f"{names[-1][-1]} = {source.form(*leaf)}")
+        num_up, num_down, den_up, den_down = names
+        lines += [f"lo = -{_least(den_up)}", f"hi = {_least(den_down)}",
+                  "if lo > hi:", "    return None"]
         # the denominator's arguments are >= 0 from lo to hi by definition
         if num_up or num_down:
-            least = min([a + lo for a in num_up] + [a - hi for a in num_down])
-            if least < 0:
-                raise QDomainError(f"q_factorial: negative argument {least}")
-        # the factorials' arguments at r = lo
-        num_up = [a + lo for a in num_up]
-        num_down = [a - lo for a in num_down]
-        den_up = [a + lo for a in den_up]
-        den_down = [a - lo for a in den_down]
-        ups, downs = num_up + num_down, den_up + den_down
-        if lo == hi:
-            return None, lo, 2 * e * lo, ups, downs
-        upper = [2 * x + 2 for x in num_up] + [-2 * x for x in den_down]
-        lower = [2 * x + 2 for x in den_up] + [-2 * x for x in num_down]
-        lower.remove(2)
-        return (HyperSeriesSpec(twice=(upper, lower, 2 * e)), lo, 2 * e * lo,
-                ups, downs)
+            least = _least([f"{x} + lo" for x in num_up]
+                           + [f"{x} - hi" for x in num_down])
+            lines += [f"least = {least}", "if least < 0:",
+                      "    raise QDomainError("
+                      "f'q_factorial: negative argument {least}')"]
+        at_lo = {x: f"{x} + lo" for x in num_up + den_up}
+        at_lo.update((x, f"{x} - lo") for x in num_down + den_down)
+        lines += _net_lines([*named, *((at_lo[x], 2) for x in num_up + num_down),
+                             *((at_lo[x], -2) for x in den_up + den_down)])
+        first = f"{phase} + lo, {power} + 2 * e * lo, net"
+        upper = ([f"2 * ({at_lo[x]}) + 2" for x in num_up]
+                 + [f"-2 * ({at_lo[x]})" for x in den_down])
+        lower = ([f"2 * ({at_lo[x]}) + 2" for x in den_up]
+                 + [f"-2 * ({at_lo[x]})" for x in num_down])
+        return [*lines, "if lo == hi:", f"    return {first}, None",
+                f"lower = [{', '.join(lower)}]", "lower.remove(2)",
+                f"return {first}, (({''.join(x + ', ' for x in upper)}), "
+                "lower, 2 * e)"]
 
 
 class HyperSeries:
     """A terminating 3F2 at argument q^arg_exponent, parameters as forms;
-    ``split`` hands back its spec, with no summand of its own, or no spec
-    when a numerator parameter is 0: the series is then its first term,
-    1."""
+    the row's compiled function (``body``) hands back its doubled
+    parameters and argument, with no summand of its own, or no spec when
+    a numerator parameter is 0: the series is then its first term, 1."""
 
     def __init__(self, numerator, denominator, arg_exponent):
         self.numerator = numerator
@@ -384,9 +419,16 @@ class HyperSeries:
                 [("twice", f) for f in self.denominator],
                 ("twice", self.arg_exponent)]
 
-    def split(self, labels):
-        spec = None if 0 in labels[0] else HyperSeriesSpec(twice=labels)
-        return spec, 0, 0, [], []
+    def body(self, source, phase, power, named):
+        """The compiled function's lines from the series on, as in
+        ``FactorialSum.body``."""
+        num, den, arg = self.shape()
+        num, den = ("".join(source.form(*leaf) + ", " for leaf in side)
+                    for side in (num, den))
+        return [*_net_lines(named), f"num = ({num})", "if 0 in num:",
+                f"    return {phase}, {power}, net, None",
+                f"return {phase}, {power}, net, (num, ({den}), "
+                f"{source.form(*arg)})"]
 
 
 class ClosedForm:
@@ -399,15 +441,20 @@ class ClosedForm:
     ``match`` the forms that vanish on their pattern.
 
     The root and the outside factors are written as factorials when the
-    row is built, a bracket [n] as [n]! / [n-1]!, and the label forms
-    are compiled on first use into one function of the doubled labels
-    that returns the indices of the factorials.  The product is one
-    ``_scale`` pass of (man, exp) pairs over the context's sqrt([n]!)
-    and [n]! tables and its q^(+-1/2) powers, and it is the series'
-    scale in ``eval_terminating``, so that the value is rounded once.
-    A row whose series has one term (``split`` returns no spec) is its
-    product rounded once, as ``eval_terminating`` rounds a series with
-    cutoff 0, and builds no spec, bracket table or guarded sum.
+    row is built, a bracket [n] as [n]! / [n-1]!.  On first use the row
+    compiles into one function of the six doubled labels, ``_compiled``,
+    that returns (phase, twice_power, net, spec), or None when a
+    factorial sum's range of r is empty: ``net`` maps each factorial
+    argument n of the row and of its series' first summand to its net
+    power of sqrt([n]!) (the row's forms that are one polynomial are
+    merged as it compiles), and ``spec`` holds the series' doubled
+    parameters and argument, or is None when the series has one term.
+    The product is one ``_scale`` pass of (man, exp) pairs over the
+    context's sqrt([n]!) and [n]! tables and its q^(+-1/2) powers, and
+    it is the series' scale in ``eval_terminating``, so that the value
+    is rounded once.  A row whose series has one term is its product
+    rounded once, as ``eval_terminating`` rounds a series with cutoff 0,
+    and builds no spec, bracket table or guarded sum.
     """
 
     def __init__(self, power, root, phase="0", outside="", series=None,
@@ -418,11 +465,28 @@ class ClosedForm:
         self.match = match
 
     @functools.cached_property
-    def _labels(self):
-        return _compile([
-            ("int", self.phase), ("twice", self.power),
-            *map(_ints, self.factorials),
-            self.series.shape() if self.series else []])
+    def _named(self):
+        """{normalised form n: [a form of n, net power of sqrt([n]!)]} over
+        the root and the outside factors (a root counts +-1, a factorial
+        +-2)."""
+        named = {}
+        for forms, weight in zip(self.factorials, (1, -1, 2, -2)):
+            for form in forms:
+                named.setdefault(_normal(form), [form, 0])[1] += weight
+        return named
+
+    @functools.cached_property
+    def _compiled(self):
+        source = _Source()
+        phase = source.form("int", self.phase)
+        power = source.form("twice", self.power)
+        named = [(source.form("int", form), weight)
+                 for form, weight in self._named.values()]
+        if self.series is None:
+            body = [*_net_lines(named), f"return {phase}, {power}, net, None"]
+        else:
+            body = self.series.body(source, phase, power, named)
+        return source.function(body)
 
     @functools.cached_property
     def _match(self):
@@ -443,35 +507,24 @@ class ClosedForm:
         the same net powers and ``eval_terminating`` the same spec on
         every key, and so give the same bits.
         """
-        net = {}
-        for forms, weight in zip(self.factorials, (1, -1, 2, -2)):
-            for form in forms:
-                n = _normal(form)
-                net[n] = net.get(n, 0) + weight
         series = None if self.series is None else (
             type(self.series), _normal_shape(self.series.shape()))
         return (_normal(self.phase), _normal(self.power),
-                frozenset(item for item in net.items() if item[1]), series)
+                frozenset((n, e) for n, (_, e) in self._named.items() if e), series)
 
     def matches(self, key):
         """True if every match form vanishes on the key."""
         return not any(self._match(*key.twice))
 
     def value(self, key, ctx):
-        (phase, power, root_ups, root_downs, ups, downs,
-         series) = self._labels(*key.twice)
-        spec = None
-        if self.series is not None:
-            split = self.series.split(series)
-            if split is None:
-                return ctx.to_mpf(0)
-            spec, first_phase, first_power, first_ups, first_downs = split
-            phase, power = phase + first_phase, power + first_power
-            ups, downs = (*ups, *first_ups), (*downs, *first_downs)
-        scale = _scale(phase, power, root_ups, root_downs, ups, downs, ctx)
+        compiled = self._compiled(*key.twice)
+        if compiled is None:
+            return ctx.to_mpf(0)
+        phase, power, net, spec = compiled
+        scale = _scale(phase, power, net, ctx)
         if spec is None:
             return ctx.mp.mpf(scale)
-        return eval_terminating(spec, ctx, scale=scale)
+        return eval_terminating(HyperSeriesSpec(twice=spec), ctx, scale=scale)
 
 
 _QUADRATIC_MINUS = "j1*m2 - j2*m1 - (j1+j2-j)*(j1+j2+j+1)/2"
@@ -672,8 +725,11 @@ def _racah_column(tj1, tj2, tj, tm, ones, twos, rows, a, ctx):
     # the column's share of the prefactor: sqrt([2j+1] [j+m]! [j-m]!
     # [j1+j2-j]! [j+j1-j2]! [j+j2-j1]! / [j1+j2+j+1]!) q^(j1 (m-j1-j2)),
     # with [2j+1] = [2j+1]! / [2j]!
-    man, exp = _scale(0, tj1 * (tm - tj1 - tj2) // 2,
-                      (jp, jm, n, plus, minus, tj + 1), (big, tj), (), (), ctx)
+    net = {}
+    for x, e in ((jp, 1), (jm, 1), (n, 1), (plus, 1), (minus, 1), (tj + 1, 1),
+                 (big, -1), (tj, -1)):
+        net[x] = net.get(x, 0) + e
+    man, exp = _scale(0, tj1 * (tm - tj1 - tj2) // 2, net, ctx)
     # b_s for s = 0..s_hi, None below s_lo
     left, right = rows[jm], rows[jp]
     b = [None] * s_lo + [_times(*left[s], (right[d + s],), ctx.width)
@@ -981,12 +1037,13 @@ def compute(key, ctx, mode="default"):
     reason = selection_failure(key)
     if reason is not None:
         return CgcValue(value=ctx.to_mpf(0), formula="selection", reason=reason)
-    if mode == "default":
-        return CgcValue(value=cgc_racah(key, ctx), formula="racah")
-    if mode != "crosscheck":
-        raise QDomainError(f"unknown mode {mode!r}")
     # the key passed the selection rules above, so the rows are read
     # directly, not through cgc_* and special_value
+    if mode == "default":
+        value = CLOSED_FORMS["racah"].value(key, ctx)
+        return CgcValue(value=_unitary(value, key, "racah"), formula="racah")
+    if mode != "crosscheck":
+        raise QDomainError(f"unknown mode {mode!r}")
     values = [_unitary(CLOSED_FORMS[name].value(key, ctx), key, name)
               for name in _computations()]
     special = _special_row(key)

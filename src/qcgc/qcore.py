@@ -494,12 +494,14 @@ def _gamma_tilde_raw(sv, ctx):
 
 
 def _as_index(n):
-    """An integer index from an int, an integral HalfInt or an integral
-    float; anything else raises QDomainError."""
-    if isinstance(n, int):
+    """An integer index from an int, an integral HalfInt, Fraction or
+    float; anything else, a bool included, raises QDomainError."""
+    if isinstance(n, int) and not isinstance(n, bool):
         return n
     if isinstance(n, HalfInt) and n.is_integer:
         return n.as_int()
+    if isinstance(n, Fraction) and n.denominator == 1:
+        return n.numerator
     if isinstance(n, float) and n.is_integer():
         return int(n)
     raise QDomainError(f"expected an integer index, got {n!r}")

@@ -1,5 +1,6 @@
 """Unit tests for the Clebsch-Gordan closed forms and their structure."""
 
+import functools
 import itertools
 import math
 import random
@@ -249,7 +250,7 @@ def test_one_computation_gives_the_same_bits(monkeypatch, q):
             values.append(sv)
         pairwise = max(abs(a - b) for a in values for b in values)
         assert result.deviation._mpf_ == pairwise._mpf_, str(key)
-        several += racah.series.split(racah._labels(*key.twice)[-1])[0] is not None
+        several += racah._compiled(*key.twice)[3] is not None
     assert several > 100
 
 
@@ -533,9 +534,9 @@ def test_stretched_minus_one_is_exact_at_q_1(monkeypatch):
 def test_every_series_row_is_one_terminating_series(monkeypatch, q):
     # a closed form or special value is one product, made in one _times
     # pass, times at most one terminating series: one eval_terminating
-    # call per key for a row whose series has two or more terms (``split``
-    # returns a spec), none for a row whose series has one, and no
-    # guarded sum of the row's own
+    # call per key for a row whose series has two or more terms (its
+    # compiled function returns a spec), none for a row whose series has
+    # one, and no guarded sum of the row's own
     calls, products = [], []
 
     def counting(spec, ctx, scale=None):
@@ -562,8 +563,7 @@ def test_every_series_row_is_one_terminating_series(monkeypatch, q):
             calls.clear()
             products.clear()
             row.value(key, ctx)
-            summed = row.series is not None and row.series.split(
-                row._labels(*key.twice)[-1])[0] is not None
+            summed = row._compiled(*key.twice)[3] is not None
             assert len(products) == 1, (name, str(key))
             assert len(calls) == summed, (name, str(key))
             checked += 1
@@ -655,13 +655,118 @@ def test_factorials_below_2_are_exactly_one(q):
         assert table[0] == table[1] == one
 
 
-def _uncancelled_scale(phase, twice_power, root_ups, root_downs, ups, downs, c):
-    # every factor the four lists name, as one running product
-    roots, inverse_roots = root_factorial_pairs(max((*root_ups, *root_downs), default=0), c)
-    fact, inverse = factorial_pairs(max((*ups, *downs), default=0), c)
-    man, exp = _times(*_qpow_pair(twice_power, c), [
-        *map(roots.__getitem__, root_ups), *map(inverse_roots.__getitem__, root_downs),
-        *map(fact.__getitem__, ups), *map(inverse.__getitem__, downs)], c.width)
+@functools.cache
+def _code(form):
+    return compile(re.sub(r"(\d)([a-z(])", r"\1*\2", form), form, "eval")
+
+
+def _written(row, key):
+    # a brute-force reading of the row's written factorials on key: None
+    # for an empty range of r, else (phase, twice_power, named, spec),
+    # named the (n, net power of sqrt([n]!)) of every factorial the row
+    # and its series' first summand name, in order; QDomainError when a
+    # form is not an integer or an argument is negative
+    labels = dict(zip(cgc._VARIABLES, (t / 2 for t in key.twice)))
+
+    def at(form, r=0, times=1):
+        # times the form at the labels and r, in Python's own float
+        # arithmetic, which is exact on these small multiples of 1/4, as
+        # an int when it is an integer
+        labels["r"] = r
+        value = times * eval(_code(form), {}, labels)
+        return int(value) if value == int(value) else value
+
+    phase, power, spec = at(row.phase), at(row.power, times=2), None
+    named = [(at(form), weight) for forms, weight in zip(row.factorials, (1, -1, 2, -2))
+             for form in forms]
+    series = row.series
+    values = [phase, power, *(n for n, _ in named)]
+    if isinstance(series, cgc.HyperSeries):
+        values += [at(f, times=2) for f in (*series.numerator, *series.denominator,
+                                             series.arg_exponent)]
+    elif series is not None:
+        values += [at(f) for f in (series.power, *series.num, *series.den)]
+    if any(isinstance(x, float) for x in values):
+        raise QDomainError("a form is not an integer")
+    if isinstance(series, cgc.HyperSeries):
+        num = tuple(at(f, times=2) for f in series.numerator)
+        if 0 not in num:
+            spec = (num, tuple(at(f, times=2) for f in series.denominator),
+                    at(series.arg_exponent, times=2))
+    elif series is not None:
+        # r over the range where every denominator argument is >= 0
+        rs = [r for r in range(-12, 13) if all(at(a, r=r) >= 0 for a in series.den)]
+        if not rs:
+            return None
+        lo, hi = rs[0], rs[-1]
+        assert -12 < lo and hi < 12  # the scan covers the range
+        if any(at(a, r=r) < 0 for a in series.num for r in rs):
+            raise QDomainError("a numerator argument is negative")
+        e = at(series.power)
+        phase, power = phase + lo, power + 2 * e * lo
+        named += [(at(a, r=lo), 2) for a in series.num]
+        named += [(at(a, r=lo), -2) for a in series.den]
+        if lo < hi:
+            rising = {a: at(a, r=1) > at(a, r=0) for a in series.num + series.den}
+            upper = [2 * at(a, r=lo) + 2 for a in series.num if rising[a]]
+            upper += [-2 * at(a, r=lo) for a in series.den if not rising[a]]
+            lower = [2 * at(a, r=lo) + 2 for a in series.den if rising[a]]
+            lower += [-2 * at(a, r=lo) for a in series.num if not rising[a]]
+            lower.remove(2)  # the series' own 1/[k+1]
+            spec = (tuple(upper), tuple(lower), 2 * e)
+    if any(n < 0 for n, _ in named):
+        raise QDomainError("a factorial argument is negative")
+    return phase, power, named, spec
+
+
+def test_a_compiled_row_is_its_written_factorials():
+    # every row on every admissible key with 2j1, 2j2 <= 6, the special
+    # rows off their patterns too: the compiled function returns the
+    # brute-force reading's phase, power and spec, and its net holds the
+    # summed powers of the same arguments; where a form is not an integer
+    # or an argument is negative the row raises QDomainError
+    spins = [HalfInt(twice=t) for t in range(7)]
+    keys = [key for j1 in spins for j2 in spins for key in admissible_keys(j1, j2)]
+    rows = {**cgc.CLOSED_FORMS, **cgc.SPECIAL_VALUES}
+    agreed, raising, summed, matched = 0, set(), 0, set()
+    for name, row in rows.items():
+        for key in keys:
+            try:
+                written = _written(row, key)
+            except QDomainError:
+                with pytest.raises(QDomainError):
+                    row.value(key, CTX)
+                raising.add(name)
+                continue
+            compiled = row._compiled(*key.twice)
+            assert written is not None and compiled is not None, (name, str(key))
+            phase, power, net, spec = compiled
+            if spec is not None:
+                spec = (tuple(spec[0]), tuple(spec[1]), spec[2])
+            expected = {}
+            for n, weight in written[2]:
+                expected[n] = expected.get(n, 0) + weight
+            assert (phase, power, net, spec) == (*written[:2], expected, written[3]), \
+                (name, str(key))
+            agreed += 1
+            summed += spec is not None
+            if row.matches(key):
+                matched.add(name)
+    assert agreed > 20000 and summed > 5000 and matched == set(rows)
+    # off their patterns: a negative [j1-j2-m]! or [2j1-1]!, or a half-integer [j1]!
+    assert raising == {"antistretched", "stretched_minus_one", "all_m_zero"}, raising
+    # an empty range of r is None, on a key past the triangle rule
+    assert cgc.CLOSED_FORMS["racah"]._compiled(2, 0, 2, 0, 6, 0) is None
+
+
+def _uncancelled_scale(phase, twice_power, named, c):
+    # every factor the row names, as one running product in their order
+    top = max((n for n, _ in named), default=0)
+    roots, inverse_roots = root_factorial_pairs(top, c)
+    fact, inverse = factorial_pairs(top, c)
+    tables = {1: roots, -1: inverse_roots, 2: fact, -2: inverse}
+    man, exp = _times(*_qpow_pair(twice_power, c),
+                      [tables[weight][n] for n, weight in named], c.width)
     return (-man if phase % 2 else man), exp
 
 
@@ -669,15 +774,15 @@ def test_scale_cancels_factorials_before_it_multiplies(monkeypatch):
     # every row on the 2408 keys with 2j1, 2j2 <= 6 at q = 0.3: the
     # cancelled product is within 64 ulps at ctx.width of the uncancelled
     # one, and _times receives at most a quarter of the factors that the
-    # index lists name, averaged over the spin pairs as the crosscheck
+    # row names, averaged over the spin pairs as the crosscheck
     # benchmark draws its keys (16.7%; 26.6% pooled over the keys, most
     # of which have the larger spins)
     ctx = QContext(q="0.3", precision=50)
     scale, calls, passed = cgc._scale, [], []
 
     def recording(*args):
-        calls.append((args, scale(*args)))
-        return calls[-1][1]
+        calls.append(scale(*args))
+        return calls[-1]
 
     def times(man, exp, pairs, width):
         passed.append(len(pairs))
@@ -691,24 +796,27 @@ def test_scale_cancels_factorials_before_it_multiplies(monkeypatch):
     for j1, j2 in itertools.product([HalfInt(twice=t) for t in range(7)], repeat=2):
         calls.clear()
         passed.clear()
+        written = []
         for row in rows:
             for key in filter(row.matches, admissible_keys(j1, j2)):
                 row.value(key, ctx)
-        assert len(calls) == len(passed)
-        for args, (man, exp) in calls:
-            ref_man, ref_exp = _uncancelled_scale(*args)
+                written.append(_written(row, key))
+        assert len(calls) == len(passed) == len(written)
+        for (phase, power, named, _), (man, exp) in zip(written, calls):
+            ref_man, ref_exp = _uncancelled_scale(phase, power, named, ctx)
             low = min(exp, ref_exp)
             error = abs((man << (exp - low)) - (ref_man << (ref_exp - low)))
-            assert error <= 64 << (ref_exp - low), args
-        shares.append(sum(passed) / sum(sum(map(len, args[2:6])) for args, _ in calls))
+            assert error <= 64 << (ref_exp - low), named
+        shares.append(sum(passed) / sum(len(named) for _, _, named, _ in written))
     assert sum(shares) / len(shares) <= 1 / 4
 
 
 @pytest.mark.parametrize("q", ["0.02", "0.3", "0.9", "1", "1.25", "3", "50"])
 def test_rows_with_a_one_term_series_are_their_scale(monkeypatch, q):
-    # most series at small spins have one term, and ``split`` then
-    # returns no spec: the row's value is its _scale pair rounded once,
-    # with no series, bracket table or guard, in a boosted context too
+    # most series at small spins have one term, and the compiled row
+    # then returns no spec: the row's value is its _scale pair rounded
+    # once, with no series, bracket table or guard, in a boosted context
+    # too
     scale, scales = cgc._scale, []
 
     def recording(*args):
@@ -731,7 +839,7 @@ def test_rows_with_a_one_term_series_are_their_scale(monkeypatch, q):
     for ctx in (plain, plain.with_precision(110)):
         for name, row in rows.items():
             for key in filter(row.matches, keys):
-                if row.series.split(row._labels(*key.twice)[-1])[0] is not None:
+                if row._compiled(*key.twice)[3] is not None:
                     continue  # a longer series is not this test's
                 value = row.value(key, ctx)
                 assert value._mpf_ == ctx.mp.mpf(scales[-1])._mpf_, (name, str(key))
@@ -744,8 +852,8 @@ def test_rows_with_a_one_term_series_are_their_scale(monkeypatch, q):
 
 def test_crosscheck_checks_the_selection_rules_once(monkeypatch):
     # compute checks the key once and then reads the closed-form rows and
-    # the special-value row directly; the cgc_* wrappers and
-    # special_value keep their own checks
+    # the special-value row directly, in either mode; the cgc_* wrappers
+    # and special_value keep their own checks
     calls = []
 
     def counting(key):
@@ -756,15 +864,26 @@ def test_crosscheck_checks_the_selection_rules_once(monkeypatch):
     keys = [*admissible_keys(2, "3/2"), CgcKey(1, 0, 1, 0, 3, 0)]
     with_special = 0
     for key in keys:
-        calls.clear()
-        compute(key, CTX, mode="crosscheck")
-        assert len(calls) == 1, str(key)
+        for mode in ("default", "crosscheck"):
+            calls.clear()
+            compute(key, CTX, mode=mode)
+            assert len(calls) == 1, (mode, str(key))
         with_special += special_value(key, CTX) is not None
+        assert compute(key, CTX).value._mpf_ == cgc_racah(key, CTX)._mpf_, str(key)
     assert with_special > 10
     calls.clear()
     cgc_racah(keys[0], CTX)
     special_value(keys[0], CTX)
     assert len(calls) == 2
+
+
+def test_the_default_mode_keeps_the_unitarity_bound(monkeypatch):
+    # compute reads the 'racah' row directly, and still raises when its
+    # value is past the unitarity bound
+    key = CgcKey(1, 0, 1, 0, 2, 0)
+    monkeypatch.setattr(cgc.ClosedForm, "value", lambda row, key, ctx: ctx.to_mpf(3))
+    with pytest.raises(ArithmeticError, match=re.escape(f"the racah row gives {key}")):
+        compute(key, CTX)
 
 
 @pytest.mark.parametrize("form, key, q", [

@@ -94,15 +94,29 @@ def test_q_factorial_negative_raises():
 
 
 def test_an_index_reads_integral_labels_and_rejects_the_rest():
-    for n in (3, HalfInt(3), 3.0):
+    for n in (3, HalfInt(3), 3.0, Fraction(3), Fraction(6, 2)):
         assert qcore._as_index(n) == 3 and type(qcore._as_index(n)) is int
-    for n in (2.5, HalfInt("5/2"), float("inf"), "3"):
+    for n in (2.5, HalfInt("5/2"), Fraction(5, 2), float("inf"), "3", True, False):
         with pytest.raises(QDomainError):
             qcore._as_index(n)
     # a half-integer index is outside the domain however it is written
     for n in (2.5, HalfInt("5/2")):
         with pytest.raises(QDomainError):
             q_factorial(n, CTX)
+
+
+def test_the_integer_functions_read_an_integral_fraction_and_no_bool():
+    # q_factorial(Fraction(3)) raised and q_factorial(True) returned [1]!
+    # when the index read tested int first and knew no Fraction
+    assert q_factorial(Fraction(3), CTX) == q_factorial(3, CTX)
+    assert q_binomial(Fraction(5), Fraction(2), CTX) == q_binomial(5, 2, CTX)
+    assert q_pochhammer("3/2", Fraction(3), CTX) == q_pochhammer("3/2", 3, CTX)
+    for flag in (True, False):
+        for call in (lambda: q_factorial(flag, CTX), lambda: q_binomial(flag, 0, CTX),
+                     lambda: q_binomial(2, flag, CTX),
+                     lambda: q_pochhammer("3/2", flag, CTX)):
+            with pytest.raises(QDomainError, match="integer index"):
+                call()
 
 
 @pytest.mark.parametrize("q", ["0.3", "1", "1.25"])
