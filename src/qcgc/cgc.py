@@ -135,21 +135,6 @@ def _poly(node):
     raise ValueError(f"unsupported form {ast.unparse(node)!r}")
 
 
-def _polynomial(text):
-    """The form ``text`` as ``_poly``'s {monomial: coefficient}, where a
-    digit before a letter multiplies (``"2j+1"``)."""
-    expr = re.sub(r"(\d)([a-z(])", r"\1*\2", text)
-    return _poly(ast.parse(expr, mode="eval").body)
-
-
-@functools.cache
-def _normal(text):
-    """The form ``text`` as a set of (monomial, nonzero coefficient), the
-    same for two forms exactly when they are one polynomial, however
-    each is written."""
-    return frozenset((mono, c) for mono, c in _polynomial(text).items() if c)
-
-
 @functools.cache
 def _parse(text):
     """A form such as ``"j1*m2 - (j1+j2-j)*(j1+j2+j+1)/2"``, where a digit
@@ -160,7 +145,8 @@ def _parse(text):
     integer polynomial; r is the coefficient of the summation index r,
     which the numerator leaves out.
     """
-    poly = _polynomial(text)
+    expr = re.sub(r"(\d)([a-z(])", r"\1*\2", text)
+    poly = _poly(ast.parse(expr, mode="eval").body)
     r = int(poly.pop((_VARIABLES.index("r"),), 0))
     # a label enters as twice/2, so over the common denominator 4 * lcm
     # a monomial of degree d carries 2^(2-d)
@@ -267,14 +253,6 @@ def _factorials(text):
             if not bang:
                 other.append(f"({arg}) - 1")
     return ups, downs
-
-
-def _normal_shape(shape):
-    """``_compile``'s shape with each form normalised (``_normal``)."""
-    if isinstance(shape, list):
-        return tuple(map(_normal_shape, shape))
-    kind, text = shape
-    return kind, _normal(text)
 
 
 def _scale(phase, twice_power, net, c):
@@ -446,9 +424,10 @@ class ClosedForm:
     that returns (phase, twice_power, net, spec), or None when a
     factorial sum's range of r is empty: ``net`` maps each factorial
     argument n of the row and of its series' first summand to its net
-    power of sqrt([n]!) (the row's forms that are one polynomial are
-    merged as it compiles), and ``spec`` holds the series' doubled
-    parameters and argument, or is None when the series has one term.
+    power of sqrt([n]!) (forms equal on the key add their powers as the
+    function runs), and ``spec`` holds the series' doubled parameters and
+    argument, or is None when the series has one term.  ``value``
+    evaluates that tuple (``_evaluate``).
     The product is one ``_scale`` pass of (man, exp) pairs over the
     context's sqrt([n]!) and [n]! tables and its q^(+-1/2) powers, and
     it is the series' scale in ``eval_terminating``, so that the value
@@ -465,23 +444,13 @@ class ClosedForm:
         self.match = match
 
     @functools.cached_property
-    def _named(self):
-        """{normalised form n: [a form of n, net power of sqrt([n]!)]} over
-        the root and the outside factors (a root counts +-1, a factorial
-        +-2)."""
-        named = {}
-        for forms, weight in zip(self.factorials, (1, -1, 2, -2)):
-            for form in forms:
-                named.setdefault(_normal(form), [form, 0])[1] += weight
-        return named
-
-    @functools.cached_property
     def _compiled(self):
         source = _Source()
         phase = source.form("int", self.phase)
         power = source.form("twice", self.power)
         named = [(source.form("int", form), weight)
-                 for form, weight in self._named.values()]
+                 for forms, weight in zip(self.factorials, (1, -1, 2, -2))
+                 for form in forms]
         if self.series is None:
             body = [*_net_lines(named), f"return {phase}, {power}, net, None"]
         else:
@@ -494,37 +463,24 @@ class ClosedForm:
         # integer on any key
         return _compile([("twice", f) for f in self.match])
 
-    @functools.cached_property
-    def computation(self):
-        """The row as normalised polynomials in the labels: its phase and
-        power, the net power of sqrt([n]!) of each factorial form n over
-        the root and the outside factors (a root counts +-1, a factorial
-        +-2), and its series' forms in order, as the order of the
-        parameters sets how the term products round.
-
-        The series' first summand and its phase and power follow from the
-        series' forms, so two rows with one computation hand ``_scale``
-        the same net powers and ``eval_terminating`` the same spec on
-        every key, and so give the same bits.
-        """
-        series = None if self.series is None else (
-            type(self.series), _normal_shape(self.series.shape()))
-        return (_normal(self.phase), _normal(self.power),
-                frozenset((n, e) for n, (_, e) in self._named.items() if e), series)
-
     def matches(self, key):
         """True if every match form vanishes on the key."""
         return not any(self._match(*key.twice))
 
     def value(self, key, ctx):
-        compiled = self._compiled(*key.twice)
-        if compiled is None:
-            return ctx.to_mpf(0)
-        phase, power, net, spec = compiled
-        scale = _scale(phase, power, net, ctx)
-        if spec is None:
-            return ctx.mp.mpf(scale)
-        return eval_terminating(HyperSeriesSpec(twice=spec), ctx, scale=scale)
+        return _evaluate(self._compiled(*key.twice), ctx)
+
+
+def _evaluate(compiled, ctx):
+    """The value of a row's compiled tuple on a key (``ClosedForm``):
+    equal tuples give equal bits."""
+    if compiled is None:
+        return ctx.to_mpf(0)
+    phase, power, net, spec = compiled
+    scale = _scale(phase, power, net, ctx)
+    if spec is None:
+        return ctx.mp.mpf(scale)
+    return eval_terminating(HyperSeriesSpec(twice=spec), ctx, scale=scale)
 
 
 _QUADRATIC_MINUS = "j1*m2 - j2*m1 - (j1+j2-j)*(j1+j2+j+1)/2"
@@ -1003,7 +959,8 @@ def recurrence_m_residual(key, ctx):
 @dataclass(frozen=True)
 class CgcValue:
     """A coefficient, the row it came from and, in crosscheck mode, the
-    spread of the distinct computations that checked it."""
+    spread of the rows that checked it and ``routes``, the number of
+    distinct computations among them (see ``compute``)."""
 
     value: object
     formula: str
@@ -1012,15 +969,8 @@ class CgcValue:
     routes: int = None
 
 
-@functools.cache
-def _computations():
-    """The CLOSED_FORMS rows grouped by ``ClosedForm.computation``:
-    {first name: every name of the group}, 'racah' first.  Built on the
-    first crosscheck, not at import."""
-    groups = {}
-    for name in sorted(CLOSED_FORMS, key=lambda name: name != "racah"):
-        groups.setdefault(CLOSED_FORMS[name].computation, []).append(name)
-    return {names[0]: tuple(names) for names in groups.values()}
+# the rows a crosscheck compares, 'racah' first, the special row after
+_CROSSCHECK_ROWS = sorted(CLOSED_FORMS.items(), key=lambda item: item[0] != "racah")
 
 
 def compute(key, ctx, mode="default"):
@@ -1029,10 +979,13 @@ def compute(key, ctx, mode="default"):
 
     In crosscheck mode the reported deviation is the maximum pairwise
     difference across all closed forms, plus the special value when one
-    applies.  Rows that are one computation (``_computations``) give the
-    same bits, so each computation is evaluated once; ``routes`` counts
-    the computations evaluated.  Either mode raises ArithmeticError when a
-    value it evaluates is 2 or more in size, past the unitarity bound.
+    applies.  Each row compiles to the inputs of its value on the key
+    (``ClosedForm._compiled``), and equal inputs give equal bits, so the
+    rows are taken in turn, 'racah' first and the special row last, and
+    a row is evaluated only when its tuple differs from every tuple
+    evaluated before it; ``routes`` counts those evaluations.  Either
+    mode raises ArithmeticError when a value it evaluates is 2 or more in
+    size, past the unitarity bound.
     """
     reason = selection_failure(key)
     if reason is not None:
@@ -1044,11 +997,17 @@ def compute(key, ctx, mode="default"):
         return CgcValue(value=_unitary(value, key, "racah"), formula="racah")
     if mode != "crosscheck":
         raise QDomainError(f"unknown mode {mode!r}")
-    values = [_unitary(CLOSED_FORMS[name].value(key, ctx), key, name)
-              for name in _computations()]
+    rows = _CROSSCHECK_ROWS
     special = _special_row(key)
     if special is not None:
-        values.append(_unitary(special.value(key, ctx), key, "special value"))
+        rows = [*rows, ("special value", special)]
+    tuples, values = [], []
+    for name, row in rows:
+        compiled = row._compiled(*key.twice)
+        # tuple ==, which compares the net dicts and specs in C
+        if compiled not in tuples:
+            tuples.append(compiled)
+            values.append(_unitary(_evaluate(compiled, ctx), key, name))
     # the largest |a - b| over every pair, as rounding is monotone, and
     # an exact 0 when the values agree, as they mostly do
     distinct = {x._mpf_: x for x in values}.values()

@@ -104,8 +104,9 @@ def cmd_cgc(args, stream=None):
     if result.reason is not None:
         line += f"  ({result.reason})"
     if result.deviation is not None:
-        line += ("  max cross-formula deviation "
-                 f"{_fmt(result.deviation._mpf_, args.precision)}")
+        plural = "s" if result.routes != 1 else ""
+        line += (f"  {result.routes} computation{plural}, max cross-formula "
+                 f"deviation {_fmt(result.deviation._mpf_, args.precision)}")
     stream.write(line + "\n")
     return 0
 
@@ -370,8 +371,10 @@ def build_parser():
     _add_common(p)
     _add_key(p)
     p.add_argument("--verify", action="store_true",
-                   help="cross-check against every closed form, each distinct "
-                        "computation once, and report the largest deviation")
+                   help="cross-check against every closed form and the special "
+                        "value, evaluating a row only when its computation on "
+                        "the key differs from every one before it, and report "
+                        "how many computations ran and the largest deviation")
 
     p = sub.add_parser("table", help="all admissible keys for one spin pair",
                        allow_abbrev=False)

@@ -75,8 +75,8 @@ class QContext:
         self._q_arg = q
         self._invert = bool(invert)
         self.q = self.to_mpf(q)
-        if not self.q > 0:
-            raise QDomainError("q must be positive")
+        if not (self.q > 0 and self.mp.isfinite(self.q)):
+            raise QDomainError("q must be a positive finite number")
         if self._invert:
             self.q = 1 / self.q
         self.qinv = 1 / self.q

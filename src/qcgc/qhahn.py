@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .halfint import HalfInt, doubled
-from .qcore import QDomainError, _qpow_pair, _sqrt_pair, q_gamma_tilde
+from .qcore import QDomainError, _as_index, _qpow_pair, _sqrt_pair, q_gamma_tilde
 from .qhyper import HyperSeriesSpec, _pochhammer_pair, eval_terminating
 from .cgc import (CgcKey, _relative_residual, cgc_racah, selection_failure,
                   selection_rules)
@@ -29,7 +29,9 @@ class HahnParams:
     """Degree n on the lattice of size N with parameters alpha, beta, held
     only as ``twice`` = (2 alpha, 2 beta): labels are read through
     ``halfint.doubled``, or ``twice=`` takes the ints, as for ``CgcKey``;
-    ``alpha`` and ``beta`` are HalfInts made on the read."""
+    ``alpha`` and ``beta`` are HalfInts made on the read.  n and N are
+    read through ``qcore._as_index``, so a non-integral one raises
+    QDomainError instead of being truncated."""
 
     n: int
     N: int
@@ -40,7 +42,7 @@ class HahnParams:
             twice = doubled(alpha), doubled(beta)
         elif alpha is not None or beta is not None:
             raise TypeError("HahnParams takes alpha and beta or twice=, not both")
-        n, N = int(n), int(N)
+        n, N = _as_index(n), _as_index(N)
         if not 0 <= n <= N - 1:
             raise QDomainError(f"degree n={n} outside 0..N-1 for N={N}")
         object.__setattr__(self, "n", n)
@@ -327,7 +329,7 @@ def hahn_sigma_tau(params, s, ctx):
 
 def hahn_difference_residual(params, s, ctx):
     """Relative residual of the second-order difference equation in s."""
-    s = int(s)
+    s = _as_index(s)
     dxm = delta_x_half(s, ctx)
     nab = lattice_x(s, ctx) - lattice_x(s - 1, ctx)
     xi = hahn_sigma_tau(params, s, ctx) / (dxm * nab)

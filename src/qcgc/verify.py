@@ -324,8 +324,9 @@ def repsu_suite(precision=50):
 
 def cgc_formula_suite(precision=50, qs=("0.3", "0.5", "0.9"), j_cap=3):
     """Pairwise agreement of every closed form and special value on the
-    full key sweep: each crosscheck evaluates the distinct computations
-    among the closed forms once (``cgc.compute``)."""
+    full key sweep: each crosscheck evaluates a row only when what it
+    computes on the key differs from every row before it
+    (``cgc.compute``)."""
     worst = 0
     for ctx, key in _sweep([_ctx(q, precision) for q in qs], j_cap):
         worst = max(worst, compute(key, ctx, mode="crosscheck").deviation)

@@ -1,5 +1,6 @@
 """Unit tests for the Clebsch-Gordan closed forms and their structure."""
 
+import collections
 import functools
 import itertools
 import math
@@ -178,30 +179,19 @@ def test_crosscheck_deviation_is_the_largest_pairwise_difference():
     assert with_special > 500 and nonzero > 100
 
 
-def test_rows_that_are_one_computation():
-    # after _scale cancels their factorials, 'racah', 'racah_binomial' and
-    # '3f2_rw2' are one product and one series as polynomials in the
-    # labels, and every other closed form is a computation of its own;
-    # an edit to a row's forms that breaks or makes an equivalence fails
-    # here
-    groups = {}
-    for name, row in cgc.CLOSED_FORMS.items():
-        groups.setdefault(row.computation, set()).add(name)
-    assert sorted(map(sorted, groups.values())) == [
-        ["3f2"], ["3f2_long_equiv"], ["3f2_rw1"], ["3f2_rw2", "racah", "racah_binomial"],
-        ["sum"], ["sum_alt"]]
-    assert cgc._computations() == {
-        "racah": ("racah", "3f2_rw2", "racah_binomial"), "sum": ("sum",),
-        "sum_alt": ("sum_alt",), "3f2": ("3f2",), "3f2_rw1": ("3f2_rw1",),
-        "3f2_long_equiv": ("3f2_long_equiv",)}
-    # the forms compare as polynomials, not as text, and the series'
-    # parameters in their order
-    racah = cgc.CLOSED_FORMS["racah"]
-    rewritten = cgc.ClosedForm(
+def test_the_racah_rewrites_share_one_tuple():
+    # '3f2_rw2' and 'racah_binomial' compile to the 'racah' row's tuple on
+    # every admissible key with 2j1, 2j2 <= 8, so a crosscheck sums no
+    # series of theirs apart from the racah sum's; a row that writes the
+    # racah sum in other words shares it too, and one whose series takes
+    # its parameters in another order does not, as that order sets how
+    # the term products round
+    rows = [cgc.CLOSED_FORMS[name] for name in ("racah", "3f2_rw2", "racah_binomial")]
+    rows.append(cgc.ClosedForm(
         power="m2*j1 - m1*j2 + (j+j2+j1+1)*(j2+j1-j)/2",
         root=("[j-m]! [j+m]! [2j+1] [j1-m1]! [m1+j1]! [j2+m2]! [j2-m2]! "
               "[j1+j2-j]! [j1-j2+j]! [j+j2-j1]! / [1+j+j1+j2]!"),
-        series=cgc.FactorialSum("-(j1+j2+j+1)", cgc._RACAH_TERMS))
+        series=cgc.FactorialSum("-(j1+j2+j+1)", cgc._RACAH_TERMS)))
     swapped = cgc.ClosedForm(
         power=cgc._QUADRATIC_PLUS,
         root=("[2j+1] [j1+m1]! [j1-m1]! [j2+m2]! [j2-m2]! [j+m]! [j-m]! "
@@ -209,71 +199,107 @@ def test_rows_that_are_one_computation():
         series=cgc.FactorialSum("-(j1+j2+j+1)", (
             "/ [r]! [j1+j2-j-r]! [j2+m2-r]! [j1-m1-r]! [j-j1-m2+r]! "
             "[j-j2+m1+r]!")))
-    assert rewritten.computation == racah.computation
-    assert swapped.computation != racah.computation
+    spins = [HalfInt(twice=t) for t in range(9)]
+    keys = [key for j1 in spins for j2 in spins for key in admissible_keys(j1, j2)]
+    apart = 0
+    for key in keys:
+        racah, *others = (row._compiled(*key.twice) for row in rows)
+        assert all(other == racah for other in others), str(key)
+        apart += swapped._compiled(*key.twice) != racah
+    assert len(keys) == 7809 and apart > 1000
 
 
 @pytest.mark.parametrize("q", ["0.3", "1.25"])
-def test_one_computation_gives_the_same_bits(monkeypatch, q):
+def test_each_row_has_the_bits_of_the_computation_for_its_tuple(monkeypatch, q):
     # on a sample past spin 3/2, where the Racah sums have several terms:
-    # every row of a computation, evaluated alone, has the bits of the
-    # row compute evaluates for it, and its _scale pair too, and the
-    # deviation is the largest difference of the rows evaluated alone,
-    # the special value included
-    scale, pairs = cgc._scale, []
+    # a crosscheck evaluates each distinct compiled tuple once, so
+    # routes is the number of distinct tuples over the rows and the
+    # special row, every row evaluated alone has the bits of the
+    # evaluation of its tuple, and the deviation is the largest
+    # difference of the rows evaluated alone
+    evaluate, evaluated = cgc._evaluate, []
 
-    def recording(*args):
-        pairs.append(scale(*args))
-        return pairs[-1]
+    def recording(compiled, ctx):
+        evaluated.append((compiled, evaluate(compiled, ctx)))
+        return evaluated[-1][1]
 
-    monkeypatch.setattr(cgc, "_scale", recording)
+    monkeypatch.setattr(cgc, "_evaluate", recording)
     ctx = QContext(q=q, precision=50)
     spins = [HalfInt(twice=t) for t in range(9)]
     keys = random.Random(21).sample(
         [key for j1 in spins for j2 in spins for key in admissible_keys(j1, j2)], 500)
-    racah = cgc.CLOSED_FORMS["racah"]
-    several = 0
+    rows = [(ALL_FORMULAS[name], row) for name, row in cgc.CLOSED_FORMS.items()]
+    several = shared = 0
     for key in keys:
+        evaluated.clear()
         result = compute(key, ctx, mode="crosscheck")
-        values = []
-        for first, names in cgc._computations().items():
-            pairs.clear()
-            computed = cgc.CLOSED_FORMS[first].value(key, ctx)
-            for name in names:
-                alone = ALL_FORMULAS[name](key, ctx)
-                assert alone._mpf_ == computed._mpf_, (name, str(key))
-                assert pairs[-1] == pairs[0], (name, str(key))
-                values.append(alone)
-        assert result.value._mpf_ == values[0]._mpf_
-        sv = special_value(key, ctx)
-        if sv is not None:
-            values.append(sv)
+        computed = list(evaluated)
+        special = cgc._special_row(key)
+        tuples, values = [], []
+        for alone, row in rows + [(special_value, special)] * (special is not None):
+            compiled = row._compiled(*key.twice)
+            if compiled not in tuples:
+                tuples.append(compiled)
+            [bits] = [value._mpf_ for t, value in computed if t == compiled]
+            values.append(alone(key, ctx))
+            assert values[-1]._mpf_ == bits, str(key)
+        assert result.routes == len(computed) == len(tuples), str(key)
+        assert result.value._mpf_ == ALL_FORMULAS["racah"](key, ctx)._mpf_
         pairwise = max(abs(a - b) for a in values for b in values)
         assert result.deviation._mpf_ == pairwise._mpf_, str(key)
-        several += racah._compiled(*key.twice)[3] is not None
-    assert several > 100
+        several += computed[0][0][3] is not None
+        shared += len(tuples) < len(values)
+    assert several > 100 and shared == len(keys)
 
 
 def test_crosscheck_counts_its_routes():
-    # six computations among the closed forms, and the special value when
-    # one applies, on every key with 2j1, 2j2 <= 6; the default mode
-    # evaluates one row and counts none
-    plain, stretched = CgcKey(2, 1, 2, -1, 2, 0), CgcKey(1, 0, 1, 0, 2, 0)
-    assert special_value(plain, CTX) is None
-    assert special_value(stretched, CTX) is not None
-    assert compute(plain, CTX, mode="crosscheck").routes == 6
-    assert compute(stretched, CTX, mode="crosscheck").routes == 7
-    assert compute(plain, CTX).routes is None
+    # routes is the number of distinct compiled tuples over the closed
+    # forms and the special row, counted on every key with 2j1, 2j2 <= 6;
+    # the default mode evaluates one row and counts none
+    assert compute(CgcKey(2, 1, 2, -1, 2, 0), CTX).routes is None
     assert compute(CgcKey(1, 0, 1, 0, 3, 0), CTX, mode="crosscheck").routes is None
     spins = [HalfInt(twice=t) for t in range(7)]
-    counts = {6: 0, 7: 0}
+    counts = collections.Counter()
     for j1 in spins:
         for j2 in spins:
             for key in admissible_keys(j1, j2):
+                rows = [*cgc.CLOSED_FORMS.values(), cgc._special_row(key)]
+                tuples = []
+                for row in filter(None, rows):
+                    compiled = row._compiled(*key.twice)
+                    if compiled not in tuples:
+                        tuples.append(compiled)
                 routes = compute(key, CTX, mode="crosscheck").routes
-                assert routes == 6 + (special_value(key, CTX) is not None), key
+                assert routes == len(tuples), key
                 counts[routes] += 1
-    assert counts == {6: 364, 7: 2044}
+    assert counts == {3: 161, 4: 889, 5: 24, 6: 559, 7: 775}
+
+
+def test_a_row_whose_tuple_differs_is_evaluated_on_its_own(monkeypatch):
+    # the rows are compared by what they compute, not by name: with
+    # 'racah_binomial' shifted by one power of q on one key, where it
+    # shares the 'racah' tuple, a crosscheck evaluates it apart, counts
+    # one more route and reports the spread; other keys are unchanged
+    key, other = CgcKey(2, 1, 2, -1, 2, 0), CgcKey(2, 0, 2, 0, 2, 0)
+    row = cgc.CLOSED_FORMS["racah_binomial"]
+    compiled = row._compiled
+    assert compiled(*key.twice) == cgc.CLOSED_FORMS["racah"]._compiled(*key.twice)
+    before, unchanged = (compute(k, CTX, mode="crosscheck") for k in (key, other))
+
+    def shifted(*twice):
+        if twice != key.twice:
+            return compiled(*twice)
+        phase, power, net, spec = compiled(*twice)
+        return phase, power + 2, net, spec
+
+    monkeypatch.setattr(row, "_compiled", shifted)
+    after = compute(key, CTX, mode="crosscheck")
+    assert after.routes == before.routes + 1
+    assert after.value._mpf_ == before.value._mpf_
+    # the shifted row is q = 1/2 times the racah value
+    assert after.deviation >= abs(before.value) / 2 > 0
+    again = compute(other, CTX, mode="crosscheck")
+    assert (again.routes, again.deviation) == (unchanged.routes, unchanged.deviation)
 
 
 def test_boosted_sums_are_reals_of_the_calling_context():

@@ -52,6 +52,8 @@ def test_cgc_verify_reports_deviation():
                       "--m2", "0", "--j", "2", "--m", "0", "--verify"])
     assert code == 0
     assert "max cross-formula deviation" in out
+    # the distinct computations compared, before the deviation
+    assert out.split("[racah]  ")[1].startswith("4 computations, max")
     deviation = mpf(out.rsplit("deviation", 1)[1].strip())
     assert deviation < mpf("1e-35")
 
@@ -59,6 +61,15 @@ def test_cgc_verify_reports_deviation():
 def test_usage_error_exit_code():
     assert main(["cgc", "--j1", "1/3", "--m1", "0", "--j2", "1",
                  "--m2", "0", "--j", "1", "--m", "0"]) == 2
+
+
+@pytest.mark.parametrize("q", ["inf", "+inf", "nan"])
+def test_an_infinite_q_is_a_usage_error(q, capsys):
+    # exit 1 means a failed check; an infinite q used to divide by zero
+    # and exit 1
+    assert main(["cgc", "--q", q, "--j1", "1", "--m1", "0", "--j2", "1",
+                 "--m2", "0", "--j", "2", "--m", "0"]) == 2
+    assert "q must be a positive finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

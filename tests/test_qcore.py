@@ -384,6 +384,16 @@ def test_context_rejects_low_precision_and_bad_q():
         QContext(q="-1", precision=50)
 
 
+@pytest.mark.parametrize("q", ["inf", "+inf", float("inf"), float("nan"), "nan",
+                               "-inf", float("-inf")],
+                         ids=["inf", "+inf", "float-inf", "float-nan", "nan", "-inf",
+                              "float--inf"])
+def test_context_rejects_an_infinite_or_nan_q(q):
+    # an infinite q passed the q > 0 check and then divided by zero
+    with pytest.raises(QDomainError, match="positive finite"):
+        QContext(q=q, precision=50)
+
+
 def test_reciprocal_context_round_trip():
     flip = CTX.reciprocal()
     back = flip.reciprocal()

@@ -38,6 +38,25 @@ def test_params_validation():
     assert p.shifted(2).n == 3
 
 
+def test_a_degree_lattice_size_or_point_is_an_integer_index():
+    # n, N and s were read through int(), so 3/2 built or evaluated at 1
+    # and the string "3/2" raised ValueError
+    for bad in (1.5, Fraction(3, 2), True, "3/2", HalfInt("3/2")):
+        with pytest.raises(QDomainError, match="integer index"):
+            HahnParams(bad, 4, 1, 1)
+        with pytest.raises(QDomainError, match="integer index"):
+            HahnParams(0, bad, 1, 1)
+        with pytest.raises(QDomainError, match="integer index"):
+            hahn_difference_residual(HahnParams(1, 4, 1, 1), bad, CTX)
+    for n, N in ((Fraction(2), 4.0), (HalfInt(2), Fraction(8, 2))):
+        params = HahnParams(n, N, 1, 1)
+        assert (params.n, params.N) == (2, 4)
+        assert type(params.n) is int and type(params.N) is int
+    params = HahnParams(1, 4, 1, 1)
+    assert (hahn_difference_residual(params, Fraction(2), CTX)
+            == hahn_difference_residual(params, 2, CTX))
+
+
 @pytest.mark.parametrize("q", ["0.5", "1.25"])
 def test_weight_at_a_negative_half_integer_gamma_argument(q):
     # beta = -3/2 at s = 0 puts Gamma_tilde(-1/2) in the weight's numerator
