@@ -5,12 +5,12 @@ matrix-level oracle in :mod:`qcgc.repsu`), ten special values (rows
 checked against the general form) and the symmetry relations are all
 stored as data rows of label forms.  On first use a row compiles into
 one function from the doubled labels to its phase, its power of q, the
-net power of each factorial it names and its series' parameters; one
-reduction (``_scale``) multiplies those factorials, and every series of
-two or more terms in a row is summed by ``eval_terminating``.
-``racah_table`` sums whole tables as convolutions, its column scales
-through the same reduction, and the three-term recurrence in m
-completes the module.
+net power of each factorial past [1]! it names and its series'
+parameters; one product (``_scale``) multiplies those factorials, and
+every series of two or more terms in a row is summed by
+``eval_terminating``.  ``racah_table`` sums whole tables as
+convolutions, its column scales through a compiled row too, and the
+three-term recurrence in m completes the module.
 
 Conventions: the stretched coefficient <j1 j1, j2 j2|j1+j2 j1+j2> is 1,
 all coefficients are real, and structural zeros (selection-rule
@@ -27,10 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .halfint import HalfInt, doubled
-from .qcore import (QDomainError, _bracket, _qpow_pair, _times,
+from .qcore import (QDomainError, _as_index, _bracket, _qpow_pair, _times,
                     factorial_pairs, root_factorial_pairs)
 from .qhyper import (HyperSeriesSpec, _labels, _round_summand, _sum_with_guard,
                      eval_terminating)
+
+
+_INT = frozenset({int})  # a twice= of ints alone is kept as it is
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -38,9 +41,10 @@ class CgcKey:
     """The sextuple (j1, m1, j2, m2, j, m) addressing one coefficient, held
     only as ``twice``, the six labels doubled as ints: ``CgcKey(j1, m1, j2,
     m2, j, m)`` reads each label through ``halfint.doubled``, and
-    ``CgcKey(twice=(2j1, ..., 2m))`` takes the ints, as ``HalfInt(twice=)``
-    does.  A label read by name (``key.j1`` ... ``key.m``) or through
-    ``labels()`` is a HalfInt made on the read."""
+    ``CgcKey(twice=(2j1, ..., 2m))`` takes the ints, read through
+    ``qcore._as_index``, so a bool or a non-integral float or Fraction
+    raises QDomainError.  A label read by name (``key.j1`` ... ``key.m``)
+    or through ``labels()`` is a HalfInt made on the read."""
 
     twice: tuple
 
@@ -50,6 +54,8 @@ class CgcKey:
         twice = tuple(twice or map(doubled, labels))
         if len(twice) != 6:
             raise TypeError(f"CgcKey takes six labels, not {len(twice)}")
+        if not _INT.issuperset(map(type, twice)):
+            twice = tuple(map(_as_index, twice))
         object.__setattr__(self, "twice", twice)
 
     j1, m1, j2, m2, j, m = (
@@ -229,10 +235,17 @@ def _compile(shape):
 
 def _net_lines(factors):
     """Body lines that gather ``factors``, pairs (expression n, net power
-    of sqrt([n]!)), into the dict ``net``, adding the powers of equal n."""
-    lines = ["net = {}", "get = net.get"]
-    for n, weight in factors:
-        lines += [f"n = {n}", f"net[n] = get(n, 0) + {weight}"]
+    of sqrt([n]!)), into ``net`` for ``_scale``: each n > 1 while its power
+    is not 0.  A negative n raises QDomainError naming the least."""
+    names = [f"n{i}" for i in range(len(factors))]
+    fail = f"QDomainError(f'q_factorial: negative argument {{{_least(names)}}}')"
+    lines = [f"{name} = {n}" for name, (n, _) in zip(names, factors)]
+    lines += ["net = {}", "get = net.get"]
+    for name, (_, weight) in zip(names, factors):
+        lines += [f"if {name} > 1:",
+                  f"    p = net[{name}] = get({name}, 0) + {weight}",
+                  "    if not p:", f"        del net[{name}]",
+                  f"elif {name} < 0:", f"    raise {fail}"]
     return lines
 
 
@@ -260,34 +273,29 @@ def _scale(phase, twice_power, net, c):
     sqrt([n]!)^e over the items (n, e) of ``net``: one running product
     over the context's tables.
 
-    ``net`` holds the net power e of sqrt([n]!) of each factorial a row
-    names (a root counts +-1, a factorial +-2), so the factorials have
-    cancelled before they are multiplied: n enters as sqrt([n]!)^sign(e)
-    when e is odd and [n]!^sign(e) |e|//2 times; [0]! = [1]! = 1 and
-    e = 0 enter not at all, and an n < 0 raises QDomainError.  The
+    ``phase`` is 0 or 1 and ``net`` a compiled row's (``_net_lines``):
+    the net power e != 0 of sqrt([n]!) for each n > 1 a row names, so the
+    factorials have cancelled before they are multiplied: n enters as
+    sqrt([n]!)^sign(e) when e is odd and [n]!^sign(e) |e|//2 times.  The
     factor count k of a rounding bound on the product is the length of
-    that reduced list, plus one for the q-power.
+    that list, plus one for the q-power.
 
     The reduced factors are multiplied by n ascending, not in the order
     a row names them: each product is truncated, so the order sets the
     last bits, and with it fixed two rows whose factorials cancel to the
     same net powers give the same pair (see ``compute``)."""
-    least = min(net, default=0)
-    if least < 0:
-        raise QDomainError(f"q_factorial: negative argument {least}")
     top = max(net, default=0)
     fact, inverse = factorial_pairs(top, c)
     roots, inverse_roots = root_factorial_pairs(top, c)
     factors = []
     for n in sorted(net):
         e = net[n]
-        if n > 1 and e:
-            if e % 2:
-                factors.append(roots[n] if e > 0 else inverse_roots[n])
-            if abs(e) > 1:
-                factors += [fact[n] if e > 0 else inverse[n]] * (abs(e) // 2)
+        if e % 2:
+            factors.append(roots[n] if e > 0 else inverse_roots[n])
+        if abs(e) > 1:
+            factors += [fact[n] if e > 0 else inverse[n]] * (abs(e) // 2)
     man, exp = _times(*_qpow_pair(twice_power, c), factors, c.width)
-    return (-man if phase % 2 else man), exp
+    return (-man if phase else man), exp
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +378,7 @@ class FactorialSum:
         at_lo.update((x, f"{x} - lo") for x in num_down + den_down)
         lines += _net_lines([*named, *((at_lo[x], 2) for x in num_up + num_down),
                              *((at_lo[x], -2) for x in den_up + den_down)])
-        first = f"{phase} + lo, {power} + 2 * e * lo, net"
+        first = f"({phase} + lo) & 1, {power} + 2 * e * lo, net"
         upper = ([f"2 * ({at_lo[x]}) + 2" for x in num_up]
                  + [f"-2 * ({at_lo[x]})" for x in den_down])
         lower = ([f"2 * ({at_lo[x]}) + 2" for x in den_up]
@@ -404,8 +412,8 @@ class HyperSeries:
         num, den = ("".join(source.form(*leaf) + ", " for leaf in side)
                     for side in (num, den))
         return [*_net_lines(named), f"num = ({num})", "if 0 in num:",
-                f"    return {phase}, {power}, net, None",
-                f"return {phase}, {power}, net, (num, ({den}), "
+                f"    return {phase} & 1, {power}, net, None",
+                f"return {phase} & 1, {power}, net, (num, ({den}), "
                 f"{source.form(*arg)})"]
 
 
@@ -421,13 +429,13 @@ class ClosedForm:
     The root and the outside factors are written as factorials when the
     row is built, a bracket [n] as [n]! / [n-1]!.  On first use the row
     compiles into one function of the six doubled labels, ``_compiled``,
-    that returns (phase, twice_power, net, spec), or None when a
+    that returns (phase mod 2, twice_power, net, spec), or None when a
     factorial sum's range of r is empty: ``net`` maps each factorial
-    argument n of the row and of its series' first summand to its net
-    power of sqrt([n]!) (forms equal on the key add their powers as the
-    function runs), and ``spec`` holds the series' doubled parameters and
-    argument, or is None when the series has one term.  ``value``
-    evaluates that tuple (``_evaluate``).
+    argument n > 1 of the row and of its series' first summand to its
+    net power of sqrt([n]!) unless that is 0 (``_net_lines``), and
+    ``spec`` holds the series' doubled parameters and argument, or is
+    None when the series has one term.  ``value`` evaluates that tuple
+    (``_evaluate``): rows with equal tuples are one product on the key.
     The product is one ``_scale`` pass of (man, exp) pairs over the
     context's sqrt([n]!) and [n]! tables and its q^(+-1/2) powers, and
     it is the series' scale in ``eval_terminating``, so that the value
@@ -452,7 +460,7 @@ class ClosedForm:
                  for forms, weight in zip(self.factorials, (1, -1, 2, -2))
                  for form in forms]
         if self.series is None:
-            body = [*_net_lines(named), f"return {phase}, {power}, net, None"]
+            body = [*_net_lines(named), f"return {phase} & 1, {power}, net, None"]
         else:
             body = self.series.body(source, phase, power, named)
         return source.function(body)
@@ -596,6 +604,12 @@ cgc_racah = ALL_FORMULAS["racah"]
 cgc_racah_binomial = ALL_FORMULAS["racah_binomial"]
 
 
+# the scale that the keys of one (j, m) share in ``racah_table``
+_COLUMN_SCALE = ClosedForm(
+    power="j1*(m-j1-j2)",
+    root="[2j+1] [j+m]! [j-m]! [j1+j2-j]! [j+j1-j2]! [j+j2-j1]! / [j1+j2+j+1]!")
+
+
 def racah_table(j1, j2, ctx):
     """Every admissible coefficient of one spin pair through the 'racah'
     row: {doubled labels (``CgcKey.twice``): value}, in the order of
@@ -615,9 +629,9 @@ def racah_table(j1, j2, ctx):
       by t <= 2j1 + 2j2;
     - per j, the a-list: row n times a running q-power, shared by the
       2j+1 columns of that j;
-    - per column, the scale that its keys share (``_scale``), with the
-      q-power q^(j1 (m-j1-j2)), and the b-list, each b_s one product of
-      two row entries;
+    - per column, the scale that its keys share (``_COLUMN_SCALE``),
+      with the q-power q^(j1 (m-j1-j2)), and the b-list, each b_s one
+      product of two row entries;
     - per key, the prefactor: the scale times ``ones[u]`` times
       ``twos[v]``.
     These lists are local to the call and made in ``ctx`` alone, and
@@ -671,21 +685,13 @@ def _racah_column(tj1, tj2, tj, tm, ones, twos, rows, a, ctx):
     """{doubled labels: value} of the keys of one (j, m), by m1 up, from
     the table's rows and the a-list of j."""
     n = (tj1 + tj2 - tj) // 2          # j1+j2-j
-    big = (tj1 + tj2 + tj) // 2 + 1    # j1+j2+j+1
     plus = (tj + tj1 - tj2) // 2       # j+j1-j2
-    minus = (tj + tj2 - tj1) // 2      # j+j2-j1
     jp, jm = (tj + tm) // 2, (tj - tm) // 2
     d = (tj2 - tj1 + tm) // 2          # j2-j1+m, so that j2+m2 = d+u
     s_lo, s_hi = max(0, -d), min(plus, jm)
     u_lo, u_hi = max(0, -d), min(tj1, (tj1 + tj2 - tm) // 2)
-    # the column's share of the prefactor: sqrt([2j+1] [j+m]! [j-m]!
-    # [j1+j2-j]! [j+j1-j2]! [j+j2-j1]! / [j1+j2+j+1]!) q^(j1 (m-j1-j2)),
-    # with [2j+1] = [2j+1]! / [2j]!
-    net = {}
-    for x, e in ((jp, 1), (jm, 1), (n, 1), (plus, 1), (minus, 1), (tj + 1, 1),
-                 (big, -1), (tj, -1)):
-        net[x] = net.get(x, 0) + e
-    man, exp = _scale(0, tj1 * (tm - tj1 - tj2) // 2, net, ctx)
+    # the column's share of the prefactor, whose forms read no m1 or m2
+    man, exp = _scale(*_COLUMN_SCALE._compiled(tj1, 0, tj2, 0, tj, tm)[:3], ctx)
     # b_s for s = 0..s_hi, None below s_lo
     left, right = rows[jm], rows[jp]
     b = [None] * s_lo + [_times(*left[s], (right[d + s],), ctx.width)
@@ -979,13 +985,13 @@ def compute(key, ctx, mode="default"):
 
     In crosscheck mode the reported deviation is the maximum pairwise
     difference across all closed forms, plus the special value when one
-    applies.  Each row compiles to the inputs of its value on the key
+    applies.  Each row compiles to the inputs of its product on the key
     (``ClosedForm._compiled``), and equal inputs give equal bits, so the
     rows are taken in turn, 'racah' first and the special row last, and
     a row is evaluated only when its tuple differs from every tuple
-    evaluated before it; ``routes`` counts those evaluations.  Either
-    mode raises ArithmeticError when a value it evaluates is 2 or more in
-    size, past the unitarity bound.
+    evaluated before it; ``routes`` counts those evaluations, 1 when
+    every row is one product.  Either mode raises ArithmeticError when a
+    value it evaluates is 2 or more in size, past the unitarity bound.
     """
     reason = selection_failure(key)
     if reason is not None:

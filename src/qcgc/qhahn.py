@@ -29,9 +29,10 @@ class HahnParams:
     """Degree n on the lattice of size N with parameters alpha, beta, held
     only as ``twice`` = (2 alpha, 2 beta): labels are read through
     ``halfint.doubled``, or ``twice=`` takes the ints, as for ``CgcKey``;
-    ``alpha`` and ``beta`` are HalfInts made on the read.  n and N are
-    read through ``qcore._as_index``, so a non-integral one raises
-    QDomainError instead of being truncated."""
+    ``alpha`` and ``beta`` are HalfInts made on the read.  n, N and the
+    entries of ``twice`` are read through ``qcore._as_index``, so a
+    non-integral one, or a bool, raises QDomainError instead of being
+    truncated."""
 
     n: int
     N: int
@@ -48,7 +49,7 @@ class HahnParams:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "N", N)
         ta, tb = twice
-        object.__setattr__(self, "twice", (ta, tb))
+        object.__setattr__(self, "twice", (_as_index(ta), _as_index(tb)))
 
     alpha, beta = (property(lambda self, i=i: HalfInt(twice=self.twice[i]))
                    for i in range(2))

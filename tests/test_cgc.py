@@ -83,6 +83,14 @@ def test_a_key_is_its_doubled_labels():
         CgcKey(1, twice=same.twice)
     with pytest.raises(AttributeError):
         key.twice = (1, -1, 2, 2, 3, 1)
+    # twice= is read as indices are: a float was kept, so that (1.5, 0.5,
+    # 1, 0, 1.5, 0.5) gave a "selection" 0.0, and a bool was read as 1
+    for bad in ((1.5, 0.5, 1, 0, 1.5, 0.5), (True, True, True, -1, 2, 0),
+                [1, 1, 2, 0, 3, Fraction(1, 2)]):
+        with pytest.raises(QDomainError, match="integer index"):
+            CgcKey(twice=bad)
+    read = CgcKey(twice=(Fraction(1), 1.0, 2, 0, 3, 1))
+    assert read == same and {type(t) for t in read.twice} == {int}
 
 
 def test_integer_selection_rules_admit_exactly_the_admissible_keys():
@@ -255,7 +263,9 @@ def test_each_row_has_the_bits_of_the_computation_for_its_tuple(monkeypatch, q):
 def test_crosscheck_counts_its_routes():
     # routes is the number of distinct compiled tuples over the closed
     # forms and the special row, counted on every key with 2j1, 2j2 <= 6;
-    # the default mode evaluates one row and counts none
+    # the tuples are reduced to what _scale multiplies, so on 161 keys
+    # every row is one product; the default mode evaluates one row and
+    # counts none
     assert compute(CgcKey(2, 1, 2, -1, 2, 0), CTX).routes is None
     assert compute(CgcKey(1, 0, 1, 0, 3, 0), CTX, mode="crosscheck").routes is None
     spins = [HalfInt(twice=t) for t in range(7)]
@@ -272,7 +282,7 @@ def test_crosscheck_counts_its_routes():
                 routes = compute(key, CTX, mode="crosscheck").routes
                 assert routes == len(tuples), key
                 counts[routes] += 1
-    assert counts == {3: 161, 4: 889, 5: 24, 6: 559, 7: 775}
+    assert counts == {1: 161, 2: 889, 4: 248, 5: 383, 6: 515, 7: 212}
 
 
 def test_a_row_whose_tuple_differs_is_evaluated_on_its_own(monkeypatch):
@@ -300,6 +310,36 @@ def test_a_row_whose_tuple_differs_is_evaluated_on_its_own(monkeypatch):
     assert after.deviation >= abs(before.value) / 2 > 0
     again = compute(other, CTX, mode="crosscheck")
     assert (again.routes, again.deviation) == (unchanged.routes, unchanged.deviation)
+
+
+def test_rows_that_cancel_to_one_product_share_one_evaluation(monkeypatch):
+    # on <1/2 1/2, 1/2 -1/2|1 0> 'racah', '3f2' and the special row
+    # ('stretched') name different factorials, which cancel to one
+    # product: written out, their net powers differ only at n = 0 and 1,
+    # where [n]! = 1, and in a power of [3]! that sums to 0; reduced,
+    # the three tuples are equal and one evaluation serves them, so a
+    # crosscheck evaluates 2 products, not 4
+    key = CgcKey("1/2", "1/2", "1/2", "-1/2", 1, 0)
+    rows = [cgc.CLOSED_FORMS["racah"], cgc.CLOSED_FORMS["3f2"], cgc._special_row(key)]
+    assert rows[2] is cgc.SPECIAL_VALUES["stretched"]
+    written = [_written(row, key) for row in rows]
+    assert len({tuple(sorted(named)) for _, _, named, _ in written}) == 3
+    racah, *others = (row._compiled(*key.twice) for row in rows)
+    assert all(other == racah for other in others)
+    evaluate, evaluated = cgc._evaluate, []
+
+    def recording(compiled, ctx):
+        evaluated.append(compiled)
+        return evaluate(compiled, ctx)
+
+    monkeypatch.setattr(cgc, "_evaluate", recording)
+    result = compute(key, CTX, mode="crosscheck")
+    assert result.routes == len(evaluated) == 2
+    assert evaluated.count(racah) == 1
+    assert result.deviation == 0
+    alone = {ALL_FORMULAS["racah"](key, CTX)._mpf_, ALL_FORMULAS["3f2"](key, CTX)._mpf_,
+             special_value(key, CTX)._mpf_}
+    assert alone == {result.value._mpf_}
 
 
 def test_boosted_sums_are_reals_of_the_calling_context():
@@ -691,7 +731,8 @@ def _written(row, key):
     # for an empty range of r, else (phase, twice_power, named, spec),
     # named the (n, net power of sqrt([n]!)) of every factorial the row
     # and its series' first summand name, in order; QDomainError when a
-    # form is not an integer or an argument is negative
+    # form is not an integer, or naming the least argument when one is
+    # negative
     labels = dict(zip(cgc._VARIABLES, (t / 2 for t in key.twice)))
 
     def at(form, r=0, times=1):
@@ -726,8 +767,9 @@ def _written(row, key):
             return None
         lo, hi = rs[0], rs[-1]
         assert -12 < lo and hi < 12  # the scan covers the range
-        if any(at(a, r=r) < 0 for a in series.num for r in rs):
-            raise QDomainError("a numerator argument is negative")
+        least = min((at(a, r=r) for a in series.num for r in rs), default=0)
+        if least < 0:
+            raise QDomainError(f"q_factorial: negative argument {least}")
         e = at(series.power)
         phase, power = phase + lo, power + 2 * e * lo
         named += [(at(a, r=lo), 2) for a in series.num]
@@ -740,28 +782,33 @@ def _written(row, key):
             lower += [-2 * at(a, r=lo) for a in series.num if not rising[a]]
             lower.remove(2)  # the series' own 1/[k+1]
             spec = (tuple(upper), tuple(lower), 2 * e)
-    if any(n < 0 for n, _ in named):
-        raise QDomainError("a factorial argument is negative")
+    least = min(n for n, _ in named)
+    if least < 0:
+        raise QDomainError(f"q_factorial: negative argument {least}")
     return phase, power, named, spec
 
 
 def test_a_compiled_row_is_its_written_factorials():
     # every row on every admissible key with 2j1, 2j2 <= 6, the special
     # rows off their patterns too: the compiled function returns the
-    # brute-force reading's phase, power and spec, and its net holds the
-    # summed powers of the same arguments; where a form is not an integer
-    # or an argument is negative the row raises QDomainError
+    # brute-force reading's phase mod 2, power and spec, and its net holds
+    # the summed powers of the same arguments, reduced to the n > 1 whose
+    # power is not 0; where a form is not an integer the row raises
+    # QDomainError, and where an argument is negative it names the least
     spins = [HalfInt(twice=t) for t in range(7)]
     keys = [key for j1 in spins for j2 in spins for key in admissible_keys(j1, j2)]
     rows = {**cgc.CLOSED_FORMS, **cgc.SPECIAL_VALUES}
-    agreed, raising, summed, matched = 0, set(), 0, set()
+    agreed, raising, summed, matched, negative = 0, set(), 0, set(), 0
     for name, row in rows.items():
         for key in keys:
             try:
                 written = _written(row, key)
-            except QDomainError:
-                with pytest.raises(QDomainError):
+            except QDomainError as error:
+                with pytest.raises(QDomainError) as raised:
                     row.value(key, CTX)
+                if str(error).startswith("q_factorial"):
+                    assert str(raised.value) == str(error), (name, str(key))
+                    negative += 1
                 raising.add(name)
                 continue
             compiled = row._compiled(*key.twice)
@@ -772,13 +819,14 @@ def test_a_compiled_row_is_its_written_factorials():
             expected = {}
             for n, weight in written[2]:
                 expected[n] = expected.get(n, 0) + weight
-            assert (phase, power, net, spec) == (*written[:2], expected, written[3]), \
-                (name, str(key))
+            expected = {n: e for n, e in expected.items() if n > 1 and e}
+            assert (phase, power, net, spec) == (
+                written[0] % 2, written[1], expected, written[3]), (name, str(key))
             agreed += 1
             summed += spec is not None
             if row.matches(key):
                 matched.add(name)
-    assert agreed > 20000 and summed > 5000 and matched == set(rows)
+    assert agreed > 20000 and summed > 5000 and matched == set(rows) and negative
     # off their patterns: a negative [j1-j2-m]! or [2j1-1]!, or a half-integer [j1]!
     assert raising == {"antistretched", "stretched_minus_one", "all_m_zero"}, raising
     # an empty range of r is None, on a key past the triangle rule

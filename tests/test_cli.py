@@ -53,9 +53,18 @@ def test_cgc_verify_reports_deviation():
     assert code == 0
     assert "max cross-formula deviation" in out
     # the distinct computations compared, before the deviation
-    assert out.split("[racah]  ")[1].startswith("4 computations, max")
+    assert out.split("[racah]  ")[1].startswith("2 computations, max")
     deviation = mpf(out.rsplit("deviation", 1)[1].strip())
     assert deviation < mpf("1e-35")
+
+
+def test_cgc_verify_counts_one_computation_in_the_singular():
+    # on <0 0, 1 1|1 1> every closed form and the special row are one
+    # product, so one computation is compared and nothing deviates
+    code, out = _run(["cgc", "--q", "0.5", "--j1", "0", "--m1", "0", "--j2", "1",
+                      "--m2", "1", "--j", "1", "--m", "1", "--verify"])
+    assert code == 0
+    assert out.endswith("[racah]  1 computation, max cross-formula deviation 0.0\n")
 
 
 def test_usage_error_exit_code():

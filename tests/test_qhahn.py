@@ -40,18 +40,22 @@ def test_params_validation():
 
 def test_a_degree_lattice_size_or_point_is_an_integer_index():
     # n, N and s were read through int(), so 3/2 built or evaluated at 1
-    # and the string "3/2" raised ValueError
+    # and the string "3/2" raised ValueError; twice= was stored as given,
+    # so (True, 2) was read as 2 alpha = 1 and (1.5, 2) raised TypeError
+    # in hahn_eval
     for bad in (1.5, Fraction(3, 2), True, "3/2", HalfInt("3/2")):
         with pytest.raises(QDomainError, match="integer index"):
             HahnParams(bad, 4, 1, 1)
         with pytest.raises(QDomainError, match="integer index"):
             HahnParams(0, bad, 1, 1)
         with pytest.raises(QDomainError, match="integer index"):
+            HahnParams(1, 4, twice=(bad, 2))
+        with pytest.raises(QDomainError, match="integer index"):
             hahn_difference_residual(HahnParams(1, 4, 1, 1), bad, CTX)
     for n, N in ((Fraction(2), 4.0), (HalfInt(2), Fraction(8, 2))):
-        params = HahnParams(n, N, 1, 1)
-        assert (params.n, params.N) == (2, 4)
-        assert type(params.n) is int and type(params.N) is int
+        params = HahnParams(n, N, twice=(Fraction(2), 2.0))
+        assert (params.n, params.N, params.twice) == (2, 4, (2, 2))
+        assert {type(x) for x in (params.n, params.N, *params.twice)} == {int}
     params = HahnParams(1, 4, 1, 1)
     assert (hahn_difference_residual(params, Fraction(2), CTX)
             == hahn_difference_residual(params, 2, CTX))
